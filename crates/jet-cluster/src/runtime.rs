@@ -426,7 +426,16 @@ impl SimCluster {
                 Some((s, id)) => Some((s, *id)),
                 None => None,
             },
-        )?;
+        )
+        .inspect_err(|_| {
+            // A generation that does not decode will not heal by retrying:
+            // retire it, so that the caller's next attempt — every caller
+            // re-reads `latest_complete` — restores from the older retained
+            // generation, or cold-restarts when that is gone too.
+            if let Some(id) = restore {
+                self.store.discard_if_corrupt(id);
+            }
+        })?;
         self.cancelled = exec.cancelled.clone();
         self.member_metrics = exec.members.iter().map(|m| m.metrics.clone()).collect();
         // Fresh simulator on the SAME clock: virtual time continues across
@@ -859,7 +868,7 @@ impl SimCluster {
         // In-flight state dies with the execution.
         let latest = self.store.latest_complete();
         self.cfg.members = self.grid.members().len();
-        self.build_execution(latest)?;
+        self.rebuild_or_arm_recovery(latest, member.0)?;
         let now = self.now();
         if let Some(coord) = self.coordinator.as_mut() {
             coord.refresh(now);

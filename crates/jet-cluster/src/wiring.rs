@@ -362,8 +362,7 @@ pub fn build_cluster_execution(
         let vertex = &dag.vertices()[v];
         let out_edges = dag.out_edges(v);
         let parallelism = lp[v];
-        let restore_records: Option<Vec<(Vec<u8>, Vec<u8>)>> =
-            restore.map(|(store, id)| store.read_vertex(id, &vertex.name));
+        let restore_records = jet_core::plan::restore_records(restore, &vertex.name)?;
         for (mi, _m) in members.iter().enumerate() {
             for i in 0..parallelism {
                 let global_index = mi * parallelism + i;

@@ -213,6 +213,70 @@ fn mid_flight_snapshot_kill_never_exposes_a_torn_snapshot() {
     assert_eq!(total, LIMIT, "exactly-once violated across a torn snapshot");
 }
 
+/// A stored chunk of the latest complete snapshot no longer decodes when a
+/// member dies. The rebuild must fail with an error the caller sees and the
+/// store counts — not panic, not restore part of the state — and the retry
+/// ladder must then recover from the older retained generation.
+#[test]
+fn corrupt_snapshot_chunk_fails_recovery_over_to_the_older_generation() {
+    const LIMIT: u64 = 40_000;
+    const KEYS: u64 = 32;
+    let (p, out) = counting_job(1_000_000, LIMIT, KEYS, 10 * SEC as Ts);
+    let dag = p.compile(2).unwrap();
+    let cfg = SimClusterConfig {
+        members: 3,
+        cores_per_member: 2,
+        partition_count: 31,
+        guarantee: Guarantee::ExactlyOnce,
+        snapshot_interval: 5 * MS,
+        ..Default::default()
+    };
+    let mut cluster = SimCluster::start(dag, cfg).unwrap();
+    cluster.run_for(20 * MS);
+    let registry = cluster.registry();
+    let store = registry.store().expect("snapshots enabled").clone();
+    let latest = store
+        .latest_complete()
+        .expect("no snapshot before the kill");
+    assert!(latest >= 2, "need an older generation to fall back to");
+    assert!(store.corrupt_one_chunk(latest));
+
+    let victim = cluster.grid().members()[1];
+    let err = cluster.kill_member_and_recover(victim).unwrap_err();
+    assert!(
+        err.contains(&format!("snapshot {latest}")) && err.contains("decode error"),
+        "unexpected error: {err}"
+    );
+    assert_eq!(store.faults().read_failures(), 1, "failure not counted");
+    assert_eq!(
+        store.latest_complete(),
+        Some(latest - 1),
+        "the corrupt generation must be retired, the older one kept"
+    );
+    assert!(
+        cluster.run_for(60 * SEC),
+        "job did not recover from the older generation: {:?}",
+        cluster.failed()
+    );
+    assert!(
+        cluster.failed().is_none(),
+        "job lost: {:?}",
+        cluster.failed()
+    );
+    assert!(
+        store.latest_complete().is_some_and(|id| id >= latest),
+        "snapshots did not resume after the fallback"
+    );
+    let results = out.lock();
+    let mut per_key: HashMap<u64, u64> = HashMap::new();
+    for (_, r) in results.iter() {
+        *per_key.entry(r.key).or_insert(0) += r.value;
+    }
+    assert_eq!(per_key.len() as u64, KEYS);
+    let total: u64 = per_key.values().sum();
+    assert_eq!(total, LIMIT, "exactly-once violated across the fallback");
+}
+
 #[test]
 fn failed_rescale_aborts_the_terminal_snapshot_and_resumes() {
     const LIMIT: u64 = 40_000;

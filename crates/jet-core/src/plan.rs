@@ -14,7 +14,7 @@ use crate::outbound::OutboundCollector;
 use crate::processor::{Guarantee, ProcessorContext};
 use crate::snapshot::SnapshotRegistry;
 use crate::tasklet::{InputConveyor, ProcessorTasklet, Tasklet, DEFAULT_BATCH};
-use jet_imdg::SnapshotStore;
+use jet_imdg::snapshot_store::{Records, SnapshotStore};
 use jet_queue::{Conveyor, Producer};
 use jet_util::clock::SharedClock;
 use std::collections::HashMap;
@@ -65,6 +65,22 @@ impl LocalConfig {
 pub struct LocalExecution {
     pub tasklets: Vec<Box<dyn Tasklet>>,
     pub cancelled: Arc<AtomicBool>,
+}
+
+/// The state records `vertex` restores from, when the execution restores at
+/// all. A snapshot that does not decode is an error for the caller's retry
+/// and fallback logic, never a panic or a partial restore.
+pub fn restore_records(
+    restore: Option<(&SnapshotStore, SnapshotId)>,
+    vertex: &str,
+) -> Result<Option<Records>, String> {
+    restore
+        .map(|(store, id)| {
+            store
+                .read_vertex(id, vertex)
+                .map_err(|e| format!("snapshot {id}, vertex {vertex}: {e}"))
+        })
+        .transpose()
 }
 
 /// Wire `dag` into tasklets for a single member. When `restore` is given,
@@ -125,8 +141,7 @@ pub fn build_local(
         let vertex = &dag.vertices()[v];
         let out_edges = dag.out_edges(v);
         let parallelism = lp[v];
-        let restore_records: Option<Vec<(Vec<u8>, Vec<u8>)>> =
-            restore.map(|(store, id)| store.read_vertex(id, &vertex.name));
+        let restore_records = restore_records(restore, &vertex.name)?;
         for i in 0..parallelism {
             // Ownership: partitioned edges route partition p to instance
             // p % parallelism (single member).

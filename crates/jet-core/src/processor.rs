@@ -17,7 +17,9 @@
 
 use crate::item::{Item, Ts};
 use crate::object::BoxedObject;
+use crate::state::Snap;
 use jet_util::clock::SharedClock;
+use jet_util::codec::ByteWriter;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -151,7 +153,11 @@ impl Inbox {
 pub struct Outbox {
     bufs: Vec<VecDeque<Item>>,
     batch_limit: usize,
-    snapshot_buf: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The snapshot chunk being staged: `snapshot_records` length-prefixed
+    /// `(key, value)` pairs, back to back in one arena that keeps its
+    /// allocation from chunk to chunk.
+    snapshot: ByteWriter,
+    snapshot_records: u32,
     /// True while the downstream queues still hold back earlier output; the
     /// tasklet sets this and the processor sees `offer` fail immediately.
     blocked: bool,
@@ -167,7 +173,8 @@ impl Outbox {
         Outbox {
             bufs: (0..out_edges).map(|_| VecDeque::new()).collect(),
             batch_limit: batch_limit.max(1),
-            snapshot_buf: Vec::new(),
+            snapshot: ByteWriter::new(),
+            snapshot_records: 0,
             blocked: false,
             events_queued: 0,
         }
@@ -233,11 +240,24 @@ impl Outbox {
         !self.blocked && self.bufs.iter().all(|b| b.len() < self.batch_limit)
     }
 
-    /// Stage one state record for the in-flight snapshot (§4.4). Unbounded:
-    /// snapshot pressure is bounded by state size, not stream rate.
-    // jet-analyze: allow(alloc) — snapshot records travel with the epoch barrier, not the per-event path
-    pub fn offer_snapshot(&mut self, key: Vec<u8>, value: Vec<u8>) -> bool {
-        self.snapshot_buf.push((key, value));
+    /// Stage one state record for the in-flight snapshot (§4.4): `key` and
+    /// `value` are serialized straight into the chunk arena, and `restore`
+    /// later sees exactly the bytes `Snap::to_bytes` would have produced.
+    /// Unbounded: snapshot pressure is bounded by state size, not stream
+    /// rate — a processor bounds a quantum by returning `false` from
+    /// `save_snapshot` and resuming.
+    pub fn offer_snapshot<K: Snap, V: Snap>(&mut self, key: &K, value: &V) -> bool {
+        self.snapshot.put_framed(|w| key.save(w));
+        self.snapshot.put_framed(|w| value.save(w));
+        self.snapshot_records += 1;
+        true
+    }
+
+    /// As [`Self::offer_snapshot`] for a record that already is bytes.
+    pub fn offer_snapshot_bytes(&mut self, key: &[u8], value: &[u8]) -> bool {
+        self.snapshot.put_bytes(key);
+        self.snapshot.put_bytes(value);
+        self.snapshot_records += 1;
         true
     }
 
@@ -253,8 +273,15 @@ impl Outbox {
         &mut self.bufs[ordinal]
     }
 
-    pub(crate) fn take_snapshot_records(&mut self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        std::mem::take(&mut self.snapshot_buf)
+    /// The staged snapshot chunk: record count and the records' bytes.
+    pub fn snapshot_chunk(&self) -> (u32, &[u8]) {
+        (self.snapshot_records, self.snapshot.as_bytes())
+    }
+
+    /// Start the next chunk in the same arena.
+    pub fn clear_snapshot_chunk(&mut self) {
+        self.snapshot.clear();
+        self.snapshot_records = 0;
     }
 
     pub(crate) fn is_fully_flushed(&self) -> bool {
@@ -453,13 +480,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_buffer_accumulates_and_drains() {
+    fn snapshot_chunk_accumulates_and_restarts_in_place() {
+        use jet_util::codec::ByteReader;
         let mut ob = Outbox::new(1, 8);
-        assert!(ob.offer_snapshot(b"k1".to_vec(), b"v1".to_vec()));
-        assert!(ob.offer_snapshot(b"k2".to_vec(), b"v2".to_vec()));
-        let recs = ob.take_snapshot_records();
-        assert_eq!(recs.len(), 2);
-        assert!(ob.take_snapshot_records().is_empty());
+        assert_eq!(ob.snapshot_chunk(), (0, &[][..]));
+        assert!(ob.offer_snapshot(&(7u64, -1i64), &"a long enough value".to_string()));
+        assert!(ob.offer_snapshot_bytes(b"k2", b"v2"));
+        let (records, body) = ob.snapshot_chunk();
+        assert_eq!(records, 2);
+        // Each field reads back as the bytes `to_bytes` produces.
+        let mut r = ByteReader::new(body);
+        assert_eq!(r.get_bytes().unwrap(), (7u64, -1i64).to_bytes());
+        assert_eq!(
+            r.get_bytes().unwrap(),
+            "a long enough value".to_string().to_bytes()
+        );
+        assert_eq!(r.get_bytes().unwrap(), b"k2");
+        assert_eq!(r.get_bytes().unwrap(), b"v2");
+        assert!(r.is_exhausted());
+        ob.clear_snapshot_chunk();
+        assert_eq!(ob.snapshot_chunk(), (0, &[][..]));
     }
 
     #[test]

@@ -244,8 +244,7 @@ where
         // and persist it so recovery can re-commit it.
         let items = std::mem::take(&mut self.active);
         let blob: Vec<(i64, T)> = items.iter().map(|(ts, t)| (*ts, t.clone())).collect();
-        let key = (id, ctx.global_index as u64).to_bytes();
-        outbox.offer_snapshot(key, blob.to_bytes());
+        outbox.offer_snapshot(&(id, ctx.global_index as u64), &blob);
         self.prepared.push_back((id, items));
         true
     }
@@ -307,7 +306,7 @@ where
     // jet-analyze: allow(alloc) — snapshot serialization walks the dedup set once per epoch
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, ctx: &ProcessorContext) -> bool {
         let ids: Vec<u64> = self.seen.iter().copied().collect();
-        outbox.offer_snapshot((ctx.global_index as u64).to_bytes(), ids.to_bytes());
+        outbox.offer_snapshot(&(ctx.global_index as u64), &ids);
         true
     }
 

@@ -106,10 +106,6 @@ impl GeneratorSource {
     fn schedule_of(&self, seq: u64) -> u64 {
         self.origin_nanos + (seq as u128 * 1_000_000_000 / self.total_rate as u128) as u64
     }
-
-    fn shard_state_key(shard: u64) -> Vec<u8> {
-        shard.to_bytes()
-    }
 }
 
 impl Processor for GeneratorSource {
@@ -213,7 +209,7 @@ impl Processor for GeneratorSource {
 
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         for (shard, k) in &self.shards {
-            outbox.offer_snapshot(Self::shard_state_key(*shard), k.to_bytes());
+            outbox.offer_snapshot(shard, k);
         }
         true
     }
@@ -374,7 +370,7 @@ where
 
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         for (p, next) in &self.offsets {
-            outbox.offer_snapshot((*p as u64).to_bytes(), next.to_bytes());
+            outbox.offer_snapshot(&(*p as u64), next);
         }
         true
     }

@@ -244,7 +244,7 @@ where
 
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         for (k, s) in &self.state {
-            outbox.offer_snapshot(k.to_bytes(), s.to_bytes());
+            outbox.offer_snapshot(k, s);
         }
         true
     }

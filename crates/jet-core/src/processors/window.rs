@@ -970,8 +970,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
             let (next, item) = self.frames[fi].table.scan_next(cur);
             match item {
                 Some((_, k, a)) => {
-                    let key_bytes = (0u64, instance as u64, *k, frame_end).to_bytes();
-                    outbox.offer_snapshot(key_bytes, a.to_bytes());
+                    outbox.offer_snapshot(&(0u64, instance as u64, *k, frame_end), a);
                     cur = next;
                     budget -= 1;
                 }
@@ -982,8 +981,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
             }
         }
         // Meta record (tag 1): this instance's emission floor.
-        let meta_key = (1u64, instance as u64).to_bytes();
-        outbox.offer_snapshot(meta_key, self.floor.to_bytes());
+        outbox.offer_snapshot(&(1u64, instance as u64), &self.floor);
         self.snap_cursor = None;
         true
     }
@@ -1501,8 +1499,7 @@ where
             let (next, item) = self.frames[fi].table.scan_next(cur);
             match item {
                 Some((_, k, a)) => {
-                    let key_bytes = (0u64, ctx.global_index as u64, *k, frame_end).to_bytes();
-                    outbox.offer_snapshot(key_bytes, a.to_bytes());
+                    outbox.offer_snapshot(&(0u64, ctx.global_index as u64, *k, frame_end), a);
                     cur = next;
                     budget -= 1;
                 }
@@ -1512,8 +1509,7 @@ where
                 }
             }
         }
-        let meta_key = (1u64, ctx.global_index as u64).to_bytes();
-        outbox.offer_snapshot(meta_key, self.emitted_through.to_bytes());
+        outbox.offer_snapshot(&(1u64, ctx.global_index as u64), &self.emitted_through);
         self.snap_cursor = None;
         true
     }

@@ -152,16 +152,22 @@ impl SnapshotRegistry {
         self.trigger()
     }
 
-    /// Tasklet: persist staged state records for `vertex` under `id`. A
+    /// Tasklet: persist one staged chunk — `records` records in `body`, the
+    /// `seq`-th chunk instance `writer` of `vertex` writes under `id`. A
     /// store write failure poisons the snapshot: barriers still drain, but
     /// it will never be marked complete.
     // jet-analyze: allow(alloc, block) — snapshot registry: epoch-barrier path under a short registry lock, once per epoch
-    pub fn write_records(&self, id: SnapshotId, vertex: &str, records: Vec<(Vec<u8>, Vec<u8>)>) {
+    pub fn write_chunk(
+        &self,
+        id: SnapshotId,
+        vertex: &str,
+        writer: u32,
+        seq: u32,
+        records: u32,
+        body: &[u8],
+    ) {
         if let Some(store) = &self.store {
-            let mut ok = true;
-            for (k, v) in records {
-                ok &= store.write(id, vertex, k, v);
-            }
+            let ok = store.write_chunk(id, vertex, writer, seq, records, body);
             if !ok && self.poisoned.lock().insert(id) {
                 self.poisoned_total.fetch_add(1, Ordering::Relaxed);
             }
@@ -276,6 +282,14 @@ mod tests {
         SnapshotRegistry::new(SnapshotStore::new(&grid, 1), participants)
     }
 
+    /// Write the one-record chunk `k → value` of vertex "agg" under `id`.
+    fn write_one(r: &SnapshotRegistry, id: SnapshotId, value: &[u8]) {
+        let mut body = jet_util::codec::ByteWriter::new();
+        body.put_bytes(b"k");
+        body.put_bytes(value);
+        r.write_chunk(id, "agg", 0, 0, 1, body.as_bytes());
+    }
+
     #[test]
     fn trigger_then_acks_complete_snapshot() {
         let r = registry(3);
@@ -314,9 +328,9 @@ mod tests {
     fn records_are_persisted_per_vertex() {
         let r = registry(1);
         r.trigger();
-        r.write_records(1, "agg", vec![(b"k".to_vec(), b"v".to_vec())]);
+        write_one(&r, 1, b"v");
         r.ack(1);
-        let recs = r.store().unwrap().read_vertex(1, "agg");
+        let recs = r.store().unwrap().read_vertex(1, "agg").unwrap();
         assert_eq!(recs, vec![(b"k".to_vec(), b"v".to_vec())]);
     }
 
@@ -384,7 +398,7 @@ mod tests {
         let store = r.store().unwrap().clone();
         let id = r.trigger().unwrap();
         store.faults().set_fail_writes(true);
-        r.write_records(id, "agg", vec![(b"k".to_vec(), b"v".to_vec())]);
+        write_one(&r, id, b"v");
         store.faults().set_fail_writes(false);
         r.ack(id);
         r.ack(id);
@@ -395,7 +409,7 @@ mod tests {
         // …but a partial snapshot is never a recovery point.
         assert_eq!(store.latest_complete(), None);
         // The next, healthy snapshot completes normally.
-        r.write_records(id + 1, "agg", vec![(b"k".to_vec(), b"v2".to_vec())]);
+        write_one(&r, id + 1, b"v2");
         r.ack(id + 1);
         r.ack(id + 1);
         assert_eq!(store.latest_complete(), Some(id + 1));

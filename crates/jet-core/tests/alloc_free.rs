@@ -3,7 +3,9 @@
 //! the full per-event surface — `boxed` construction, `Item` wrapping,
 //! SPSC offer/poll, clone (as a broadcast edge would), borrow-downcast, and
 //! consume-by-`take` — and asserts the allocation counter did not move for
-//! payloads at or under `INLINE_CAP` (32 bytes).
+//! payloads at or under `INLINE_CAP` (32 bytes). The snapshot write path is
+//! held to the same standard per record: staging a chunk of state records
+//! into a warmed-up `Outbox` arena allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,4 +99,29 @@ fn oversized_payloads_fall_back_to_the_heap() {
         assert_eq!(take::<[u8; 40]>(obj), [0u8; 40]);
     });
     assert!(n > 0, "oversized payload should have boxed");
+}
+
+#[test]
+fn staging_a_snapshot_chunk_into_a_warm_outbox_is_allocation_free() {
+    use jet_core::processor::Outbox;
+    // One chunk of window state as `AccumulateFrameP` stages it: the record
+    // key is (tag, instance, key, frame end), the value an accumulator.
+    fn stage_chunk(outbox: &mut Outbox) {
+        for k in 0..2_048u64 {
+            assert!(outbox.offer_snapshot(&(0u64, 1u64, k, 10_000_000_000i64 + k as i64), &k));
+        }
+        assert!(outbox.offer_snapshot_bytes(b"meta", &[0; 16]));
+    }
+    let mut outbox = Outbox::new(1, 256);
+    // The first chunk grows the arena; every later one reuses it.
+    stage_chunk(&mut outbox);
+    let (records, body) = outbox.snapshot_chunk();
+    let first = (records, body.to_vec());
+    outbox.clear_snapshot_chunk();
+
+    let n = allocs_during(|| stage_chunk(&mut outbox));
+    assert_eq!(n, 0, "staging 2049 records allocated {n} times");
+    let (records, body) = outbox.snapshot_chunk();
+    assert_eq!((records, body), (first.0, &first.1[..]));
+    assert_eq!(records, 2_049);
 }

@@ -473,6 +473,17 @@ fn exactly_once_snapshot_and_restore_counts_once() {
             "key {k} lost or duplicated events across recovery"
         );
     }
+    drop(results);
+
+    // A stored chunk that no longer decodes fails the rebuild with an error
+    // the caller can act on — never a panic, never a job restored from part
+    // of its state.
+    assert!(store.corrupt_one_chunk(1));
+    let err = build_local(&make_dag(out2.clone()), &cfg, &registry2, Some((&store, 1)))
+        .err()
+        .expect("restored from a corrupt snapshot");
+    assert!(err.contains("snapshot 1"), "unexpected error: {err}");
+    assert_eq!(store.faults().read_failures(), 1);
 }
 
 #[test]

@@ -33,7 +33,7 @@ impl Processor for Recorder {
     }
 
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, _: &ProcessorContext) -> bool {
-        outbox.offer_snapshot(b"sum".to_vec(), self.sum.to_le_bytes().to_vec());
+        outbox.offer_snapshot_bytes(b"sum", &self.sum.to_le_bytes());
         true
     }
 }
@@ -139,7 +139,7 @@ fn exactly_once_blocks_aligned_lane_until_alignment() {
     );
     assert_eq!(r.registry.completed(), 1);
     // State record persisted (sum at the barrier = 1 + 2 = 3).
-    let records = r.store.read_vertex(1, "recorder");
+    let records = r.store.read_vertex(1, "recorder").unwrap();
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].1, 3u64.to_le_bytes().to_vec());
 }
@@ -163,7 +163,7 @@ fn at_least_once_does_not_block_but_snapshots_on_last_barrier() {
     assert_eq!(r.registry.completed(), 1);
     // The snapshot includes the post-barrier effect (sum = 99): the source
     // of at-least-once's duplicates-on-replay semantics.
-    let records = r.store.read_vertex(1, "recorder");
+    let records = r.store.read_vertex(1, "recorder").unwrap();
     assert_eq!(records[0].1, 99u64.to_le_bytes().to_vec());
 }
 

@@ -27,6 +27,11 @@ pub trait AnyMapSlice: Send {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn entry_count(&self) -> usize;
+    /// Events the slice's journal currently retains (0 for a structure
+    /// without one).
+    fn journal_len(&self) -> usize {
+        0
+    }
     /// Merge `other` (same concrete type) into self, overwriting keys.
     fn absorb(&mut self, other: &dyn AnyMapSlice);
 }
@@ -50,8 +55,18 @@ impl PartitionStore {
         self.maps.get(name).map(|b| b.as_ref())
     }
 
+    /// The named slice if this partition already holds one: bulk operations
+    /// that only ever shrink a map must not create empty slices on the way.
+    pub fn existing_slice_mut(&mut self, name: &str) -> Option<&mut (dyn AnyMapSlice + 'static)> {
+        self.maps.get_mut(name).map(|b| &mut **b)
+    }
+
     pub fn entry_count(&self) -> usize {
         self.maps.values().map(|m| m.entry_count()).sum()
+    }
+
+    pub fn journal_len(&self) -> usize {
+        self.maps.values().map(|m| m.journal_len()).sum()
     }
 
     fn clone_all(&self) -> PartitionStore {
@@ -102,6 +117,12 @@ impl MemberNode {
     // jet-analyze: allow(block) — IMDG stand-in: partition tables under short locks model the member boundary
     pub fn entry_count(&self) -> usize {
         self.partitions.iter().map(|p| p.lock().entry_count()).sum()
+    }
+
+    /// Total journal events retained across all partitions and maps on this
+    /// member — with `entry_count`, what the member's memory grows by.
+    pub fn journal_len(&self) -> usize {
+        self.partitions.iter().map(|p| p.lock().journal_len()).sum()
     }
 }
 
@@ -202,6 +223,18 @@ impl Grid {
             .iter()
             .filter_map(|m| st.nodes.get(m).cloned())
             .collect()
+    }
+
+    /// Visit every live replica of partition `p`, primary first, without
+    /// materializing the chain. The membership is read-locked for the
+    /// duration: `f` may lock the partition, never call back into the grid.
+    pub fn for_each_replica(&self, p: PartitionId, mut f: impl FnMut(&MemberNode)) {
+        let st = self.inner.state.read();
+        for m in st.table.replicas(p) {
+            if let Some(node) = st.nodes.get(m) {
+                f(node);
+            }
+        }
     }
 
     /// Add a new member and rebalance, copying migrated partition data.

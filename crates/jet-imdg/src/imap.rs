@@ -56,8 +56,10 @@ impl<K: Clone, V: Clone> Journal<K, V> {
         }
     }
 
+    /// Record one change. Key and value are cloned only when the journal
+    /// retains events: a map opened with capacity 0 pays for a counter.
     // jet-analyze: allow(alloc) — journal ring reaches configured capacity, then overwrites
-    fn append(&mut self, kind: EntryEventKind, key: K, value: V) {
+    fn append(&mut self, kind: EntryEventKind, key: &K, value: &V) {
         if self.capacity == 0 {
             self.next_seq += 1;
             return;
@@ -68,10 +70,19 @@ impl<K: Clone, V: Clone> Journal<K, V> {
         self.events.push_back(EntryEvent {
             seq: self.next_seq,
             kind,
-            key,
-            value,
+            key: key.clone(),
+            value: value.clone(),
         });
         self.next_seq += 1;
+    }
+
+    /// Events currently retained.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
     }
 
     /// Earliest retained sequence (== next_seq when empty).
@@ -120,6 +131,23 @@ where
             journal: Journal::new(journal_capacity),
         }
     }
+
+    /// Insert or replace on this replica, journaling the change; returns the
+    /// previous value.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.entries.entry(key) {
+            Entry::Occupied(mut e) => {
+                self.journal
+                    .append(EntryEventKind::Updated, e.key(), &value);
+                Some(e.insert(value))
+            }
+            Entry::Vacant(e) => {
+                self.journal.append(EntryEventKind::Added, e.key(), &value);
+                e.insert(value);
+                None
+            }
+        }
+    }
 }
 
 impl<K, V> AnyMapSlice for MapSlice<K, V>
@@ -144,6 +172,10 @@ where
 
     fn entry_count(&self) -> usize {
         self.entries.len()
+    }
+
+    fn journal_len(&self) -> usize {
+        self.journal.len()
     }
 
     fn absorb(&mut self, other: &dyn AnyMapSlice) {
@@ -231,32 +263,23 @@ where
     }
 
     /// Insert or replace; returns the previous value. Applied to the primary
-    /// and synchronously to every backup replica.
+    /// and synchronously to every backup replica; the last replica takes
+    /// ownership of `key` and `value`, so a single-replica put clones nothing.
     // jet-analyze: allow(alloc) — owned key/value storage clones on insert by design (the map owns its entries)
     pub fn put(&self, key: K, value: V) -> Option<V> {
         let p = self.partition_of(&key);
         let replicas = self.grid.replica_nodes(p);
+        let (last, rest) = replicas.split_last()?;
         let mut prev = None;
-        for (i, node) in replicas.iter().enumerate() {
-            let old = self.with_slice_mut(node, p, |s| {
-                let kind = match s.entries.entry(key.clone()) {
-                    Entry::Occupied(mut e) => {
-                        let old = e.insert(value.clone());
-                        s.journal
-                            .append(EntryEventKind::Updated, key.clone(), value.clone());
-                        return Some(old);
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(value.clone());
-                        EntryEventKind::Added
-                    }
-                };
-                s.journal.append(kind, key.clone(), value.clone());
-                None
-            });
+        for (i, node) in rest.iter().enumerate() {
+            let old = self.with_slice_mut(node, p, |s| s.insert(key.clone(), value.clone()));
             if i == 0 {
                 prev = old;
             }
+        }
+        let old = self.with_slice_mut(last, p, |s| s.insert(key, value));
+        if rest.is_empty() {
+            prev = old;
         }
         prev
     }
@@ -287,8 +310,7 @@ where
             let old = self.with_slice_mut(node, p, |s| {
                 let old = s.entries.remove(key);
                 if let Some(v) = &old {
-                    s.journal
-                        .append(EntryEventKind::Removed, key.clone(), v.clone());
+                    s.journal.append(EntryEventKind::Removed, key, v);
                 }
                 old
             });
@@ -322,10 +344,10 @@ where
         }
     }
 
-    /// Materialize all `(key, value)` pairs from primary replicas. A
-    /// point-in-time scan, not a consistent snapshot (AP semantics, §1).
-    pub fn entries(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
+    /// Visit every `(key, value)` pair on the primary replicas by reference,
+    /// one partition lock at a time. A point-in-time scan, not a consistent
+    /// snapshot (AP semantics, §1). `f` must not touch this map.
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for p in 0..self.grid.partition_count() {
             let pid = PartitionId(p);
             if let Ok(node) = self.grid.primary_node(pid) {
@@ -335,19 +357,63 @@ where
                         .as_any()
                         .downcast_ref::<MapSlice<K, V>>()
                         .expect("map opened with mismatched types");
-                    out.extend(typed.entries.iter().map(|(k, v)| (k.clone(), v.clone())));
+                    typed.entries.iter().for_each(|(k, v)| f(k, v));
                 }
             }
         }
+    }
+
+    /// Materialize all `(key, value)` pairs from primary replicas.
+    pub fn entries(&self) -> Vec<(K, V)> {
+        self.values_where(|_, _| true)
+    }
+
+    /// Predicate scan over primary replicas ("queryable" map, §4.2): the
+    /// predicate runs by reference under the partition lock and only the
+    /// matching pairs are cloned out.
+    pub fn values_where(&self, mut pred: impl FnMut(&K, &V) -> bool) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        self.for_each(|k, v| {
+            if pred(k, v) {
+                out.push((k.clone(), v.clone()));
+            }
+        });
         out
     }
 
-    /// Predicate scan over primary replicas ("queryable" map, §4.2).
-    pub fn values_where(&self, mut pred: impl FnMut(&K, &V) -> bool) -> Vec<(K, V)> {
-        self.entries()
-            .into_iter()
-            .filter(|(k, v)| pred(k, v))
-            .collect()
+    /// Remove every entry matching `pred`, in place on every replica under
+    /// its partition lock; returns how many the primaries dropped. Cost is
+    /// one pass over the map, and nothing is cloned unless the map keeps a
+    /// journal (each removal is then an event like any other).
+    pub fn remove_where(&self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
+        let mut removed = 0;
+        for p in 0..self.grid.partition_count() {
+            let pid = PartitionId(p);
+            let mut primary = true;
+            self.grid.for_each_replica(pid, |node| {
+                let mut store = node.partition(pid);
+                if let Some(slice) = store.existing_slice_mut(&self.name) {
+                    let s = slice
+                        .as_any_mut()
+                        .downcast_mut::<MapSlice<K, V>>()
+                        .expect("map opened with mismatched types");
+                    let before = s.entries.len();
+                    let journal = &mut s.journal;
+                    s.entries.retain(|k, v| {
+                        let hit = pred(k, v);
+                        if hit {
+                            journal.append(EntryEventKind::Removed, k, v);
+                        }
+                        !hit
+                    });
+                    if primary {
+                        removed += before - s.entries.len();
+                    }
+                }
+                primary = false;
+            });
+        }
+        removed
     }
 
     /// Atomically update the value under `key` on the primary (then
@@ -369,11 +435,11 @@ where
                         EntryEventKind::Added
                     };
                     s.entries.insert(key.clone(), v.clone());
-                    s.journal.append(kind, key.clone(), v.clone());
+                    s.journal.append(kind, &key, v);
                 }
                 None => {
                     if let Some(old) = s.entries.remove(&key) {
-                        s.journal.append(EntryEventKind::Removed, key.clone(), old);
+                        s.journal.append(EntryEventKind::Removed, &key, &old);
                     }
                 }
             }
@@ -420,6 +486,8 @@ where
 mod tests {
     use super::*;
     use crate::types::MemberId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn grid() -> Grid {
         Grid::with_partition_count(3, 1, 31)
@@ -463,6 +531,73 @@ mod tests {
         assert_eq!(all[5], (5, 50));
         let evens = m.values_where(|k, _| k.is_multiple_of(2));
         assert_eq!(evens.len(), 50);
+    }
+
+    /// A value that counts how often it is cloned.
+    struct Counted(u64, Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0, self.1.clone())
+        }
+    }
+
+    #[test]
+    fn scans_and_unjournaled_writes_clone_only_what_they_return() {
+        let g = Grid::with_partition_count(1, 0, 31);
+        let m: IMap<u64, Counted> = IMap::with_journal_capacity(&g, "m", 0);
+        let clones = Arc::new(AtomicUsize::new(0));
+        for i in 0..100 {
+            m.put(i, Counted(i, clones.clone()));
+        }
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            0,
+            "the only replica takes ownership; no journal, no copy"
+        );
+        let mut sum = 0;
+        m.for_each(|_, v| sum += v.0);
+        assert_eq!(sum, 4950);
+        assert_eq!(m.values_where(|k, _| *k < 3).len(), 3);
+        assert_eq!(clones.load(Ordering::Relaxed), 3, "only matches are cloned");
+        assert_eq!(m.remove_where(|k, _| *k >= 3), 97);
+        assert_eq!(clones.load(Ordering::Relaxed), 3, "removal clones nothing");
+        assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn remove_where_applies_to_every_replica_and_journals_like_remove() {
+        let g = Grid::with_partition_count(3, 1, 8);
+        let m: IMap<u64, u64> = IMap::new(&g, "m");
+        for i in 0..100 {
+            m.put(i, i);
+        }
+        assert_eq!(m.remove_where(|k, _| k.is_multiple_of(2)), 50);
+        assert_eq!(m.len(), 50);
+        let removed: usize = (0..8)
+            .map(|p| m.read_journal(PartitionId(p), 0, 1000).unwrap().0)
+            .map(|events| {
+                events
+                    .iter()
+                    .filter(|e| e.kind == EntryEventKind::Removed)
+                    .count()
+            })
+            .sum();
+        assert_eq!(removed, 50);
+        // Backups dropped the same entries: promotion resurrects nothing.
+        g.kill_member(MemberId(0)).unwrap();
+        assert_eq!(m.len(), 50);
+        assert!(m.entries().iter().all(|(k, _)| !k.is_multiple_of(2)));
+        // A partition that never held the map is left without a slice.
+        let empty: IMap<u64, u64> = IMap::new(&g, "never-written");
+        assert_eq!(empty.remove_where(|_, _| true), 0);
+        assert!(g.members().iter().all(|&id| g
+            .node(id)
+            .unwrap()
+            .partition(PartitionId(0))
+            .slice("never-written")
+            .is_none()));
     }
 
     #[test]

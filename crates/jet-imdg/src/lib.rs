@@ -19,10 +19,12 @@
 //!   membership changes, synchronous backup replication, member kill
 //!   (data on that node is lost, backups take over) and re-replication.
 //! * [`imap`] — the typed `IMap` handle: `put`/`get`/`remove`, predicate
-//!   scans, and a per-partition **event journal** (the replayable change
-//!   stream behind the CDC / view-maintenance use case of §6).
+//!   scans and removal in place, and a per-partition **event journal** (the
+//!   replayable change stream behind the CDC / view-maintenance use case of
+//!   §6).
 //! * [`snapshot_store`] — the job snapshot storage Jet layers over IMaps
-//!   (§4.4): bytes keyed by `(job, snapshot id, vertex, state key)`.
+//!   (§4.4): one entry per chunk of state records, keyed by `(job, snapshot
+//!   id, vertex, writing tasklet, chunk sequence)`.
 //!
 //! Everything is in-process: a "member" is a data structure, not an OS
 //! process, but the replication, promotion, and migration logic is real and

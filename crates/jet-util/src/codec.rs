@@ -34,6 +34,38 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the contents but keep the allocation, so one writer can serve
+    /// as a reusable arena.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Append whatever `f` writes as one length-prefixed field, byte for byte
+    /// what `put_bytes` of the same payload appends (so `get_bytes` reads it
+    /// back) without staging the payload in a buffer of its own. A one-byte
+    /// varint is written up front and patched afterwards; only a payload of
+    /// 128 bytes or more has to be shifted to make room for a longer one.
+    pub fn put_framed(&mut self, f: impl FnOnce(&mut ByteWriter)) {
+        let at = self.buf.len();
+        self.put_varint(0);
+        f(self);
+        let len = self.buf.len() - at - 1;
+        if len < 0x80 {
+            self.buf[at] = len as u8;
+        } else {
+            // [0][payload] -> [0][payload][varint] -> [0][varint][payload]
+            let end = self.buf.len();
+            self.put_varint(len as u64);
+            let prefix = self.buf.len() - end;
+            self.buf[at + 1..].rotate_right(prefix);
+            self.buf.remove(at);
+        }
+    }
+
     #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -85,6 +117,12 @@ impl ByteWriter {
     // jet-analyze: allow(alloc) — encode path appends to a caller-owned buffer (snapshot/replication, amortized growth)
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Append `v` as is, with no length prefix.
+    #[inline]
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -244,6 +282,30 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_str().is_err());
+    }
+
+    #[test]
+    fn framed_field_is_byte_identical_to_put_bytes() {
+        for len in [0usize, 1, 127, 128, 129, 16_383, 16_384, 70_000] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut expected = ByteWriter::new();
+            expected.put_u8(9);
+            expected.put_bytes(&payload);
+            let mut w = ByteWriter::new();
+            w.put_u8(9);
+            w.put_framed(|w| payload.iter().for_each(|&b| w.put_u8(b)));
+            assert_eq!(w.as_bytes(), expected.as_bytes(), "payload of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn cleared_writer_keeps_its_allocation() {
+        let mut w = ByteWriter::new();
+        w.put_bytes(&[7; 100]);
+        let cap = w.buf.capacity();
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!(w.buf.capacity(), cap);
     }
 
     #[test]
