@@ -7,8 +7,18 @@
 //!
 //! The contract is cooperative and non-blocking throughout:
 //!
-//! * `process` consumes what it can from the inbox and may stop early if the
-//!   outbox fills up; unconsumed items are re-offered on the next timeslice.
+//! * the outbox is the only place an emitted but undelivered item lives.
+//!   `process` asks [`Outbox::has_room`] before it takes the inbox head, and
+//!   then appends *every* output of that item with [`Outbox::emit`]; when
+//!   there is no room the item stays in the inbox and is offered again on
+//!   the next timeslice. The batch limit is that
+//!   admission threshold, not a cap on one item's outputs, so a buffer
+//!   overshoots it by at most one item's fan-out. A processor keeps no
+//!   output queue of its own: the tasklet takes the control item at a lane
+//!   head once the inbox is empty, and [`Outbox::broadcast`] queues it behind
+//!   everything emitted so far — an event parked anywhere else would be
+//!   overtaken by that watermark (and dropped as late downstream) or by that
+//!   barrier (and missing from the snapshot it belongs to).
 //! * every `-> bool` method means "am I done?" — returning `false` yields
 //!   the core and the tasklet will call again later.
 //! * processors never block, never sleep, and never do unbounded work in
@@ -123,16 +133,6 @@ impl Inbox {
         self.items.is_empty()
     }
 
-    /// Drain all items, invoking `f` for each; `f` returning `false` stops
-    /// the drain leaving the remaining items (used when the outbox fills).
-    pub fn drain_while(&mut self, mut f: impl FnMut(Ts, BoxedObject) -> bool) {
-        while let Some((ts, obj)) = self.items.pop_front() {
-            if !f(ts, obj) {
-                return;
-            }
-        }
-    }
-
     /// Fast path for consumers that always take everything: drains the whole
     /// inbox in one pass with no per-item continue/stop branch — the backing
     /// deque is consumed via a bulk `drain(..)`, which walks its (at most
@@ -147,9 +147,10 @@ impl Inbox {
 
 /// Per-edge output buffers plus the snapshot staging area.
 ///
-/// The outbox has a bounded batch size per edge; `offer` returning `false`
-/// is the backpressure signal that propagates queue fullness into the
-/// processor without blocking (§3.3, local case).
+/// Each edge's buffer admits new work while it holds fewer than the batch
+/// limit; [`Self::has_room`] turning `false` is the backpressure signal that
+/// propagates queue fullness into the processor without blocking (§3.3,
+/// local case).
 pub struct Outbox {
     bufs: Vec<VecDeque<Item>>,
     batch_limit: usize,
@@ -158,9 +159,6 @@ pub struct Outbox {
     /// allocation from chunk to chunk.
     snapshot: ByteWriter,
     snapshot_records: u32,
-    /// True while the downstream queues still hold back earlier output; the
-    /// tasklet sets this and the processor sees `offer` fail immediately.
-    blocked: bool,
     /// Monotone count of events accepted into the buffers (broadcast counts
     /// once per edge). The tasklet diffs this after each `call()` to feed
     /// `TaskletCounters::events_out` — emission happens here, not at the
@@ -175,7 +173,6 @@ impl Outbox {
             batch_limit: batch_limit.max(1),
             snapshot: ByteWriter::new(),
             snapshot_records: 0,
-            blocked: false,
             events_queued: 0,
         }
     }
@@ -184,33 +181,23 @@ impl Outbox {
         self.bufs.len()
     }
 
-    /// Offer an item to output edge `ordinal`. `false` = buffer full, retry
-    /// in the next timeslice.
+    /// Append an output event to edge `ordinal`. Infallible: the caller
+    /// asked [`Self::has_room`] before taking the input item this event
+    /// derives from, and all outputs of an admitted item are accepted.
     #[inline]
     // jet-analyze: allow(alloc) — outbox bucket reaches steady-state capacity after warm-up
-    pub fn offer(&mut self, ordinal: usize, item: Item) -> bool {
-        if self.blocked || self.bufs[ordinal].len() >= self.batch_limit {
-            return false;
-        }
-        if matches!(item, Item::Event { .. }) {
-            self.events_queued += 1;
-        }
-        self.bufs[ordinal].push_back(item);
-        true
-    }
-
-    /// Offer an event to edge `ordinal`.
-    #[inline]
-    pub fn offer_event(&mut self, ordinal: usize, ts: Ts, obj: BoxedObject) -> bool {
-        self.offer(ordinal, Item::Event { ts, obj })
+    pub fn emit(&mut self, ordinal: usize, ts: Ts, obj: BoxedObject) {
+        self.events_queued += 1;
+        self.bufs[ordinal].push_back(Item::Event { ts, obj });
     }
 
     /// Offer an item to *all* output edges (watermarks, barriers, done
-    /// flags, broadcast events). All-or-nothing; vacuously succeeds for a
-    /// sink with no output edges.
+    /// flags, broadcast events). All-or-nothing, refused while any buffer is
+    /// at or over the batch limit; vacuously succeeds for a sink with no
+    /// output edges.
     // jet-analyze: allow(alloc) — outbox buckets reach steady-state capacity after warm-up
     pub fn broadcast(&mut self, item: Item) -> bool {
-        if self.blocked || self.bufs.iter().any(|b| b.len() >= self.batch_limit) {
+        if !self.has_room_all() {
             return false;
         }
         let n = self.bufs.len();
@@ -230,14 +217,16 @@ impl Outbox {
         true
     }
 
-    /// Room available on edge `ordinal` right now?
+    /// May the processor take another input item whose outputs go to edge
+    /// `ordinal`?
+    #[inline]
     pub fn has_room(&self, ordinal: usize) -> bool {
-        !self.blocked && self.bufs[ordinal].len() < self.batch_limit
+        self.bufs[ordinal].len() < self.batch_limit
     }
 
     /// Room available on every edge?
     pub fn has_room_all(&self) -> bool {
-        !self.blocked && self.bufs.iter().all(|b| b.len() < self.batch_limit)
+        self.bufs.iter().all(|b| b.len() < self.batch_limit)
     }
 
     /// Stage one state record for the in-flight snapshot (§4.4): `key` and
@@ -263,12 +252,6 @@ impl Outbox {
 
     // --- tasklet-side API ---
 
-    /// Block/unblock all offers (used by executors that must pause a
-    /// processor's output, e.g. during suspend).
-    pub fn set_blocked(&mut self, blocked: bool) {
-        self.blocked = blocked;
-    }
-
     pub(crate) fn buf_mut(&mut self, ordinal: usize) -> &mut VecDeque<Item> {
         &mut self.bufs[ordinal]
     }
@@ -293,7 +276,7 @@ impl Outbox {
         self.bufs.iter().map(|b| b.len()).sum()
     }
 
-    /// Monotone count of events ever accepted by `offer`/`broadcast`.
+    /// Monotone count of events ever accepted by `emit`/`broadcast`.
     pub fn events_queued_total(&self) -> u64 {
         self.events_queued
     }
@@ -307,8 +290,10 @@ pub trait Processor: Send {
     fn init(&mut self, ctx: &ProcessorContext) {}
 
     /// Consume items from `inbox` (which arrived on input edge `ordinal`)
-    /// and emit to `outbox`. May leave items in the inbox when the outbox
-    /// has no room.
+    /// and emit to `outbox`: while `outbox.has_room`, take the head item and
+    /// emit all of its outputs. Items not admitted stay in the inbox; an
+    /// output kept anywhere but the outbox would be overtaken by the next
+    /// watermark or barrier (see the module docs).
     fn process(
         &mut self,
         ordinal: usize,
@@ -409,21 +394,16 @@ mod tests {
     use crate::object::boxed;
 
     #[test]
-    fn inbox_fifo_and_drain_while() {
+    fn inbox_is_fifo_and_peek_does_not_consume() {
         let mut inbox = Inbox::new();
-        for i in 0..5i64 {
+        for i in 0..3i64 {
             inbox.push(i, boxed(i));
         }
-        assert_eq!(inbox.len(), 5);
-        let mut seen = Vec::new();
-        inbox.drain_while(|ts, _| {
-            seen.push(ts);
-            ts < 2 // stop after consuming ts == 2
-        });
-        assert_eq!(seen, vec![0, 1, 2]);
+        assert_eq!(inbox.len(), 3);
+        assert_eq!(inbox.peek().unwrap().0, 0);
+        assert_eq!(inbox.take().unwrap().0, 0);
+        assert_eq!(inbox.peek().unwrap().0, 1);
         assert_eq!(inbox.len(), 2, "remaining items stay for next round");
-        assert_eq!(inbox.peek().unwrap().0, 3);
-        assert_eq!(inbox.take().unwrap().0, 3);
     }
 
     #[test]
@@ -450,11 +430,19 @@ mod tests {
     #[test]
     fn outbox_respects_batch_limit() {
         let mut ob = Outbox::new(1, 2);
-        assert!(ob.offer(0, Item::Watermark(1)));
-        assert!(ob.offer(0, Item::Watermark(2)));
-        assert!(!ob.offer(0, Item::Watermark(3)), "third offer must fail");
-        assert!(!ob.has_room(0));
-        assert_eq!(ob.buffered(), 2);
+        ob.emit(0, 1, boxed(1i64));
+        assert!(ob.has_room(0), "below the limit the next item is admitted");
+        // All three outputs of that item are accepted, past the limit.
+        for i in 2..5i64 {
+            ob.emit(0, i, boxed(i));
+        }
+        assert_eq!((ob.buffered(), ob.events_queued_total()), (4, 4));
+        assert!(!ob.has_room(0), "admission refused at the limit");
+        assert!(!ob.broadcast(Item::Watermark(9)), "control items wait");
+        ob.buf_mut(0).drain(..3);
+        assert!(ob.has_room(0));
+        assert!(ob.broadcast(Item::Watermark(9)));
+        assert!(matches!(ob.buf_mut(0).back(), Some(Item::Watermark(9))));
     }
 
     #[test]
@@ -466,17 +454,6 @@ mod tests {
         ob.buf_mut(0).clear();
         // Edge 1 still full -> broadcast still fails.
         assert!(!ob.broadcast(Item::Watermark(2)));
-    }
-
-    #[test]
-    fn outbox_blocked_rejects_everything() {
-        let mut ob = Outbox::new(1, 8);
-        ob.set_blocked(true);
-        assert!(!ob.offer(0, Item::Done));
-        assert!(!ob.broadcast(Item::Done));
-        assert!(!ob.has_room_all());
-        ob.set_blocked(false);
-        assert!(ob.offer(0, Item::Done));
     }
 
     #[test]

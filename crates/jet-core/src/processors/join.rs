@@ -7,11 +7,9 @@
 //! mechanism in the tasklet guarantees no probe event is drained before the
 //! build side completes, so the processor never buffers probe input.
 
-use crate::item::Ts;
 use crate::object::downcast_ref;
 use crate::processor::{Inbox, Outbox, Processor, ProcessorContext};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -30,7 +28,6 @@ pub struct HashJoinP<K, B, P, R> {
     join_fn: JoinFn<P, B, R>,
     table: HashMap<K, Vec<B>>,
     build_done: bool,
-    pending: VecDeque<(Ts, R)>,
 }
 
 impl<K, B, P, R> HashJoinP<K, B, P, R>
@@ -51,7 +48,6 @@ where
             join_fn: Arc::new(join_fn),
             table: HashMap::new(),
             build_done: false,
-            pending: VecDeque::new(),
         }
     }
 
@@ -71,17 +67,6 @@ where
 
     pub fn table_size(&self) -> usize {
         self.table.values().map(|v| v.len()).sum()
-    }
-
-    // jet-analyze: allow(alloc) — re-queues the unfitting tail into existing deque capacity
-    fn flush_pending(&mut self, outbox: &mut Outbox) -> bool {
-        while let Some((ts, r)) = self.pending.pop_front() {
-            if !outbox.offer_event(0, ts, crate::object::boxed(r.clone())) {
-                self.pending.push_front((ts, r));
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -115,18 +100,15 @@ where
                     self.build_done,
                     "probe input drained before build side completed; wire the build edge with higher priority"
                 );
-                if !self.flush_pending(outbox) {
-                    return;
-                }
-                while let Some((ts, obj)) = inbox.take() {
+                while outbox.has_room(0) {
+                    let Some((ts, obj)) = inbox.take() else {
+                        return;
+                    };
                     let p = downcast_ref::<P>(obj.as_ref());
                     let key = (self.probe_key)(p);
                     let matches = self.table.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
                     for r in (self.join_fn)(p, matches) {
-                        self.pending.push_back((ts, r));
-                    }
-                    if !self.flush_pending(outbox) {
-                        return;
+                        outbox.emit(0, ts, crate::object::boxed(r));
                     }
                 }
             }
@@ -139,9 +121,5 @@ where
             self.build_done = true;
         }
         true
-    }
-
-    fn complete(&mut self, outbox: &mut Outbox, _: &ProcessorContext) -> bool {
-        self.flush_pending(outbox)
     }
 }

@@ -186,8 +186,7 @@ impl Processor for GeneratorSource {
             // latency measurements see the delay (§7.1).
             let ts = sched as Ts;
             let obj = (self.factory)(global_seq, ts);
-            let ok = outbox.offer_event(0, ts, obj);
-            debug_assert!(ok);
+            outbox.emit(0, ts, obj);
             emitted += 1;
             self.shards[idx].1 += 1;
             if let WmAction::Emit(wm) = self.mapper.observe_event(ts, now) {
@@ -272,10 +271,11 @@ impl<T: Send + Sync + Clone + std::fmt::Debug + 'static> Processor for VecSource
     fn complete(&mut self, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         debug_assert!(self.step > 0, "init not called");
         while self.cursor < self.items.len() {
-            let (ts, item) = &self.items[self.cursor];
-            if !outbox.offer_event(0, *ts, crate::object::boxed(item.clone())) {
+            if !outbox.has_room(0) {
                 return false;
             }
+            let (ts, item) = &self.items[self.cursor];
+            outbox.emit(0, *ts, crate::object::boxed(item.clone()));
             self.cursor += self.step;
         }
         if !self.final_wm_sent {
@@ -353,13 +353,11 @@ where
             for ev in events {
                 // CDC events are timestamped at read time (the grid does not
                 // record event times).
-                if !outbox.offer_event(
-                    0,
-                    now,
-                    crate::object::boxed((ev.kind, ev.key.clone(), ev.value.clone())),
-                ) {
+                if !outbox.has_room(0) {
                     break;
                 }
+                let cdc = (ev.kind, ev.key.clone(), ev.value.clone());
+                outbox.emit(0, now, crate::object::boxed(cdc));
                 accepted = ev.seq + 1;
             }
             *next = accepted.max(*next);

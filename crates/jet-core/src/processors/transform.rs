@@ -10,7 +10,6 @@
 use crate::item::Ts;
 use crate::object::BoxedObject;
 use crate::processor::{Inbox, Outbox, Processor, ProcessorContext};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One fused stage: receives an event, pushes zero or more events to `out`.
@@ -61,51 +60,21 @@ where
 /// A chain of fused stages executed as one processor.
 pub struct TransformP {
     stages: Vec<Stage>,
-    /// Outputs produced but not yet accepted by the outbox.
-    pending: VecDeque<(Ts, BoxedObject)>,
 }
 
 impl TransformP {
     pub fn new(stages: Vec<Stage>) -> Self {
         assert!(!stages.is_empty(), "fused chain needs at least one stage");
-        TransformP {
-            stages,
-            pending: VecDeque::new(),
-        }
+        TransformP { stages }
     }
+}
 
-    /// Run the full chain on one event, appending outputs to `pending`.
-    // jet-analyze: allow(alloc) — per-batch scratch buffers reach steady capacity; Object clones are the fan-out semantics
-    fn run_chain(&mut self, ts: Ts, obj: BoxedObject) {
-        // Depth-first through the chain without recursion: a work-list of
-        // (stage_index, item).
-        let mut work: Vec<(usize, Ts, BoxedObject)> = vec![(0, ts, obj)];
-        while let Some((idx, ts, obj)) = work.pop() {
-            if idx == self.stages.len() {
-                self.pending.push_back((ts, obj));
-                continue;
-            }
-            let stage = self.stages[idx].clone();
-            let mut outputs: Vec<(Ts, BoxedObject)> = Vec::new();
-            stage(ts, obj, &mut |t, o| outputs.push((t, o)));
-            // Preserve order: push in reverse so pop processes in order.
-            for (t, o) in outputs.into_iter().rev() {
-                work.push((idx + 1, t, o));
-            }
-        }
-    }
-
-    // jet-analyze: allow(alloc) — re-queues the unfitting tail into existing deque capacity
-    fn flush_pending(&mut self, outbox: &mut Outbox) -> bool {
-        while let Some((ts, obj)) = self.pending.pop_front() {
-            if !outbox.offer_event(0, ts, obj.clone_object()) {
-                // Put it back; clone above is wasteful only on the rare
-                // full-outbox path.
-                self.pending.push_front((ts, obj));
-                return false;
-            }
-        }
-        true
+/// Run one event through `stages` depth-first, in output order; what leaves
+/// the last stage goes to the outbox.
+fn run_chain(stages: &[Stage], ts: Ts, obj: BoxedObject, outbox: &mut Outbox) {
+    match stages.split_first() {
+        Some((stage, rest)) => stage(ts, obj, &mut |t, o| run_chain(rest, t, o, outbox)),
+        None => outbox.emit(0, ts, obj),
     }
 }
 
@@ -117,19 +86,12 @@ impl Processor for TransformP {
         outbox: &mut Outbox,
         _ctx: &ProcessorContext,
     ) {
-        if !self.flush_pending(outbox) {
-            return;
-        }
-        while let Some((ts, obj)) = inbox.take() {
-            self.run_chain(ts, obj);
-            if !self.flush_pending(outbox) {
+        while outbox.has_room(0) {
+            let Some((ts, obj)) = inbox.take() else {
                 return;
-            }
+            };
+            run_chain(&self.stages, ts, obj, outbox);
         }
-    }
-
-    fn complete(&mut self, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
-        self.flush_pending(outbox)
     }
 }
 
@@ -171,7 +133,6 @@ pub struct StatefulMapP<K, S, I, O> {
     step: StepFn<S, I, O>,
     create: Arc<dyn Fn() -> S + Send + Sync>,
     state: std::collections::HashMap<K, S>,
-    pending: VecDeque<(Ts, O)>,
 }
 
 impl<K, S, I, O> StatefulMapP<K, S, I, O>
@@ -191,19 +152,7 @@ where
             step: Arc::new(step),
             create: Arc::new(create),
             state: std::collections::HashMap::new(),
-            pending: VecDeque::new(),
         }
-    }
-
-    // jet-analyze: allow(alloc) — re-queues the unfitting tail into existing deque capacity
-    fn flush_pending(&mut self, outbox: &mut Outbox) -> bool {
-        while let Some((ts, o)) = self.pending.pop_front() {
-            if !outbox.offer_event(0, ts, crate::object::boxed(o.clone())) {
-                self.pending.push_front((ts, o));
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -222,24 +171,17 @@ where
         outbox: &mut Outbox,
         _ctx: &ProcessorContext,
     ) {
-        if !self.flush_pending(outbox) {
-            return;
-        }
-        while let Some((ts, obj)) = inbox.take() {
+        while outbox.has_room(0) {
+            let Some((ts, obj)) = inbox.take() else {
+                return;
+            };
             let input = crate::object::downcast_ref::<I>(obj.as_ref());
             let key = (self.key_fn)(input);
             let state = self.state.entry(key).or_insert_with(|| (self.create)());
             if let Some(out) = (self.step)(state, input) {
-                self.pending.push_back((ts, out));
-            }
-            if !self.flush_pending(outbox) {
-                return;
+                outbox.emit(0, ts, crate::object::boxed(out));
             }
         }
-    }
-
-    fn complete(&mut self, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
-        self.flush_pending(outbox)
     }
 
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {

@@ -5,7 +5,7 @@ use jet_core::dag::{Dag, Edge};
 use jet_core::exec::{run_sequential, spawn_threaded};
 use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::plan::{build_local, LocalConfig};
-use jet_core::processor::Guarantee;
+use jet_core::processor::{Guarantee, Processor};
 use jet_core::processors::join::{BUILD_ORDINAL, PROBE_ORDINAL};
 use jet_core::processors::*;
 use jet_core::snapshot::SnapshotRegistry;
@@ -368,6 +368,107 @@ fn generator_source_under_threaded_executor() {
         "every generated event must reach the sink"
     );
     assert_eq!(hist.count(), 5_000);
+}
+
+/// A watermark that overtakes an event closes windows the event belongs to.
+/// Here nothing hides that: no allowed lag, a watermark after every event,
+/// an outbox of one or two items (so the map stage's outbox is full most of
+/// the time), two workers, and the whole stream due at once.
+#[test]
+fn no_event_is_late_behind_a_full_outbox_on_two_workers() {
+    const EVENTS: u64 = 100_000;
+    const KEYS: u64 = 8;
+    const RATE: u64 = 100_000_000; // one event per 10 ns of event time
+    let wdef = WindowDef::sliding(400, 100);
+    for batch in [1, 2] {
+        let probes = Arc::new(Mutex::new(Vec::new()));
+        let out: Collected<WindowResult<u64, u64>> = Arc::new(Mutex::new(Vec::new()));
+
+        let mut dag = Dag::new();
+        let src = dag.vertex_with_parallelism(
+            "gen",
+            2,
+            supplier(|_| {
+                let policy = WatermarkPolicy {
+                    allowed_lag: 0,
+                    stride: 10,
+                    ..Default::default()
+                };
+                Box::new(
+                    GeneratorSource::new(RATE, Arc::new(|seq, _ts| jet_core::boxed(seq)))
+                        .with_limit(EVENTS)
+                        .with_policy(policy),
+                )
+            }),
+        );
+        let map = dag.vertex_with_parallelism(
+            "map",
+            2,
+            supplier(|_| Box::new(TransformP::new(vec![map_stage(|seq: &u64| seq % KEYS)]))),
+        );
+        let probes2 = probes.clone();
+        let win = dag.vertex_with_parallelism(
+            "win",
+            2,
+            supplier(move |_| {
+                let p = SlidingWindowP::new::<u64>(wdef, |k: &u64| *k, counting::<u64>());
+                probes2.lock().extend(p.state_probe());
+                Box::new(p)
+            }),
+        );
+        let out2 = out.clone();
+        let sink = dag.vertex_with_parallelism(
+            "sink",
+            1,
+            supplier(move |_| Box::new(CollectSink::new(out2.clone()))),
+        );
+        dag.edge(Edge::between(src, map));
+        dag.edge(Edge::between(map, win).partitioned_by::<u64, _, _>(|k| *k));
+        dag.edge(Edge::between(win, sink));
+
+        let cfg = LocalConfig::new(2).with_batch(batch);
+        let exec = build_local(&dag, &cfg, &registry_disabled(), None).unwrap();
+        spawn_threaded(exec.tasklets, 2, exec.cancelled).join();
+
+        // What `jet_window_late_events_total` exports, summed over instances.
+        let late: u64 = probes
+            .lock()
+            .iter()
+            .map(|p| p.late_events.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(late, 0, "batch {batch}: events dropped as late");
+
+        let mut expected = std::collections::HashMap::new();
+        for seq in 0..EVENTS {
+            let ts = (seq * 1_000_000_000 / RATE) as Ts;
+            let first_end = wdef.frame_end(ts);
+            for end in (first_end..first_end + wdef.size).step_by(wdef.slide as usize) {
+                *expected.entry((seq % KEYS, end)).or_insert(0u64) += 1;
+            }
+        }
+        let got: std::collections::HashMap<(u64, Ts), u64> = out
+            .lock()
+            .iter()
+            .map(|(_, r)| ((r.key, r.end), r.value))
+            .collect();
+        assert_eq!(
+            got.len(),
+            out.lock().len(),
+            "batch {batch}: duplicate window"
+        );
+        // An event late for only some of its windows is not counted as late;
+        // it is missing from the windows that had closed.
+        let short: Vec<_> = expected
+            .iter()
+            .filter(|(window, count)| got.get(window) != Some(count))
+            .take(5)
+            .collect();
+        assert!(
+            short.is_empty(),
+            "batch {batch}: windows missing events, (key, end) -> full count: {short:?}"
+        );
+        assert_eq!(got.len(), expected.len(), "batch {batch}: spurious window");
+    }
 }
 
 #[test]

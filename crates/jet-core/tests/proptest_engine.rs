@@ -4,19 +4,27 @@
 //!   event sets, window geometry, and parallelism;
 //! * two-stage aggregation ≡ single-stage;
 //! * `Snap` codec round-trips arbitrary values;
-//! * exactly-once counts survive snapshot/restore at arbitrary cut points.
+//! * exactly-once counts survive snapshot/restore at arbitrary cut points;
+//! * a tasklet forwards every control item at its place among the outputs of
+//!   the events around it, however full its outbox is.
 
-use jet_core::dag::{Dag, Edge};
+use jet_core::dag::{Dag, Edge, Routing};
 use jet_core::exec::run_sequential;
+use jet_core::item::{Barrier, Item};
+use jet_core::outbound::OutboundCollector;
 use jet_core::plan::{build_local, LocalConfig};
+use jet_core::processor::{Guarantee, ProcessorContext};
 use jet_core::processors::*;
 use jet_core::snapshot::SnapshotRegistry;
 use jet_core::state::Snap;
 use jet_core::supplier;
+use jet_core::tasklet::{InputConveyor, ProcessorTasklet, Tasklet};
 use jet_core::Ts;
+use jet_queue::{spsc_channel, Conveyor};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Timestamped sink output, shared with the collecting stage.
@@ -127,6 +135,83 @@ fn run_window_job(
     got
 }
 
+/// One item leaving a tasklet, reduced to what its order is judged by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Left {
+    /// Output `.1` of event `.0`.
+    Ev(u64, u64),
+    Wm(Ts),
+    Barrier(u64),
+    Done,
+}
+
+/// A flat-map tasklet with one input lane holding `script` followed by
+/// `Done`, stepped one `call()` at a time while its output queue is drained
+/// one item every `drain_every` calls. Events carry `(id, fan_out)` and turn
+/// into `(id, 0) .. (id, fan_out)`. Returns what left the tasklet, and the
+/// most events it ever held emitted but not yet polled (outbox plus queue).
+fn step_flat_map_tasklet(
+    script: Vec<Item>,
+    batch: usize,
+    out_capacity: usize,
+    drain_every: usize,
+) -> (Vec<Item>, u64) {
+    let (conveyor, mut lanes) = Conveyor::new(1, script.len() + 1);
+    for item in script {
+        lanes[0].offer(item).unwrap();
+    }
+    lanes[0].offer(Item::Done).unwrap();
+    let (out_p, mut out) = spsc_channel::<Item>(out_capacity);
+    let registry = Arc::new(SnapshotRegistry::disabled());
+    registry.set_participants(1);
+    let ctx = ProcessorContext {
+        vertex: "flat-map".into(),
+        global_index: 0,
+        total_parallelism: 1,
+        member: 0,
+        clock: jet_util::clock::system_clock(),
+        guarantee: Guarantee::ExactlyOnce,
+        cancelled: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+        partition_count: 8,
+        owned_partitions: Arc::new(vec![true; 8]),
+    };
+    let repeat = flat_map_stage(|&(id, fan_out): &(u64, u64)| (0..fan_out).map(move |i| (id, i)));
+    let mut tasklet = ProcessorTasklet::new(
+        Box::new(TransformP::new(vec![repeat])),
+        ctx,
+        vec![InputConveyor {
+            ordinal: 0,
+            priority: 0,
+            conveyor,
+        }],
+        vec![OutboundCollector::new(
+            Routing::Unicast,
+            vec![out_p],
+            vec![],
+            8,
+            0,
+        )],
+        registry,
+        batch,
+    );
+    let emitted = tasklet.counters();
+    let mut got = Vec::new();
+    let mut most_in_flight = 0;
+    for call in 1..=10_000 {
+        tasklet.call();
+        let polled = got.iter().filter(|item: &&Item| item.is_event()).count() as u64;
+        let in_flight = emitted.events_out.load(Ordering::Relaxed) - polled;
+        most_in_flight = most_in_flight.max(in_flight);
+        if call % drain_every == 0 {
+            got.extend(out.poll());
+        }
+        if matches!(got.last(), Some(Item::Done)) {
+            break;
+        }
+    }
+    (got, most_in_flight)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -141,6 +226,57 @@ proptest! {
         let size = slide * frames_per_window;
         let got = run_window_job(&events, size, slide, lp, two_stage);
         let want = brute_force(&events, size, slide);
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn control_items_keep_their_place_among_the_outputs(
+        // 0 = watermark, 1 = barrier, otherwise an event with that fan-out.
+        script in proptest::collection::vec((0u8..6, 0u64..10), 0..40),
+        batch in 1usize..9,
+        out_capacity in 2usize..17,
+        drain_every in 1usize..4,
+    ) {
+        let mut snapshots = 0;
+        let mut items = Vec::new();
+        let mut want = Vec::new();
+        for (at, (kind, fan_out)) in script.into_iter().enumerate() {
+            let at = at as u64;
+            items.push(match kind {
+                0 => {
+                    want.push(Left::Wm(at as Ts));
+                    Item::Watermark(at as Ts)
+                }
+                1 => {
+                    snapshots += 1;
+                    want.push(Left::Barrier(snapshots));
+                    Item::Barrier(Barrier { snapshot_id: snapshots, terminal: false })
+                }
+                _ => {
+                    want.extend((0..fan_out).map(|i| Left::Ev(at, i)));
+                    Item::event(at as Ts, jet_core::boxed((at, fan_out)))
+                }
+            });
+        }
+        want.push(Left::Done);
+        let (got, most_in_flight) =
+            step_flat_map_tasklet(items, batch, out_capacity, drain_every);
+        // An item is admitted below `batch`, and then all of its outputs are.
+        let most_fan_out = 9;
+        let queue = out_capacity.next_power_of_two();
+        prop_assert!(most_in_flight as usize <= batch - 1 + most_fan_out + queue);
+        let got: Vec<Left> = got
+            .iter()
+            .map(|item| match item {
+                Item::Event { obj, .. } => {
+                    let (id, i) = *jet_core::downcast_ref::<(u64, u64)>(obj.as_ref());
+                    Left::Ev(id, i)
+                }
+                Item::Watermark(w) => Left::Wm(*w),
+                Item::Barrier(b) => Left::Barrier(b.snapshot_id),
+                Item::Done => Left::Done,
+            })
+            .collect();
         prop_assert_eq!(got, want);
     }
 

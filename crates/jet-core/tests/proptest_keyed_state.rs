@@ -165,12 +165,12 @@ impl Processor for ScriptSource {
 
     fn complete(&mut self, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         while self.cursor < self.items.len() {
-            let ok = match &self.items[self.cursor] {
-                Script::Ev(ts, k) => outbox.offer_event(0, *ts, jet_core::boxed(*k)),
-                Script::Wm(w) => outbox.broadcast(Item::Watermark(*w)),
-            };
-            if !ok {
+            if !outbox.has_room(0) {
                 return false;
+            }
+            match &self.items[self.cursor] {
+                Script::Ev(ts, k) => outbox.emit(0, *ts, jet_core::boxed(*k)),
+                Script::Wm(w) => assert!(outbox.broadcast(Item::Watermark(*w))),
             }
             self.cursor += 1;
         }

@@ -1,12 +1,15 @@
 //! White-box tests of the ProcessorTasklet barrier protocol (§4.4): channel
 //! blocking under exactly-once, pass-through under at-least-once, snapshot
-//! record persistence, ack accounting, and barrier forwarding order.
+//! record persistence, ack accounting, and barrier forwarding order — also
+//! behind a full outbox, where no control item may overtake an event.
 
 use jet_core::item::{Barrier, Item};
 use jet_core::metrics::SharedCounter;
 use jet_core::object::boxed;
 use jet_core::outbound::OutboundCollector;
 use jet_core::processor::{Guarantee, Inbox, Outbox, Processor, ProcessorContext};
+use jet_core::processors::join::{HashJoinP, BUILD_ORDINAL};
+use jet_core::processors::{flat_map_stage, StatefulMapP, TransformP};
 use jet_core::snapshot::SnapshotRegistry;
 use jet_core::tasklet::{InputConveyor, ProcessorTasklet, Tasklet};
 use jet_core::Routing;
@@ -40,21 +43,48 @@ impl Processor for Recorder {
 
 struct Rig {
     tasklet: ProcessorTasklet,
+    /// Producers of input ordinal 0, one per lane.
     lanes: Vec<Producer<Item>>,
+    /// Producer of the one-lane, higher-priority input `BUILD_ORDINAL`, if
+    /// wired.
+    build: Option<Producer<Item>>,
     out: Consumer<Item>,
-    seen: Arc<Mutex<Vec<u64>>>,
     registry: Arc<SnapshotRegistry>,
     store: SnapshotStore,
 }
 
-fn rig(guarantee: Guarantee, lanes: usize) -> Rig {
+/// One tasklet around `processor`: `lanes` producers on input ordinal 0
+/// (plus a one-lane `BUILD_ORDINAL` that is drained first, when `build_input`),
+/// an outbox and inbox of `batch`, one unicast output queue of
+/// `out_capacity`.
+fn rig(
+    processor: Box<dyn Processor>,
+    guarantee: Guarantee,
+    lanes: usize,
+    build_input: bool,
+    batch: usize,
+    out_capacity: usize,
+) -> Rig {
     let grid = Grid::with_partition_count(1, 0, 8);
     let store = SnapshotStore::new(&grid, 9);
     let registry = Arc::new(SnapshotRegistry::new(store.clone(), 1));
     let (conveyor, producers) = Conveyor::new(lanes, 64);
-    let (out_p, out_c) = spsc_channel::<Item>(256);
+    let mut inputs = vec![InputConveyor {
+        ordinal: 0,
+        priority: 0,
+        conveyor,
+    }];
+    let build = build_input.then(|| {
+        let (conveyor, mut producers) = Conveyor::new(1, 64);
+        inputs.push(InputConveyor {
+            ordinal: BUILD_ORDINAL,
+            priority: -1,
+            conveyor,
+        });
+        producers.remove(0)
+    });
+    let (out_p, out_c) = spsc_channel::<Item>(out_capacity);
     let collector = OutboundCollector::new(Routing::Unicast, vec![out_p], vec![], 8, 0);
-    let seen = Arc::new(Mutex::new(Vec::new()));
     let ctx = ProcessorContext {
         vertex: "recorder".into(),
         global_index: 0,
@@ -67,28 +97,34 @@ fn rig(guarantee: Guarantee, lanes: usize) -> Rig {
         owned_partitions: Arc::new(vec![true; 8]),
     };
     let tasklet = ProcessorTasklet::new(
-        Box::new(Recorder {
-            seen: seen.clone(),
-            sum: 0,
-        }),
+        processor,
         ctx,
-        vec![InputConveyor {
-            ordinal: 0,
-            priority: 0,
-            conveyor,
-        }],
+        inputs,
         vec![collector],
         registry.clone(),
-        64,
+        batch,
     );
     Rig {
         tasklet,
         lanes: producers,
+        build,
         out: out_c,
-        seen,
         registry,
         store,
     }
+}
+
+/// The rig around a [`Recorder`], and what the recorder saw.
+fn recorder_rig(guarantee: Guarantee, lanes: usize) -> (Rig, Arc<Mutex<Vec<u64>>>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let recorder = Recorder {
+        seen: seen.clone(),
+        sum: 0,
+    };
+    (
+        rig(Box::new(recorder), guarantee, lanes, false, 64, 256),
+        seen,
+    )
 }
 
 fn spin(t: &mut ProcessorTasklet, rounds: usize) {
@@ -106,7 +142,7 @@ fn barrier(id: u64) -> Item {
 
 #[test]
 fn exactly_once_blocks_aligned_lane_until_alignment() {
-    let mut r = rig(Guarantee::ExactlyOnce, 2);
+    let (mut r, seen) = recorder_rig(Guarantee::ExactlyOnce, 2);
     r.registry.trigger().unwrap();
     r.lanes[0].offer(Item::event(0, boxed(1u64))).unwrap();
     r.lanes[0].offer(barrier(1)).unwrap();
@@ -115,7 +151,7 @@ fn exactly_once_blocks_aligned_lane_until_alignment() {
     spin(&mut r.tasklet, 10);
     // Pre-barrier events from both lanes processed; post-barrier one blocked.
     {
-        let seen = r.seen.lock();
+        let seen = seen.lock();
         assert!(
             seen.contains(&1) && seen.contains(&2),
             "pre-barrier events: {seen:?}"
@@ -134,7 +170,7 @@ fn exactly_once_blocks_aligned_lane_until_alignment() {
     r.lanes[1].offer(barrier(1)).unwrap();
     spin(&mut r.tasklet, 10);
     assert!(
-        r.seen.lock().contains(&99),
+        seen.lock().contains(&99),
         "post-barrier event never released"
     );
     assert_eq!(r.registry.completed(), 1);
@@ -146,7 +182,7 @@ fn exactly_once_blocks_aligned_lane_until_alignment() {
 
 #[test]
 fn at_least_once_does_not_block_but_snapshots_on_last_barrier() {
-    let mut r = rig(Guarantee::AtLeastOnce, 2);
+    let (mut r, seen) = recorder_rig(Guarantee::AtLeastOnce, 2);
     r.registry.trigger().unwrap();
     r.lanes[0].offer(barrier(1)).unwrap();
     r.lanes[0].offer(Item::event(0, boxed(99u64))).unwrap(); // post-barrier
@@ -154,7 +190,7 @@ fn at_least_once_does_not_block_but_snapshots_on_last_barrier() {
     // At-least-once: the post-barrier event IS processed pre-alignment
     // (that is exactly why replay may duplicate it).
     assert!(
-        r.seen.lock().contains(&99),
+        seen.lock().contains(&99),
         "at-least-once must not block channels"
     );
     assert_eq!(r.registry.completed(), 0);
@@ -169,7 +205,7 @@ fn at_least_once_does_not_block_but_snapshots_on_last_barrier() {
 
 #[test]
 fn barrier_is_forwarded_downstream_after_state_save() {
-    let mut r = rig(Guarantee::ExactlyOnce, 1);
+    let (mut r, _) = recorder_rig(Guarantee::ExactlyOnce, 1);
     r.registry.trigger().unwrap();
     r.lanes[0].offer(Item::event(0, boxed(7u64))).unwrap();
     r.lanes[0].offer(barrier(1)).unwrap();
@@ -197,7 +233,7 @@ fn barrier_is_forwarded_downstream_after_state_save() {
 
 #[test]
 fn done_lane_counts_as_aligned() {
-    let mut r = rig(Guarantee::ExactlyOnce, 2);
+    let (mut r, _) = recorder_rig(Guarantee::ExactlyOnce, 2);
     r.registry.trigger().unwrap();
     r.lanes[0].offer(barrier(1)).unwrap();
     r.lanes[1].offer(Item::Done).unwrap();
@@ -211,7 +247,7 @@ fn done_lane_counts_as_aligned() {
 
 #[test]
 fn consecutive_snapshots_reuse_cleared_alignment_state() {
-    let mut r = rig(Guarantee::ExactlyOnce, 2);
+    let (mut r, seen) = recorder_rig(Guarantee::ExactlyOnce, 2);
     for id in 1..=3u64 {
         r.registry.trigger().unwrap();
         r.lanes[0].offer(Item::event(0, boxed(id))).unwrap();
@@ -220,14 +256,14 @@ fn consecutive_snapshots_reuse_cleared_alignment_state() {
         spin(&mut r.tasklet, 12);
         assert_eq!(r.registry.completed(), id, "snapshot {id} did not complete");
     }
-    assert_eq!(r.seen.lock().len(), 3);
+    assert_eq!(seen.lock().len(), 3);
 }
 
 #[test]
 fn sink_counts_match_through_alignment_stress() {
     // Interleave many events and barriers; every event must be processed
     // exactly once whatever the alignment pattern.
-    let mut r = rig(Guarantee::ExactlyOnce, 2);
+    let (mut r, seen) = recorder_rig(Guarantee::ExactlyOnce, 2);
     let mut expected = Vec::new();
     let mut next = 0u64;
     for id in 1..=5u64 {
@@ -245,8 +281,131 @@ fn sink_counts_match_through_alignment_stress() {
         spin(&mut r.tasklet, 12);
         assert_eq!(r.registry.completed(), id);
     }
-    let mut seen = r.seen.lock().clone();
+    let mut seen = seen.lock().clone();
     seen.sort_unstable();
     assert_eq!(seen, expected);
     let _ = SharedCounter::new();
+}
+
+/// What left the tasklet, reduced to what the order tests compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Out {
+    Ev(u64),
+    Wm(i64),
+    Barrier(u64),
+    Done,
+}
+
+fn out_of(item: &Item) -> Out {
+    match item {
+        Item::Event { obj, .. } => Out::Ev(*jet_core::downcast_ref::<u64>(obj.as_ref())),
+        Item::Watermark(w) => Out::Wm(*w),
+        Item::Barrier(b) => Out::Barrier(b.snapshot_id),
+        Item::Done => Out::Done,
+    }
+}
+
+/// Feed `ev, ev, Watermark, ev, Barrier, ev, Done` on the one lane of input
+/// ordinal 0 and step the tasklet with the downstream queue drained one item
+/// every `drain_every` calls, so the outbox is full for most of the run.
+/// Every processor under test turns event `v` into `fan_out` outputs
+/// `10 v + i`; each must leave before the control item fed after `v`.
+fn assert_no_control_item_overtakes(mut r: Rig, fan_out: u64, drain_every: usize) {
+    r.registry.trigger().unwrap();
+    let ev = |v: u64| Item::event(v as i64, boxed(v));
+    let script = [
+        ev(0),
+        ev(1),
+        Item::Watermark(10),
+        ev(2),
+        barrier(1),
+        ev(3),
+        Item::Done,
+    ];
+    let mut expected = Vec::new();
+    for item in script {
+        match out_of(&item) {
+            Out::Ev(v) => expected.extend((0..fan_out).map(|i| Out::Ev(10 * v + i))),
+            control => expected.push(control),
+        }
+        r.lanes[0].offer(item).unwrap();
+    }
+    let mut got = Vec::new();
+    for call in 1..=1_000 {
+        r.tasklet.call();
+        if call % drain_every == 0 {
+            got.extend(r.out.poll().as_ref().map(out_of));
+        }
+        if got.last() == Some(&Out::Done) {
+            break;
+        }
+    }
+    assert_eq!(got, expected);
+    assert_eq!(
+        r.registry.completed(),
+        1,
+        "the barrier completes snapshot 1"
+    );
+}
+
+/// `(guarantee, outbox batch)` of every run of an order test.
+const FULL_OUTBOX_CASES: [(Guarantee, usize); 4] = [
+    (Guarantee::ExactlyOnce, 1),
+    (Guarantee::ExactlyOnce, 2),
+    (Guarantee::AtLeastOnce, 1),
+    (Guarantee::AtLeastOnce, 2),
+];
+
+#[test]
+fn flat_map_outputs_leave_before_the_next_control_item() {
+    for (guarantee, batch) in FULL_OUTBOX_CASES {
+        let triple = flat_map_stage(|v: &u64| (0..3).map(|i| 10 * *v + i).collect::<Vec<_>>());
+        let r = rig(
+            Box::new(TransformP::new(vec![triple])),
+            guarantee,
+            1,
+            false,
+            batch,
+            2,
+        );
+        assert_no_control_item_overtakes(r, 3, 1);
+    }
+}
+
+#[test]
+fn stateful_map_outputs_leave_before_the_next_control_item() {
+    for (guarantee, batch) in FULL_OUTBOX_CASES {
+        let count_and_tag = StatefulMapP::<u64, u64, u64, u64>::new(
+            |v| *v,
+            || 0,
+            |seen, v| {
+                *seen += 1;
+                Some(10 * *v)
+            },
+        );
+        let r = rig(Box::new(count_and_tag), guarantee, 1, false, batch, 2);
+        // One output per event: only a consumer slower than the tasklet
+        // keeps the outbox full.
+        assert_no_control_item_overtakes(r, 1, 2);
+    }
+}
+
+#[test]
+fn hash_join_matches_leave_before_the_next_control_item() {
+    for (guarantee, batch) in FULL_OUTBOX_CASES {
+        let join = HashJoinP::<u64, (u64, u64), u64, u64>::new(
+            |b| b.0,
+            |p| *p,
+            |p, matches| matches.iter().map(|b| 10 * *p + b.1).collect(),
+        );
+        let mut r = rig(Box::new(join), guarantee, 1, true, batch, 2);
+        let build = r.build.as_mut().unwrap();
+        for key in 0..4u64 {
+            for i in 0..3u64 {
+                build.offer(Item::event(0, boxed((key, i)))).unwrap();
+            }
+        }
+        build.offer(Item::Done).unwrap();
+        assert_no_control_item_overtakes(r, 3, 1);
+    }
 }
