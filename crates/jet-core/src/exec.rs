@@ -1,20 +1,40 @@
 //! Executors: cooperative worker threads (the paper's design, §3.2) plus a
-//! deterministic sequential driver used by tests and the simulator, plus the
+//! deterministic sequential driver used by tests, plus the
 //! thread-per-operator baseline executor used by the ablation benches.
 //!
 //! "Jet deploys as many JVM threads as there are CPU cores. [...] On each
 //! thread, Jet runs a loop that executes its tasklets in a round-robin
-//! fashion." A round with no progress from any tasklet engages the
-//! progressive backoff idle strategy so idle jobs cost (almost) nothing —
-//! the property multi-tenancy (§7.7) relies on.
+//! fashion."
+//!
+//! # The scheduling contract
+//!
+//! Every executor — the workers here and the simulator's virtual cores —
+//! polls its tasklets through [`Schedule`], so the contract is stated once:
+//!
+//! * **Order.** Weighted round-robin over job groups
+//!   ([`Tasklet::job`](crate::tasklet::Tasklet::job), [`JobQuotas`]): each
+//!   cycle gives every job `weight` turns, interleaved, and a turn polls the
+//!   job's next tasklet in placement order. **No quotas** means all tasklets
+//!   are one group of weight 1 and job ids are ignored: plain tasklet
+//!   round-robin in placement order.
+//! * **Round.** [`Schedule::round_len`] consecutive polls, enough to poll
+//!   every live tasklet at least once (exactly once without quotas). A
+//!   tasklet returning `Done` leaves the schedule on the spot and its
+//!   successor is polled next.
+//! * **Idling.** A round in which no tasklet progressed means nothing can
+//!   run. A worker thread then engages the progressive backoff idle
+//!   strategy, so idle jobs cost (almost) nothing — the property
+//!   multi-tenancy (§7.7) relies on; a virtual core gives up the rest of its
+//!   quantum. Only the clock differs between the two.
 
-use crate::fairness::{FairPoller, JobQuotas};
+use crate::fairness::{JobQuotas, Round, Schedule};
 use crate::log::RateLimitedLog;
 use crate::metrics::{tags, MetricsRegistry, SharedCounter, SharedHistogram, TaskletCounters};
 use crate::tasklet::Tasklet;
 use crate::trace::{TraceKind, TraceWriter, Tracer};
-use jet_util::idle::{BackoffIdle, IdleStrategy};
+use jet_util::idle::BackoffIdle;
 use jet_util::progress::Progress;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -160,11 +180,6 @@ impl ExecutionHandle {
     }
 }
 
-/// Run one worker's round-robin loop until all its tasklets are done.
-fn worker_loop(tasklets: Vec<Box<dyn Tasklet>>, live_tasklets: Arc<AtomicUsize>) {
-    worker_loop_observed(tasklets, live_tasklets, None)
-}
-
 /// One observed tasklet call: per-call wall-clock histogram, trace span on
 /// progress, and the rate-limited hog warning when a cooperative call
 /// overruns its budget.
@@ -202,140 +217,43 @@ fn observed_call(
     result
 }
 
-/// Weighted-fair variant of the worker loop (§7.7): tasklets are polled
-/// through a [`FairPoller`], so every tenant job receives its quota of
-/// timeslice turns per scheduling cycle regardless of how many tasklets it
-/// deploys. The idle strategy engages when one full *coverage round* (every
-/// live tasklet polled at least once) makes no progress — the same
-/// "nothing can run" condition the flat loop uses.
-// jet-analyze: allow(alloc, instant) — one-time tasklet and trace-name setup before the poll loop; idle-park timestamps only when tracing is enabled
-fn worker_loop_fair(
+/// One worker's loop (§3.2): poll the tasklets round after round in
+/// [`Schedule`] order until all are done, backing off after every round in
+/// which none progressed. With `obs`, rounds are counted busy or idle, every
+/// `call()` is timed and parks are traced.
+// jet-analyze: allow(instant) — idle-park timestamps only when tracing is enabled
+fn worker_loop(
     tasklets: Vec<Box<dyn Tasklet>>,
-    live_tasklets: Arc<AtomicUsize>,
-    quotas: &JobQuotas,
-    mut obs: Option<WorkerObs>,
-) {
-    let mut tasklets: Vec<(Box<dyn Tasklet>, u32)> = tasklets
-        .into_iter()
-        .map(|t| {
-            let id = match &obs {
-                Some(o) => o.trace.intern(t.name()),
-                None => 0,
-            };
-            (t, id)
-        })
-        .collect();
-    let jobs: Vec<u32> = tasklets.iter().map(|(t, _)| t.job()).collect();
-    let mut poller = FairPoller::new(&jobs, quotas);
-    let epoch = trace_epoch();
-    let mut idle = BackoffIdle::jet_default();
-    let mut idle_rounds = 0u64;
-    while !tasklets.is_empty() {
-        let mut progressed = false;
-        for _ in 0..poller.coverage_polls() {
-            let Some(idx) = poller.next() else {
-                break;
-            };
-            let (t, trace_name) = &mut tasklets[idx];
-            let result = match &mut obs {
-                Some(o) => observed_call(t.as_mut(), *trace_name, o, epoch),
-                None => t.call(),
-            };
-            match result {
-                Progress::MadeProgress => progressed = true,
-                Progress::NoProgress => {}
-                Progress::Done => {
-                    progressed = true;
-                    // ordering: SeqCst — pairs with `live_tasklets` exactly
-                    // as in the flat loop.
-                    live_tasklets.fetch_sub(1, Ordering::SeqCst);
-                    tasklets.remove(idx);
-                    poller.remove_index(idx);
-                }
-            }
-        }
-        if progressed {
-            idle_rounds = 0;
-            idle.reset();
-            if let Some(o) = &mut obs {
-                o.counters.add_busy(1);
-            }
-        } else {
-            idle_rounds += 1;
-            if let Some(o) = &mut obs {
-                o.counters.add_idle(1);
-                if o.trace.enabled() {
-                    if let Some(park) = idle.park_duration(idle_rounds) {
-                        let ts = epoch.elapsed().as_nanos() as u64;
-                        o.trace.record(
-                            TraceKind::IdlePark,
-                            ts,
-                            park.as_nanos() as u64,
-                            o.idle_name,
-                            idle_rounds as i64,
-                        );
-                    }
-                }
-            }
-            idle.idle(idle_rounds);
-        }
-    }
-}
-
-/// `worker_loop` with optional self-profiling: per-round busy/idle counters,
-/// a per-`call()` wall-clock histogram, and the rate-limited warning when a
-/// cooperative tasklet overruns its call budget.
-// jet-analyze: allow(alloc, instant) — one-time tasklet and trace-name setup before the poll loop; idle-park timestamps only when tracing is enabled
-fn worker_loop_observed(
-    tasklets: Vec<Box<dyn Tasklet>>,
-    live_tasklets: Arc<AtomicUsize>,
+    live_tasklets: &AtomicUsize,
+    quotas: Option<JobQuotas>,
     mut obs: Option<WorkerObs>,
 ) {
     // Tasklet names are interned once here (cold); the hot loop only ever
     // touches the u32 ids.
-    let mut tasklets: Vec<(Box<dyn Tasklet>, u32)> = tasklets
-        .into_iter()
-        .map(|t| {
-            let id = match &obs {
-                Some(o) => o.trace.intern(t.name()),
-                None => 0,
-            };
-            (t, id)
-        })
-        .collect();
+    let mut schedule = Schedule::new(quotas);
+    for t in tasklets {
+        let trace_name = obs.as_ref().map_or(0, |o| o.trace.intern(t.name()));
+        let job = t.job();
+        schedule.push((t, trace_name), job);
+    }
     let epoch = trace_epoch();
-    let mut idle = BackoffIdle::jet_default();
+    let idle = BackoffIdle::jet_default();
     let mut idle_rounds = 0u64;
-    while !tasklets.is_empty() {
-        let mut progressed = false;
-        tasklets.retain_mut(|(t, trace_name)| {
+    while !schedule.is_empty() {
+        let round = schedule.run_round(|(t, trace_name)| {
             let result = match &mut obs {
                 Some(o) => observed_call(t.as_mut(), *trace_name, o, epoch),
                 None => t.call(),
             };
-            match result {
-                Progress::MadeProgress => {
-                    progressed = true;
-                    true
-                }
-                Progress::NoProgress => true,
-                Progress::Done => {
-                    progressed = true;
-                    // ordering: SeqCst — pairs with `live_tasklets`: the
-                    // decrement must totally order after this tasklet's
-                    // final effects. Runs once per tasklet lifetime.
-                    live_tasklets.fetch_sub(1, Ordering::SeqCst);
-                    false
-                }
+            if result == Progress::Done {
+                // ordering: SeqCst — pairs with `live_tasklets`: the
+                // decrement must totally order after this tasklet's
+                // final effects. Runs once per tasklet lifetime.
+                live_tasklets.fetch_sub(1, Ordering::SeqCst);
             }
+            ControlFlow::Continue(result)
         });
-        if progressed {
-            idle_rounds = 0;
-            idle.reset();
-            if let Some(o) = &mut obs {
-                o.counters.add_busy(1);
-            }
-        } else {
+        if round == Round::Fruitless {
             idle_rounds += 1;
             if let Some(o) = &mut obs {
                 o.counters.add_idle(1);
@@ -353,6 +271,11 @@ fn worker_loop_observed(
                 }
             }
             idle.idle(idle_rounds);
+        } else {
+            idle_rounds = 0;
+            if let Some(o) = &mut obs {
+                o.counters.add_busy(1);
+            }
         }
     }
 }
@@ -365,36 +288,29 @@ pub fn spawn_threaded(
     threads: usize,
     cancelled: Arc<AtomicBool>,
 ) -> ExecutionHandle {
-    spawn_threaded_inner(tasklets, threads, cancelled, None)
+    spawn_threaded_with(tasklets, threads, cancelled, None, None)
 }
 
-/// [`spawn_threaded`] with scheduler self-profiling: every worker registers
+/// [`spawn_threaded`] with the executor's two optional settings.
+///
+/// `obs` turns on scheduler self-profiling: every worker registers
 /// busy/idle round counters and a per-`call()` duration histogram in
 /// `obs.registry`, and cooperative calls overrunning `obs.hog_budget` emit a
 /// rate-limited hog warning through `obs.hog_log`. Dedicated threads for
 /// non-cooperative tasklets are profiled too (tagged `worker=dedicated-N`)
 /// but never hog-warned — blocking is what they are for.
-pub fn spawn_threaded_observed(
-    tasklets: Vec<Box<dyn Tasklet>>,
-    threads: usize,
-    cancelled: Arc<AtomicBool>,
-    obs: &ExecObservability,
-) -> ExecutionHandle {
-    spawn_threaded_inner(tasklets, threads, cancelled, Some(obs))
-}
-
-/// [`spawn_threaded_observed`] with per-job fairness quotas (§7.7): each
-/// cooperative worker polls its tasklets through a weighted round-robin
-/// over job groups ([`Tasklet::job`]) instead of flat tasklet round-robin,
-/// so a latency-critical tenant's share of every worker is set by its
-/// weight, not by how many tasklets its neighbours deploy. Non-cooperative
-/// tasklets still get dedicated threads, where quotas are meaningless.
-pub fn spawn_threaded_fair(
+///
+/// `quotas` are per-job fairness quotas (§7.7): each cooperative worker
+/// polls weighted round-robin over job groups ([`Tasklet::job`]) instead of
+/// tasklet round-robin, so a latency-critical tenant's share of every
+/// worker is set by its weight, not by how many tasklets its neighbours
+/// deploy. They mean nothing on a dedicated thread.
+pub fn spawn_threaded_with(
     tasklets: Vec<Box<dyn Tasklet>>,
     threads: usize,
     cancelled: Arc<AtomicBool>,
     obs: Option<&ExecObservability>,
-    quotas: JobQuotas,
+    quotas: Option<&JobQuotas>,
 ) -> ExecutionHandle {
     let threads = threads.max(1);
     let live_tasklets = Arc::new(AtomicUsize::new(tasklets.len()));
@@ -411,7 +327,7 @@ pub fn spawn_threaded_fair(
             let wo = obs.map(|o| o.for_worker(&format!("dedicated-{dedicated}")));
             dedicated += 1;
             joins.push(std::thread::spawn(move || {
-                worker_loop_observed(vec![t], live_tasklets, wo)
+                worker_loop(vec![t], &live_tasklets, None, wo)
             }));
         }
     }
@@ -421,9 +337,9 @@ pub fn spawn_threaded_fair(
         }
         let live_tasklets = live_tasklets.clone();
         let wo = obs.map(|o| o.for_worker(&i.to_string()));
-        let quotas = quotas.clone();
+        let quotas = quotas.cloned();
         joins.push(std::thread::spawn(move || {
-            worker_loop_fair(worker_tasklets, live_tasklets, &quotas, wo)
+            worker_loop(worker_tasklets, &live_tasklets, quotas, wo)
         }));
     }
     ExecutionHandle {
@@ -433,59 +349,21 @@ pub fn spawn_threaded_fair(
     }
 }
 
-fn spawn_threaded_inner(
-    tasklets: Vec<Box<dyn Tasklet>>,
-    threads: usize,
-    cancelled: Arc<AtomicBool>,
-    obs: Option<&ExecObservability>,
-) -> ExecutionHandle {
-    let threads = threads.max(1);
-    let live_tasklets = Arc::new(AtomicUsize::new(tasklets.len()));
-    let mut coop: Vec<Vec<Box<dyn Tasklet>>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut joins = Vec::new();
-    let mut next = 0usize;
-    let mut dedicated = 0usize;
-    for t in tasklets {
-        if t.is_cooperative() {
-            coop[next % threads].push(t);
-            next += 1;
-        } else {
-            let live_tasklets = live_tasklets.clone();
-            let wo = obs.map(|o| o.for_worker(&format!("dedicated-{dedicated}")));
-            dedicated += 1;
-            joins.push(std::thread::spawn(move || {
-                worker_loop_observed(vec![t], live_tasklets, wo)
-            }));
-        }
-    }
-    for (i, worker_tasklets) in coop.into_iter().enumerate() {
-        if worker_tasklets.is_empty() {
-            continue;
-        }
-        let live_tasklets = live_tasklets.clone();
-        let wo = obs.map(|o| o.for_worker(&i.to_string()));
-        joins.push(std::thread::spawn(move || {
-            worker_loop_observed(worker_tasklets, live_tasklets, wo)
-        }));
-    }
-    ExecutionHandle {
-        cancelled,
-        live_tasklets,
-        joins,
-    }
-}
-
-/// Deterministic single-threaded driver: round-robin all tasklets until all
-/// are done or `max_rounds` is reached. Returns `true` when everything
-/// completed. Used by unit tests and as the inner loop of the virtual-time
-/// simulator.
+/// Deterministic single-threaded driver: up to `max_rounds` rounds of the
+/// same [`Schedule`] the workers poll, with no idling between them. Returns
+/// `true` when everything completed; unfinished tasklets stay in `tasklets`.
 pub fn run_sequential(tasklets: &mut Vec<Box<dyn Tasklet>>, max_rounds: usize) -> bool {
-    for _ in 0..max_rounds {
-        if tasklets.is_empty() {
-            return true;
-        }
-        tasklets.retain_mut(|t| !matches!(t.call(), Progress::Done));
+    let mut schedule = Schedule::new(None);
+    for t in tasklets.drain(..) {
+        schedule.push(t, 0);
     }
+    for _ in 0..max_rounds {
+        if schedule.is_empty() {
+            break;
+        }
+        schedule.run_round(|t| ControlFlow::Continue(t.call()));
+    }
+    *tasklets = schedule.into_tasklets();
     tasklets.is_empty()
 }
 
@@ -503,7 +381,7 @@ pub fn spawn_thread_per_operator(
         .into_iter()
         .map(|t| {
             let live_tasklets = live_tasklets.clone();
-            std::thread::spawn(move || worker_loop(vec![t], live_tasklets))
+            std::thread::spawn(move || worker_loop(vec![t], &live_tasklets, None, None))
         })
         .collect();
     ExecutionHandle {
@@ -626,7 +504,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let obs = ExecObservability::new(registry.clone());
         let ts: Vec<Box<dyn Tasklet>> = vec![Box::new(BusyThenStall { busy: 10, stall: 4 })];
-        spawn_threaded_observed(ts, 1, Arc::new(AtomicBool::new(false)), &obs).join();
+        spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), Some(&obs), None).join();
         let snap = registry.snapshot();
         // 10 progressing rounds + the final Done round.
         assert_eq!(
@@ -676,7 +554,7 @@ mod tests {
             .with_hog_budget(Duration::from_micros(100))
             .with_hog_log(hog_log.clone());
         let ts: Vec<Box<dyn Tasklet>> = vec![Box::new(SlowTasklet { calls: 6 })];
-        spawn_threaded_observed(ts, 1, Arc::new(AtomicBool::new(false)), &obs).join();
+        spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), Some(&obs), None).join();
         // All six slow calls overran the budget...
         assert_eq!(
             registry
@@ -722,7 +600,7 @@ mod tests {
             ExecObservability::new(registry.clone()).with_hog_budget(Duration::from_micros(100));
         obs.hog_log.set_sink(|_| {});
         let ts: Vec<Box<dyn Tasklet>> = vec![Box::new(SlowNonCoop { calls: 3 })];
-        spawn_threaded_observed(ts, 1, Arc::new(AtomicBool::new(false)), &obs).join();
+        spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), Some(&obs), None).join();
         assert_eq!(obs.hog_log.emitted(), 0);
         assert_eq!(
             registry
@@ -780,7 +658,7 @@ mod tests {
             }),
         ];
         let quotas = JobQuotas::new().with_weight(1, 3);
-        let h = spawn_threaded_fair(ts, 1, Arc::new(AtomicBool::new(false)), None, quotas);
+        let h = spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), None, Some(&quotas));
         h.join();
         let seen = log.lock();
         // One cycle while both jobs live: [job1, job2, job1, job1].
@@ -806,7 +684,7 @@ mod tests {
             }));
         }
         let quotas = JobQuotas::new().with_weight(1, 100);
-        let h = spawn_threaded_fair(ts, 1, Arc::new(AtomicBool::new(false)), None, quotas);
+        let h = spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), None, Some(&quotas));
         h.join();
         let seen = log.lock();
         // While all jobs live, a cycle is 100 job-1 turns + 100 neighbour
@@ -831,7 +709,13 @@ mod tests {
             })
             .collect();
         let quotas = JobQuotas::new().with_weight(2, 4);
-        let h = spawn_threaded_fair(ts, 2, Arc::new(AtomicBool::new(false)), Some(&obs), quotas);
+        let h = spawn_threaded_with(
+            ts,
+            2,
+            Arc::new(AtomicBool::new(false)),
+            Some(&obs),
+            Some(&quotas),
+        );
         h.join();
         assert!(
             registry
@@ -847,7 +731,7 @@ mod tests {
         let tracer = Tracer::enabled();
         let obs = ExecObservability::new(registry).with_tracer(tracer.clone());
         let ts: Vec<Box<dyn Tasklet>> = vec![countdown(5), countdown(3)];
-        spawn_threaded_observed(ts, 1, Arc::new(AtomicBool::new(false)), &obs).join();
+        spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), Some(&obs), None).join();
         let data = tracer.drain();
         let calls: Vec<_> = data.of_kind(TraceKind::Call).collect();
         // Every progressing call (5+1 done) + (3+1 done) landed as a span.

@@ -14,8 +14,14 @@
 //!
 //! Jobs are identified by [`Tasklet::job`](crate::tasklet::Tasklet::job);
 //! DAG vertices opt in by name prefix (`job<N>-…`, see [`job_of_vertex`]).
-//! With no quotas configured, executors keep their original tasklet-level
-//! round-robin loop untouched — bit-identical schedules, zero cost.
+//! [`Schedule`] is the one scheduler both executors run: it owns a worker's
+//! tasklets, the polling order, the removal of finished tasklets and the
+//! detection of a round in which nothing progressed. With no quotas
+//! configured it is the weighted order's one-group case, which is plain
+//! tasklet-level round-robin.
+
+use jet_util::progress::Progress;
+use std::ops::ControlFlow;
 
 /// Per-job scheduling weights. A job's weight is the number of timeslice
 /// turns it receives per scheduling cycle; unlisted jobs get
@@ -81,128 +87,200 @@ pub fn job_of_vertex(name: &str) -> u32 {
     digits.parse().unwrap_or(0)
 }
 
-struct Group {
+struct Group<T> {
     job: u32,
-    /// Tasklet indices (into the caller's storage) belonging to this job.
-    members: Vec<usize>,
-    /// Round-robin cursor within the group.
-    rr: usize,
     /// Turns this group receives per cycle (= its job's weight).
     turns: u32,
+    /// The job's live tasklets, in the order they were pushed.
+    tasklets: Vec<T>,
+    /// Round-robin cursor within the group: the next tasklet to poll.
+    rr: usize,
 }
 
-/// Weighted round-robin polling order over job groups.
+/// How a [`Schedule::run_round`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Round {
+    /// At least one poll returned `MadeProgress` or `Done`.
+    Progressed,
+    /// Every live tasklet was polled and none progressed (or none is live):
+    /// nothing can run until something outside this worker changes.
+    Fruitless,
+    /// The caller's poll function broke the round off (a spent time budget).
+    Cut,
+}
+
+/// The scheduler shared by every executor: the tasklets of one worker (a
+/// thread, or a virtual core of the simulator) and the order they are
+/// polled in.
 ///
-/// The poller owns *indices only*; the caller owns the tasklets and keeps
-/// their storage index-stable between [`FairPoller::remove_index`] calls
-/// (which mirror a `Vec::remove` on the caller's side). One scheduling
-/// cycle consists of [`FairPoller::cycle_len`] slots; slot order interleaves
-/// jobs — for turn `t` in `0..max_weight`, every job with `weight > t`
-/// appears once — so a high-weight job is polled throughout the cycle
-/// rather than in one burst.
-pub struct FairPoller {
-    groups: Vec<Group>,
+/// The order is weighted round-robin over *job groups*. One scheduling
+/// cycle has one slot per turn of every job; slot order interleaves jobs —
+/// for turn `t` in `0..max_weight`, every job with `weight > t` appears
+/// once, jobs ascending — so a high-weight job is polled throughout the
+/// cycle rather than in one burst. A slot polls the next tasklet of its
+/// group, in the order they were pushed. Without quotas every tasklet is in
+/// one group of weight 1 whatever its job id, which makes the order plain
+/// tasklet round-robin (§3.2): push order, every live tasklet once a round.
+///
+/// A *round* is [`Schedule::round_len`] consecutive polls, enough for every
+/// live tasklet to be polled at least once. A tasklet returning `Done` is
+/// removed on the spot and its group's cursor stays on its successor, so
+/// nothing is skipped; the round keeps the length it started with.
+pub struct Schedule<T> {
+    quotas: Option<JobQuotas>,
+    /// Ascending by job; a group stays, empty, when its last tasklet is done.
+    groups: Vec<Group<T>>,
     /// Group index per slot, one full cycle.
     slots: Vec<usize>,
     cursor: usize,
+    len: usize,
+    round_len: usize,
 }
 
-impl FairPoller {
-    /// Build the polling order for tasklets whose job ids are `jobs[i]`.
-    // jet-analyze: allow(alloc) — poller tables are built once per worker at execution start
-    pub fn new(jobs: &[u32], quotas: &JobQuotas) -> FairPoller {
-        let mut groups: Vec<Group> = Vec::new();
-        for (idx, &job) in jobs.iter().enumerate() {
-            match groups.iter_mut().find(|g| g.job == job) {
-                Some(g) => g.members.push(idx),
-                None => groups.push(Group {
-                    job,
-                    members: vec![idx],
-                    rr: 0,
-                    turns: quotas.weight(job),
-                }),
-            }
-        }
-        // Deterministic slot order independent of tasklet placement order.
-        groups.sort_by_key(|g| g.job);
-        let max_weight = groups.iter().map(|g| g.turns).max().unwrap_or(1);
-        let mut slots = Vec::new();
-        for turn in 0..max_weight {
-            for (gi, g) in groups.iter().enumerate() {
-                if g.turns > turn {
-                    slots.push(gi);
-                }
-            }
-        }
-        FairPoller {
-            groups,
-            slots,
+impl<T> Schedule<T> {
+    pub fn new(quotas: Option<JobQuotas>) -> Schedule<T> {
+        Schedule {
+            quotas,
+            groups: Vec::new(),
+            slots: Vec::new(),
             cursor: 0,
+            len: 0,
+            round_len: 0,
         }
     }
 
-    /// Slots in one scheduling cycle (= sum of live jobs' weights).
+    /// Add a tasklet of tenant job `job`
+    /// ([`Tasklet::job`](crate::tasklet::Tasklet::job)); it is polled from
+    /// the next round. The first tasklet of a job starts the cycle over.
+    // jet-analyze: allow(alloc) — tasklets are placed at execution start, not per record
+    pub fn push(&mut self, tasklet: T, job: u32) {
+        let (job, turns) = match &self.quotas {
+            Some(q) => (job, q.weight(job)),
+            None => (0, 1),
+        };
+        let gi = match self.groups.binary_search_by_key(&job, |g| g.job) {
+            Ok(gi) => gi,
+            Err(gi) => {
+                let group = Group {
+                    job,
+                    turns,
+                    tasklets: Vec::new(),
+                    rr: 0,
+                };
+                self.groups.insert(gi, group);
+                let max_weight = self.groups.iter().map(|g| g.turns).max().unwrap_or(0);
+                self.slots.clear();
+                for turn in 0..max_weight {
+                    for (gi, g) in self.groups.iter().enumerate() {
+                        if g.turns > turn {
+                            self.slots.push(gi);
+                        }
+                    }
+                }
+                self.cursor = 0;
+                gi
+            }
+        };
+        self.groups[gi].tasklets.push(tasklet);
+        self.len += 1;
+        self.round_len = self.coverage_polls();
+    }
+
+    /// Live tasklets.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The live tasklets: jobs ascending, each job's in the order they were
+    /// pushed (without quotas: in the order they were pushed).
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.groups.iter().flat_map(|g| &g.tasklets)
+    }
+
+    /// Take the live tasklets back, in [`Schedule::iter`] order.
+    // jet-analyze: cold — ends the schedule: runs once, after its last round
+    pub fn into_tasklets(self) -> Vec<T> {
+        self.groups.into_iter().flat_map(|g| g.tasklets).collect()
+    }
+
+    /// Slots in one scheduling cycle (= sum of the jobs' weights).
     pub fn cycle_len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Consecutive [`FairPoller::next`] calls guaranteeing every live
-    /// tasklet was polled at least once: the group needing the most cycles
-    /// to cover its members (`ceil(members / turns)`) times the cycle
-    /// length. Executors use this as the "one round" unit for idle
-    /// detection — a fruitless coverage round means nothing can progress.
-    pub fn coverage_polls(&self) -> usize {
-        let cycles = self
-            .groups
-            .iter()
-            .filter(|g| !g.members.is_empty())
-            .map(|g| g.members.len().div_ceil(g.turns as usize))
-            .max()
-            .unwrap_or(0);
-        cycles * self.slots.len().max(1)
+    /// Polls in the next round: the cycle length times the cycles the group
+    /// needing the most of them takes to cover its tasklets
+    /// (`ceil(tasklets / turns)`). Without quotas, the live tasklet count.
+    pub fn round_len(&self) -> usize {
+        self.round_len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.groups.iter().all(|g| g.members.is_empty())
-    }
-
-    /// Next tasklet index to poll: advance at most one full cycle of slots,
-    /// skipping emptied groups; `None` means every group is empty.
-    // Not `Iterator`: `None` is "nothing runnable right now", not exhaustion —
-    // adding members makes a drained poller yield again.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<usize> {
-        for _ in 0..self.slots.len() {
-            let slot = self.slots[self.cursor];
-            self.cursor = (self.cursor + 1) % self.slots.len().max(1);
-            let g = &mut self.groups[slot];
-            if g.members.is_empty() {
-                continue;
+    /// Poll one round: call `poll` on [`Schedule::round_len`] tasklets in
+    /// schedule order, removing each that returns `Done`. `poll` returns
+    /// `Break` with its result to cut the round short after that poll.
+    pub fn run_round(
+        &mut self,
+        mut poll: impl FnMut(&mut T) -> ControlFlow<Progress, Progress>,
+    ) -> Round {
+        let mut progressed = false;
+        for _ in 0..self.round_len {
+            let Some(gi) = self.next_group() else {
+                break;
+            };
+            let g = &mut self.groups[gi];
+            if g.rr >= g.tasklets.len() {
+                g.rr = 0;
             }
-            g.rr %= g.members.len();
-            let idx = g.members[g.rr];
-            g.rr += 1;
-            return Some(idx);
+            let flow = poll(&mut g.tasklets[g.rr]);
+            let (ControlFlow::Continue(p) | ControlFlow::Break(p)) = flow;
+            if p == Progress::Done {
+                // The successor moves into the cursor's place.
+                g.tasklets.remove(g.rr);
+                self.len -= 1;
+                self.round_len = self.coverage_polls();
+            } else {
+                g.rr += 1;
+            }
+            progressed |= p != Progress::NoProgress;
+            if flow.is_break() {
+                return Round::Cut;
+            }
+        }
+        if progressed {
+            Round::Progressed
+        } else {
+            Round::Fruitless
+        }
+    }
+
+    /// The group whose turn it is: advance at most one full cycle of slots,
+    /// skipping emptied groups; `None` means no tasklet is live.
+    fn next_group(&mut self) -> Option<usize> {
+        for _ in 0..self.slots.len() {
+            let gi = self.slots[self.cursor];
+            self.cursor += 1;
+            if self.cursor == self.slots.len() {
+                self.cursor = 0;
+            }
+            if !self.groups[gi].tasklets.is_empty() {
+                return Some(gi);
+            }
         }
         None
     }
 
-    /// Tasklet `idx` finished and the caller removed it with the equivalent
-    /// of `Vec::remove(idx)`: drop it here and shift higher indices down.
-    pub fn remove_index(&mut self, idx: usize) {
-        for g in &mut self.groups {
-            if let Some(pos) = g.members.iter().position(|&m| m == idx) {
-                g.members.remove(pos);
-                if pos < g.rr {
-                    g.rr -= 1;
-                }
-            }
-            for m in &mut g.members {
-                if *m > idx {
-                    *m -= 1;
-                }
-            }
-        }
+    fn coverage_polls(&self) -> usize {
+        let cycles = self
+            .groups
+            .iter()
+            .map(|g| g.tasklets.len().div_ceil(g.turns as usize))
+            .max()
+            .unwrap_or(0);
+        cycles * self.slots.len()
     }
 }
 
@@ -231,17 +309,40 @@ mod tests {
         assert_eq!(q.weight(99), 3);
     }
 
+    /// A schedule whose tasklets are their own push index, so a poll can
+    /// report which one it was.
+    fn schedule_of(jobs: &[u32], quotas: Option<JobQuotas>) -> Schedule<usize> {
+        let mut s = Schedule::new(quotas);
+        for (i, &job) in jobs.iter().enumerate() {
+            s.push(i, job);
+        }
+        s
+    }
+
+    /// The tasklets one round polls, none of them finishing.
+    fn round_order(s: &mut Schedule<usize>) -> Vec<usize> {
+        let mut order = Vec::new();
+        s.run_round(|t| {
+            order.push(*t);
+            ControlFlow::Continue(Progress::MadeProgress)
+        });
+        order
+    }
+
     #[test]
     fn heavy_job_gets_weight_share_of_slots() {
         // Job 1 weight 4, jobs 2..=4 weight 1: cycle = 4 + 3 slots, and
         // job 1 holds 4 of the 7.
         let jobs = [1, 2, 3, 4];
         let q = JobQuotas::new().with_weight(1, 4);
-        let mut p = FairPoller::new(&jobs, &q);
-        assert_eq!(p.cycle_len(), 7);
+        let mut s = schedule_of(&jobs, Some(q));
+        assert_eq!(s.cycle_len(), 7);
+        assert_eq!(s.round_len(), 7);
         let mut counts = [0usize; 5];
-        for _ in 0..70 {
-            counts[jobs[p.next().unwrap()] as usize] += 1;
+        for _ in 0..10 {
+            for t in round_order(&mut s) {
+                counts[jobs[t] as usize] += 1;
+            }
         }
         assert_eq!(counts[1], 40);
         assert_eq!(counts[2], 10);
@@ -249,48 +350,75 @@ mod tests {
 
     #[test]
     fn turns_interleave_rather_than_burst() {
-        let jobs = [1, 2];
-        let q = JobQuotas::new().with_weight(1, 3);
-        let mut p = FairPoller::new(&jobs, &q);
-        let order: Vec<usize> = (0..p.cycle_len()).map(|_| p.next().unwrap()).collect();
+        let mut s = schedule_of(&[1, 2], Some(JobQuotas::new().with_weight(1, 3)));
         // Cycle: turn 0 -> [job1, job2], turns 1,2 -> [job1]: 0 1 0 0.
-        assert_eq!(order, vec![0, 1, 0, 0]);
+        assert_eq!(round_order(&mut s), vec![0, 1, 0, 0]);
     }
 
     #[test]
     fn group_rr_covers_all_members_of_a_job() {
         // Job 1 has 3 tasklets at weight 1; job 2 has 1.
-        let jobs = [1, 1, 1, 2];
-        let q = JobQuotas::new();
-        let mut p = FairPoller::new(&jobs, &q);
-        // coverage = ceil(3/1) cycles * 2 slots = 6 polls.
-        assert_eq!(p.coverage_polls(), 6);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..p.coverage_polls() {
-            seen.insert(p.next().unwrap());
-        }
-        assert_eq!(seen.len(), 4, "every tasklet polled within coverage");
+        let mut s = schedule_of(&[1, 1, 1, 2], Some(JobQuotas::new()));
+        // One round = ceil(3/1) cycles * 2 slots = 6 polls.
+        assert_eq!(s.round_len(), 6);
+        let seen: std::collections::HashSet<usize> = round_order(&mut s).into_iter().collect();
+        assert_eq!(seen.len(), 4, "every tasklet polled within a round");
     }
 
     #[test]
-    fn remove_index_shifts_and_skips_empty_groups() {
-        let jobs = [1, 2, 2];
-        let q = JobQuotas::new();
-        let mut p = FairPoller::new(&jobs, &q);
-        // Remove tasklet 0 (all of job 1): caller does Vec::remove(0).
-        p.remove_index(0);
-        assert!(!p.is_empty());
-        // Remaining indices are the shifted job-2 members {0, 1}.
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..4 {
-            if let Some(i) = p.next() {
-                seen.insert(i);
-            }
-        }
-        assert_eq!(seen, [0usize, 1].into_iter().collect());
-        p.remove_index(1);
-        p.remove_index(0);
-        assert!(p.is_empty());
-        assert_eq!(p.next(), None);
+    fn no_quotas_is_index_order_whatever_the_job_ids() {
+        let mut s = schedule_of(&[7, 3, 7, 0], None);
+        assert_eq!(s.cycle_len(), 1);
+        assert_eq!(round_order(&mut s), vec![0, 1, 2, 3]);
+        assert_eq!(round_order(&mut s), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn done_removes_on_the_spot_and_skips_emptied_groups() {
+        let mut s = schedule_of(&[1, 2, 2], Some(JobQuotas::new()));
+        // Tasklet 0 is all of job 1: it finishes on its first poll.
+        let mut order = Vec::new();
+        let round = s.run_round(|t| {
+            order.push(*t);
+            ControlFlow::Continue(if *t == 0 {
+                Progress::Done
+            } else {
+                Progress::NoProgress
+            })
+        });
+        assert_eq!(round, Round::Progressed);
+        // Round = ceil(2/1) cycles * 2 slots; job 1's slot is skipped once
+        // it is empty, so job 2's members fill the rest alternately.
+        assert_eq!(order, vec![0, 1, 2, 1]);
+        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
+        let round = s.run_round(|_| ControlFlow::Continue(Progress::Done));
+        assert_eq!(round, Round::Progressed);
+        assert!(s.is_empty());
+        assert_eq!(s.round_len(), 0);
+        let round = s.run_round(|_| unreachable!("nothing is live"));
+        assert_eq!(round, Round::Fruitless);
+    }
+
+    #[test]
+    fn a_cut_round_resumes_at_the_successor() {
+        let mut s = schedule_of(&[0, 0, 0], None);
+        let mut order = Vec::new();
+        let round = s.run_round(|t| {
+            order.push(*t);
+            ControlFlow::Break(Progress::NoProgress)
+        });
+        assert_eq!(round, Round::Cut);
+        order.extend(round_order(&mut s));
+        assert_eq!(order, vec![0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn a_tasklet_of_a_new_job_pushed_later_joins_the_cycle() {
+        let mut s = schedule_of(&[1, 1], Some(JobQuotas::new().with_weight(2, 2)));
+        assert_eq!(round_order(&mut s), vec![0, 1]);
+        s.push(2, 2);
+        assert_eq!(s.cycle_len(), 3);
+        // Round = ceil(2/1) cycles of [job1, job2, job2].
+        assert_eq!(round_order(&mut s), vec![0, 2, 2, 1, 2, 2]);
     }
 }

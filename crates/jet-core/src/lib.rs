@@ -48,7 +48,7 @@ pub mod trace;
 pub mod watermark;
 
 pub use dag::{Dag, Edge, Routing, Vertex, VertexId};
-pub use fairness::{job_of_vertex, FairPoller, JobQuotas};
+pub use fairness::{job_of_vertex, JobQuotas, Round, Schedule};
 pub use flight::{FlightRecorder, LatencyWatchdog};
 pub use item::{Barrier, Item, SnapshotId, Ts};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

@@ -6,10 +6,13 @@
 //! * `Snap` codec round-trips arbitrary values;
 //! * exactly-once counts survive snapshot/restore at arbitrary cut points;
 //! * a tasklet forwards every control item at its place among the outputs of
-//!   the events around it, however full its outbox is.
+//!   the events around it, however full its outbox is;
+//! * the schedule without quotas polls like a `retain_mut` pass, and with
+//!   quotas gives every job its weight's share of the polls.
 
 use jet_core::dag::{Dag, Edge, Routing};
 use jet_core::exec::run_sequential;
+use jet_core::fairness::{JobQuotas, Round, Schedule};
 use jet_core::item::{Barrier, Item};
 use jet_core::outbound::OutboundCollector;
 use jet_core::plan::{build_local, LocalConfig};
@@ -21,9 +24,11 @@ use jet_core::supplier;
 use jet_core::tasklet::{InputConveyor, ProcessorTasklet, Tasklet};
 use jet_core::Ts;
 use jet_queue::{spsc_channel, Conveyor};
+use jet_util::progress::Progress;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -212,8 +217,112 @@ fn step_flat_map_tasklet(
     (got, most_in_flight)
 }
 
+/// A stand-in tasklet: call `k` progresses iff `steps[k % len]`, and call
+/// number `lifetime` returns `Done`.
+#[derive(Clone)]
+struct Scripted {
+    id: usize,
+    steps: Vec<bool>,
+    lifetime: usize,
+    calls: usize,
+}
+
+impl Scripted {
+    fn call(&mut self) -> Progress {
+        let call = self.calls;
+        self.calls += 1;
+        if call == self.lifetime {
+            Progress::Done
+        } else if self.steps[call % self.steps.len()] {
+            Progress::MadeProgress
+        } else {
+            Progress::NoProgress
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn schedule_without_quotas_polls_like_a_retain_pass(
+        scripts in proptest::collection::vec(
+            (proptest::collection::vec(any::<bool>(), 1..6), 0usize..12, 0u32..4),
+            0..9,
+        ),
+    ) {
+        let mut reference: Vec<Scripted> = scripts
+            .iter()
+            .enumerate()
+            .map(|(id, (steps, lifetime, _))| Scripted {
+                id,
+                steps: steps.clone(),
+                lifetime: *lifetime,
+                calls: 0,
+            })
+            .collect();
+        // Job ids are there to be ignored.
+        let mut schedule = Schedule::new(None);
+        for (t, (_, _, job)) in reference.iter().zip(&scripts) {
+            schedule.push(t.clone(), *job);
+        }
+        for _ in 0..14 {
+            let live: Vec<usize> = reference.iter().map(|t| t.id).collect();
+            prop_assert_eq!(schedule.round_len(), live.len());
+            let mut want = Vec::new();
+            let mut want_progress = false;
+            reference.retain_mut(|t| {
+                want.push(t.id);
+                let p = t.call();
+                want_progress |= p != Progress::NoProgress;
+                p != Progress::Done
+            });
+            let mut got = Vec::new();
+            let round = schedule.run_round(|t| {
+                got.push(t.id);
+                ControlFlow::Continue(t.call())
+            });
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&got, &live, "every live tasklet exactly once");
+            let want_round = if want_progress { Round::Progressed } else { Round::Fruitless };
+            prop_assert_eq!(round, want_round);
+        }
+        prop_assert!(schedule.is_empty() && reference.is_empty());
+    }
+
+    #[test]
+    fn schedule_gives_every_live_job_its_weights_share_of_the_polls(
+        // Per job: its weight and how many tasklets it deploys.
+        jobs in proptest::collection::vec((1u32..9, 1usize..6), 1..7),
+    ) {
+        let mut quotas = JobQuotas::new();
+        for (job, (weight, _)) in jobs.iter().enumerate() {
+            quotas = quotas.with_weight(job as u32, *weight);
+        }
+        let mut schedule = Schedule::new(Some(quotas));
+        for (job, (_, tasklets)) in jobs.iter().enumerate() {
+            for _ in 0..*tasklets {
+                schedule.push(job, job as u32);
+            }
+        }
+        let total_weight: usize = jobs.iter().map(|(w, _)| *w as usize).sum();
+        prop_assert_eq!(schedule.cycle_len(), total_weight);
+        // A round is a whole number of cycles.
+        prop_assert_eq!(schedule.round_len() % total_weight, 0);
+        let mut polls = vec![0usize; jobs.len()];
+        let round = schedule.run_round(|job| {
+            polls[*job] += 1;
+            ControlFlow::Continue(Progress::MadeProgress)
+        });
+        prop_assert_eq!(round, Round::Progressed);
+        for (job, (weight, _)) in jobs.iter().enumerate() {
+            prop_assert_eq!(
+                polls[job] * total_weight,
+                *weight as usize * schedule.round_len(),
+                "job {}", job
+            );
+        }
+    }
 
     #[test]
     fn sliding_window_equals_brute_force(

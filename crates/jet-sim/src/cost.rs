@@ -115,7 +115,6 @@ pub struct CostedTasklet {
     snapshot_record_cost: u64,
     snapshot_chunk_cost: u64,
     queue_hop_cost: u64,
-    pub done: bool,
     /// Interned trace name id (0 when the simulator runs untraced).
     pub trace_name: u32,
 }
@@ -140,7 +139,6 @@ impl CostedTasklet {
             snapshot_record_cost: model.snapshot_record_cost,
             snapshot_chunk_cost: model.snapshot_chunk_cost,
             queue_hop_cost: model.queue_hop_cost,
-            done: false,
             trace_name: 0,
         }
     }
@@ -156,11 +154,7 @@ impl CostedTasklet {
 
     /// Current execution state of the wrapped tasklet (diagnostics).
     pub fn state(&self) -> &'static str {
-        if self.done {
-            "done"
-        } else {
-            self.inner.state()
-        }
+        self.inner.state()
     }
 
     /// (events_in, events_out) observed so far (0,0 when uncounted).
@@ -176,13 +170,7 @@ impl CostedTasklet {
 
     /// Run one timeslice; returns (progress, virtual nanos consumed).
     pub fn run(&mut self) -> (Progress, u64) {
-        if self.done {
-            return (Progress::Done, 0);
-        }
         let p = self.inner.call();
-        if p == Progress::Done {
-            self.done = true;
-        }
         let mut items = 0u64;
         let mut snap_records = 0u64;
         let mut snap_chunks = 0u64;
@@ -263,10 +251,7 @@ mod tests {
         t.run();
         let (p, c) = t.run();
         assert_eq!(p, Progress::Done);
-        assert!(t.done);
         assert_eq!(c, 100);
-        let (p, c) = t.run();
-        assert_eq!((p, c), (Progress::Done, 0));
     }
 
     #[test]

@@ -4,19 +4,25 @@
 //! This is the substitution that reproduces the paper's cluster-scale
 //! experiments on a 1-CPU container (DESIGN.md §2): queueing, backpressure,
 //! barrier alignment, and scheduling delay all arise from the *same engine
-//! code* the threaded executor runs — only the clock is virtual. The
-//! simulation is time-stepped: every core receives a `quantum` of budget,
-//! runs tasklets until the budget is spent or nothing makes progress, then
-//! the global [`ManualClock`] advances by the quantum.
+//! code* the threaded executor runs — the scheduler included: a core polls
+//! its tasklets through the same [`Schedule`] a worker thread does, under
+//! the contract `jet_core::exec` states (weighted round-robin over job
+//! groups, one group when no quotas are set; a round polls every live
+//! tasklet; `Done` removes on the spot). Only the clock is virtual. The
+//! simulation is time-stepped: every core receives a `quantum` of budget and
+//! polls rounds until the budget is spent or a round makes no progress —
+//! where a worker thread would back off, the rest of the quantum simply
+//! evaporates — then the global [`ManualClock`] advances by the quantum.
 
 use crate::cost::{CostModel, CostedTasklet};
 use crate::gc::GcModel;
-use jet_core::fairness::{FairPoller, JobQuotas};
+use jet_core::fairness::{JobQuotas, Round, Schedule};
 use jet_core::metrics::TaskletCounters;
 use jet_core::tasklet::Tasklet;
 use jet_core::trace::{TraceWriter, Tracer};
 use jet_util::clock::{Clock, ManualClock};
 use jet_util::progress::Progress;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Index of a virtual core.
@@ -25,8 +31,7 @@ pub type CoreId = usize;
 struct SimCore {
     /// Member id this core belongs to (fault injection targets members).
     pid: u32,
-    tasklets: Vec<CostedTasklet>,
-    rr: usize,
+    schedule: Schedule<CostedTasklet>,
     /// Virtual nanos this core actually computed (utilization metric).
     busy_nanos: u64,
     /// Virtual nanos the core is stalled for (GC pause injection).
@@ -38,142 +43,54 @@ struct SimCore {
     debt: u64,
     /// Execution-trace writer for this virtual core (no-op when untraced).
     trace: TraceWriter,
-    /// Per-job fairness quotas (§7.7): when set, the round-robin becomes a
-    /// weighted round-robin over job groups. `None` keeps the original
-    /// tasklet-level loop bit-identically.
-    fair: Option<FairPoller>,
 }
 
 impl SimCore {
-    /// Run until `budget` is exhausted or a full round makes no progress.
-    /// `now` is the quantum's virtual start time, used to stamp call spans.
-    /// Returns nanos of budget consumed.
-    fn run_quantum(&mut self, budget: u64, now: u64) -> u64 {
-        if self.fair.is_some() {
-            let mut poller = self.fair.take().expect("checked");
-            let spent = self.run_quantum_fair(&mut poller, budget, now);
-            self.fair = Some(poller);
-            return spent;
-        }
+    /// Poll rounds until `budget` is spent or a round makes no progress; a
+    /// quantum always starts a new round. `now` is the quantum's virtual
+    /// start time, used to stamp call spans.
+    fn run_quantum(&mut self, budget: u64, now: u64) {
         if self.debt >= budget {
             self.debt -= budget;
             self.busy_nanos += budget;
-            return budget;
+            return;
         }
         let debt = std::mem::take(&mut self.debt);
         let budget = budget - debt;
         let mut spent = 0u64;
-        let n = self.tasklets.len();
-        if n == 0 {
-            return 0;
-        }
-        let traced = self.trace.enabled();
+        let trace = &mut self.trace;
+        let traced = trace.enabled();
         loop {
-            let mut round_progress = false;
-            for _ in 0..n {
-                if self.tasklets.is_empty() {
-                    return spent;
-                }
-                let idx = self.rr % self.tasklets.len();
-                let (p, cost) = self.tasklets[idx].run();
+            let round = self.schedule.run_round(|t| {
+                let (p, cost) = t.run();
                 // Progressing timeslices become spans on the virtual
                 // timeline; NoProgress polls are elided (they would drown
                 // every ring in idle-spin noise).
-                if traced && !matches!(p, Progress::NoProgress) {
-                    let name = self.tasklets[idx].trace_name;
-                    self.trace
-                        .record_call(now + debt + spent, cost.max(1), name);
+                if traced && p != Progress::NoProgress {
+                    trace.record_call(now + debt + spent, cost.max(1), t.trace_name);
                 }
                 spent += cost;
-                match p {
-                    Progress::Done => {
-                        self.tasklets.remove(idx);
-                        round_progress = true;
-                    }
-                    Progress::MadeProgress => {
-                        round_progress = true;
-                        self.rr = idx + 1;
-                    }
-                    Progress::NoProgress => {
-                        self.rr = idx + 1;
-                    }
-                }
                 if spent >= budget {
+                    ControlFlow::Break(p)
+                } else {
+                    ControlFlow::Continue(p)
+                }
+            });
+            match round {
+                Round::Progressed => {}
+                // The core idles the rest of the quantum.
+                Round::Fruitless => break,
+                Round::Cut => {
                     self.debt = spent - budget;
-                    self.busy_nanos += budget;
-                    return spent;
+                    break;
                 }
             }
-            if !round_progress {
-                // Core idles the rest of the quantum (paper: tasklets back
-                // off; the idle strategy parks the real thread — here the
-                // remaining budget simply evaporates).
-                self.busy_nanos += spent;
-                return spent;
-            }
         }
-    }
-
-    /// The quota-scheduled variant of [`SimCore::run_quantum`]: identical
-    /// budget/debt/busy accounting, but polling order comes from the
-    /// weighted [`FairPoller`] and one "round" is a coverage round (every
-    /// live tasklet polled at least once).
-    fn run_quantum_fair(&mut self, poller: &mut FairPoller, budget: u64, now: u64) -> u64 {
-        if self.debt >= budget {
-            self.debt -= budget;
-            self.busy_nanos += budget;
-            return budget;
-        }
-        let debt = std::mem::take(&mut self.debt);
-        let budget = budget - debt;
-        let mut spent = 0u64;
-        if self.tasklets.is_empty() {
-            return 0;
-        }
-        let traced = self.trace.enabled();
-        loop {
-            let mut round_progress = false;
-            let coverage = poller.coverage_polls();
-            if coverage == 0 {
-                // Every group drained: the core is done.
-                self.busy_nanos += spent;
-                return spent;
-            }
-            for _ in 0..coverage {
-                let Some(idx) = poller.next() else {
-                    return spent;
-                };
-                let (p, cost) = self.tasklets[idx].run();
-                if traced && !matches!(p, Progress::NoProgress) {
-                    let name = self.tasklets[idx].trace_name;
-                    self.trace
-                        .record_call(now + debt + spent, cost.max(1), name);
-                }
-                spent += cost;
-                match p {
-                    Progress::Done => {
-                        self.tasklets.remove(idx);
-                        poller.remove_index(idx);
-                        round_progress = true;
-                    }
-                    Progress::MadeProgress => round_progress = true,
-                    Progress::NoProgress => {}
-                }
-                if spent >= budget {
-                    self.debt = spent - budget;
-                    self.busy_nanos += budget;
-                    return spent;
-                }
-            }
-            if !round_progress {
-                self.busy_nanos += spent;
-                return spent;
-            }
-        }
+        self.busy_nanos += spent.min(budget);
     }
 
     fn is_done(&self) -> bool {
-        self.tasklets.is_empty()
+        self.schedule.is_empty()
     }
 }
 
@@ -225,13 +142,11 @@ impl Simulator {
     pub fn add_core_labeled(&mut self, pid: u32, label: &str) -> CoreId {
         self.cores.push(SimCore {
             pid,
-            tasklets: Vec::new(),
-            rr: 0,
+            schedule: Schedule::new(None),
             busy_nanos: 0,
             stalled_until: 0,
             debt: 0,
             trace: self.tracer.writer(pid, label),
-            fair: None,
         });
         self.cores.len() - 1
     }
@@ -250,23 +165,26 @@ impl Simulator {
     ) {
         let mut costed = CostedTasklet::new(tasklet, counters, &self.model);
         costed.trace_name = self.cores[core].trace.intern(costed.name());
-        self.cores[core].tasklets.push(costed);
+        let job = costed.job();
+        self.cores[core].schedule.push(costed, job);
     }
 
     /// Install per-job fairness quotas (§7.7): every core's round-robin
-    /// becomes a weighted round-robin over the job groups of its currently
-    /// assigned tasklets. Call after all tasklets are assigned — tasklets
-    /// assigned later are not scheduled until quotas are re-installed.
+    /// becomes a weighted round-robin over the job groups of its tasklets,
+    /// those assigned so far and those assigned later.
     pub fn set_job_quotas(&mut self, quotas: &JobQuotas) {
         for core in &mut self.cores {
-            let jobs: Vec<u32> = core.tasklets.iter().map(|t| t.job()).collect();
-            core.fair = Some(FairPoller::new(&jobs, quotas));
+            let flat = std::mem::replace(&mut core.schedule, Schedule::new(Some(quotas.clone())));
+            for t in flat.into_tasklets() {
+                let job = t.job();
+                core.schedule.push(t, job);
+            }
         }
     }
 
     /// Live tasklets across all cores.
     pub fn live_tasklets(&self) -> usize {
-        self.cores.iter().map(|c| c.tasklets.len()).sum()
+        self.cores.iter().map(|c| c.schedule.len()).sum()
     }
 
     /// Busy virtual nanos per core (utilization).
@@ -278,7 +196,7 @@ impl Simulator {
     pub fn tasklet_stats(&self) -> Vec<(usize, String, u64, u64)> {
         let mut out = Vec::new();
         for (ci, core) in self.cores.iter().enumerate() {
-            for t in &core.tasklets {
+            for t in core.schedule.iter() {
                 let (i, o) = t.stats();
                 out.push((ci, t.name().to_string(), i, o));
             }
@@ -292,7 +210,7 @@ impl Simulator {
     pub fn tasklet_details(&self) -> Vec<(usize, String, &'static str, u64, u64)> {
         let mut out = Vec::new();
         for (ci, core) in self.cores.iter().enumerate() {
-            for t in &core.tasklets {
+            for t in core.schedule.iter() {
                 let (i, o) = t.stats();
                 out.push((ci, t.name().to_string(), t.state(), i, o));
             }
@@ -452,6 +370,16 @@ mod tests {
         assert!(s.run_until_done(1_000_000));
         assert_eq!(s.live_tasklets(), 0);
         assert!(s.now() < 1_000_000);
+    }
+
+    #[test]
+    fn the_quantum_in_which_the_last_tasklet_finishes_is_charged() {
+        let mut s = sim(1_000);
+        let c = s.add_core();
+        s.assign(c, Box::new(Emitter { remaining: 5 }), None);
+        assert!(s.run_until_done(1_000_000));
+        // 5 progressing calls + the Done call, 100 each, in one quantum.
+        assert_eq!(s.busy_nanos()[0], 600);
     }
 
     #[test]
@@ -632,6 +560,17 @@ mod tests {
         s.assign(c, Box::new(Emitter { remaining: 50 }), None);
         s.assign(c, Box::new(Emitter { remaining: 5 }), None);
         s.set_job_quotas(&JobQuotas::new());
+        assert!(s.run_until_done(1_000_000));
+        assert_eq!(s.live_tasklets(), 0);
+    }
+
+    #[test]
+    fn a_tasklet_assigned_after_the_quotas_is_scheduled() {
+        let mut s = sim(1_000);
+        let c = s.add_core();
+        s.assign(c, Box::new(Emitter { remaining: 50 }), None);
+        s.set_job_quotas(&JobQuotas::new());
+        s.assign(c, Box::new(Emitter { remaining: 5 }), None);
         assert!(s.run_until_done(1_000_000));
         assert_eq!(s.live_tasklets(), 0);
     }

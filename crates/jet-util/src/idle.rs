@@ -1,4 +1,4 @@
-//! Idle strategies for cooperative worker threads.
+//! The idle strategy of cooperative worker threads.
 //!
 //! When a worker's round-robin pass over its tasklets makes no progress the
 //! paper's engine backs off progressively (spin → yield → short park) instead
@@ -6,15 +6,6 @@
 //! about staying on the same CPU to preserve cache lines.
 
 use std::time::Duration;
-
-/// Strategy invoked once per fruitless scheduling round.
-pub trait IdleStrategy: Send {
-    /// Called with the number of consecutive rounds without progress.
-    fn idle(&mut self, idle_rounds: u64);
-
-    /// Called when progress resumes.
-    fn reset(&mut self) {}
-}
 
 /// Progressive backoff: busy-spin, then `yield_now`, then park with
 /// exponentially growing duration up to `max_park`.
@@ -57,10 +48,10 @@ impl BackoffIdle {
         let factor = 1u32 << park_round.min(20) as u32;
         Some((self.min_park * factor).min(self.max_park))
     }
-}
 
-impl IdleStrategy for BackoffIdle {
-    fn idle(&mut self, idle_rounds: u64) {
+    /// Back off after a fruitless scheduling round; `idle_rounds` is the
+    /// number of consecutive rounds without progress.
+    pub fn idle(&self, idle_rounds: u64) {
         if idle_rounds <= self.spin_rounds {
             std::hint::spin_loop();
         } else if idle_rounds <= self.spin_rounds + self.yield_rounds {
@@ -69,14 +60,6 @@ impl IdleStrategy for BackoffIdle {
             std::thread::sleep(d);
         }
     }
-}
-
-/// No-op idle strategy (used by the virtual-time simulator, where "idle" is
-/// modeled by advancing the manual clock instead of blocking a real thread).
-pub struct NoopIdle;
-
-impl IdleStrategy for NoopIdle {
-    fn idle(&mut self, _idle_rounds: u64) {}
 }
 
 #[cfg(test)]
@@ -98,11 +81,10 @@ mod tests {
 
     #[test]
     fn idle_does_not_panic_across_ranges() {
-        let mut b = BackoffIdle::new(1, 1, Duration::from_nanos(1), Duration::from_nanos(4));
+        let b = BackoffIdle::new(1, 1, Duration::from_nanos(1), Duration::from_nanos(4));
         for r in 0..10 {
             b.idle(r);
         }
-        b.reset();
     }
 
     #[test]

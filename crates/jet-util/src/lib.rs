@@ -12,8 +12,6 @@
 //!   which require a histogram with bounded relative error, not sampling).
 //! * [`idle`] — the progressive backoff idle strategy cooperative worker
 //!   threads use when none of their tasklets made progress.
-//! * [`rate`] — token-bucket pacing for sources that must emit at a fixed
-//!   events/second rate (the evaluation fixes input throughput).
 //! * [`progress`] — the `MadeProgress`/`NoProgress`/`Done` tri-state that
 //!   tasklets report to their worker loop.
 //! * [`seq`] — deterministic 64-bit mixing/hash helpers (partition hashing
@@ -25,7 +23,6 @@ pub mod codec;
 pub mod histogram;
 pub mod idle;
 pub mod progress;
-pub mod rate;
 pub mod rng;
 pub mod seq;
 pub mod sync;
@@ -34,7 +31,6 @@ pub use backoff::BackoffLadder;
 pub use clock::{Clock, ManualClock, SharedClock, SystemClock};
 pub use codec::{ByteReader, ByteWriter, DecodeError};
 pub use histogram::Histogram;
-pub use idle::{BackoffIdle, IdleStrategy};
+pub use idle::BackoffIdle;
 pub use progress::Progress;
-pub use rate::TokenBucket;
 pub use rng::SimRng;

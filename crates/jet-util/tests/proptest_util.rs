@@ -1,8 +1,7 @@
 //! Property tests for the measurement substrate: the histogram's relative
-//! error bound (the paper's p99.99 claims rest on it) and the token
-//! bucket's exactness (input rates in the evaluation are fixed by it).
+//! error bound (the paper's p99.99 claims rest on it).
 
-use jet_util::{Histogram, TokenBucket};
+use jet_util::Histogram;
 use proptest::prelude::*;
 
 proptest! {
@@ -54,40 +53,5 @@ proptest! {
         for q in [0.1, 0.5, 0.9, 0.999] {
             prop_assert_eq!(ha.value_at_quantile(q), hu.value_at_quantile(q));
         }
-    }
-
-    #[test]
-    fn token_bucket_hands_out_every_due_event_exactly_once(
-        rate in 1u64..5_000_000,
-        steps in proptest::collection::vec(1u64..50_000_000, 1..100),
-        burst in 1u64..10_000,
-    ) {
-        let mut bucket = TokenBucket::new(rate, 0, burst);
-        let mut now = 0u64;
-        let mut last_end = 0u64;
-        let mut total = 0u64;
-        for step in steps {
-            now += step;
-            let r = bucket.take(now, u64::MAX);
-            // Ranges are contiguous: no sequence skipped or repeated.
-            prop_assert_eq!(r.start, last_end);
-            prop_assert!(r.end - r.start <= burst);
-            last_end = r.end;
-            total += r.end - r.start;
-            // Every handed-out event was actually due.
-            if r.end > r.start {
-                prop_assert!(bucket.schedule_of(r.end - 1) <= now);
-            }
-        }
-        // Nothing due is withheld forever: drain with repeated takes.
-        loop {
-            let r = bucket.take(now, u64::MAX);
-            if r.start == r.end {
-                break;
-            }
-            total += r.end - r.start;
-        }
-        let due = (now as u128 * rate as u128 / 1_000_000_000) as u64 + 1;
-        prop_assert_eq!(total, due);
     }
 }

@@ -1,6 +1,7 @@
 //! Workspace integration tests spanning crates: NEXMark queries validated
-//! against reference computations, delivery-guarantee sinks, and the
-//! threaded executor driving pipeline-compiled DAGs.
+//! against reference computations, delivery-guarantee sinks, the threaded
+//! executor driving pipeline-compiled DAGs, and the poll order of a worker
+//! thread against that of a virtual core.
 
 use jet_cluster::{SimCluster, SimClusterConfig};
 use jet_core::metrics::SharedCounter;
@@ -474,4 +475,86 @@ fn q5_behind_a_full_outbox_rebuilt_from_a_snapshot_matches_the_uninterrupted_run
         4,
         std::time::Duration::from_millis(5),
     );
+}
+
+/// A tasklet that logs its id on every call, progresses `left` times and
+/// then finishes.
+struct Logging {
+    id: u32,
+    job: u32,
+    left: usize,
+    log: Arc<Mutex<Vec<u32>>>,
+}
+
+impl jet_core::Tasklet for Logging {
+    fn call(&mut self) -> jet_util::Progress {
+        self.log.lock().push(self.id);
+        if self.left == 0 {
+            return jet_util::Progress::Done;
+        }
+        self.left -= 1;
+        jet_util::Progress::MadeProgress
+    }
+    fn name(&self) -> &str {
+        "logging"
+    }
+    fn job(&self) -> u32 {
+        self.job
+    }
+}
+
+/// Tasklets of three jobs whose lifetimes make several finish mid-run, the
+/// one at index 0 first.
+fn logging_tasklets(log: &Arc<Mutex<Vec<u32>>>) -> Vec<Box<dyn jet_core::Tasklet>> {
+    [(1, 1), (2, 4), (0, 2), (1, 6), (2, 3), (0, 5), (1, 2)]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (job, left))| {
+            Box::new(Logging {
+                id: id as u32,
+                job,
+                left,
+                log: log.clone(),
+            }) as Box<dyn jet_core::Tasklet>
+        })
+        .collect()
+}
+
+/// The same scheduler on both clocks: one worker thread and one virtual core
+/// poll the same tasklets in the same order, without quotas and with them.
+#[test]
+fn one_worker_thread_and_one_virtual_core_poll_in_the_same_order() {
+    use jet_core::fairness::JobQuotas;
+    use std::sync::atomic::AtomicBool;
+    for quotas in [None, Some(JobQuotas::new().with_weight(1, 3))] {
+        let threaded = Arc::new(Mutex::new(Vec::new()));
+        jet_core::exec::spawn_threaded_with(
+            logging_tasklets(&threaded),
+            1,
+            Arc::new(AtomicBool::new(false)),
+            None,
+            quotas.as_ref(),
+        )
+        .join();
+
+        let simulated = Arc::new(Mutex::new(Vec::new()));
+        // One quantum holds every call of the run: no round is ever cut.
+        let mut sim = jet_sim::Simulator::new(
+            Arc::new(jet_util::ManualClock::new()),
+            jet_sim::CostModel::default(),
+            SEC,
+        );
+        let core = sim.add_core();
+        for t in logging_tasklets(&simulated) {
+            sim.assign(core, t, None);
+        }
+        if let Some(q) = &quotas {
+            sim.set_job_quotas(q);
+        }
+        assert!(sim.run_until_done(10 * SEC));
+
+        let threaded = threaded.lock();
+        assert_eq!(threaded.len(), 23 + 7, "every call and every Done");
+        assert_eq!(*threaded, *simulated.lock(), "quotas: {quotas:?}");
+    }
 }

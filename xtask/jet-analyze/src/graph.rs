@@ -561,14 +561,9 @@ const ROOTS: &[RootSpec] = &[
     ),
     RootSpec::FileFns(
         "exec.rs",
-        &[
-            "worker_loop",
-            "worker_loop_observed",
-            "worker_loop_fair",
-            "observed_call",
-            "run_sequential",
-        ],
+        &["worker_loop", "observed_call", "run_sequential"],
     ),
+    RootSpec::Type("Schedule", &["run_round"]),
 ];
 
 fn root_ids(ws: &Workspace) -> Vec<usize> {
