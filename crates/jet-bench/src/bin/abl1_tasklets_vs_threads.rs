@@ -13,7 +13,7 @@ use jet_core::dag::{Dag, Edge};
 use jet_core::exec::{spawn_thread_per_operator, spawn_threaded};
 use jet_core::metrics::SharedCounter;
 use jet_core::plan::{build_local, LocalConfig};
-use jet_core::processors::{CountSink, GeneratorSource, TransformP};
+use jet_core::processors::{CountSink, Fused, GeneratorSource, TransformP};
 use jet_core::snapshot::SnapshotRegistry;
 use jet_core::supplier;
 use std::sync::Arc;
@@ -34,14 +34,11 @@ fn build(chains: usize, count: &SharedCounter) -> (Dag, usize) {
                 )
             }),
         );
-        let map = dag.vertex_with_parallelism(
-            format!("map{c}"),
-            1,
-            supplier(|_| {
-                Box::new(TransformP::new(vec![jet_core::processors::map_stage(
-                    |v: &u64| v.wrapping_mul(2654435761),
-                )]))
-            }),
+        let map =
+            dag.vertex_with_parallelism(format!("map{c}"), 1, supplier(|_| Box::new(TransformP)));
+        dag.fuse(
+            map,
+            Arc::new(Fused::<u64>::default().map(|v| v.wrapping_mul(2654435761))),
         );
         let c2 = count.clone();
         let sink = dag.vertex_with_parallelism(

@@ -428,6 +428,7 @@ pub fn build_cluster_execution(
                 let ins = inputs.remove(&(mi, v, i)).unwrap_or_default();
                 let tasklet = ProcessorTasklet::new(
                     processor,
+                    vertex.chain(),
                     ctx,
                     ins,
                     collectors,

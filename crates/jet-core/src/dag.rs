@@ -2,7 +2,8 @@
 //! explicit routing, locality, priority and queue sizing (paper §2.2).
 
 use crate::object::Object;
-use crate::processor::ProcessorSupplier;
+use crate::processor::{Chain, ProcessorSupplier};
+use crate::processors::transform::Link;
 use std::sync::Arc;
 
 /// Index of a vertex within its DAG.
@@ -135,7 +136,8 @@ impl Edge {
     }
 }
 
-/// A vertex: name + parallelism + processor factory.
+/// A vertex: name + parallelism + processor factory, and the stateless
+/// stages fused onto its outbox.
 #[derive(Clone)]
 pub struct Vertex {
     pub name: String,
@@ -144,6 +146,17 @@ pub struct Vertex {
     /// available CPU core", §3.1).
     pub local_parallelism: Option<usize>,
     pub supplier: ProcessorSupplier,
+    /// Operator fusion (§3.1, Fig. 2): runs of stateless stages, in order,
+    /// that every event the processor emits goes through inside its outbox
+    /// — they cost no tasklet and no queue of their own.
+    pub fused: Vec<Arc<dyn Link>>,
+}
+
+impl Vertex {
+    /// A fresh chain of the fused runs for one processor instance.
+    pub fn chain(&self) -> Option<Chain> {
+        crate::processors::transform::splice(&self.fused)
+    }
 }
 
 /// The dataflow graph handed to the execution planner.
@@ -167,6 +180,7 @@ impl Dag {
             name: name.into(),
             local_parallelism: None,
             supplier,
+            fused: Vec::new(),
         });
         self.vertices.len() - 1
     }
@@ -183,8 +197,15 @@ impl Dag {
             name: name.into(),
             local_parallelism: Some(local_parallelism),
             supplier,
+            fused: Vec::new(),
         });
         self.vertices.len() - 1
+    }
+
+    /// Fuse `run` onto the outbox of vertex `v`, behind the runs fused there
+    /// before (see [`Vertex::fused`]).
+    pub fn fuse(&mut self, v: VertexId, run: Arc<dyn Link>) {
+        self.vertices[v].fused.push(run);
     }
 
     pub fn edge(&mut self, e: Edge) {

@@ -188,8 +188,15 @@ pub fn build_local(
                 ));
             }
             let ins = inputs.remove(&(v, i)).unwrap_or_default();
-            let tasklet =
-                ProcessorTasklet::new(processor, ctx, ins, collectors, registry.clone(), cfg.batch);
+            let tasklet = ProcessorTasklet::new(
+                processor,
+                vertex.chain(),
+                ctx,
+                ins,
+                collectors,
+                registry.clone(),
+                cfg.batch,
+            );
             participants += 1;
             tasklets.push(Box::new(tasklet));
         }

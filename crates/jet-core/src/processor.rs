@@ -19,6 +19,11 @@
 //!   everything emitted so far — an event parked anywhere else would be
 //!   overtaken by that watermark (and dropped as late downstream) or by that
 //!   barrier (and missing from the snapshot it belongs to).
+//! * stateless stages fused onto a vertex (paper §3.1, Fig. 2) run *inside*
+//!   its outbox: [`Outbox::emit`] — and [`Outbox::broadcast`] for an event —
+//!   passes each event through the vertex's [`Chain`] and buffers what comes
+//!   out, so the chain's outputs are outputs of the admitted item like any
+//!   other and land in the outbox ahead of the next control item.
 //! * every `-> bool` method means "am I done?" — returning `false` yields
 //!   the core and the tasklet will call again later.
 //! * processors never block, never sleep, and never do unbounded work in
@@ -145,6 +150,16 @@ impl Inbox {
     }
 }
 
+/// A typed continuation: what a fused stage hands each of its outputs to,
+/// along with the edge buffer the last stage appends to.
+pub type Cont<T> = Box<dyn FnMut(Ts, T, &mut VecDeque<Item>) + Send>;
+
+/// The stateless stages fused onto one processor instance's outbox, composed
+/// once when the instance is built: the head takes the payload's concrete
+/// type out of its `Object` once, the tail boxes its output once, and
+/// nothing in between is boxed, cloned or collected.
+pub type Chain = Cont<BoxedObject>;
+
 /// Per-edge output buffers plus the snapshot staging area.
 ///
 /// Each edge's buffer admits new work while it holds fewer than the batch
@@ -153,6 +168,8 @@ impl Inbox {
 /// local case).
 pub struct Outbox {
     bufs: Vec<VecDeque<Item>>,
+    /// The vertex's fused stages: every event emitted runs through them.
+    chain: Option<Chain>,
     batch_limit: usize,
     /// The snapshot chunk being staged: `snapshot_records` length-prefixed
     /// `(key, value)` pairs, back to back in one arena that keeps its
@@ -164,54 +181,81 @@ pub struct Outbox {
     /// `TaskletCounters::events_out` — emission happens here, not at the
     /// queues, so this is the one place that sees every event exactly once.
     events_queued: u64,
+    /// Monotone count of events handed to `emit` (before the chain): a
+    /// source whose chain filtered everything out still made progress.
+    events_emitted: u64,
 }
 
 impl Outbox {
     pub fn new(out_edges: usize, batch_limit: usize) -> Self {
         Outbox {
             bufs: (0..out_edges).map(|_| VecDeque::new()).collect(),
+            chain: None,
             batch_limit: batch_limit.max(1),
             snapshot: ByteWriter::new(),
             snapshot_records: 0,
             events_queued: 0,
+            events_emitted: 0,
         }
+    }
+
+    /// Run every event emitted from now on through `chain`.
+    pub fn with_chain(mut self, chain: Option<Chain>) -> Self {
+        self.chain = chain;
+        self
     }
 
     pub fn edge_count(&self) -> usize {
         self.bufs.len()
     }
 
-    /// Append an output event to edge `ordinal`. Infallible: the caller
-    /// asked [`Self::has_room`] before taking the input item this event
-    /// derives from, and all outputs of an admitted item are accepted.
+    /// Append an output event to edge `ordinal` — through the fused chain,
+    /// if there is one. Infallible: the caller asked [`Self::has_room`]
+    /// before taking the input item this event derives from, and all
+    /// outputs of an admitted item are accepted.
     #[inline]
     // jet-analyze: allow(alloc) — outbox bucket reaches steady-state capacity after warm-up
     pub fn emit(&mut self, ordinal: usize, ts: Ts, obj: BoxedObject) {
-        self.events_queued += 1;
-        self.bufs[ordinal].push_back(Item::Event { ts, obj });
+        self.events_emitted += 1;
+        let buf = &mut self.bufs[ordinal];
+        match &mut self.chain {
+            None => {
+                self.events_queued += 1;
+                buf.push_back(Item::Event { ts, obj });
+            }
+            Some(chain) => {
+                let before = buf.len();
+                chain(ts, obj, buf);
+                self.events_queued += (buf.len() - before) as u64;
+            }
+        }
     }
 
     /// Offer an item to *all* output edges (watermarks, barriers, done
-    /// flags, broadcast events). All-or-nothing, refused while any buffer is
-    /// at or over the batch limit; vacuously succeeds for a sink with no
-    /// output edges.
+    /// flags, broadcast events — an event goes through [`Self::emit`] once
+    /// per edge). All-or-nothing, refused while any buffer is at or over
+    /// the batch limit; vacuously succeeds for a sink with no output edges.
     // jet-analyze: allow(alloc) — outbox buckets reach steady-state capacity after warm-up
     pub fn broadcast(&mut self, item: Item) -> bool {
         if !self.has_room_all() {
             return false;
         }
-        let n = self.bufs.len();
-        if matches!(item, Item::Event { .. }) {
-            self.events_queued += n as u64;
-        }
-        for (i, buf) in self.bufs.iter_mut().enumerate() {
-            if i + 1 == n {
-                // Move, don't clone, into the last buffer. Iteration order is
-                // stable so this is safe even for a single edge.
-                buf.push_back(item);
-                break;
-            } else {
-                buf.push_back(item.clone());
+        let Some(last) = self.bufs.len().checked_sub(1) else {
+            return true;
+        };
+        // Clone into every buffer but the last, which takes the item itself.
+        match item {
+            Item::Event { ts, obj } => {
+                for i in 0..last {
+                    self.emit(i, ts, obj.clone_object());
+                }
+                self.emit(last, ts, obj);
+            }
+            control => {
+                for buf in &mut self.bufs[..last] {
+                    buf.push_back(control.clone());
+                }
+                self.bufs[last].push_back(control);
             }
         }
         true
@@ -279,6 +323,11 @@ impl Outbox {
     /// Monotone count of events ever accepted by `emit`/`broadcast`.
     pub fn events_queued_total(&self) -> u64 {
         self.events_queued
+    }
+
+    /// Monotone count of events ever handed to `emit`, before the chain.
+    pub fn events_emitted_total(&self) -> u64 {
+        self.events_emitted
     }
 }
 

@@ -14,9 +14,7 @@ pub use agg::{averaging, cogroup2, counting, maxing, summing, AggregateOp};
 pub use join::HashJoinP;
 pub use sink::{CollectSink, CountSink, IMapSink, IdempotentSink, LatencySink, TransactionalSink};
 pub use source::{GeneratorSource, JournalSource, VecSource, WatermarkPolicy, GENERATOR_SHARDS};
-pub use transform::{
-    filter_stage, flat_map_stage, map_stage, FanOutP, Stage, StatefulMapP, TransformP,
-};
+pub use transform::{Fused, Link, StatefulMapP, TransformP};
 pub use window::{
     AccumulateFrameP, CombineFramesP, FrameChunk, SlidingWindowP, WindowDef, WindowKey,
     WindowResult,

@@ -1,82 +1,129 @@
-//! Stateless and simple stateful transforms: map / filter / flat-map and the
-//! fused stage chain produced by operator fusion (paper §3.1, Fig. 2).
+//! Stateless transforms and operator fusion (paper §3.1, Fig. 2: "it fuses
+//! (a.k.a. operator chaining) consecutive stateless operators").
 //!
-//! The planner fuses consecutive stateless stages into one
-//! [`TransformP`] holding a chain of [`Stage`]s, so a
-//! `map → filter → flatMap` pipeline costs one tasklet and zero queues
-//! between the stages — "it fuses (a.k.a. operator chaining) consecutive
-//! stateless operators".
+//! A run of `map` / `filter` / `flat_map` stages is a [`Fused`] value whose
+//! stage types are known when it is composed. For each processor instance
+//! it becomes one [`Chain`] that runs inside the outbox of the vertex
+//! feeding it ([`crate::dag::Vertex::fused`]), so the stages cost no
+//! tasklet, no queue and no `Object` round trip between them.
 
-use crate::item::Ts;
-use crate::object::BoxedObject;
-use crate::processor::{Inbox, Outbox, Processor, ProcessorContext};
+use crate::item::{Item, Ts};
+use crate::object::{boxed, take};
+use crate::processor::{Chain, Cont, Inbox, Outbox, Processor, ProcessorContext};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-/// One fused stage: receives an event, pushes zero or more events to `out`.
-/// `Arc` so a supplier can hand the same immutable chain to every instance.
-pub type Stage = Arc<dyn Fn(Ts, BoxedObject, &mut dyn FnMut(Ts, BoxedObject)) + Send + Sync>;
-
-/// Build a map stage from a typed closure.
-pub fn map_stage<I, O, F>(f: F) -> Stage
-where
-    I: 'static,
-    O: Send + Clone + std::fmt::Debug + 'static,
-    F: Fn(&I) -> O + Send + Sync + 'static,
-{
-    Arc::new(move |ts, obj, out| {
-        let input = crate::object::downcast_ref::<I>(obj.as_ref());
-        out(ts, crate::object::boxed(f(input)));
-    })
+/// A typed run of fused stages from `T` to `U`: a factory of the
+/// continuations one processor instance runs.
+pub struct Fused<T, U = T> {
+    wrap: Arc<dyn Fn(Cont<U>) -> Cont<T> + Send + Sync>,
 }
 
-/// Build a filter stage from a typed predicate.
-pub fn filter_stage<I, F>(f: F) -> Stage
-where
-    I: 'static,
-    F: Fn(&I) -> bool + Send + Sync + 'static,
-{
-    Arc::new(move |ts, obj, out| {
-        if f(crate::object::downcast_ref::<I>(obj.as_ref())) {
-            out(ts, obj);
+impl<T: 'static> Default for Fused<T> {
+    /// The empty run.
+    fn default() -> Self {
+        Fused {
+            wrap: Arc::new(|next| next),
         }
-    })
-}
-
-/// Build a flat-map stage from a typed closure returning an iterator.
-pub fn flat_map_stage<I, O, It, F>(f: F) -> Stage
-where
-    I: 'static,
-    O: Send + Clone + std::fmt::Debug + 'static,
-    It: IntoIterator<Item = O>,
-    F: Fn(&I) -> It + Send + Sync + 'static,
-{
-    Arc::new(move |ts, obj, out| {
-        for o in f(crate::object::downcast_ref::<I>(obj.as_ref())) {
-            out(ts, crate::object::boxed(o));
-        }
-    })
-}
-
-/// A chain of fused stages executed as one processor.
-pub struct TransformP {
-    stages: Vec<Stage>,
-}
-
-impl TransformP {
-    pub fn new(stages: Vec<Stage>) -> Self {
-        assert!(!stages.is_empty(), "fused chain needs at least one stage");
-        TransformP { stages }
     }
 }
 
-/// Run one event through `stages` depth-first, in output order; what leaves
-/// the last stage goes to the outbox.
-fn run_chain(stages: &[Stage], ts: Ts, obj: BoxedObject, outbox: &mut Outbox) {
-    match stages.split_first() {
-        Some((stage, rest)) => stage(ts, obj, &mut |t, o| run_chain(rest, t, o, outbox)),
-        None => outbox.emit(0, ts, obj),
+impl<T: 'static, U: 'static> Fused<T, U> {
+    /// Append a stage: `stage` turns the continuation for its outputs into
+    /// the one for its inputs.
+    fn then<V>(self, stage: impl Fn(Cont<V>) -> Cont<U> + Send + Sync + 'static) -> Fused<T, V> {
+        let wrap = self.wrap;
+        Fused {
+            wrap: Arc::new(move |next| wrap(stage(next))),
+        }
+    }
+
+    pub fn map<V: 'static>(self, f: impl Fn(&U) -> V + Send + Sync + 'static) -> Fused<T, V> {
+        let f = Arc::new(f);
+        self.then(move |mut next: Cont<V>| -> Cont<U> {
+            let f = f.clone();
+            Box::new(move |ts, u: U, out: &mut VecDeque<Item>| next(ts, f(&u), out))
+        })
+    }
+
+    pub fn filter(self, f: impl Fn(&U) -> bool + Send + Sync + 'static) -> Fused<T, U> {
+        let f = Arc::new(f);
+        self.then(move |mut next: Cont<U>| -> Cont<U> {
+            let f = f.clone();
+            Box::new(move |ts, u: U, out: &mut VecDeque<Item>| {
+                if f(&u) {
+                    next(ts, u, out);
+                }
+            })
+        })
+    }
+
+    pub fn flat_map<V: 'static, It: IntoIterator<Item = V>>(
+        self,
+        f: impl Fn(&U) -> It + Send + Sync + 'static,
+    ) -> Fused<T, V> {
+        let f = Arc::new(f);
+        self.then(move |mut next: Cont<V>| -> Cont<U> {
+            let f = f.clone();
+            Box::new(move |ts, u: U, out: &mut VecDeque<Item>| {
+                for v in f(&u) {
+                    next(ts, v, out);
+                }
+            })
+        })
     }
 }
+
+/// A [`Fused`] run with its types erased, so an untyped planner can splice
+/// runs end to end: once per processor instance, never per event.
+pub trait Link: Send + Sync {
+    /// This run's input continuation (a boxed `Cont<T>`) in front of
+    /// `next`, the one of the run after it; `None` makes this run the tail,
+    /// which boxes its output into the outbox.
+    fn splice(&self, next: Option<Box<dyn Any>>) -> Box<dyn Any>;
+    /// As [`Self::splice`], for the run at the head of the chain.
+    fn head(&self, next: Option<Box<dyn Any>>) -> Chain;
+}
+
+impl<T: Any, U: Any + Send + Clone + Debug> Link for Fused<T, U> {
+    fn splice(&self, next: Option<Box<dyn Any>>) -> Box<dyn Any> {
+        Box::new((self.wrap)(next_or_tail::<U>(next)))
+    }
+
+    fn head(&self, next: Option<Box<dyn Any>>) -> Chain {
+        let mut head = (self.wrap)(next_or_tail::<U>(next));
+        Box::new(move |ts, obj, out| head(ts, take::<T>(obj), out))
+    }
+}
+
+/// `next` as the `Cont<U>` it holds, or the tail that boxes `U`.
+fn next_or_tail<U: Any + Send + Clone + Debug>(next: Option<Box<dyn Any>>) -> Cont<U> {
+    match next {
+        Some(next) => *next
+            .downcast::<Cont<U>>()
+            .expect("spliced runs agree on the type between them"),
+        None => Box::new(|ts: Ts, u: U, out: &mut VecDeque<Item>| {
+            out.push_back(Item::Event { ts, obj: boxed(u) })
+        }),
+    }
+}
+
+/// The chain `runs` make spliced head to tail, for one processor instance.
+pub fn splice(runs: &[Arc<dyn Link>]) -> Option<Chain> {
+    let (head, rest) = runs.split_first()?;
+    let next = rest
+        .iter()
+        .rev()
+        .fold(None, |next, run| Some(run.splice(next)));
+    Some(head.head(next))
+}
+
+/// Pass-through: every input event goes to every output edge, through the
+/// vertex's chain if it has one. The planner's host for a chain with no
+/// producer to ride on, its fan-out vertex, and `merge`.
+pub struct TransformP;
 
 impl Processor for TransformP {
     fn process(
@@ -86,37 +133,12 @@ impl Processor for TransformP {
         outbox: &mut Outbox,
         _ctx: &ProcessorContext,
     ) {
-        while outbox.has_room(0) {
+        while outbox.has_room_all() {
             let Some((ts, obj)) = inbox.take() else {
                 return;
             };
-            run_chain(&self.stages, ts, obj, outbox);
-        }
-    }
-}
-
-/// Replicates every input event to *all* output edges. The pipeline
-/// compiler inserts one when a stage has several downstream consumers
-/// (fan-out), since ordinary processors emit to ordinal 0 only.
-pub struct FanOutP;
-
-impl Processor for FanOutP {
-    // jet-analyze: allow(panic) — fan-out target count is fixed at wiring; the expect is a wiring invariant
-    fn process(
-        &mut self,
-        _ordinal: usize,
-        inbox: &mut Inbox,
-        outbox: &mut Outbox,
-        _ctx: &ProcessorContext,
-    ) {
-        while let Some((ts, _)) = inbox.peek() {
-            let ts = *ts;
-            if !outbox.has_room_all() {
-                return;
-            }
-            let (_, obj) = inbox.take().expect("peeked");
-            let ok = outbox.broadcast(crate::item::Item::Event { ts, obj });
-            debug_assert!(ok);
+            let delivered = outbox.broadcast(Item::Event { ts, obj });
+            debug_assert!(delivered);
         }
     }
 }

@@ -213,24 +213,38 @@ impl SnapshotRegistry {
     }
 
     /// A tasklet finished for good; it will not ack future snapshots.
+    /// `last_acked` is the last snapshot it acked: its acks of snapshots
+    /// still in flight are withdrawn with it, or a source that acked and
+    /// then finished would stand in for a participant that has not acked
+    /// yet, and the snapshot would complete without that one's state.
     // jet-analyze: allow(alloc, block) — snapshot registry: epoch-barrier path under a short registry lock, once per epoch
-    pub fn retire_participant(&self) {
-        // ordering: SeqCst — retirement races the ack path's completion
-        // check; the total order makes exactly one side complete the
-        // snapshot. Runs once per tasklet lifetime.
-        let remaining = self.participants.fetch_sub(1, Ordering::SeqCst) - 1;
-        // Finishing a participant can complete an in-flight snapshot.
-        let pending: Vec<(SnapshotId, usize)> = {
-            let acks = self.acks.lock();
-            acks.iter().map(|(&id, &n)| (id, n)).collect()
-        };
-        for (id, n) in pending {
-            if id <= self.completed.load(Ordering::Acquire) {
-                self.acks.lock().remove(&id); // abandoned: drop, never finish
-            } else if n >= remaining {
-                self.acks.lock().remove(&id);
-                self.finish(id);
-            }
+    pub fn retire_participant(&self, last_acked: SnapshotId) {
+        let completed = self.completed.load(Ordering::Acquire);
+        let mut finished = Vec::new();
+        {
+            // Under the ack lock, like the ack path's completion check, so
+            // exactly one side sees the last participant go.
+            let mut acks = self.acks.lock();
+            // ordering: SeqCst — same total order as the ack path's load.
+            // Runs once per tasklet lifetime.
+            let remaining = self.participants.fetch_sub(1, Ordering::SeqCst) - 1;
+            acks.retain(|&id, n| {
+                if id <= completed {
+                    return false; // abandoned: drop, never finish
+                }
+                if id <= last_acked {
+                    *n = n.saturating_sub(1);
+                }
+                // Finishing a participant can complete a snapshot.
+                let done = *n >= remaining;
+                if done {
+                    finished.push(id);
+                }
+                !done
+            });
+        }
+        for id in finished {
+            self.finish(id);
         }
     }
 
@@ -340,8 +354,20 @@ mod tests {
         r.trigger();
         r.ack(1);
         assert_eq!(r.completed(), 0);
-        r.retire_participant();
+        r.retire_participant(0);
         assert_eq!(r.completed(), 1, "retire should complete the snapshot");
+    }
+
+    #[test]
+    fn a_participant_that_acked_and_retired_does_not_stand_in_for_another() {
+        let r = registry(3);
+        r.trigger();
+        r.ack(1);
+        r.ack(1);
+        r.retire_participant(1);
+        assert_eq!(r.completed(), 0, "the third participant has not acked");
+        r.ack(1);
+        assert_eq!(r.completed(), 1);
     }
 
     #[test]
@@ -377,8 +403,8 @@ mod tests {
         // retirement this must not mark the torn snapshot complete.
         r.ack(id);
         r.ack(id);
-        r.retire_participant();
-        r.retire_participant();
+        r.retire_participant(0);
+        r.retire_participant(0);
         assert_eq!(r.store().unwrap().latest_complete(), None);
     }
 

@@ -22,7 +22,7 @@
 use crate::item::{Barrier, Item, SnapshotId, Ts};
 use crate::metrics::{SharedHistogram, TaskletCounters};
 use crate::outbound::OutboundCollector;
-use crate::processor::{Guarantee, Inbox, Outbox, Processor, ProcessorContext};
+use crate::processor::{Chain, Guarantee, Inbox, Outbox, Processor, ProcessorContext};
 use crate::snapshot::SnapshotRegistry;
 use crate::trace::{TraceKind, TraceWriter};
 use crate::watermark::{WatermarkCoalescer, WatermarkProbe, IDLE_CHANNEL};
@@ -167,9 +167,12 @@ pub struct ProcessorTasklet {
 }
 
 impl ProcessorTasklet {
+    /// `chain` is the vertex's fused stages, run inside this tasklet's
+    /// outbox (see [`crate::dag::Vertex::chain`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         processor: Box<dyn Processor>,
+        chain: Option<Chain>,
         ctx: ProcessorContext,
         inputs: Vec<InputConveyor>,
         outputs: Vec<OutboundCollector>,
@@ -206,7 +209,7 @@ impl ProcessorTasklet {
             ctx,
             inputs: input_states,
             outputs,
-            outbox: Outbox::new(out_edges, batch.max(1)),
+            outbox: Outbox::new(out_edges, batch.max(1)).with_chain(chain),
             inbox: Inbox::new(),
             pending_ordinal: None,
             coalescer: WatermarkCoalescer::new(lane_offset),
@@ -703,13 +706,15 @@ impl ProcessorTasklet {
                         return Progress::MadeProgress;
                     }
                 }
-                let before_out = self.outbox.buffered();
+                let buffered = self.outbox.buffered();
+                let emitted = self.outbox.events_emitted_total();
                 let mut done = self.processor.complete(&mut self.outbox, &self.ctx);
                 if self.is_source && self.ctx.is_cancelled() {
                     done = true;
                 }
-                let emitted = self.outbox.buffered() - before_out;
-                worked |= emitted > 0;
+                // An event the chain filtered out was progress too.
+                worked |= self.outbox.buffered() > buffered
+                    || self.outbox.events_emitted_total() > emitted;
                 if done {
                     self.phase = Phase::EmitDone;
                     worked = true;
@@ -727,7 +732,7 @@ impl ProcessorTasklet {
                     self.phase = Phase::Done;
                     if !self.retired {
                         self.retired = true;
-                        self.registry.retire_participant();
+                        self.registry.retire_participant(self.last_snapshot);
                     }
                     return Progress::Done;
                 }

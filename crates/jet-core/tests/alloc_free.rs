@@ -5,7 +5,8 @@
 //! consume-by-`take` — and asserts the allocation counter did not move for
 //! payloads at or under `INLINE_CAP` (32 bytes). The snapshot write path is
 //! held to the same standard per record: staging a chunk of state records
-//! into a warmed-up `Outbox` arena allocates nothing.
+//! into a warmed-up `Outbox` arena allocates nothing. So is a source tasklet
+//! whose outbox runs a fused map/filter/flat-map chain.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -124,4 +125,73 @@ fn staging_a_snapshot_chunk_into_a_warm_outbox_is_allocation_free() {
     let (records, body) = outbox.snapshot_chunk();
     assert_eq!((records, body), (first.0, &first.1[..]));
     assert_eq!(records, 2_049);
+}
+
+#[test]
+fn a_chain_fused_onto_a_source_is_allocation_free_in_steady_state() {
+    use jet_core::outbound::OutboundCollector;
+    use jet_core::processor::{Guarantee, ProcessorContext};
+    use jet_core::processors::{Fused, GeneratorSource, Link};
+    use jet_core::snapshot::SnapshotRegistry;
+    use jet_core::tasklet::{ProcessorTasklet, Tasklet};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    // map → filter → flat-map over inline payloads, onto an unpaced source.
+    let chain = Fused::<u64>::default()
+        .map(|seq| seq * 3)
+        .filter(|v| v % 2 == 0)
+        .flat_map(|&v| [(v, 0u64), (v, 1)])
+        .head(None);
+    let source = GeneratorSource::new(u64::MAX / 2, Arc::new(|seq, _| boxed(seq)));
+    let (out_p, mut out_c) = spsc_channel::<Item>(1024);
+    let ctx = ProcessorContext {
+        vertex: "src".into(),
+        global_index: 0,
+        total_parallelism: 1,
+        member: 0,
+        clock: jet_util::clock::system_clock(),
+        guarantee: Guarantee::None,
+        cancelled: Arc::new(AtomicBool::new(false)),
+        partition_count: 8,
+        owned_partitions: Arc::new(vec![true; 8]),
+    };
+    let mut tasklet = ProcessorTasklet::new(
+        Box::new(source),
+        Some(chain),
+        ctx,
+        Vec::new(),
+        vec![OutboundCollector::new(
+            jet_core::Routing::Unicast,
+            vec![out_p],
+            vec![],
+            8,
+            0,
+        )],
+        Arc::new(SnapshotRegistry::disabled()),
+        64,
+    );
+    let mut pairs = 0u64;
+    let mut step = |pairs: &mut u64| {
+        tasklet.call();
+        while let Some(item) = out_c.poll() {
+            if let Item::Event { obj, .. } = item {
+                let (v, i) = take::<(u64, u64)>(obj);
+                assert!(v % 6 == 0 && i < 2);
+                *pairs += 1;
+            }
+        }
+    };
+    // Warm-up: the source claims its shards, the buffers reach capacity.
+    for _ in 0..200 {
+        step(&mut pairs);
+    }
+    let warm = pairs;
+    let n = allocs_during(|| {
+        for _ in 0..2_000 {
+            step(&mut pairs);
+        }
+    });
+    assert!(pairs - warm > 10_000, "only {} outputs", pairs - warm);
+    assert_eq!(n, 0, "the fused path allocated {n} times");
 }

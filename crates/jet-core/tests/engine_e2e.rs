@@ -36,15 +36,14 @@ fn map_filter_pipeline_batch() {
         2,
         supplier(move |_i| Box::new(VecSource::new(items2.clone()))),
     );
-    let xform = dag.vertex_with_parallelism(
-        "xform",
-        2,
-        supplier(|_| {
-            Box::new(TransformP::new(vec![
-                map_stage(|v: &u64| v * 2),
-                filter_stage(|v: &u64| v.is_multiple_of(4)),
-            ]))
-        }),
+    let xform = dag.vertex_with_parallelism("xform", 2, supplier(|_| Box::new(TransformP)));
+    dag.fuse(
+        xform,
+        Arc::new(
+            Fused::<u64>::default()
+                .map(|v| v * 2)
+                .filter(|v| v.is_multiple_of(4)),
+        ),
     );
     let out2 = out.clone();
     let sink = dag.vertex_with_parallelism(
@@ -83,16 +82,12 @@ fn flat_map_fusion_preserves_order_per_instance() {
         1,
         supplier(move |_i| Box::new(VecSource::new(items2.clone()))),
     );
-    let fused = dag.vertex_with_parallelism(
-        "fused",
-        1,
-        supplier(|_| {
-            Box::new(TransformP::new(vec![
-                flat_map_stage(|v: &u64| vec![*v, *v + 1000]),
-                map_stage(|v: &u64| *v),
-            ]))
-        }),
+    let fused = dag.vertex_with_parallelism("fused", 1, supplier(|_| Box::new(TransformP)));
+    dag.fuse(
+        fused,
+        Arc::new(Fused::<u64>::default().flat_map(|&v| [v, v + 1000])),
     );
+    dag.fuse(fused, Arc::new(Fused::<u64>::default().map(|&v| v)));
     let out2 = out.clone();
     let sink = dag.vertex_with_parallelism(
         "sink",
@@ -401,11 +396,8 @@ fn no_event_is_late_behind_a_full_outbox_on_two_workers() {
                 )
             }),
         );
-        let map = dag.vertex_with_parallelism(
-            "map",
-            2,
-            supplier(|_| Box::new(TransformP::new(vec![map_stage(|seq: &u64| seq % KEYS)]))),
-        );
+        let map = dag.vertex_with_parallelism("map", 2, supplier(|_| Box::new(TransformP)));
+        dag.fuse(map, Arc::new(Fused::<u64>::default().map(|seq| seq % KEYS)));
         let probes2 = probes.clone();
         let win = dag.vertex_with_parallelism(
             "win",

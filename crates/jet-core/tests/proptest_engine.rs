@@ -180,9 +180,11 @@ fn step_flat_map_tasklet(
         partition_count: 8,
         owned_partitions: Arc::new(vec![true; 8]),
     };
-    let repeat = flat_map_stage(|&(id, fan_out): &(u64, u64)| (0..fan_out).map(move |i| (id, i)));
+    let repeat = Fused::<(u64, u64)>::default()
+        .flat_map(|&(id, fan_out)| (0..fan_out).map(move |i| (id, i)));
     let mut tasklet = ProcessorTasklet::new(
-        Box::new(TransformP::new(vec![repeat])),
+        Box::new(TransformP),
+        Some(repeat.head(None)),
         ctx,
         vec![InputConveyor {
             ordinal: 0,

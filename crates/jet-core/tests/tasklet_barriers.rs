@@ -1,15 +1,17 @@
 //! White-box tests of the ProcessorTasklet barrier protocol (§4.4): channel
 //! blocking under exactly-once, pass-through under at-least-once, snapshot
 //! record persistence, ack accounting, and barrier forwarding order — also
-//! behind a full outbox, where no control item may overtake an event.
+//! behind a full outbox, where no control item may overtake an event, and
+//! through a chain of stages fused onto the outbox of a source or a window.
 
 use jet_core::item::{Barrier, Item};
 use jet_core::metrics::SharedCounter;
 use jet_core::object::boxed;
 use jet_core::outbound::OutboundCollector;
-use jet_core::processor::{Guarantee, Inbox, Outbox, Processor, ProcessorContext};
+use jet_core::processor::{Chain, Guarantee, Inbox, Outbox, Processor, ProcessorContext};
 use jet_core::processors::join::{HashJoinP, BUILD_ORDINAL};
-use jet_core::processors::{flat_map_stage, StatefulMapP, TransformP};
+use jet_core::processors::{counting, CombineFramesP, FrameChunk, Fused, Link, StatefulMapP};
+use jet_core::processors::{TransformP, WindowDef, WindowResult};
 use jet_core::snapshot::SnapshotRegistry;
 use jet_core::tasklet::{InputConveyor, ProcessorTasklet, Tasklet};
 use jet_core::Routing;
@@ -53,12 +55,13 @@ struct Rig {
     store: SnapshotStore,
 }
 
-/// One tasklet around `processor`: `lanes` producers on input ordinal 0
-/// (plus a one-lane `BUILD_ORDINAL` that is drained first, when `build_input`),
-/// an outbox and inbox of `batch`, one unicast output queue of
-/// `out_capacity`.
+/// One tasklet around the processor `make` builds, with `chain` fused onto
+/// its outbox: `lanes` producers on input ordinal 0 (none: a source), plus
+/// a one-lane `BUILD_ORDINAL` that is drained first, when `build_input`; an
+/// outbox and inbox of `batch`, one unicast output queue of `out_capacity`.
 fn rig(
-    processor: Box<dyn Processor>,
+    make: impl FnOnce(&Arc<SnapshotRegistry>) -> Box<dyn Processor>,
+    chain: Option<Chain>,
     guarantee: Guarantee,
     lanes: usize,
     build_input: bool,
@@ -68,12 +71,16 @@ fn rig(
     let grid = Grid::with_partition_count(1, 0, 8);
     let store = SnapshotStore::new(&grid, 9);
     let registry = Arc::new(SnapshotRegistry::new(store.clone(), 1));
-    let (conveyor, producers) = Conveyor::new(lanes, 64);
-    let mut inputs = vec![InputConveyor {
-        ordinal: 0,
-        priority: 0,
-        conveyor,
-    }];
+    let (mut inputs, mut producers) = (Vec::new(), Vec::new());
+    if lanes > 0 {
+        let (conveyor, lane_producers) = Conveyor::new(lanes, 64);
+        inputs.push(InputConveyor {
+            ordinal: 0,
+            priority: 0,
+            conveyor,
+        });
+        producers = lane_producers;
+    }
     let build = build_input.then(|| {
         let (conveyor, mut producers) = Conveyor::new(1, 64);
         inputs.push(InputConveyor {
@@ -97,7 +104,8 @@ fn rig(
         owned_partitions: Arc::new(vec![true; 8]),
     };
     let tasklet = ProcessorTasklet::new(
-        processor,
+        make(&registry),
+        chain,
         ctx,
         inputs,
         vec![collector],
@@ -122,7 +130,15 @@ fn recorder_rig(guarantee: Guarantee, lanes: usize) -> (Rig, Arc<Mutex<Vec<u64>>
         sum: 0,
     };
     (
-        rig(Box::new(recorder), guarantee, lanes, false, 64, 256),
+        rig(
+            |_| Box::new(recorder),
+            None,
+            guarantee,
+            lanes,
+            false,
+            64,
+            256,
+        ),
         seen,
     )
 }
@@ -288,7 +304,7 @@ fn sink_counts_match_through_alignment_stress() {
 }
 
 /// What left the tasklet, reduced to what the order tests compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Out {
     Ev(u64),
     Wm(i64),
@@ -305,15 +321,11 @@ fn out_of(item: &Item) -> Out {
     }
 }
 
-/// Feed `ev, ev, Watermark, ev, Barrier, ev, Done` on the one lane of input
-/// ordinal 0 and step the tasklet with the downstream queue drained one item
-/// every `drain_every` calls, so the outbox is full for most of the run.
-/// Every processor under test turns event `v` into `fan_out` outputs
-/// `10 v + i`; each must leave before the control item fed after `v`.
-fn assert_no_control_item_overtakes(mut r: Rig, fan_out: u64, drain_every: usize) {
-    r.registry.trigger().unwrap();
+/// `ev, ev, Watermark, ev, Barrier, ev, Done` with events `v = 0, 1, 2, 3`:
+/// the input of every order test.
+fn script() -> Vec<Item> {
     let ev = |v: u64| Item::event(v as i64, boxed(v));
-    let script = [
+    vec![
         ev(0),
         ev(1),
         Item::Watermark(10),
@@ -321,15 +333,33 @@ fn assert_no_control_item_overtakes(mut r: Rig, fan_out: u64, drain_every: usize
         barrier(1),
         ev(3),
         Item::Done,
-    ];
+    ]
+}
+
+/// What leaves a tasklet that turns each event `v` of [`script`] into
+/// `fan_out` outputs `10 v + i`, each before the control item after `v`.
+fn expected(fan_out: u64) -> Vec<Out> {
     let mut expected = Vec::new();
-    for item in script {
+    for item in script() {
         match out_of(&item) {
             Out::Ev(v) => expected.extend((0..fan_out).map(|i| Out::Ev(10 * v + i))),
             control => expected.push(control),
         }
-        r.lanes[0].offer(item).unwrap();
     }
+    expected
+}
+
+/// Fused flat-map stage: `v` becomes `10 v + i` for `i < 3`.
+fn triple() -> Chain {
+    Fused::<u64>::default()
+        .flat_map(|&v| (0..3).map(move |i| 10 * v + i))
+        .head(None)
+}
+
+/// Step the tasklet with the downstream queue drained one item every
+/// `drain_every` calls, so the outbox is full for most of the run; what
+/// left it, up to its `Done`.
+fn drain_slowly(r: &mut Rig, drain_every: usize) -> Vec<Out> {
     let mut got = Vec::new();
     for call in 1..=1_000 {
         r.tasklet.call();
@@ -340,7 +370,18 @@ fn assert_no_control_item_overtakes(mut r: Rig, fan_out: u64, drain_every: usize
             break;
         }
     }
-    assert_eq!(got, expected);
+    got
+}
+
+/// Feed [`script`] on the one lane of input ordinal 0: every processor under
+/// test turns event `v` into `fan_out` outputs `10 v + i`, and each must
+/// leave before the control item fed after `v`.
+fn assert_no_control_item_overtakes(mut r: Rig, fan_out: u64, drain_every: usize) {
+    r.registry.trigger().unwrap();
+    for item in script() {
+        r.lanes[0].offer(item).unwrap();
+    }
+    assert_eq!(drain_slowly(&mut r, drain_every), expected(fan_out));
     assert_eq!(
         r.registry.completed(),
         1,
@@ -359,9 +400,9 @@ const FULL_OUTBOX_CASES: [(Guarantee, usize); 4] = [
 #[test]
 fn flat_map_outputs_leave_before_the_next_control_item() {
     for (guarantee, batch) in FULL_OUTBOX_CASES {
-        let triple = flat_map_stage(|v: &u64| (0..3).map(|i| 10 * *v + i).collect::<Vec<_>>());
         let r = rig(
-            Box::new(TransformP::new(vec![triple])),
+            |_| Box::new(TransformP),
+            Some(triple()),
             guarantee,
             1,
             false,
@@ -369,6 +410,146 @@ fn flat_map_outputs_leave_before_the_next_control_item() {
             2,
         );
         assert_no_control_item_overtakes(r, 3, 1);
+    }
+}
+
+/// A source emitting [`script`]'s events and watermarks, and requesting a
+/// snapshot where the script has a barrier (the tasklet injects it).
+struct ScriptSource {
+    script: std::collections::VecDeque<Item>,
+    registry: Arc<SnapshotRegistry>,
+}
+
+impl Processor for ScriptSource {
+    fn process(&mut self, _: usize, _: &mut Inbox, _: &mut Outbox, _: &ProcessorContext) {}
+
+    fn complete(&mut self, outbox: &mut Outbox, _: &ProcessorContext) -> bool {
+        while let Some(item) = self.script.pop_front() {
+            match item {
+                Item::Event { ts, obj } if outbox.has_room(0) => outbox.emit(0, ts, obj),
+                Item::Barrier(_) => {
+                    self.registry.trigger().unwrap();
+                    return false;
+                }
+                Item::Done => return true,
+                Item::Watermark(_) if outbox.broadcast(item.clone()) => {}
+                refused => {
+                    self.script.push_front(refused);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+#[test]
+fn a_sources_chain_outputs_leave_before_the_next_control_item() {
+    for (guarantee, batch) in FULL_OUTBOX_CASES {
+        let mut r = rig(
+            |registry| {
+                Box::new(ScriptSource {
+                    script: script().into(),
+                    registry: registry.clone(),
+                })
+            },
+            Some(triple()),
+            guarantee,
+            0,
+            false,
+            batch,
+            2,
+        );
+        assert_eq!(drain_slowly(&mut r, 1), expected(3));
+        assert_eq!(r.registry.completed(), 1);
+    }
+}
+
+/// A source whose chain drops the event it emitted made progress all the
+/// same: a worker that took the call for idle would back off with events due.
+#[test]
+fn a_source_whose_chain_drops_its_events_still_makes_progress() {
+    let mut r = rig(
+        |registry| {
+            Box::new(ScriptSource {
+                script: [Item::event(0, boxed(7u64)), barrier(1)].into(),
+                registry: registry.clone(),
+            })
+        },
+        Some(Fused::<u64>::default().filter(|_| false).head(None)),
+        Guarantee::ExactlyOnce,
+        0,
+        false,
+        64,
+        64,
+    );
+    assert_eq!(r.tasklet.call(), jet_util::Progress::MadeProgress);
+    assert!(r.out.poll().is_none(), "the chain dropped the event");
+}
+
+/// A window's results go through the chain fused onto its outbox ahead of the
+/// watermark that closed the window and of a barrier: [`script`]'s events
+/// become frame chunks of key `v` (frame end 10 for `v < 2`, else 20), one
+/// result per key, tripled by the chain.
+#[test]
+fn a_windows_chain_outputs_leave_before_the_next_control_item() {
+    for (guarantee, batch) in FULL_OUTBOX_CASES {
+        let chain = Fused::<WindowResult<u64, u64>>::default()
+            .flat_map(|r| {
+                let key = r.key;
+                (0..3).map(move |i| 10 * key + i)
+            })
+            .head(None);
+        let mut r = rig(
+            |_| {
+                Box::new(CombineFramesP::<u64, u64, u64>::new(
+                    WindowDef::tumbling(10),
+                    counting::<u64>(),
+                ))
+            },
+            Some(chain),
+            guarantee,
+            1,
+            false,
+            batch,
+            2,
+        );
+        r.registry.trigger().unwrap();
+        for item in script() {
+            r.lanes[0]
+                .offer(match item {
+                    Item::Event { ts, obj } => {
+                        let key = jet_core::object::take::<u64>(obj);
+                        let frame_end = if key < 2 { 10 } else { 20 };
+                        Item::event(
+                            ts,
+                            boxed(FrameChunk {
+                                key,
+                                frame_end,
+                                acc: 1u64,
+                            }),
+                        )
+                    }
+                    control => control,
+                })
+                .unwrap();
+        }
+        // Window 10 closes at the watermark, window 20 when the input is
+        // done; within a window, results leave in key-table order.
+        let mut got = drain_slowly(&mut r, 1);
+        for run in got.split_mut(|out| !matches!(out, Out::Ev(_))) {
+            run.sort_unstable();
+        }
+        let results = |keys: std::ops::Range<u64>| {
+            keys.flat_map(|key| (0..3).map(move |i| Out::Ev(10 * key + i)))
+        };
+        let want: Vec<Out> = results(0..2)
+            .chain([Out::Wm(10), Out::Barrier(1)])
+            .chain(results(2..4))
+            .chain([Out::Wm(i64::MAX - 10), Out::Done])
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(r.registry.completed(), 1);
     }
 }
 
@@ -383,7 +564,15 @@ fn stateful_map_outputs_leave_before_the_next_control_item() {
                 Some(10 * *v)
             },
         );
-        let r = rig(Box::new(count_and_tag), guarantee, 1, false, batch, 2);
+        let r = rig(
+            |_| Box::new(count_and_tag),
+            None,
+            guarantee,
+            1,
+            false,
+            batch,
+            2,
+        );
         // One output per event: only a consumer slower than the tasklet
         // keeps the outbox full.
         assert_no_control_item_overtakes(r, 1, 2);
@@ -398,7 +587,7 @@ fn hash_join_matches_leave_before_the_next_control_item() {
             |p| *p,
             |p, matches| matches.iter().map(|b| 10 * *p + b.1).collect(),
         );
-        let mut r = rig(Box::new(join), guarantee, 1, true, batch, 2);
+        let mut r = rig(|_| Box::new(join), None, guarantee, 1, true, batch, 2);
         let build = r.build.as_mut().unwrap();
         for key in 0..4u64 {
             for i in 0..3u64 {

@@ -3,16 +3,21 @@
 //! The typed stage handles in [`crate::stages`] record nodes here; `compile`
 //! then performs the planning the paper describes in §3.1:
 //!
-//! * **operator fusion**: maximal chains of stateless transforms connected
-//!   by forward edges with a single consumer collapse into one fused
-//!   [`TransformP`] vertex (Fig. 2);
+//! * **operator fusion** (Fig. 2): a run of stateless transforms joins the
+//!   vertex that feeds it — source, window, join or any other — when the
+//!   edge is forward, the producer has no other consumer and both have the
+//!   same parallelism. The run becomes a typed chain on that vertex's
+//!   outbox ([`Dag::fuse`]), which keeps the producer's name: no tasklet and
+//!   no queue of its own. A run that cannot fuse (its producer has several
+//!   consumers, or the parallelism differs) gets a pass-through
+//!   [`TransformP`] host to ride on;
 //! * **edge selection**: keyed stages get partitioned edges, join build
 //!   sides get broadcast high-priority edges, everything else forwards
 //!   locally (unicast).
 
 use jet_core::dag::{Dag, Edge, KeyHashFn, VertexId};
 use jet_core::processor::ProcessorSupplier;
-use jet_core::processors::transform::{Stage, TransformP};
+use jet_core::processors::transform::{Link, TransformP};
 use jet_core::supplier;
 use std::sync::Arc;
 
@@ -39,8 +44,8 @@ pub(crate) struct PInput {
 }
 
 pub(crate) enum PNodeKind {
-    /// Fusable stateless transform stage.
-    Transform(Stage),
+    /// A fusable run of stateless stages.
+    Transform(Arc<dyn Link>),
     /// Anything else: source, window, join, sink, stateful map.
     Opaque(NodeFactory),
 }
@@ -128,131 +133,86 @@ impl PipelineGraph {
     /// stage didn't pin one (sources capture it to split their data).
     pub fn compile(&self, default_lp: usize) -> Result<Dag, String> {
         assert!(default_lp > 0);
-        // 1. Identify fusion chains: a Transform node whose single input is
-        //    a Forward edge from a Transform with exactly one consumer is
-        //    absorbed into its upstream's chain.
+        // 1. Fusion: a transform whose one input is a forward edge from a
+        //    node with no other consumer and the same parallelism joins the
+        //    vertex that node belongs to (its head).
         let n = self.nodes.len();
-        let mut chain_head: Vec<usize> = (0..n).collect();
+        let mut head: Vec<usize> = (0..n).collect();
         for i in 0..n {
             let node = &self.nodes[i];
-            if let PNodeKind::Transform(_) = node.kind {
-                if node.inputs.len() == 1 && matches!(node.inputs[0].spec, EdgeSpec::Forward) {
-                    let up = node.inputs[0].from;
-                    if matches!(self.nodes[up].kind, PNodeKind::Transform(_))
-                        && self.consumers_of(up).len() == 1
-                        && self.nodes[up].local_parallelism == node.local_parallelism
-                    {
-                        chain_head[i] = chain_head[up];
-                    }
+            if let (PNodeKind::Transform(_), [input]) = (&node.kind, &node.inputs[..]) {
+                let up = input.from;
+                if matches!(input.spec, EdgeSpec::Forward)
+                    && self.consumers_of(up).len() == 1
+                    && self.nodes[up].local_parallelism == node.local_parallelism
+                {
+                    head[i] = head[up];
                 }
             }
         }
-        // 2. Build vertices for chain heads / opaque nodes.
+        // 2. One vertex per head, keeping the head's name; the transforms
+        //    fused into it ride on its outbox in pipeline order (an input
+        //    always has a smaller index than its consumer). A transform
+        //    that heads its own vertex gets a pass-through host.
         let mut dag = Dag::new();
-        let mut vertex_of: Vec<Option<VertexId>> = vec![None; n];
-        for i in 0..n {
-            if chain_head[i] != i {
-                continue; // fused into its head
-            }
-            let node = &self.nodes[i];
-            let lp = node.local_parallelism.unwrap_or(default_lp);
-            let sup: ProcessorSupplier = match &node.kind {
-                PNodeKind::Opaque(factory) => factory(lp),
-                PNodeKind::Transform(_) => {
-                    // Collect the full fused chain rooted at i, in order
-                    // (nodes are topologically ordered by construction: an
-                    // input always has a smaller index, so a linear scan
-                    // finds chain members in order).
-                    let mut stages: Vec<Stage> = Vec::new();
-                    for (j, head) in chain_head.iter().enumerate().skip(i) {
-                        if *head == i {
-                            if let PNodeKind::Transform(s) = &self.nodes[j].kind {
-                                stages.push(s.clone());
-                            }
-                        }
-                    }
-                    let stages = Arc::new(stages);
-                    supplier(move |_| Box::new(TransformP::new(stages.as_ref().clone())))
-                }
+        let mut vertex_of: Vec<VertexId> = Vec::with_capacity(n);
+        for (i, node) in self.nodes.iter().enumerate() {
+            let v = if head[i] == i {
+                let lp = node.local_parallelism.unwrap_or(default_lp);
+                let sup: ProcessorSupplier = match &node.kind {
+                    PNodeKind::Opaque(factory) => factory(lp),
+                    PNodeKind::Transform(_) => supplier(|_| Box::new(TransformP)),
+                };
+                dag.vertex_with_parallelism(node.name.clone(), lp, sup)
+            } else {
+                vertex_of[head[i]]
             };
-            let name = node.name.clone();
-            let v = dag.vertex_with_parallelism(name, lp, sup);
-            vertex_of[i] = Some(v);
+            if let PNodeKind::Transform(run) = &node.kind {
+                dag.fuse(v, run.clone());
+            }
+            vertex_of.push(v);
         }
-        // Tail nodes of fused chains map to their head's vertex.
-        for i in 0..n {
-            if chain_head[i] != i {
-                vertex_of[i] = vertex_of[chain_head[i]];
+        // 3. The edges between heads: a fused node's own input is the queue
+        //    fusion removed.
+        let mut planned = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if head[i] == i {
+                for (ordinal, input) in node.inputs.iter().enumerate() {
+                    planned.push((vertex_of[input.from], vertex_of[i], ordinal, &input.spec));
+                }
             }
         }
-        // 3. Collect the edges between chain heads. Fused tails' inputs are
-        //    the intra-chain links — dropped, which is the point of fusion.
-        struct PlannedEdge {
-            from: VertexId,
-            to: VertexId,
-            ordinal: usize,
-            spec: EdgeSpec,
+        // 4. Fan-out: processors emit to out-ordinal 0 only, so a vertex
+        //    with several consumers feeds them through a pass-through vertex
+        //    that copies every event to each of its out edges.
+        let mut out_edges = vec![0usize; dag.vertices().len()];
+        for &(from, ..) in &planned {
+            out_edges[from] += 1;
         }
-        let mut planned: Vec<PlannedEdge> = Vec::new();
-        for i in 0..n {
-            if chain_head[i] != i {
-                continue;
-            }
-            let to = vertex_of[i].expect("vertex built");
-            for (ordinal, input) in self.nodes[i].inputs.iter().enumerate() {
-                planned.push(PlannedEdge {
-                    from: vertex_of[input.from].expect("vertex built"),
-                    to,
-                    ordinal,
-                    spec: input.spec.clone(),
-                });
-            }
-        }
-        // 4. Fan-out: ordinary processors emit to out-ordinal 0 only, so a
-        //    producer with several consumers gets an explicit FanOutP vertex
-        //    that replicates events to all of its out edges.
-        use std::collections::HashMap;
-        let mut out_count: HashMap<VertexId, usize> = HashMap::new();
-        for e in &planned {
-            *out_count.entry(e.from).or_insert(0) += 1;
-        }
-        let mut fanout_of: HashMap<VertexId, VertexId> = HashMap::new();
-        for (&v, &count) in &out_count {
+        let mut leaves_from: Vec<VertexId> = (0..out_edges.len()).collect();
+        for (v, &count) in out_edges.iter().enumerate() {
             if count > 1 {
                 let lp = dag.vertices()[v].local_parallelism.unwrap_or(default_lp);
                 let name = format!("{}-fanout", dag.vertices()[v].name);
-                let f = dag.vertex_with_parallelism(
-                    name,
-                    lp,
-                    supplier(|_| Box::new(jet_core::processors::FanOutP)),
-                );
-                fanout_of.insert(v, f);
+                let f = dag.vertex_with_parallelism(name, lp, supplier(|_| Box::new(TransformP)));
+                dag.edge(Edge::between(v, f).isolated());
+                leaves_from[v] = f;
             }
         }
-        // 5. Materialize edges, rerouting multi-consumer producers through
-        //    their fan-out vertex.
-        let mut from_ordinal_next: HashMap<VertexId, usize> = HashMap::new();
-        for (&v, &f) in &fanout_of {
-            dag.edge(Edge::between(v, f).isolated());
-        }
-        for pe in planned {
-            let from = fanout_of.get(&pe.from).copied().unwrap_or(pe.from);
-            let from_ordinal = {
-                let slot = from_ordinal_next.entry(from).or_insert(0);
-                let o = *slot;
-                *slot += 1;
-                o
-            };
-            let mut e = Edge::between(from, pe.to)
-                .from_ordinal(from_ordinal)
-                .to_ordinal(pe.ordinal);
-            e = match &pe.spec {
+        // 5. Materialize the edges, numbering each producer's out-ordinals.
+        let mut next_ordinal = vec![0usize; dag.vertices().len()];
+        for (from, to, ordinal, spec) in planned {
+            let from = leaves_from[from];
+            let e = Edge::between(from, to)
+                .from_ordinal(next_ordinal[from])
+                .to_ordinal(ordinal);
+            next_ordinal[from] += 1;
+            dag.edge(match spec {
                 EdgeSpec::Forward => e,
                 EdgeSpec::Isolated => e.isolated(),
                 EdgeSpec::Partitioned(f) => e.partitioned_raw(f.clone()),
                 EdgeSpec::Broadcast { priority } => e.broadcast().priority(*priority),
-            };
-            dag.edge(e);
+            });
         }
         dag.validate()?;
         Ok(dag)

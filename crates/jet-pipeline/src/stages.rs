@@ -1,7 +1,8 @@
 //! The typed, fluent Pipeline API (paper §2.1, Listings 1–2).
 //!
 //! Mirrors Jet's `Pipeline`: `read_from` produces a typed stage; `map` /
-//! `filter` / `flat_map` chain transforms (fused at compile time);
+//! `filter` / `flat_map` chain transforms (typed runs, fused into the stage
+//! that feeds them at compile time);
 //! `grouping_key` + `window` + `aggregate` build the two-stage distributed
 //! windowed aggregation; `hash_join` joins a stream against a batch build
 //! side; `write_to_*` attach sinks. `compile` hands back a Core-API DAG.
@@ -14,7 +15,7 @@ use jet_core::processors::sink::{
     CollectSink, CountSink, IMapSink, IdempotentSink, LatencySink, TransactionalSink,
 };
 use jet_core::processors::source::{GeneratorSource, VecSource, WatermarkPolicy};
-use jet_core::processors::transform::{filter_stage, flat_map_stage, map_stage, StatefulMapP};
+use jet_core::processors::transform::{Fused, StatefulMapP, TransformP};
 use jet_core::processors::window::{
     AccumulateFrameP, CombineFramesP, FrameChunk, SlidingWindowP, WindowDef, WindowKey,
     WindowResult,
@@ -157,14 +158,14 @@ impl Pipeline {
 }
 
 impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
-    fn add_transform<U>(
+    fn add_transform<U: Send + Clone + Debug + 'static>(
         &self,
         name: &str,
-        stage: jet_core::processors::transform::Stage,
+        stage: Fused<T, U>,
     ) -> StreamStage<U> {
         self.pipeline.add(
             name.to_string(),
-            PNodeKind::Transform(stage),
+            PNodeKind::Transform(Arc::new(stage)),
             vec![PInput {
                 from: self.node,
                 spec: EdgeSpec::Forward,
@@ -184,14 +185,14 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
         U: Send + Clone + Debug + 'static,
         F: Fn(&T) -> U + Send + Sync + 'static,
     {
-        self.add_transform("map", map_stage(f))
+        self.add_transform("map", Fused::default().map(f))
     }
 
     pub fn filter<F>(&self, f: F) -> StreamStage<T>
     where
         F: Fn(&T) -> bool + Send + Sync + 'static,
     {
-        self.add_transform("filter", filter_stage(f))
+        self.add_transform("filter", Fused::default().filter(f))
     }
 
     pub fn flat_map<U, It, F>(&self, f: F) -> StreamStage<U>
@@ -200,19 +201,14 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
         It: IntoIterator<Item = U>,
         F: Fn(&T) -> It + Send + Sync + 'static,
     {
-        self.add_transform("flat-map", flat_map_stage(f))
+        self.add_transform("flat-map", Fused::default().flat_map(f))
     }
 
     /// Merge this stream with another of the same type (order across the
-    /// two inputs is arbitrary, as in Jet's `merge`).
+    /// two inputs is arbitrary, as in Jet's `merge`). Items pass through
+    /// moved, not copied.
     pub fn merge(&self, other: &StreamStage<T>) -> StreamStage<T> {
-        let make: NodeFactory = Arc::new(move |_lp| {
-            supplier(move |_| {
-                Box::new(jet_core::processors::TransformP::new(vec![map_stage(
-                    |t: &T| t.clone(),
-                )]))
-            })
-        });
+        let make: NodeFactory = Arc::new(|_lp| supplier(|_| Box::new(TransformP)));
         self.pipeline.add(
             "merge".to_string(),
             PNodeKind::Opaque(make),

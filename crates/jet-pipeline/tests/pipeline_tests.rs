@@ -2,7 +2,7 @@
 //! fan-out — each compiled and executed on the deterministic driver.
 
 use jet_core::exec::run_sequential;
-use jet_core::metrics::SharedCounter;
+use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::plan::{build_local, LocalConfig};
 use jet_core::processors::agg::{averaging, counting, summing};
 use jet_core::snapshot::SnapshotRegistry;
@@ -36,8 +36,9 @@ fn map_filter_chain_is_fused_into_one_vertex() {
         .map(|v| v * 10)
         .write_to_collect(out.clone());
     let dag = p.compile(2).unwrap();
-    // source + 1 fused transform + sink = 3 vertices.
-    assert_eq!(dag.vertices().len(), 3, "fusion failed: {dag:?}");
+    // The chain rides on the source: source + sink = 2 vertices.
+    assert_eq!(dag.vertices().len(), 2, "fusion failed: {dag:?}");
+    assert_eq!(dag.vertices()[0].fused.len(), 3);
     run(&p, 2);
     let mut vals: Vec<u64> = out.lock().iter().map(|(_, v)| *v).collect();
     vals.sort_unstable();
@@ -298,4 +299,93 @@ fn untagged_pipelines_keep_their_plain_vertex_names() {
         );
         assert_eq!(jet_core::fairness::job_of_vertex(&v.name), 0);
     }
+}
+
+/// Vertex names of `dag` with the number of runs fused onto each.
+fn shape(dag: &jet_core::Dag) -> Vec<(&str, usize)> {
+    dag.vertices()
+        .iter()
+        .map(|v| (v.name.as_str(), v.fused.len()))
+        .collect()
+}
+
+/// The benchmark's Q1 and Q5 shapes (a generator named `nexmark`, a
+/// flat-map picking the bids, the query, a digest map, the latency sink):
+/// every transform rides on the vertex that feeds it, under its name.
+#[test]
+fn q1_and_q5_shapes_fuse_into_their_producers() {
+    let latency_sink = |stage: &jet_pipeline::StreamStage<u64>| {
+        stage.write_to_latency(SharedHistogram::new(), SharedCounter::new());
+    };
+    let source = |p: &Pipeline| {
+        p.read_from_generator("nexmark", 1_000, |seq, _| seq)
+            .flat_map(|seq: &u64| (!seq.is_multiple_of(10)).then_some(*seq))
+    };
+
+    let q1 = Pipeline::create();
+    latency_sink(&source(&q1).map(|bid| bid * 2).map(|row| row + 1));
+    let dag = q1.compile(2).unwrap();
+    assert_eq!(shape(&dag), [("nexmark", 3), ("latency-sink", 0)]);
+
+    let q5 = Pipeline::create();
+    let counts = source(&q5)
+        .grouping_key(|bid| bid % 7)
+        .window(WindowDef::sliding(100, 10))
+        .aggregate(counting::<u64>());
+    latency_sink(&counts.map(|r: &WindowResult<u64, u64>| r.value));
+    let dag = q5.compile(2).unwrap();
+    assert_eq!(
+        shape(&dag),
+        [
+            ("nexmark", 1),
+            ("window-accumulate", 0),
+            ("window-combine", 1),
+            ("latency-sink", 0),
+        ]
+    );
+}
+
+/// A transform whose producer has a second consumer, or whose pinned
+/// parallelism differs from its producer's, runs on a pass-through host;
+/// what follows it fuses onto that host.
+#[test]
+fn a_run_that_cannot_fuse_gets_a_host_vertex() {
+    let p = Pipeline::create();
+    let (c1, c2) = (SharedCounter::new(), SharedCounter::new());
+    let src = p
+        .read_from_vec("src", (0..50u64).map(|i| (i as Ts, i)).collect::<Vec<_>>())
+        .as_stream();
+    src.write_to_count(c1.clone());
+    src.map(|v| v * 2)
+        .filter(|v| v.is_multiple_of(4))
+        .write_to_count(c2.clone());
+    let dag = p.compile(2).unwrap();
+    assert_eq!(
+        shape(&dag),
+        [
+            ("src", 0),
+            ("count-sink", 0),
+            ("map", 2),
+            ("count-sink", 0),
+            ("src-fanout", 0),
+        ]
+    );
+    run(&p, 2);
+    assert_eq!((c1.get(), c2.get()), (50, 25));
+
+    let p = Pipeline::create();
+    let out = Arc::new(Mutex::new(Vec::new()));
+    p.read_from_vec("src", (0..50u64).map(|i| (i as Ts, i)).collect::<Vec<_>>())
+        .as_stream()
+        .map(|v| v + 1)
+        .local_parallelism(1)
+        .map(|v| v * 10)
+        .local_parallelism(1)
+        .write_to_collect(out.clone());
+    let dag = p.compile(2).unwrap();
+    assert_eq!(shape(&dag), [("src", 0), ("map", 2), ("collect-sink", 0)]);
+    run(&p, 2);
+    let mut vals: Vec<u64> = out.lock().iter().map(|(_, v)| *v).collect();
+    vals.sort_unstable();
+    assert_eq!(vals, (1..=50u64).map(|v| v * 10).collect::<Vec<_>>());
 }

@@ -405,9 +405,16 @@ fn q5_rebuilt_from_a_snapshot_matches_the_uninterrupted_run(
     let registry = Arc::new(SnapshotRegistry::new(store.clone(), 0));
     let exec = build_local(&dag, &config(), &registry, None).unwrap();
     let handle = jet_core::exec::spawn_threaded(exec.tasklets, 2, exec.cancelled);
-    while registry.completed() < 3 {
+    // Snapshot until the third has completed and so has one started after
+    // the first window was out, so that the restore is from mid-stream.
+    let mut after_output = None;
+    while registry.completed() < 3 || after_output.is_none_or(|id| registry.completed() < id) {
         assert!(!handle.is_finished(), "job ended before its third snapshot");
-        registry.trigger();
+        let had_output = !first.lock().is_empty();
+        let started = registry.trigger();
+        if had_output && after_output.is_none() {
+            after_output = started;
+        }
         std::thread::sleep(snapshot_every);
     }
     // Let the snapshot in flight finish: one racing the shutdown could
@@ -464,10 +471,11 @@ fn q5_rebuilt_from_a_snapshot_on_real_threads_matches_the_uninterrupted_run() {
     );
 }
 
-/// The same with the outboxes full: eight outputs per event into outboxes
-/// that admit four, so most barriers reach the flat-map stage while it waits
-/// for room. An event it had taken but not handed on would be missing from
-/// the snapshot and, its source offset being saved, lost by the restore.
+/// The same with the outboxes full: a flat-map fused into the source makes
+/// eight outputs per event into outboxes that admit four, so most barriers
+/// find the source waiting for room. An output the source had emitted but
+/// not handed on would be missing from the snapshot and, its source offset
+/// being saved, lost by the restore.
 #[test]
 fn q5_behind_a_full_outbox_rebuilt_from_a_snapshot_matches_the_uninterrupted_run() {
     q5_rebuilt_from_a_snapshot_matches_the_uninterrupted_run(
@@ -475,6 +483,84 @@ fn q5_behind_a_full_outbox_rebuilt_from_a_snapshot_matches_the_uninterrupted_run
         4,
         std::time::Duration::from_millis(5),
     );
+}
+
+/// Compile `p` for two workers, check its vertices (name, runs fused onto
+/// it), and run it to completion on two real worker threads.
+fn run_on_two_threads(p: &Pipeline, shape: &[(&str, usize)]) {
+    let dag = p.compile(2).unwrap();
+    let got: Vec<_> = dag
+        .vertices()
+        .iter()
+        .map(|v| (v.name.as_str(), v.fused.len()))
+        .collect();
+    assert_eq!(got, shape);
+    let registry = Arc::new(jet_core::SnapshotRegistry::disabled());
+    let exec =
+        jet_core::plan::build_local(&dag, &jet_core::plan::LocalConfig::new(2), &registry, None)
+            .unwrap();
+    jet_core::exec::spawn_threaded(exec.tasklets, 2, exec.cancelled).join();
+}
+
+/// Fused stages on real threads: Q1's transforms ride on the source's
+/// outbox, Q5's flat-map on the source's and its result map on
+/// `window-combine`'s. Each sink gets exactly what a plain fold over the
+/// generated events gives.
+#[test]
+fn fused_q1_and_q5_on_two_threads_match_a_plain_fold() {
+    use jet_nexmark::Bid;
+    const RATE: u64 = 1_000_000;
+    const LIMIT: u64 = 40_000;
+    let nex = small_nexmark();
+    let bids: Vec<Bid> = reference_events(&nex, RATE, LIMIT)
+        .iter()
+        .filter_map(|e| e.as_bid().cloned())
+        .collect();
+
+    let p = Pipeline::create();
+    let out: Collected<(u64, i64)> = Arc::new(Mutex::new(Vec::new()));
+    let src = queries::source(&p, &nex, RATE, Some(LIMIT), WatermarkPolicy::default());
+    queries::q1(&src)
+        .map(|b: &Bid| (b.auction, b.price))
+        .write_to_collect(out.clone());
+    run_on_two_threads(&p, &[("nexmark", 3), ("collect-sink", 0)]);
+    let mut got: Vec<_> = out.lock().iter().map(|(_, row)| *row).collect();
+    let mut want: Vec<_> = bids
+        .iter()
+        .map(|b| (b.auction, (b.price as f64 * 0.908) as i64))
+        .collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want);
+
+    let wdef = jet_pipeline::WindowDef::sliding(20_000_000, 5_000_000);
+    let p = Pipeline::create();
+    let out: Collected<(u64, Ts, u64)> = Arc::new(Mutex::new(Vec::new()));
+    let src = queries::source(&p, &nex, RATE, Some(LIMIT), WatermarkPolicy::default());
+    queries::q5(&src, wdef)
+        .map(|r: &jet_pipeline::WindowResult<u64, u64>| (r.key, r.end, r.value))
+        .write_to_collect(out.clone());
+    run_on_two_threads(
+        &p,
+        &[
+            ("nexmark", 1),
+            ("window-accumulate", 0),
+            ("window-combine", 1),
+            ("collect-sink", 0),
+        ],
+    );
+    let mut want: HashMap<(u64, Ts), u64> = HashMap::new();
+    for b in &bids {
+        let first_end = wdef.frame_end(b.ts);
+        for end in (first_end..first_end + wdef.size).step_by(wdef.slide as usize) {
+            *want.entry((b.auction, end)).or_insert(0) += 1;
+        }
+    }
+    let mut got: HashMap<(u64, Ts), u64> = HashMap::new();
+    for (_, (key, end, count)) in out.lock().iter() {
+        assert!(got.insert((*key, *end), *count).is_none(), "window twice");
+    }
+    assert_eq!(got, want);
 }
 
 /// A tasklet that logs its id on every call, progresses `left` times and
