@@ -29,8 +29,7 @@ fn build(chains: usize, count: &SharedCounter) -> (Dag, usize) {
             1,
             supplier(move |_| {
                 Box::new(
-                    GeneratorSource::new(u64::MAX / 2, Arc::new(|seq, _| jet_core::boxed(seq)))
-                        .with_limit(EVENTS_PER_CHAIN),
+                    GeneratorSource::new(u64::MAX / 2, |seq, _| seq).with_limit(EVENTS_PER_CHAIN),
                 )
             }),
         );

@@ -23,7 +23,12 @@
 //!   its outbox: [`Outbox::emit`] — and [`Outbox::broadcast`] for an event —
 //!   passes each event through the vertex's [`Chain`] and buffers what comes
 //!   out, so the chain's outputs are outputs of the admitted item like any
-//!   other and land in the outbox ahead of the next control item.
+//!   other and land in the outbox ahead of the next control item. A chain
+//!   has two entries built from the same stages: the erased one takes an
+//!   event's `Object` and unboxes it once, and the typed one takes the
+//!   head's concrete type. [`Outbox::emit_value`] hands a processor's own
+//!   value to the typed entry when the head takes its type, so a source
+//!   whose events feed a chain boxes nothing before the chain's tail.
 //! * every `-> bool` method means "am I done?" — returning `false` yields
 //!   the core and the tasklet will call again later.
 //! * processors never block, never sleep, and never do unbounded work in
@@ -35,7 +40,9 @@ use crate::object::BoxedObject;
 use crate::state::Snap;
 use jet_util::clock::SharedClock;
 use jet_util::codec::ByteWriter;
+use std::any::Any;
 use std::collections::VecDeque;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -155,10 +162,17 @@ impl Inbox {
 pub type Cont<T> = Box<dyn FnMut(Ts, T, &mut VecDeque<Item>) + Send>;
 
 /// The stateless stages fused onto one processor instance's outbox, composed
-/// once when the instance is built: the head takes the payload's concrete
-/// type out of its `Object` once, the tail boxes its output once, and
-/// nothing in between is boxed, cloned or collected.
-pub type Chain = Cont<BoxedObject>;
+/// once when the instance is built: the tail boxes its output once, and
+/// nothing in between is boxed, cloned or collected. Both entries are
+/// spliced from the same runs, so either one runs the same stages.
+pub struct Chain {
+    /// Takes the head's type out of an event's `Object` once: one dynamic
+    /// call per item, for events that arrive already boxed.
+    pub(crate) erased: Cont<BoxedObject>,
+    /// The `Cont<T>` of the head's input type `T`, for
+    /// [`Outbox::emit_value`].
+    pub(crate) typed: Box<dyn Any + Send>,
+}
 
 /// Per-edge output buffers plus the snapshot staging area.
 ///
@@ -225,10 +239,29 @@ impl Outbox {
             }
             Some(chain) => {
                 let before = buf.len();
-                chain(ts, obj, buf);
+                (chain.erased)(ts, obj, buf);
                 self.events_queued += (buf.len() - before) as u64;
             }
         }
+    }
+
+    /// As [`Self::emit`] for a value of its concrete type: handed as it is
+    /// to the chain's typed entry when the chain's head takes a `T`, and
+    /// boxed otherwise.
+    #[inline]
+    pub fn emit_value<T: Any + Send + Clone + Debug>(&mut self, ordinal: usize, ts: Ts, value: T) {
+        let head = self
+            .chain
+            .as_mut()
+            .and_then(|c| c.typed.downcast_mut::<Cont<T>>());
+        let Some(head) = head else {
+            return self.emit(ordinal, ts, crate::object::boxed(value));
+        };
+        self.events_emitted += 1;
+        let buf = &mut self.bufs[ordinal];
+        let before = buf.len();
+        head(ts, value, buf);
+        self.events_queued += (buf.len() - before) as u64;
     }
 
     /// Offer an item to *all* output edges (watermarks, barriers, done

@@ -108,7 +108,7 @@ where
                     let key = (self.probe_key)(p);
                     let matches = self.table.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
                     for r in (self.join_fn)(p, matches) {
-                        outbox.emit(0, ts, crate::object::boxed(r));
+                        outbox.emit_value(0, ts, r);
                     }
                 }
             }

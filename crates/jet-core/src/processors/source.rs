@@ -12,22 +12,43 @@
 //! `GeneratorSource` is sharded for rescaling: the event space is split into
 //! [`GENERATOR_SHARDS`] interleaved sub-streams; an instance owns the shards
 //! whose hash falls in its partitions, so offsets snapshotted by N instances
-//! restore cleanly onto M ≠ N instances.
+//! restore cleanly onto M ≠ N instances. Its *frontier* is the next global
+//! sequence of every owned shard in a min-heap: the next event is the top,
+//! and emitting it replaces the top with the same shard's next sequence, so
+//! picking an event costs O(log shards) and not a scan of every shard.
+//!
+//! Every source hands its events to the vertex's fused chain with their
+//! concrete type ([`Outbox::emit_value`]), so nothing is boxed before the
+//! chain's tail.
 
 use crate::item::{Item, Ts};
-use crate::object::BoxedObject;
 use crate::processor::Inbox;
 use crate::processor::{Outbox, Processor, ProcessorContext};
 use crate::state::Snap;
 use crate::watermark::{EventTimeMapper, WmAction};
 use jet_util::seq;
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 /// Fixed shard count for generator offset state (rescale granularity).
 pub const GENERATOR_SHARDS: u64 = 64;
 
 /// Builds an event payload from its global sequence number and timestamp.
-pub type EventFactory = Arc<dyn Fn(u64, Ts) -> BoxedObject + Send + Sync>;
+pub type EventFactory<T> = Arc<dyn Fn(u64, Ts) -> T + Send + Sync>;
+
+/// Scheduled occurrence time (nanos from the origin) of global event `seq`
+/// at `rate` events per second: `seq * 10^9 / rate`, in 64 bits unless the
+/// product overflows them.
+#[inline]
+pub fn schedule_of(seq: u64, rate: u64) -> u64 {
+    match seq.checked_mul(1_000_000_000) {
+        Some(nanos) => nanos / rate,
+        None => (seq as u128 * 1_000_000_000 / rate as u128) as u64,
+    }
+}
 
 /// Watermark policy knobs for sources.
 #[derive(Debug, Clone)]
@@ -49,39 +70,36 @@ impl Default for WatermarkPolicy {
     }
 }
 
-/// Rate-controlled generator source.
-pub struct GeneratorSource {
+/// Rate-controlled generator source of events of type `T`.
+pub struct GeneratorSource<T> {
     /// Aggregate rate across all instances (events/second).
     total_rate: u64,
-    factory: EventFactory,
+    factory: EventFactory<T>,
     /// Stop after this many events globally (None = unbounded streaming).
     limit: Option<u64>,
     policy: WatermarkPolicy,
-    /// Shards this instance owns, with the next per-shard sequence `k`
-    /// (shard s emits global sequences `k * SHARDS + s`).
-    shards: Vec<(u64, u64)>,
+    /// The next global sequence of every owned shard, smallest on top
+    /// (shard s emits global sequences `k * SHARDS + s`, so a sequence
+    /// names its shard and that shard's offset `k`).
+    frontier: BinaryHeap<Reverse<u64>>,
     mapper: EventTimeMapper,
     /// Max events emitted per `complete` call (timeslice bound).
     burst: usize,
-    origin_nanos: u64,
-    initialized: bool,
     /// Set once an instance with no shards has told downstream it is idle.
     idle_marked: bool,
 }
 
-impl GeneratorSource {
-    pub fn new(total_rate: u64, factory: EventFactory) -> Self {
+impl<T: Any + Send + Clone + Debug> GeneratorSource<T> {
+    pub fn new(total_rate: u64, factory: impl Fn(u64, Ts) -> T + Send + Sync + 'static) -> Self {
         assert!(total_rate > 0);
         GeneratorSource {
             total_rate,
-            factory,
+            factory: Arc::new(factory),
             limit: None,
             policy: WatermarkPolicy::default(),
-            shards: Vec::new(),
+            frontier: BinaryHeap::new(),
             mapper: EventTimeMapper::new(0, 1, 0),
             burst: 512,
-            origin_nanos: 0,
-            initialized: false,
             idle_marked: false,
         }
     }
@@ -101,30 +119,30 @@ impl GeneratorSource {
         self
     }
 
-    /// Scheduled occurrence time (nanos) of global event `seq`.
-    #[inline]
-    fn schedule_of(&self, seq: u64) -> u64 {
-        self.origin_nanos + (seq as u128 * 1_000_000_000 / self.total_rate as u128) as u64
+    /// Claim, at offset 0, every owned shard the frontier does not hold.
+    // jet-analyze: allow(alloc) — runs once, in init or at the end of a restore, before the first call()
+    fn claim_fresh_shards(&mut self, ctx: &ProcessorContext) {
+        for s in 0..GENERATOR_SHARDS {
+            if ctx.owns_key_hash(seq::hash_of(&s))
+                && !self.frontier.iter().any(|r| r.0 % GENERATOR_SHARDS == s)
+            {
+                self.frontier.push(Reverse(s));
+            }
+        }
     }
 }
 
-impl Processor for GeneratorSource {
-    // jet-analyze: allow(alloc) — init runs once before the first call()
+impl<T: Any + Send + Clone + Debug> Processor for GeneratorSource<T> {
     fn init(&mut self, ctx: &ProcessorContext) {
         self.mapper = EventTimeMapper::new(
             self.policy.allowed_lag,
             self.policy.stride,
             self.policy.idle_timeout_nanos,
         );
-        if self.shards.is_empty() {
-            // Fresh start (no restore): claim owned shards at k = 0.
-            for s in 0..GENERATOR_SHARDS {
-                if ctx.owns_key_hash(seq::hash_of(&s)) {
-                    self.shards.push((s, 0));
-                }
-            }
+        if self.frontier.is_empty() {
+            // Fresh start (no restore).
+            self.claim_fresh_shards(ctx);
         }
-        self.initialized = true;
     }
 
     // jet-analyze: allow(panic) — emission state-machine invariant; the arm is guarded by the preceding checks
@@ -136,7 +154,7 @@ impl Processor for GeneratorSource {
         if ctx.is_cancelled() {
             return true;
         }
-        if self.shards.is_empty() {
+        if self.frontier.is_empty() {
             // An instance that owns no shards must not hold back event time:
             // mark its output channels idle so downstream watermark
             // coalescing skips them (§2.2 idle-source handling).
@@ -150,21 +168,13 @@ impl Processor for GeneratorSource {
         let now = ctx.now_nanos();
         let mut emitted = 0usize;
         let mut done = false;
-        loop {
-            // Emit in global-sequence (= schedule) order across owned
-            // shards. After a snapshot restore the whole backlog is
-            // immediately eligible; draining one shard ahead of the others
-            // would advance the watermark past their pending events, and
-            // downstream windows would drop them as stragglers.
-            let mut idx = 0usize;
-            let mut global_seq = u64::MAX;
-            for (i, &(shard, k)) in self.shards.iter().enumerate() {
-                let seq = k * GENERATOR_SHARDS + shard;
-                if seq < global_seq {
-                    global_seq = seq;
-                    idx = i;
-                }
-            }
+        // Emit in global-sequence (= schedule) order across owned shards:
+        // the frontier's top. After a snapshot restore the whole backlog is
+        // immediately eligible; draining one shard ahead of the others would
+        // advance the watermark past their pending events, and downstream
+        // windows would drop them as stragglers.
+        while let Some(mut next) = self.frontier.peek_mut() {
+            let global_seq = next.0;
             if let Some(limit) = self.limit {
                 // The minimum past the limit means every shard is past it.
                 if global_seq >= limit {
@@ -172,7 +182,7 @@ impl Processor for GeneratorSource {
                     break;
                 }
             }
-            let sched = self.schedule_of(global_seq);
+            let sched = schedule_of(global_seq, self.total_rate);
             if sched > now {
                 break;
             }
@@ -185,10 +195,11 @@ impl Processor for GeneratorSource {
             // are emitting late (backpressure, scheduling), downstream
             // latency measurements see the delay (§7.1).
             let ts = sched as Ts;
-            let obj = (self.factory)(global_seq, ts);
-            outbox.emit(0, ts, obj);
+            outbox.emit_value(0, ts, (self.factory)(global_seq, ts));
             emitted += 1;
-            self.shards[idx].1 += 1;
+            // The shard's next sequence takes its place; the heap sifts it
+            // down when `next` goes out of scope.
+            next.0 = global_seq + GENERATOR_SHARDS;
             if let WmAction::Emit(wm) = self.mapper.observe_event(ts, now) {
                 if !outbox.broadcast(Item::Watermark(wm)) {
                     // Possible only with multiple out edges; the mapper
@@ -207,8 +218,8 @@ impl Processor for GeneratorSource {
     }
 
     fn save_snapshot(&mut self, _id: u64, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
-        for (shard, k) in &self.shards {
-            outbox.offer_snapshot(shard, k);
+        for Reverse(next) in &self.frontier {
+            outbox.offer_snapshot(&(next % GENERATOR_SHARDS), &(next / GENERATOR_SHARDS));
         }
         true
     }
@@ -219,17 +230,12 @@ impl Processor for GeneratorSource {
             return;
         }
         let k = u64::from_bytes(value).expect("corrupt generator offset");
-        self.shards.push((shard, k));
+        self.frontier.push(Reverse(k * GENERATOR_SHARDS + shard));
     }
 
     fn finish_snapshot_restore(&mut self, ctx: &ProcessorContext) {
-        // Claim owned shards that had no snapshot record (fresh shards).
-        for s in 0..GENERATOR_SHARDS {
-            if ctx.owns_key_hash(seq::hash_of(&s)) && !self.shards.iter().any(|&(x, _)| x == s) {
-                self.shards.push((s, 0));
-            }
-        }
-        self.shards.sort_unstable();
+        // Owned shards that had no snapshot record start fresh.
+        self.claim_fresh_shards(ctx);
     }
 }
 
@@ -275,7 +281,7 @@ impl<T: Send + Sync + Clone + std::fmt::Debug + 'static> Processor for VecSource
                 return false;
             }
             let (ts, item) = &self.items[self.cursor];
-            outbox.emit(0, *ts, crate::object::boxed(item.clone()));
+            outbox.emit_value(0, *ts, item.clone());
             self.cursor += self.step;
         }
         if !self.final_wm_sent {
@@ -356,8 +362,7 @@ where
                 if !outbox.has_room(0) {
                     break;
                 }
-                let cdc = (ev.kind, ev.key.clone(), ev.value.clone());
-                outbox.emit(0, now, crate::object::boxed(cdc));
+                outbox.emit_value(0, now, (ev.kind, ev.key.clone(), ev.value.clone()));
                 accepted = ev.seq + 1;
             }
             *next = accepted.max(*next);

@@ -82,24 +82,33 @@ pub trait Link: Send + Sync {
     /// This run's input continuation (a boxed `Cont<T>`) in front of
     /// `next`, the one of the run after it; `None` makes this run the tail,
     /// which boxes its output into the outbox.
-    fn splice(&self, next: Option<Box<dyn Any>>) -> Box<dyn Any>;
-    /// As [`Self::splice`], for the run at the head of the chain.
-    fn head(&self, next: Option<Box<dyn Any>>) -> Chain;
+    fn splice(&self, next: Option<Box<dyn Any + Send>>) -> Box<dyn Any + Send>;
+    /// The chain with this run at its head and `rest` spliced behind it,
+    /// once for each of its two entries.
+    fn head(&self, rest: &[Arc<dyn Link>]) -> Chain;
 }
 
 impl<T: Any, U: Any + Send + Clone + Debug> Link for Fused<T, U> {
-    fn splice(&self, next: Option<Box<dyn Any>>) -> Box<dyn Any> {
+    fn splice(&self, next: Option<Box<dyn Any + Send>>) -> Box<dyn Any + Send> {
         Box::new((self.wrap)(next_or_tail::<U>(next)))
     }
 
-    fn head(&self, next: Option<Box<dyn Any>>) -> Chain {
-        let mut head = (self.wrap)(next_or_tail::<U>(next));
-        Box::new(move |ts, obj, out| head(ts, take::<T>(obj), out))
+    fn head(&self, rest: &[Arc<dyn Link>]) -> Chain {
+        let next = || {
+            rest.iter()
+                .rev()
+                .fold(None, |next, run| Some(run.splice(next)))
+        };
+        let mut erased = (self.wrap)(next_or_tail::<U>(next()));
+        Chain {
+            erased: Box::new(move |ts, obj, out| erased(ts, take::<T>(obj), out)),
+            typed: self.splice(next()),
+        }
     }
 }
 
 /// `next` as the `Cont<U>` it holds, or the tail that boxes `U`.
-fn next_or_tail<U: Any + Send + Clone + Debug>(next: Option<Box<dyn Any>>) -> Cont<U> {
+fn next_or_tail<U: Any + Send + Clone + Debug>(next: Option<Box<dyn Any + Send>>) -> Cont<U> {
     match next {
         Some(next) => *next
             .downcast::<Cont<U>>()
@@ -113,11 +122,7 @@ fn next_or_tail<U: Any + Send + Clone + Debug>(next: Option<Box<dyn Any>>) -> Co
 /// The chain `runs` make spliced head to tail, for one processor instance.
 pub fn splice(runs: &[Arc<dyn Link>]) -> Option<Chain> {
     let (head, rest) = runs.split_first()?;
-    let next = rest
-        .iter()
-        .rev()
-        .fold(None, |next, run| Some(run.splice(next)));
-    Some(head.head(next))
+    Some(head.head(rest))
 }
 
 /// Pass-through: every input event goes to every output edge, through the
@@ -201,7 +206,7 @@ where
             let key = (self.key_fn)(input);
             let state = self.state.entry(key).or_insert_with(|| (self.create)());
             if let Some(out) = (self.step)(state, input) {
-                outbox.emit(0, ts, crate::object::boxed(out));
+                outbox.emit_value(0, ts, out);
             }
         }
     }

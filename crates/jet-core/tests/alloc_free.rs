@@ -142,8 +142,8 @@ fn a_chain_fused_onto_a_source_is_allocation_free_in_steady_state() {
         .map(|seq| seq * 3)
         .filter(|v| v % 2 == 0)
         .flat_map(|&v| [(v, 0u64), (v, 1)])
-        .head(None);
-    let source = GeneratorSource::new(u64::MAX / 2, Arc::new(|seq, _| boxed(seq)));
+        .head(&[]);
+    let source = GeneratorSource::new(u64::MAX / 2, |seq, _| seq);
     let (out_p, mut out_c) = spsc_channel::<Item>(1024);
     let ctx = ProcessorContext {
         vertex: "src".into(),

@@ -337,10 +337,7 @@ fn generator_source_under_threaded_executor() {
         "gen",
         2,
         supplier(move |_| {
-            Box::new(
-                GeneratorSource::new(200_000, Arc::new(|seq, _ts| jet_core::boxed(seq)))
-                    .with_limit(5_000),
-            )
+            Box::new(GeneratorSource::new(200_000, |seq, _ts| seq).with_limit(5_000))
         }),
     );
     let c2 = count.clone();
@@ -390,7 +387,7 @@ fn no_event_is_late_behind_a_full_outbox_on_two_workers() {
                     ..Default::default()
                 };
                 Box::new(
-                    GeneratorSource::new(RATE, Arc::new(|seq, _ts| jet_core::boxed(seq)))
+                    GeneratorSource::new(RATE, |seq, _ts| seq)
                         .with_limit(EVENTS)
                         .with_policy(policy),
                 )
@@ -483,10 +480,7 @@ fn exactly_once_snapshot_and_restore_counts_once() {
             "gen",
             2,
             supplier(move |_| {
-                Box::new(
-                    GeneratorSource::new(RATE, Arc::new(|seq, _ts| jet_core::boxed(seq % 10)))
-                        .with_limit(TOTAL),
-                )
+                Box::new(GeneratorSource::new(RATE, |seq, _ts| seq % 10).with_limit(TOTAL))
             }),
         );
         // Tumbling window over the whole stream counts per key.
@@ -586,12 +580,7 @@ fn cancellation_drains_pipeline() {
     let src = dag.vertex_with_parallelism(
         "gen",
         1,
-        supplier(move |_| {
-            Box::new(GeneratorSource::new(
-                1_000_000,
-                Arc::new(|seq, _| jet_core::boxed(seq)),
-            ))
-        }),
+        supplier(move |_| Box::new(GeneratorSource::new(1_000_000, |seq, _| seq))),
     );
     let c2 = count.clone();
     let sink = dag.vertex_with_parallelism(

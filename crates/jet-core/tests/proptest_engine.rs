@@ -184,7 +184,7 @@ fn step_flat_map_tasklet(
         .flat_map(|&(id, fan_out)| (0..fan_out).map(move |i| (id, i)));
     let mut tasklet = ProcessorTasklet::new(
         Box::new(TransformP),
-        Some(repeat.head(None)),
+        Some(repeat.head(&[])),
         ctx,
         vec![InputConveyor {
             ordinal: 0,
@@ -243,8 +243,142 @@ impl Scripted {
     }
 }
 
+/// The generator's emission order as a linear scan over its owned shards
+/// `(shard, next k)` finds it: the smallest next global sequence, while it is
+/// under `limit` and `due`. Returns the sequences and whether the limit
+/// ended the run.
+fn linear_scan(
+    mut shards: Vec<(u64, u64)>,
+    limit: Option<u64>,
+    due: impl Fn(u64) -> bool,
+) -> (Vec<u64>, bool) {
+    let mut out = Vec::new();
+    if shards.is_empty() {
+        return (out, limit.is_some());
+    }
+    loop {
+        let (i, seq) = shards
+            .iter()
+            .map(|&(s, k)| k * GENERATOR_SHARDS + s)
+            .enumerate()
+            .min_by_key(|&(_, seq)| seq)
+            .unwrap();
+        if limit.is_some_and(|l| seq >= l) {
+            return (out, true);
+        }
+        if !due(seq) {
+            return (out, false);
+        }
+        out.push(seq);
+        shards[i].1 += 1;
+    }
+}
+
+/// The context of an instance owning the partitions that are `true` in
+/// `owned`, on a clock stopped at `now`.
+fn generator_ctx(owned: Vec<bool>, now: u64) -> ProcessorContext {
+    ProcessorContext {
+        vertex: "gen".into(),
+        global_index: 0,
+        total_parallelism: 1,
+        member: 0,
+        clock: Arc::new(jet_util::clock::ManualClock::starting_at(now)),
+        guarantee: Guarantee::ExactlyOnce,
+        cancelled: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+        partition_count: owned.len() as u32,
+        owned_partitions: Arc::new(owned),
+    }
+}
+
+/// One generator instance, restored from the `(shard, k)` offset records
+/// `restored` (a fresh start when there are none), run until it reports
+/// done or stops emitting. Returns the `(seq, ts)` events it handed to its
+/// chain's typed entry and whether it reported done.
+fn run_generator(
+    ctx: &ProcessorContext,
+    restored: &[(u64, u64)],
+    rate: u64,
+    limit: Option<u64>,
+) -> (Vec<(u64, Ts)>, bool) {
+    use jet_core::processor::{Outbox, Processor};
+    let seen: Collected<u64> = Arc::new(Mutex::new(Vec::new()));
+    let log = seen.clone();
+    // The chain records every event and passes none on, so the outbox
+    // never fills.
+    let chain = Fused::<(u64, Ts)>::default()
+        .filter(move |&(seq, ts)| {
+            log.lock().push((ts, seq));
+            false
+        })
+        .head(&[]);
+    let mut outbox = Outbox::new(1, 1 << 30).with_chain(Some(chain));
+    let mut source = GeneratorSource::new(rate, |seq, ts| (seq, ts)).with_burst(97);
+    if let Some(limit) = limit {
+        source = source.with_limit(limit);
+    }
+    if !restored.is_empty() {
+        for (shard, k) in restored {
+            source.restore_from_snapshot(&shard.to_bytes(), &k.to_bytes(), ctx);
+        }
+        source.finish_snapshot_restore(ctx);
+    }
+    source.init(ctx);
+    let mut done = false;
+    let mut emitted = usize::MAX;
+    while !done && seen.lock().len() != emitted {
+        emitted = seen.lock().len();
+        done = source.complete(&mut outbox, ctx);
+    }
+    let events = seen.lock().iter().map(|&(ts, seq)| (seq, ts)).collect();
+    (events, done)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn generator_frontier_emits_what_a_linear_scan_emits(
+        owned in proptest::collection::vec(any::<bool>(), 1..24),
+        restored in proptest::collection::vec((0..GENERATOR_SHARDS, 0u64..100), 0..80),
+        rate in 1u64..3_000_000_000,
+        limit in 0u64..8_000,
+        bounded in any::<bool>(),
+        any_seq in any::<u64>(),
+    ) {
+        // An instance owning a random subset of the shards, restored at
+        // random per-shard offsets (the N→M rescale shape), emits exactly
+        // the due sequences a linear scan for the smallest next sequence
+        // emits — strictly increasing, each at its schedule — and a limited
+        // run stops at the same event.
+        let mut records: Vec<(u64, u64)> = Vec::new();
+        for (s, k) in restored {
+            if !records.iter().any(|r| r.0 == s) {
+                records.push((s, k));
+            }
+        }
+        let schedule = |seq: u64| (seq as u128 * 1_000_000_000 / rate as u128) as u64;
+        prop_assert_eq!(source::schedule_of(any_seq, rate), schedule(any_seq));
+        // A limited run has every event due; an unlimited one stops at the
+        // clock, around sequence `limit`.
+        let (limit, now) = match bounded {
+            true => (Some(limit), u64::MAX / 4),
+            false => (None, schedule(limit)),
+        };
+        let ctx = generator_ctx(owned, now);
+        let start: Vec<(u64, u64)> = (0..GENERATOR_SHARDS)
+            .filter(|s| ctx.owns_key_hash(jet_util::seq::hash_of(s)))
+            .map(|s| (s, records.iter().find(|r| r.0 == s).map_or(0, |r| r.1)))
+            .collect();
+        let (events, done) = run_generator(&ctx, &records, rate, limit);
+        let (want, want_done) = linear_scan(start, limit, |seq| schedule(seq) <= now);
+        let seqs: Vec<u64> = events.iter().map(|e| e.0).collect();
+        prop_assert!(seqs.windows(2).all(|w| w[0] < w[1]), "not increasing: {:?}", seqs);
+        prop_assert_eq!(seqs, want);
+        prop_assert_eq!(done, want_done);
+        for (seq, ts) in events {
+            prop_assert_eq!(ts, schedule(seq) as Ts);
+        }
+    }
 
     #[test]
     fn schedule_without_quotas_polls_like_a_retain_pass(
@@ -416,7 +550,7 @@ proptest! {
         let mut dag = Dag::new();
         let src = dag.vertex_with_parallelism("gen", lp, supplier(move |_| {
             Box::new(
-                GeneratorSource::new(1_000_000_000, Arc::new(|seq, _| jet_core::boxed(seq)))
+                GeneratorSource::new(1_000_000_000, |seq, _| seq)
                     .with_limit(limit),
             )
         }));

@@ -375,7 +375,7 @@ proptest! {
                     Box::new(
                         GeneratorSource::new(
                             RATE,
-                            Arc::new(move |seq, _ts| jet_core::boxed(seq % nkeys)),
+                            move |seq, _ts| seq % nkeys,
                         )
                         .with_limit(total),
                     )

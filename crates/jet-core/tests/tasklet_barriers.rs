@@ -353,7 +353,7 @@ fn expected(fan_out: u64) -> Vec<Out> {
 fn triple() -> Chain {
     Fused::<u64>::default()
         .flat_map(|&v| (0..3).map(move |i| 10 * v + i))
-        .head(None)
+        .head(&[])
 }
 
 /// Step the tasklet with the downstream queue drained one item every
@@ -476,7 +476,7 @@ fn a_source_whose_chain_drops_its_events_still_makes_progress() {
                 registry: registry.clone(),
             })
         },
-        Some(Fused::<u64>::default().filter(|_| false).head(None)),
+        Some(Fused::<u64>::default().filter(|_| false).head(&[])),
         Guarantee::ExactlyOnce,
         0,
         false,
@@ -499,7 +499,7 @@ fn a_windows_chain_outputs_leave_before_the_next_control_item() {
                 let key = r.key;
                 (0..3).map(move |i| 10 * key + i)
             })
-            .head(None);
+            .head(&[]);
         let mut r = rig(
             |_| {
                 Box::new(CombineFramesP::<u64, u64, u64>::new(

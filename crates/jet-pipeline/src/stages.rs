@@ -112,11 +112,8 @@ impl Pipeline {
             let policy = policy.clone();
             supplier(move |_| {
                 let f = factory.clone();
-                let mut src = GeneratorSource::new(
-                    rate,
-                    Arc::new(move |seq, ts| jet_core::boxed(f(seq, ts))),
-                )
-                .with_policy(policy.clone());
+                let mut src = GeneratorSource::new(rate, move |seq, ts| f(seq, ts))
+                    .with_policy(policy.clone());
                 if let Some(l) = limit {
                     src = src.with_limit(l);
                 }

@@ -24,12 +24,7 @@ fn run_sim(gc: Option<GcModel>, rate: u64, limit: u64) -> jet_util::Histogram {
     let src = dag.vertex_with_parallelism(
         "gen",
         2,
-        supplier(move |_| {
-            Box::new(
-                GeneratorSource::new(rate, Arc::new(|seq, _| jet_core::boxed(seq)))
-                    .with_limit(limit),
-            )
-        }),
+        supplier(move |_| Box::new(GeneratorSource::new(rate, |seq, _| seq).with_limit(limit))),
     );
     let h2 = hist.clone();
     let c2 = count.clone();
