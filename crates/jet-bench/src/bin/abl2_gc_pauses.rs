@@ -34,7 +34,7 @@ fn main() {
         spec.gc = gc;
         let r = run(&spec);
         println!("{name:24} {}", percentile_row(&r.hist));
-        eprintln!("  [{name} done in {:.0}s wall]", r.wall_secs);
+        eprintln!("  [{name} done]");
         report.add_run(name, &[("gc", name.to_string())], &r);
     }
     report.write().expect("report");

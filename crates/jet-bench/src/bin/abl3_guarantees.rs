@@ -31,7 +31,7 @@ fn main() {
         spec.snapshot_interval = interval;
         let r = run(&spec);
         println!("{name:20} {}", percentile_row(&r.hist));
-        eprintln!("  [{name} done in {:.0}s wall]", r.wall_secs);
+        eprintln!("  [{name} done]");
         report.add_run(name, &[("guarantee", name.to_string())], &r);
     }
     report.write().expect("report");

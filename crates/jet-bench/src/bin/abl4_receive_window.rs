@@ -30,7 +30,7 @@ fn main() {
         spec.fixed_receive_window = fixed;
         let r = run(&spec);
         println!("{name:16} {} out={}", percentile_row(&r.hist), r.outputs);
-        eprintln!("  [{name} done in {:.0}s wall]", r.wall_secs);
+        eprintln!("  [{name} done]");
         report.add_run(name, &[("window_policy", name.to_string())], &r);
     }
     report.write().expect("report");

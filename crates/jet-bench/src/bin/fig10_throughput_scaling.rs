@@ -35,11 +35,10 @@ fn main() {
             let expected_windows = 3u64 * spec.nexmark.auctions.min(10_000); // 3 slides measured
             let sustainable = r.p(99.99) <= 50.0 && r.outputs >= expected_windows * 95 / 100;
             eprintln!(
-                "  members={members} offered={:.2}M/core p99.99={:.2}ms out={} sustainable={sustainable} [{:.0}s wall]",
+                "  members={members} offered={:.2}M/core p99.99={:.2}ms out={} sustainable={sustainable}",
                 rate_k_per_core as f64 / 1000.0,
                 r.p(99.99),
                 r.outputs,
-                r.wall_secs
             );
             report.add_run(
                 &format!("x{members}-{rate_k_per_core}k-per-core"),

@@ -24,11 +24,7 @@ pub fn run_for_members(members: usize, report: &mut BenchReport) {
             print!("  p{p}={ms:.3}ms");
         }
         println!("  n={}", r.hist.count());
-        eprintln!(
-            "  [{} x{members} done in {:.0}s wall]",
-            query.name(),
-            r.wall_secs
-        );
+        eprintln!("  [{} x{members} done]", query.name());
         report.add_run(query.name(), &[("query", query.name().to_string())], &r);
     }
 }

@@ -28,7 +28,7 @@ fn main() {
             print!("  p{p}={ms:.3}ms");
         }
         println!("  n={}", r.hist.count());
-        eprintln!("  [{} done in {:.0}s wall]", query.name(), r.wall_secs);
+        eprintln!("  [{} done]", query.name());
         report.add_run(query.name(), &[("query", query.name().to_string())], &r);
     }
     report.write().expect("report");

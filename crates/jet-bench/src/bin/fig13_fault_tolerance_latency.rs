@@ -20,10 +20,6 @@ use jet_core::Ts;
 use jet_pipeline::WindowDef;
 
 fn main() {
-    // `--spike-report` arms the tail-latency watchdog on the crash run and
-    // writes `results/SPIKE_fig13.json` with the root-cause attribution of
-    // every detected p99.99 excursion.
-    let spike_report = std::env::args().any(|a| a == "--spike-report");
     let mut report = BenchReport::new("fig13");
     report
         .param("query", "Q5")
@@ -50,7 +46,7 @@ fn main() {
     for (p, ms) in percentile_curve(&r.hist) {
         println!("p{p:6}  {ms:10.3} ms");
     }
-    println!("# n={} wall={:.0}s", r.hist.count(), r.wall_secs);
+    println!("# n={}", r.hist.count());
     report.add_run(
         "exactly-once-1s",
         &[("guarantee", "exactly-once".to_string())],
@@ -74,7 +70,9 @@ fn main() {
     // Same checkpointed load with a member crash injected mid-measurement,
     // detected by the heartbeat coordinator (not an API kill): the upper
     // percentiles now include detection delay + snapshot-restore recovery,
-    // the full outage a real deployment would see (§7.6).
+    // the full outage a real deployment would see (§7.6). The tail-latency
+    // watchdog is armed on this run: `results/SPIKE_fig13.json` carries the
+    // root-cause attribution of every detected p99.99 excursion.
     println!("# compare: same load with a detected member crash mid-measurement");
     let mut faulted = spec.clone();
     let crash_at = faulted.warmup + 4 * SEC;
@@ -82,9 +80,7 @@ fn main() {
     plan.crash(crash_at, 1);
     faulted.fault_plan = Some(plan);
     faulted.coordinator = Some(jet_cluster::CoordinatorConfig::default());
-    if spike_report {
-        faulted.spike = Some(WatchdogConfig::default());
-    }
+    faulted.spike = Some(WatchdogConfig::default());
     let rf = run(&faulted);
     write_spike_report("fig13", "detected-crash", &rf).expect("spike report");
     let fenced_at = rf

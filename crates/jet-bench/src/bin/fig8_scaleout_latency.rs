@@ -38,11 +38,7 @@ fn main() {
                 r.p(99.99),
                 r.hist.count(),
             );
-            eprintln!(
-                "  [{} x{members} done in {:.0}s wall]",
-                query.name(),
-                r.wall_secs
-            );
+            eprintln!("  [{} x{members} done]", query.name());
             report.add_run(
                 &format!("{}-x{members}", query.name()),
                 &[

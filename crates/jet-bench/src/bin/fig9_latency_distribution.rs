@@ -8,42 +8,29 @@
 //! Scale-down: largest cluster = 20 members × 2 vcores (DOP 40), total
 //! rate 400k ev/s.
 //!
-//! Pass `--trace` (or set `JET_TRACE=1`) to capture an execution trace of
-//! each query's measurement period: `results/TRACE_fig9_<query>.json` is
-//! Chrome trace-event JSON (load in Perfetto), `.txt` the diagnostics dump.
-//!
-//! Pass `--spike-report` to also arm the tail-latency watchdog: detected
-//! p99.99 excursions are frozen and root-cause attributed in
-//! `results/SPIKE_fig9_<query>.json`. The watchdog observes off the virtual
-//! timeline, so the percentile curves are bit-identical with or without it.
-//!
-//! Full-distribution attribution and the metrics timeline are always armed:
-//! each run's `BENCH_fig9.json` record carries a p50/p99/p99.99 latency
-//! waterfall and each query writes `results/TIMELINE_fig9_<query>.json`.
-//! Both observe off the virtual timeline too — the percentile curves are
-//! the reproduction target and stay bit-identical.
+//! Every run is traced, carries full-distribution attribution and samples
+//! the metrics timeline: per query, `results/TRACE_fig9_<query>.json` is
+//! Chrome trace-event JSON (load in Perfetto) and `.txt` the diagnostics
+//! dump, `results/TIMELINE_fig9_<query>.json` the timeline, and each run's
+//! `BENCH_fig9.json` record carries a p50/p99/p99.99 latency waterfall.
+//! All of them observe off the virtual timeline — the percentile curves
+//! are the reproduction target and are identical with them off.
 
 use jet_bench::{
-    percentile_curve, run, write_spike_report, write_timeline, write_trace, BenchReport, Query,
-    RunSpec, MS, SEC,
+    percentile_curve, run, write_timeline, write_trace, BenchReport, Query, RunSpec, MS, SEC,
 };
-use jet_core::flight::WatchdogConfig;
 use jet_core::telemetry::TimelineConfig;
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 
 fn main() {
-    let trace = std::env::args().any(|a| a == "--trace")
-        || std::env::var("JET_TRACE").is_ok_and(|v| v == "1");
-    let spike_report = std::env::args().any(|a| a == "--spike-report");
     println!("# Figure 9: latency distribution per query at the largest cluster size");
     println!("# query then (percentile, latency_ms) pairs");
     let mut report = BenchReport::new("fig9");
     report
         .param("members", 20)
         .param("cores_per_member", 2)
-        .param("total_rate", 400_000)
-        .param("trace", trace);
+        .param("total_rate", 400_000);
     for query in [Query::Q1, Query::Q2, Query::Q5, Query::Q8, Query::Q13] {
         let mut spec = RunSpec::new(query, 400_000);
         spec.members = 20;
@@ -51,10 +38,7 @@ fn main() {
         spec.window = WindowDef::sliding(SEC as Ts, (10 * MS) as Ts);
         spec.warmup = SEC + 500 * MS;
         spec.measure = 1500 * MS;
-        spec.trace = trace;
-        if spike_report {
-            spec.spike = Some(WatchdogConfig::default());
-        }
+        spec.trace = true;
         spec.attribution = true;
         spec.timeline = Some(TimelineConfig::default());
         let r = run(&spec);
@@ -63,9 +47,8 @@ fn main() {
             print!("  p{p}={ms:.3}ms");
         }
         println!("  n={}", r.hist.count());
-        eprintln!("  [{} done in {:.0}s wall]", query.name(), r.wall_secs);
+        eprintln!("  [{} done]", query.name());
         write_trace(&format!("fig9_{}", query.name()), &r).expect("trace");
-        write_spike_report(&format!("fig9_{}", query.name()), query.name(), &r).expect("spike");
         write_timeline(&format!("fig9_{}", query.name()), query.name(), &r).expect("timeline");
         report.add_run(query.name(), &[("query", query.name().to_string())], &r);
     }

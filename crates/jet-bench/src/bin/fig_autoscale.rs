@@ -73,7 +73,6 @@ fn run_one(members: usize, ctl: Option<ControllerConfig>) -> RunResult {
         controller: ctl.clone(),
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
     // Finite stream: run to completion (the backlog drains well inside the
     // budget on every topology) and track when the job actually finished.
@@ -97,7 +96,6 @@ fn run_one(members: usize, ctl: Option<ControllerConfig>) -> RunResult {
         hist: hist.snapshot(),
         outputs: count.get(),
         inputs: LIMIT,
-        wall_secs: started.elapsed().as_secs_f64(),
         virtual_secs: finished_at as f64 / 1e9,
         metrics,
         trace: None,

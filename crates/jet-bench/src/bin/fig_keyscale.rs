@@ -99,7 +99,6 @@ fn run_scale(sweep: &Sweep, keys: u64) -> ScaleResult {
         snapshot_interval: SEC,
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
     cluster.run_for(sweep.warmup);
     probe_hist.clear();
@@ -125,7 +124,6 @@ fn run_scale(sweep: &Sweep, keys: u64) -> ScaleResult {
         hist: probe_hist.snapshot(),
         outputs,
         inputs: sweep.probe_rate * sweep.measure / SEC,
-        wall_secs: started.elapsed().as_secs_f64(),
         virtual_secs: sweep.measure as f64 / 1e9,
         metrics,
         trace: None,
@@ -185,12 +183,10 @@ fn main() {
         println!("{label:10} probe  {}", percentile_row(&r.run.hist));
         println!("{label:10} window {}", percentile_row(&r.window_hist));
         println!(
-            "{label:10} resident {:.1} MiB over {:.0} live keys = {:.1} B/key \
-             (wall {:.0}s)",
+            "{label:10} resident {:.1} MiB over {:.0} live keys = {:.1} B/key",
             r.resident_bytes / (1024.0 * 1024.0),
             r.resident_keys,
             r.bytes_per_key,
-            r.run.wall_secs,
         );
         report.add_run(&label, &[("keys", keys.to_string())], &r.run);
         report.add_values(

@@ -85,7 +85,6 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
         quotas: quotas.clone(),
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
     cluster.run_for(WARMUP);
     hist.clear();
@@ -99,7 +98,6 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
         hist: hist.snapshot(),
         outputs,
         inputs: CRITICAL_RATE * MEASURE / SEC,
-        wall_secs: started.elapsed().as_secs_f64(),
         virtual_secs: MEASURE as f64 / 1e9,
         metrics,
         trace: None,

@@ -35,7 +35,7 @@ fn tenant(
     .write_to_latency(hist.clone(), count.clone());
 }
 
-fn run_jobs(jobs: u64, aggregate_rate: u64) -> (jet_util::Histogram, u64, f64) {
+fn run_jobs(jobs: u64, aggregate_rate: u64) -> jet_util::Histogram {
     let p = Pipeline::create();
     let hist = SharedHistogram::new();
     let count = SharedCounter::new();
@@ -50,25 +50,20 @@ fn run_jobs(jobs: u64, aggregate_rate: u64) -> (jet_util::Histogram, u64, f64) {
         cost_model: jet_sim::CostModel::paper_calibrated(),
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
     cluster.run_for(SEC + 500 * MS);
     hist.clear();
     cluster.run_for(2 * SEC);
     cluster.cancel();
-    (
-        hist.snapshot(),
-        count.get(),
-        started.elapsed().as_secs_f64(),
-    )
+    hist.snapshot()
 }
 
 fn main() {
     println!("# §7.7: N concurrent jobs on one member (2 vcores), fixed 400k ev/s aggregate");
     println!("# jobs  tasklets~  latency");
     for jobs in [1u64, 10, 50, 100] {
-        let (h, _outs, wall) = run_jobs(jobs, 400_000);
+        let h = run_jobs(jobs, 400_000);
         println!("{jobs:4}  {}", percentile_row(&h));
-        eprintln!("  [{jobs} jobs done in {wall:.0}s wall]");
+        eprintln!("  [{jobs} jobs done]");
     }
 }

@@ -170,8 +170,6 @@ pub struct RunResult {
     /// Input events generated in the measurement period (approximate:
     /// rate × duration).
     pub inputs: u64,
-    /// Wall-clock seconds the simulation took.
-    pub wall_secs: f64,
     /// Virtual seconds simulated.
     pub virtual_secs: f64,
     /// Job-wide metrics snapshot taken at the end of the measurement
@@ -207,16 +205,6 @@ pub struct RunResult {
 impl RunResult {
     pub fn p(&self, pct: f64) -> f64 {
         self.hist.percentile(pct) as f64 / 1e6
-    }
-
-    pub fn summary(&self) -> String {
-        format!(
-            "{} | out={} ({:.2}M/s out) [{:.0}s wall]",
-            self.hist.latency_summary_ms(),
-            self.outputs,
-            self.outputs as f64 / self.virtual_secs / 1e6,
-            self.wall_secs,
-        )
     }
 }
 
@@ -357,7 +345,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         quotas: spec.quotas.clone(),
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let mut cluster = SimCluster::start(dag, cfg).expect("cluster starts");
     cluster.run_for(spec.warmup);
     hist.clear();
@@ -420,7 +407,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         None
     };
     let outputs = count.get() - out_before;
-    let wall = started.elapsed().as_secs_f64();
     let metrics = cluster.job_metrics();
     let diagnostics =
         (spec.trace || flight.is_enabled()).then(|| cluster.diagnostics_dump(trace.as_ref()));
@@ -469,7 +455,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         hist: final_hist,
         outputs,
         inputs: spec.total_rate * spec.measure / SEC,
-        wall_secs: wall,
         virtual_secs: spec.measure as f64 / 1e9,
         metrics,
         trace,
@@ -703,7 +688,6 @@ impl BenchReport {
             values: vec![
                 ("outputs".into(), r.outputs as f64),
                 ("inputs".into(), r.inputs as f64),
-                ("wall_secs".into(), r.wall_secs),
                 ("virtual_secs".into(), r.virtual_secs),
             ],
             latency: Some(HistogramSummary::of(&r.hist)),
@@ -829,7 +813,6 @@ mod tests {
             hist,
             outputs: 4,
             inputs: 100,
-            wall_secs: 0.5,
             virtual_secs: 3.0,
             metrics: reg.snapshot(),
             trace: None,
@@ -894,5 +877,9 @@ mod tests {
         let open = json.matches(['{', '[']).count();
         let close = json.matches(['}', ']']).count();
         assert_eq!(open, close, "unbalanced JSON:\n{json}");
+        // The committed artifacts are gated byte for byte, so the report
+        // carries no wall-clock field and renders the same bytes every time.
+        assert!(!json.contains("wall"), "wall-clock field in:\n{json}");
+        assert_eq!(json, report.to_json());
     }
 }

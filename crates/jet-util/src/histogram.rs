@@ -225,23 +225,6 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(move |(i, &c)| (self.value_of(i), c))
     }
-
-    /// Render the standard percentile summary line used by the benches,
-    /// with values converted from nanos to fractional milliseconds.
-    pub fn latency_summary_ms(&self) -> String {
-        let ms = |v: u64| v as f64 / 1e6;
-        format!(
-            "n={} mean={:.3}ms p50={:.3}ms p90={:.3}ms p99={:.3}ms p99.9={:.3}ms p99.99={:.3}ms max={:.3}ms",
-            self.count(),
-            self.mean() / 1e6,
-            ms(self.percentile(50.0)),
-            ms(self.percentile(90.0)),
-            ms(self.percentile(99.0)),
-            ms(self.percentile(99.9)),
-            ms(self.percentile(99.99)),
-            ms(self.max()),
-        )
-    }
 }
 
 impl std::fmt::Debug for Histogram {

@@ -898,7 +898,6 @@ mod tests {
             hist,
             outputs: 4,
             inputs: 100,
-            wall_secs: 0.5,
             virtual_secs: 3.0,
             metrics: reg.snapshot(),
             trace: None,
