@@ -14,8 +14,7 @@
 use jet_bench::{
     percentile_curve, run, write_spike_report, write_timeline, BenchReport, Query, RunSpec, MS, SEC,
 };
-use jet_core::flight::WatchdogConfig;
-use jet_core::telemetry::TimelineConfig;
+use jet_core::flight::{TimelineConfig, WatchdogConfig};
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 

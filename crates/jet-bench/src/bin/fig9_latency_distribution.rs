@@ -19,7 +19,7 @@
 use jet_bench::{
     percentile_curve, run, write_timeline, write_trace, BenchReport, Query, RunSpec, MS, SEC,
 };
-use jet_core::telemetry::TimelineConfig;
+use jet_core::flight::TimelineConfig;
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 

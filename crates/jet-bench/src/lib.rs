@@ -18,15 +18,14 @@ use jet_cluster::{
     SimClusterConfig,
 };
 use jet_core::flight::{
-    band_waterfalls, AttributionConfig, AttributionReport, FlightConfig, FlightRecorder,
-    LatencyWatchdog, ProvenanceSampler, SpikeFidelity, SpikeReport, WatchdogConfig,
+    AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig,
+    SpikeFidelity, SpikeReport, TimelineConfig, WatchdogConfig,
 };
 use jet_core::metrics::{
     json_escape, HistogramSummary, MetricsSnapshot, SharedCounter, SharedHistogram,
 };
 use jet_core::processor::Guarantee;
 use jet_core::processors::WatermarkPolicy;
-use jet_core::telemetry::{Timeline, TimelineConfig};
 use jet_core::trace::{TraceData, Tracer};
 use jet_core::{JobQuotas, Ts};
 use jet_nexmark::{queries, NexmarkConfig};
@@ -104,7 +103,7 @@ pub struct RunSpec {
     /// Capture an execution trace of the measurement period (Chrome
     /// trace-event spans + diagnostics dump in the [`RunResult`]).
     pub trace: bool,
-    /// Arm the tail-latency watchdog + flight recorder: spikes detected
+    /// Arm the flight recorder's tail-latency watchdog: spikes detected
     /// online on the virtual timeline freeze their span window and are
     /// root-cause attributed in [`RunResult::spike`]. Implies span
     /// collection (the tracer runs even when `trace` is false), but is
@@ -190,9 +189,9 @@ pub struct RunResult {
     /// p50/p99/p99.99 exemplar journeys decomposed into exact-sum cause
     /// slices; embedded in `BENCH_*.json` by [`BenchReport::add_run`].
     pub attribution: Option<AttributionReport>,
-    /// The run's metrics timeline ([`RunSpec::timeline`]); export it with
-    /// [`write_timeline`].
-    pub timeline: Option<Timeline>,
+    /// The run's recorder when its metrics timeline was armed
+    /// ([`RunSpec::timeline`]); export it with [`write_timeline`].
+    pub timeline: Option<Recorder>,
     /// Autoscaling decision timeline ([`RunSpec::controller`]): `Some`
     /// (possibly empty) when a controller was armed; embedded in
     /// `BENCH_*.json` by [`BenchReport::add_run`].
@@ -208,30 +207,13 @@ impl RunResult {
     }
 }
 
-/// Build the query pipeline with a latency sink attached.
-pub fn build_query(spec: &RunSpec, hist: &SharedHistogram, count: &SharedCounter) -> Pipeline {
-    build_query_watched(spec, hist, count, LatencyWatchdog::disabled())
-}
-
-/// As [`build_query`], but the latency sink also feeds each sample to the
-/// spike watchdog.
-pub fn build_query_watched(
+/// Build the query pipeline with a latency sink attached that feeds every
+/// sample to `recorder` as well.
+pub fn build_query(
     spec: &RunSpec,
     hist: &SharedHistogram,
     count: &SharedCounter,
-    watchdog: LatencyWatchdog,
-) -> Pipeline {
-    build_query_instrumented(spec, hist, count, watchdog, ProvenanceSampler::disabled())
-}
-
-/// As [`build_query_watched`], but the latency sink also stamps sampled
-/// per-event provenance for full-distribution attribution.
-pub fn build_query_instrumented(
-    spec: &RunSpec,
-    hist: &SharedHistogram,
-    count: &SharedCounter,
-    watchdog: LatencyWatchdog,
-    sampler: ProvenanceSampler,
+    recorder: &Recorder,
 ) -> Pipeline {
     let p = Pipeline::create();
     let src = queries::source(
@@ -241,43 +223,40 @@ pub fn build_query_instrumented(
         None,
         WatermarkPolicy::default(),
     );
-    let h = hist.clone();
-    let c = count.clone();
-    let w = watchdog;
-    let s = sampler;
+    let (h, c, r) = (hist.clone(), count.clone(), recorder.clone());
     match spec.query {
         Query::Q1 => {
-            queries::q1(&src).write_to_latency_instrumented(h, c, w, s);
+            queries::q1(&src).write_to_latency_recorded(h, c, r);
         }
         Query::Q2 => {
-            queries::q2(&src).write_to_latency_instrumented(h, c, w, s);
+            queries::q2(&src).write_to_latency_recorded(h, c, r);
         }
         Query::Q3 => {
-            queries::q3(&src).write_to_latency_instrumented(h, c, w, s);
+            queries::q3(&src).write_to_latency_recorded(h, c, r);
         }
         Query::Q4 => {
-            queries::q4(&src, spec.window.size).write_to_latency_instrumented(h, c, w, s);
+            queries::q4(&src, spec.window.size).write_to_latency_recorded(h, c, r);
         }
         Query::Q5 => {
-            queries::q5(&src, spec.window).write_to_latency_instrumented(h, c, w, s);
+            queries::q5(&src, spec.window).write_to_latency_recorded(h, c, r);
         }
         Query::Q5SingleStage => {
-            queries::q5_single_stage(&src, spec.window).write_to_latency_instrumented(h, c, w, s);
+            queries::q5_single_stage(&src, spec.window).write_to_latency_recorded(h, c, r);
         }
         Query::Q6 => {
-            queries::q6(&src, spec.window.size).write_to_latency_instrumented(h, c, w, s);
+            queries::q6(&src, spec.window.size).write_to_latency_recorded(h, c, r);
         }
         Query::Q7 => {
-            queries::q7(&src, spec.window.size).write_to_latency_instrumented(h, c, w, s);
+            queries::q7(&src, spec.window.size).write_to_latency_recorded(h, c, r);
         }
         Query::Q8 => {
-            queries::q8(&src, spec.window.size).write_to_latency_instrumented(h, c, w, s);
+            queries::q8(&src, spec.window.size).write_to_latency_recorded(h, c, r);
         }
         Query::Q13 => {
             let side: Vec<(u64, String)> = (0..spec.nexmark.auctions)
                 .map(|a| (a, format!("auction-{a}")))
                 .collect();
-            queries::q13(&p, &src, side).write_to_latency_instrumented(h, c, w, s);
+            queries::q13(&p, &src, side).write_to_latency_recorded(h, c, r);
         }
     }
     p
@@ -287,36 +266,21 @@ pub fn build_query_instrumented(
 pub fn run(spec: &RunSpec) -> RunResult {
     let hist = SharedHistogram::new();
     let count = SharedCounter::new();
-    // Watchdog/flight-recorder observers live off the virtual timeline
-    // (they never advance the clock), so arming them cannot move a single
-    // percentile — the histogram is bit-identical with `spike` on or off.
-    let watchdog = match &spec.spike {
-        Some(wd) => LatencyWatchdog::with_config(wd.clone()),
-        None => LatencyWatchdog::disabled(),
-    };
-    // Full-distribution attribution needs the span ring but not the
-    // watchdog: a recorder with a disabled watchdog freezes no incident
-    // windows and just keeps the rolling ring for `attribute_window`.
-    let flight = if spec.spike.is_some() || spec.attribution {
-        FlightRecorder::with_config(FlightConfig::default(), watchdog.clone())
-    } else {
-        FlightRecorder::disabled()
-    };
-    let sampler = if spec.attribution {
-        ProvenanceSampler::enabled()
-    } else {
-        ProvenanceSampler::disabled()
-    };
-    let timeline = match &spec.timeline {
-        Some(tc) => Timeline::with_config(tc.clone()),
-        None => Timeline::disabled(),
-    };
-    let pipeline = build_query_instrumented(spec, &hist, &count, watchdog.clone(), sampler.clone());
+    // The recorder observes off the virtual timeline (it never advances
+    // the clock), so arming any part of it cannot move a single percentile
+    // — the histogram is bit-identical with it on or off.
+    let recorder = Recorder::new(RecorderConfig {
+        watchdog: spec.spike.clone(),
+        provenance: spec.attribution.then(ProvenanceConfig::default),
+        timeline: spec.timeline.clone(),
+        ..RecorderConfig::default()
+    });
+    let pipeline = build_query(spec, &hist, &count, &recorder);
     let dag = pipeline
         .compile(spec.cores_per_member)
         .expect("pipeline compiles");
     // Spike forensics needs the span stream even when no trace is kept.
-    let collect_spans = spec.trace || flight.is_enabled();
+    let collect_spans = spec.trace || recorder.records_spans();
     let tracer = if collect_spans {
         // Small rings (drained every ~10 ms of virtual time below) keep the
         // footprint bounded even at fig9 scale: 20 members × dozens of
@@ -339,8 +303,7 @@ pub fn run(spec: &RunSpec) -> RunResult {
         tracer: tracer.clone(),
         fault_plan: spec.fault_plan.clone(),
         coordinator: spec.coordinator.clone(),
-        flight: flight.clone(),
-        timeline: timeline.clone(),
+        recorder: recorder.clone(),
         controller: spec.controller.clone(),
         quotas: spec.quotas.clone(),
         ..Default::default()
@@ -354,8 +317,7 @@ pub fn run(spec: &RunSpec) -> RunResult {
     if collect_spans {
         tracer.drain();
     }
-    watchdog.clear_incidents();
-    sampler.clear();
+    recorder.clear();
     let out_before = count.get();
     let trace = if collect_spans {
         // A full-fidelity trace of the whole measurement at fig9 scale is
@@ -369,37 +331,32 @@ pub fn run(spec: &RunSpec) -> RunResult {
         } else {
             0
         };
-        let head = spec.measure - tail;
         let mut scratch = TraceData::new();
         let mut data = TraceData::new();
         data.capacity = 2_000_000;
-        if head > 0 {
-            let mut next_drain = 0u64;
-            cluster.run_for_with(head, |now| {
-                if now >= next_drain {
-                    tracer.drain_into(&mut scratch);
-                    flight.ingest(&scratch, 0);
-                    scratch.events.clear();
-                    next_drain = now + 10 * MS;
-                }
-            });
-            tracer.drain_into(&mut scratch); // reset ring drop counters
-            flight.ingest(&scratch, 0);
-            scratch.events.clear();
-        }
-        if tail > 0 {
-            let mut next_drain = 0u64;
-            cluster.run_for_with(tail, |now| {
-                if now >= next_drain {
-                    tracer.drain_into(&mut scratch);
-                    flight.ingest(&scratch, 0);
-                    data.absorb(&mut scratch);
-                    next_drain = now + 10 * MS;
-                }
-            });
+        // Drain every ~10 ms of virtual time and once more at the end of
+        // each phase (which also resets the ring drop counters); only the
+        // tail phase keeps its spans.
+        let mut drain = |keep: bool| {
             tracer.drain_into(&mut scratch);
-            flight.ingest(&scratch, 0);
-            data.absorb(&mut scratch);
+            recorder.ingest(&scratch);
+            if keep {
+                data.absorb(&mut scratch);
+            } else {
+                scratch.events.clear();
+            }
+        };
+        for (phase, keep) in [(spec.measure - tail, false), (tail, true)] {
+            if phase > 0 {
+                let mut next_drain = 0u64;
+                cluster.run_for_with(phase, |now| {
+                    if now >= next_drain {
+                        drain(keep);
+                        next_drain = now + 10 * MS;
+                    }
+                });
+                drain(keep);
+            }
         }
         spec.trace.then_some(data)
     } else {
@@ -408,26 +365,23 @@ pub fn run(spec: &RunSpec) -> RunResult {
     };
     let outputs = count.get() - out_before;
     let metrics = cluster.job_metrics();
-    let diagnostics =
-        (spec.trace || flight.is_enabled()).then(|| cluster.diagnostics_dump(trace.as_ref()));
+    let diagnostics = collect_spans.then(|| cluster.diagnostics_dump(trace.as_ref()));
     let cluster_events = cluster.cluster_events();
     let spike = spec.spike.is_some().then(|| {
         let incidents = cluster.spike_forensics();
-        let (observed, suppressed) = watchdog.stats();
-        let (_ingested, evicted, spans_retained, snapshots_retained) = flight.stats();
+        let stats = recorder.stats();
         SpikeReport {
             bench: String::new(),
             run_label: String::new(),
-            threshold_nanos: watchdog.threshold(),
+            threshold_nanos: stats.threshold,
             fidelity: SpikeFidelity {
                 trace_ring_dropped: tracer.dropped_total(),
                 collector_dropped: trace.as_ref().map_or(0, |d| d.dropped),
-                recorder_evicted: evicted,
+                recorder_evicted: stats.spans_evicted,
                 sample_shift: tracer.sample_shift(),
-                spans_retained,
-                snapshots_retained,
-                observed,
-                suppressed,
+                spans_retained: stats.spans_retained,
+                observed: stats.observed,
+                suppressed: stats.suppressed,
             },
             incidents,
         }
@@ -443,7 +397,7 @@ pub fn run(spec: &RunSpec) -> RunResult {
             ("p99", 99.0, final_hist.percentile(99.0)),
             ("p99.99", 99.99, final_hist.percentile(99.99)),
         ];
-        band_waterfalls(&sampler, &flight, &AttributionConfig::default(), &bands)
+        recorder.waterfalls(&AttributionConfig::default(), &bands)
     });
     let controller_events = spec
         .controller
@@ -462,7 +416,7 @@ pub fn run(spec: &RunSpec) -> RunResult {
         cluster_events,
         spike,
         attribution,
-        timeline: spec.timeline.is_some().then_some(timeline),
+        timeline: spec.timeline.is_some().then_some(recorder),
         controller_events,
         members_final,
     }
@@ -543,14 +497,14 @@ pub fn write_timeline(name: &str, label: &str, r: &RunResult) -> std::io::Result
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("TIMELINE_{name}.json"));
-    std::fs::write(&path, timeline.to_json(name, label))?;
-    let (samples, series, _, evicted) = timeline.stats();
+    std::fs::write(&path, timeline.timeline_json(name, label))?;
+    let stats = timeline.stats();
     eprintln!(
         "  [timeline written to {} — {} samples, {} series, {} ticks evicted]",
         path.display(),
-        samples,
-        series,
-        evicted
+        stats.samples,
+        stats.series,
+        stats.ticks_evicted
     );
     Ok(Some(path))
 }

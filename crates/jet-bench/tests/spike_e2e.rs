@@ -3,17 +3,16 @@
 //!
 //! Two properties are load-bearing for the reproduction:
 //!
-//! 1. **Invisibility** — the watchdog + flight recorder observe off the
-//!    virtual timeline, so arming them yields a bit-identical latency
-//!    histogram (fig9's curves must not move when forensics are on).
+//! 1. **Invisibility** — the flight recorder observes off the virtual
+//!    timeline, so arming it yields a bit-identical latency histogram
+//!    (fig9's curves must not move when forensics are on).
 //! 2. **Honest blame** — a spike caused by a member crash must attribute to
 //!    the failure-detection/recovery phases, never to whichever innocent
 //!    vertex happened to be running during the outage, and the per-cause
 //!    decomposition must sum to the measured spike exactly.
 
 use jet_bench::{run, Query, RunSpec, MS, SEC};
-use jet_core::flight::{Cause, WatchdogConfig};
-use jet_core::telemetry::TimelineConfig;
+use jet_core::flight::{Cause, TimelineConfig, WatchdogConfig};
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 
@@ -28,43 +27,35 @@ fn small_q5() -> RunSpec {
 }
 
 #[test]
-fn watchdog_is_invisible_on_the_virtual_timeline() {
+fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
     let plain = run(&small_q5());
-    let mut spiked_spec = small_q5();
-    // An absurdly low SLO fires the watchdog on ~every sample: maximum
-    // observer activity, to give any timeline perturbation the best chance
-    // to show.
-    spiked_spec.spike = Some(WatchdogConfig {
+    let mut armed_spec = small_q5();
+    // Everything at once, so the watchdog and the sampler share the
+    // recorder's lock on every emission: an absurdly low SLO fires the
+    // watchdog on ~every sample, provenance sampling on every sink event,
+    // a metrics timeline at a deliberately aggressive 10 ms cadence
+    // (maximum chunking perturbation), and the trace.
+    armed_spec.spike = Some(WatchdogConfig {
         slo_nanos: Some(1),
         ..WatchdogConfig::default()
     });
-    let spiked = run(&spiked_spec);
-    assert!(plain.hist.count() > 0, "no samples measured");
-    assert_eq!(
-        plain.hist, spiked.hist,
-        "arming the watchdog changed the latency histogram"
-    );
-    let report = spiked.spike.expect("spike report present when armed");
-    assert!(report.fidelity.observed > 0, "watchdog observed nothing");
-}
-
-#[test]
-fn timeline_and_attribution_are_invisible_and_waterfalls_sum_exactly() {
-    let plain = run(&small_q5());
-    let mut armed_spec = small_q5();
-    // Full observability: provenance sampling on every sink event, metrics
-    // timeline at a deliberately aggressive 10 ms cadence (maximum chunking
-    // perturbation), flight ring retained for window attribution.
     armed_spec.attribution = true;
     armed_spec.timeline = Some(TimelineConfig {
         cadence_nanos: 10 * MS,
         ..TimelineConfig::default()
     });
+    armed_spec.trace = true;
     let armed = run(&armed_spec);
     assert!(plain.hist.count() > 0, "no samples measured");
     assert_eq!(
         plain.hist, armed.hist,
-        "arming the timeline + provenance sampler changed the latency histogram"
+        "arming the recorder changed the latency histogram"
+    );
+    let spike = armed.spike.expect("spike report present when armed");
+    assert!(spike.fidelity.observed > 0, "watchdog observed nothing");
+    assert!(
+        !spike.incidents.is_empty(),
+        "a 1 ns SLO must open an incident"
     );
 
     // The waterfall decomposes each reported band's exemplar exactly: the
@@ -102,15 +93,20 @@ fn timeline_and_attribution_are_invisible_and_waterfalls_sum_exactly() {
     // The timeline actually sampled: multiple ticks, live series, and a
     // parseable jet-timeline-v1 document.
     let timeline = armed.timeline.expect("timeline present when armed");
-    let (samples, series, ticks, _evicted) = timeline.stats();
-    assert!(samples > 1, "timeline sampled {samples} time(s)");
-    assert!(series > 0, "timeline recorded no series");
+    let stats = timeline.stats();
+    assert!(
+        stats.samples > 1,
+        "timeline sampled {} time(s)",
+        stats.samples
+    );
+    assert!(stats.series > 0, "timeline recorded no series");
     assert_eq!(
-        samples as usize, ticks,
+        stats.samples as usize, stats.ticks,
         "no eviction expected at this scale"
     );
-    let json = timeline.to_json("test", "q5");
+    let json = timeline.timeline_json("test", "q5");
     assert!(json.contains("\"schema\": \"jet-timeline-v1\""), "{json}");
+    assert!(armed.trace.is_some(), "trace kept when armed");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use crate::controller::{Controller, Phase};
 use crate::coordinator::{Coordinator, MemberHealth};
-use jet_core::flight::IncidentReport;
+use jet_core::flight::{IncidentReport, Recorder};
 use jet_core::metrics::{Metric, MetricsSnapshot};
 use jet_core::trace::{TraceData, TraceKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -401,11 +401,10 @@ pub fn render_blame(reports: &[IncidentReport]) -> String {
         );
         let _ = writeln!(
             out,
-            "    window [{:.3}s, {:.3}s]: {} spans, {} snapshots{}",
+            "    window [{:.3}s, {:.3}s]: {} spans{}",
             secs(r.window_lo),
             secs(r.window_hi),
             r.window_events,
-            r.window_snapshots,
             if r.window_truncated > 0 {
                 format!(" ({} spans truncated)", r.window_truncated)
             } else {
@@ -432,31 +431,31 @@ pub fn render_blame(reports: &[IncidentReport]) -> String {
     out
 }
 
-/// Render the metrics-timeline section appended to the dump when a
-/// timeline is wired: one ASCII sparkline per job-wide series (summed
-/// across tag sets), min/max-scaled per series. The shape is stable with
-/// zero samples ("no samples") so operators always see the section.
-pub fn render_timeline(timeline: &jet_core::telemetry::Timeline) -> String {
+/// Render the metrics-timeline section appended to the dump when the
+/// recorder's timeline is armed: one ASCII sparkline per job-wide series
+/// (summed across tag sets), min/max-scaled per series. The shape is stable
+/// with zero samples ("no samples") so operators always see the section.
+pub fn render_timeline(recorder: &Recorder) -> String {
     const WIDTH: usize = 48;
     let mut out = String::new();
     let _ = writeln!(out, "\nmetrics timeline");
-    let ticks = timeline.ticks();
+    let ticks = recorder.ticks();
     if ticks.is_empty() {
         let _ = writeln!(out, "  no samples");
         return out;
     }
-    let (samples, series_count, _, evicted) = timeline.stats();
+    let stats = recorder.stats();
     let _ = writeln!(
         out,
         "  {} samples ({} retained, {} evicted), {} series, window [{:.3}s, {:.3}s]",
-        samples,
+        stats.samples,
         ticks.len(),
-        evicted,
-        series_count,
+        stats.ticks_evicted,
+        stats.series,
         secs(ticks[0]),
         secs(*ticks.last().expect("non-empty")),
     );
-    for (name, kind, values) in timeline.job_series() {
+    for (name, kind, values) in recorder.job_series() {
         let min = values.iter().copied().min().unwrap_or(0);
         let max = values.iter().copied().max().unwrap_or(0);
         let _ = writeln!(
@@ -464,12 +463,42 @@ pub fn render_timeline(timeline: &jet_core::telemetry::Timeline) -> String {
             "  {:<42} {:<13} |{}| {} .. {}",
             name,
             kind.name(),
-            jet_core::telemetry::sparkline(&values, WIDTH),
+            sparkline(&values, WIDTH),
             min,
             max,
         );
     }
     out
+}
+
+/// Render `values` as a fixed-width ASCII sparkline, scaled to the series'
+/// own min..max. Pure ASCII so the diagnostics dump stays grep/terminal
+/// safe everywhere.
+fn sparkline(values: &[i64], width: usize) -> String {
+    const RAMP: &[u8] = b" .:-=+*#@";
+    if values.is_empty() || width == 0 {
+        return String::new();
+    }
+    // Downsample by averaging fixed-size buckets so bursts don't vanish.
+    let buckets: Vec<i64> = (0..width.min(values.len()))
+        .map(|b| {
+            let lo = b * values.len() / width.min(values.len());
+            let hi = ((b + 1) * values.len() / width.min(values.len())).max(lo + 1);
+            let slice = &values[lo..hi];
+            slice.iter().sum::<i64>() / slice.len() as i64
+        })
+        .collect();
+    let min = *buckets.iter().min().expect("non-empty");
+    let max = *buckets.iter().max().expect("non-empty");
+    let span = (max - min).max(1) as f64;
+    buckets
+        .iter()
+        .map(|&v| {
+            let t = (v - min) as f64 / span;
+            let idx = (t * (RAMP.len() - 1) as f64).round() as usize;
+            RAMP[idx.min(RAMP.len() - 1)] as char
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -543,7 +572,7 @@ mod tests {
     }
 
     use jet_core::flight::{
-        AttributionConfig, Cause, FlightConfig, FlightRecorder, LatencyWatchdog, WatchdogConfig,
+        AttributionConfig, Cause, RecorderConfig, TimelineConfig, WatchdogConfig,
     };
     use jet_core::trace::{SpanRecord, TraceData, TraceEvent};
 
@@ -563,10 +592,13 @@ mod tests {
     }
 
     /// Watchdog armed purely by a hard SLO: deterministic from sample one.
-    fn slo_watchdog(slo: u64) -> LatencyWatchdog {
-        LatencyWatchdog::with_config(WatchdogConfig {
-            slo_nanos: Some(slo),
-            ..WatchdogConfig::default()
+    fn slo_watchdog(slo: u64) -> Recorder {
+        Recorder::new(RecorderConfig {
+            watchdog: Some(WatchdogConfig {
+                slo_nanos: Some(slo),
+                ..WatchdogConfig::default()
+            }),
+            ..RecorderConfig::default()
         })
     }
 
@@ -603,10 +635,9 @@ mod tests {
         assert!(dump.contains("dropped=4096"), "{dump}");
         // And forensics over an incident with zero surviving spans still
         // attributes: everything is queue wait (the honest residual).
-        let wd = slo_watchdog(MS);
-        let flight = FlightRecorder::with_config(FlightConfig::default(), wd.clone());
-        wd.observe(50 * MS, 40 * MS, 10 * MS);
-        flight.ingest(&data, 0);
+        let flight = slo_watchdog(MS);
+        flight.observe(50 * MS, 40 * MS, 10 * MS);
+        flight.ingest(&data);
         let reports = flight.forensics(&AttributionConfig::default());
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window_events, 0);
@@ -618,9 +649,8 @@ mod tests {
 
     #[test]
     fn blame_attributes_a_single_span_window() {
-        let wd = slo_watchdog(MS);
-        let flight = FlightRecorder::with_config(FlightConfig::default(), wd.clone());
-        wd.observe(50 * MS, 40 * MS, 10 * MS);
+        let flight = slo_watchdog(MS);
+        flight.observe(50 * MS, 40 * MS, 10 * MS);
         let data = TraceData {
             names: vec!["?".to_string(), "agg".to_string()],
             tracks: Vec::new(),
@@ -628,7 +658,7 @@ mod tests {
             dropped: 0,
             capacity: 1024,
         };
-        flight.ingest(&data, 0);
+        flight.ingest(&data);
         let reports = flight.forensics(&AttributionConfig::default());
         assert_eq!(reports.len(), 1);
         let a = &reports[0].attribution;
@@ -661,10 +691,9 @@ mod tests {
     /// file with the printed actual if the format changes intentionally.
     #[test]
     fn blame_section_matches_golden_file() {
-        let wd = slo_watchdog(2 * MS);
-        let flight = FlightRecorder::with_config(FlightConfig::default(), wd.clone());
+        let flight = slo_watchdog(2 * MS);
         // The spiked emission: event at 100ms emitted at 150ms (50ms spike).
-        wd.observe(150 * MS, 100 * MS, 50 * MS);
+        flight.observe(150 * MS, 100 * MS, 50 * MS);
         // The forensic story: fault injected at 105ms, suspected at 110ms,
         // fenced at 120ms, rebuilt by 140ms, replay caught up by 150ms.
         let data = TraceData {
@@ -684,7 +713,7 @@ mod tests {
             dropped: 0,
             capacity: 1024,
         };
-        flight.ingest(&data, 0);
+        flight.ingest(&data);
         let reports = flight.forensics(&AttributionConfig::default());
         let blame = render_blame(&reports);
         let golden = include_str!("golden/spike_blame.txt");
@@ -709,23 +738,30 @@ mod tests {
         assert!(dump.contains("events=1"), "{dump}");
     }
 
+    fn timeline() -> Recorder {
+        Recorder::new(RecorderConfig {
+            timeline: Some(TimelineConfig::default()),
+            ..RecorderConfig::default()
+        })
+    }
+
     #[test]
     fn timeline_section_is_stable_when_empty() {
-        let section = render_timeline(&jet_core::telemetry::Timeline::enabled());
+        let section = render_timeline(&timeline());
         assert!(section.contains("metrics timeline"), "{section}");
         assert!(section.contains("no samples"), "{section}");
     }
 
     #[test]
     fn timeline_section_rolls_series_up_by_name_with_sparklines() {
-        let timeline = jet_core::telemetry::Timeline::enabled();
+        let timeline = timeline();
         let r = MetricsRegistry::new();
         let c0 = r.counter("jet_events_in_total", tags(&[("member", "0")]));
         let c1 = r.counter("jet_events_in_total", tags(&[("member", "1")]));
         for i in 0..5u64 {
             c0.add(100);
             c1.add(50);
-            timeline.record_sample(i * 100_000_000, &r.snapshot());
+            timeline.sample(i * 100_000_000, &r.snapshot());
         }
         let section = render_timeline(&timeline);
         assert!(section.contains("5 samples"), "{section}");
@@ -738,5 +774,18 @@ mod tests {
         assert!(section.contains("150 .. 750"), "{section}");
         assert!(section.contains('|'), "{section}");
         assert!(section.is_ascii(), "{section}");
+    }
+
+    #[test]
+    fn sparkline_is_ascii_and_fixed_width() {
+        let values: Vec<i64> = (0..100).map(|i| (i % 17) * 3).collect();
+        let line = sparkline(&values, 40);
+        assert_eq!(line.len(), 40);
+        assert!(line.is_ascii());
+        assert_eq!(sparkline(&[], 40), "");
+        assert_eq!(sparkline(&[5], 40).len(), 1);
+        // Flat series renders flat (min==max guard).
+        let flat = sparkline(&[7, 7, 7, 7], 4);
+        assert!(flat.chars().all(|c| c == flat.chars().next().unwrap()));
     }
 }

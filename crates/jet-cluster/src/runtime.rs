@@ -16,12 +16,11 @@ use crate::controller::{Controller, ControllerConfig, ControllerEvent, Direction
 use crate::coordinator::{ClusterEvent, Coordinator, CoordinatorConfig};
 use crate::wiring::{build_cluster_execution, ClusterConfig, ClusterExecution};
 use jet_core::fairness::JobQuotas;
-use jet_core::flight::{AttributionConfig, FlightRecorder, IncidentReport};
+use jet_core::flight::{AttributionConfig, IncidentReport, Recorder};
 use jet_core::metrics::{tags, MetricsRegistry, MetricsSnapshot};
 use jet_core::network::{ChannelChaos, InMemoryTransport, NetworkFaults};
 use jet_core::processor::Guarantee;
 use jet_core::snapshot::SnapshotRegistry;
-use jet_core::telemetry::Timeline;
 use jet_core::trace::{TraceData, TraceKind, TraceWriter, Tracer};
 use jet_core::Dag;
 use jet_imdg::{Grid, MemberId, SnapshotStore, StoreFaults};
@@ -71,17 +70,12 @@ pub struct SimClusterConfig {
     /// prefixes). `None` (the default) keeps the original tasklet-level
     /// round-robin bit-identically.
     pub quotas: Option<JobQuotas>,
-    /// Spike-forensics flight recorder (carries its watchdog). When
-    /// enabled, the runtime samples the job-wide metrics snapshot into its
-    /// time series at the recorder's cadence and the diagnostics dump gains
-    /// a blame section. Disabled by default: zero cost, identical virtual
-    /// timeline either way.
-    pub flight: FlightRecorder,
-    /// Continuous metrics timeline. When enabled, the runtime samples the
-    /// job-wide metrics snapshot into delta-encoded rings at the timeline's
-    /// cadence and the diagnostics dump gains a sparkline section. Disabled
-    /// by default: zero cost, identical virtual timeline either way.
-    pub timeline: Timeline,
+    /// Flight recorder. With its span ring armed the diagnostics dump
+    /// gains a blame section; with its timeline armed the runtime samples
+    /// the job-wide metrics snapshot at the timeline's cadence and the dump
+    /// gains a sparkline section. Disabled by default: zero cost, identical
+    /// virtual timeline either way.
+    pub recorder: Recorder,
 }
 
 impl Default for SimClusterConfig {
@@ -104,8 +98,7 @@ impl Default for SimClusterConfig {
             coordinator: None,
             controller: None,
             quotas: None,
-            flight: FlightRecorder::disabled(),
-            timeline: Timeline::disabled(),
+            recorder: Recorder::disabled(),
         }
     }
 }
@@ -306,33 +299,28 @@ impl SimCluster {
                 .gauge("jet_trace_ring_capacity", tags(&[]))
                 .set(cfg.tracer.ring_capacity() as i64);
         }
-        if cfg.flight.is_enabled() {
-            let f = cfg.flight.clone();
+        if cfg.recorder.records_spans() {
+            let r = cfg.recorder.clone();
             cluster_metrics.counter_fn("jet_flight_spans_evicted_total", tags(&[]), move || {
-                f.stats().1
+                r.stats().spans_evicted
             });
-            let f = cfg.flight.clone();
+            let r = cfg.recorder.clone();
             cluster_metrics.gauge_fn("jet_flight_spans_retained_records", tags(&[]), move || {
-                f.stats().2 as i64
+                r.stats().spans_retained as i64
             });
-            let f = cfg.flight.clone();
-            cluster_metrics.gauge_fn(
-                "jet_flight_snapshots_retained_records",
-                tags(&[]),
-                move || f.stats().3 as i64,
-            );
         }
-        if cfg.timeline.is_enabled() {
-            let t = cfg.timeline.clone();
-            cluster_metrics
-                .counter_fn("jet_timeline_samples_total", tags(&[]), move || t.stats().0);
-            let t = cfg.timeline.clone();
-            cluster_metrics.gauge_fn("jet_timeline_series_records", tags(&[]), move || {
-                t.stats().1 as i64
+        if cfg.recorder.samples_metrics() {
+            let r = cfg.recorder.clone();
+            cluster_metrics.counter_fn("jet_timeline_samples_total", tags(&[]), move || {
+                r.stats().samples
             });
-            let t = cfg.timeline.clone();
+            let r = cfg.recorder.clone();
+            cluster_metrics.gauge_fn("jet_timeline_series_records", tags(&[]), move || {
+                r.stats().series as i64
+            });
+            let r = cfg.recorder.clone();
             cluster_metrics.counter_fn("jet_timeline_ticks_evicted_total", tags(&[]), move || {
-                t.stats().3
+                r.stats().ticks_evicted
             });
         }
         let member_ids: Vec<u32> = grid.members().iter().map(|m| m.0).collect();
@@ -564,25 +552,13 @@ impl SimCluster {
         if let Some(ctl) = self.controller.as_ref() {
             dump.push_str(&crate::diagnostics::render_autoscaler(ctl));
         }
-        if self.cfg.flight.is_enabled() {
+        if self.cfg.recorder.records_spans() {
             dump.push_str(&crate::diagnostics::render_blame(&self.spike_forensics()));
         }
-        if self.cfg.timeline.is_enabled() {
-            dump.push_str(&crate::diagnostics::render_timeline(&self.cfg.timeline));
+        if self.cfg.recorder.samples_metrics() {
+            dump.push_str(&crate::diagnostics::render_timeline(&self.cfg.recorder));
         }
         dump
-    }
-
-    /// The job's flight recorder (disabled unless configured via
-    /// [`SimClusterConfig::flight`]).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.cfg.flight
-    }
-
-    /// The job's metrics timeline (disabled unless configured via
-    /// [`SimClusterConfig::timeline`]).
-    pub fn timeline(&self) -> &Timeline {
-        &self.cfg.timeline
     }
 
     /// Run spike forensics over every frozen incident window: decompose
@@ -594,7 +570,7 @@ impl SimCluster {
             net_latency_hint: self.cfg.network_latency.max(1),
             ..AttributionConfig::default()
         };
-        self.cfg.flight.forensics(&cfg)
+        self.cfg.recorder.forensics(&cfg)
     }
 
     /// Advance the job by `duration` virtual nanos, auto-triggering
@@ -622,7 +598,7 @@ impl SimCluster {
                 return self.sim.live_tasklets() == 0;
             }
             // The autoscaler samples on its own cadence, between simulator
-            // calls like the recorders below: zero virtual cost, identical
+            // calls like the metrics timeline below: zero virtual cost, identical
             // schedule. Stepping *before* the chunk is sized means a due
             // sample (including the very first, which has no deadline yet)
             // is taken now, and `next_sample_in` below always has a
@@ -630,15 +606,12 @@ impl SimCluster {
             // in flight the controller has been taken out of `self`, so
             // nested run_for calls skip this.)
             self.controller_step();
-            // With a flight recorder or metrics timeline wired, chunk the
-            // run at the nearest sampling deadline: samples are taken
-            // *between* simulator calls, so they cost zero virtual time and
-            // the executed schedule is identical to an unchunked run.
+            // With a metrics timeline armed, chunk the run at its sampling
+            // deadline: samples are taken *between* simulator calls, so they
+            // cost zero virtual time and the executed schedule is identical
+            // to an unchunked run.
             let mut chunk = remaining;
-            if let Some(gap) = self.cfg.flight.next_snapshot_in(self.now()) {
-                chunk = chunk.min(gap.max(1));
-            }
-            if let Some(gap) = self.cfg.timeline.next_sample_in(self.now()) {
+            if let Some(gap) = self.cfg.recorder.next_sample_in(self.now()) {
                 chunk = chunk.min(gap.max(1));
             }
             if let Some(ctl) = self.controller.as_ref() {
@@ -687,17 +660,9 @@ impl SimCluster {
                 hook(tick.now);
                 true
             });
-            if self.cfg.flight.is_enabled() {
-                let now = self.now();
-                if self.cfg.flight.snapshot_due(now) {
-                    self.cfg.flight.record_snapshot(now, self.job_metrics());
-                }
-            }
-            if self.cfg.timeline.is_enabled() {
-                let now = self.now();
-                if self.cfg.timeline.sample_due(now) {
-                    self.cfg.timeline.record_sample(now, &self.job_metrics());
-                }
+            let now = self.now();
+            if self.cfg.recorder.next_sample_in(now) == Some(0) {
+                self.cfg.recorder.sample(now, &self.job_metrics());
             }
             match action {
                 None => {

@@ -483,7 +483,7 @@ fn nexmark_q5_survives_a_detected_crash_with_identical_results() {
 /// spike exactly.
 #[test]
 fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
-    use jet_core::flight::{FlightConfig, FlightRecorder, LatencyWatchdog, WatchdogConfig};
+    use jet_core::flight::{Recorder, RecorderConfig, WatchdogConfig};
     use jet_core::metrics::{SharedCounter, SharedHistogram};
     use jet_core::trace::{TraceData, Tracer};
 
@@ -497,11 +497,13 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
     // so arm a hard SLO between the steady-state window-emission latency
     // (~2-3 ms past each window end) and the outage peak (detection grace
     // ~9.5 ms + snapshot replay).
-    let watchdog = LatencyWatchdog::with_config(WatchdogConfig {
-        slo_nanos: Some(6 * MS),
-        ..WatchdogConfig::default()
+    let recorder = Recorder::new(RecorderConfig {
+        watchdog: Some(WatchdogConfig {
+            slo_nanos: Some(6 * MS),
+            ..WatchdogConfig::default()
+        }),
+        ..RecorderConfig::default()
     });
-    let flight = FlightRecorder::with_config(FlightConfig::default(), watchdog.clone());
     p.read_from_generator_cfg(
         "gen",
         1_000_000,
@@ -512,7 +514,7 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
     .grouping_key(|k: &u64| *k)
     .window(WindowDef::tumbling(WINDOW))
     .aggregate(counting::<u64>())
-    .write_to_latency_watched(hist, count, watchdog.clone());
+    .write_to_latency_recorded(hist, count, recorder.clone());
     let dag = p.compile(2).unwrap();
     let tracer = Tracer::with_config(8192, 4);
     let cfg = SimClusterConfig {
@@ -524,7 +526,7 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
         fault_plan: Some(plan),
         coordinator: Some(CoordinatorConfig::default()),
         tracer: tracer.clone(),
-        flight: flight.clone(),
+        recorder: recorder.clone(),
         ..Default::default()
     };
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
@@ -533,7 +535,7 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
     let done = cluster.run_for_with(SEC, |now| {
         if now >= next_drain {
             tracer.drain_into(&mut scratch);
-            flight.ingest(&scratch, 0);
+            recorder.ingest(&scratch);
             scratch.events.clear();
             next_drain = now + 10 * MS;
         }
@@ -545,14 +547,14 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
         cluster.failed()
     );
     tracer.drain_into(&mut scratch);
-    flight.ingest(&scratch, 0);
+    recorder.ingest(&scratch);
 
     let incidents = cluster.spike_forensics();
     assert!(
         !incidents.is_empty(),
         "the crash outage produced no spike incidents (observed={} threshold={}ns)",
-        watchdog.stats().0,
-        watchdog.threshold()
+        recorder.stats().observed,
+        recorder.stats().threshold
     );
     // Incidents come worst-first; the outage spike dominates this stream.
     let a = &incidents[0].attribution;

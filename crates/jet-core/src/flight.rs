@@ -1,44 +1,64 @@
-//! Flight recorder + spike forensics: *why* was the tail slow?
+//! The flight recorder: *why* was the tail slow, and *when* did each
+//! metric move?
 //!
-//! PR 1's metrics say how much time the job spent and PR 2's trace says
-//! where — but both are passive: when a bench shows a 631 ms p99.99
-//! excursion, someone still has to eyeball the trace by hand. This module
-//! closes the loop:
+//! Metrics say how much time the job spent and the trace says where, but
+//! both are passive: when a bench shows a 631 ms p99.99 excursion, someone
+//! still has to read the trace by hand. One [`Recorder`] handle closes the
+//! loop. Under one lock it owns four parts, each armed by its own
+//! [`RecorderConfig`] field:
 //!
-//! * [`LatencyWatchdog`] — an online detector fed by the latency sink. It
-//!   maintains a rolling latency histogram per epoch of *virtual* time and
+//! * the **watchdog** — an online spike detector fed by the latency sink.
+//!   It keeps a rolling latency histogram per epoch of *virtual* time and
 //!   flags emissions whose latency exceeds an adaptive threshold
 //!   (`multiplier × previous-epoch p99`, floored) or a configured SLO.
-//!   Consecutive detections merge into bounded *incidents*.
-//! * [`FlightRecorder`] — an always-on bounded ring of drained span records
-//!   plus a periodic metrics-snapshot time series. When the watchdog opens
-//!   an incident, the recorder *freezes* the window around it: spans that
-//!   would be evicted from the rolling ring are moved into the incident's
-//!   frozen store instead of being discarded.
-//! * [`attribute`] — the critical-path attribution engine: given the span
-//!   records overlapping one spiked event's journey `[event_ts, emitted]`,
-//!   it partitions that interval into named causes (queue wait, tasklet
-//!   execution, backpressure stall, watermark straggler gap, snapshot
-//!   phase, network send/recv, fault detection, recovery, post-recovery
-//!   catch-up). The partition is exact: the per-cause nanos always sum to
-//!   the measured end-to-end spike latency.
+//!   Consecutive detections merge into bounded *incidents*, and each
+//!   incident opens a frozen window;
+//! * the **span ring** — a bounded ring of drained trace spans. A span that
+//!   ages out inside an incident window is *frozen* instead of discarded;
+//! * the **provenance sampler** — a bounded store of sampled
+//!   `(event_ts, emitted_at)` journeys, so any percentile of the measured
+//!   distribution can be matched to a concrete journey and decomposed
+//!   ([`Recorder::waterfalls`]);
+//! * the **metrics timeline** — every registered instrument sampled on a
+//!   fixed virtual-time cadence into bounded, delta-encoded rings, so a run
+//!   replays as a time series: queue depths ramping up before a stall,
+//!   watermark lag breathing with snapshot phases, throughput dips lining
+//!   up with recovery.
 //!
-//! Cost discipline matches the tracer: everything here runs in *real* time
-//! only — observing a latency sample, ingesting drained spans, and taking
-//! metrics snapshots never advance the virtual clock, so an instrumented
-//! run produces bit-identical percentiles to an uninstrumented one.
+//! [`attribute`] is the critical-path attribution engine: given the spans
+//! overlapping one event's journey `[event_ts, emitted]`, it partitions
+//! that interval into named causes (queue wait, tasklet execution,
+//! backpressure stall, watermark straggler gap, snapshot phase, network
+//! send/recv, fault detection, recovery, post-recovery catch-up). The
+//! partition is exact: the per-cause nanos always sum to the measured
+//! end-to-end latency.
+//!
+//! The recorder has three feeds: [`Recorder::observe`] per sink emission,
+//! [`Recorder::ingest`] per trace drain, and [`Recorder::sample`] on the
+//! timeline's cadence. All of them cost *real* time only and never advance
+//! the virtual clock, so a recorded run produces bit-identical percentiles
+//! to an unrecorded one.
+//!
+//! Timeline encoding: one series per distinct `(name, tags)` instrument.
+//! Each tick appends one signed delta per series (`value - previous
+//! value`); counters therefore store their per-tick increments directly and
+//! flat gauges compress to runs of zeros. Histograms are sampled at their
+//! p99 — the tail-shape signal this engine is about. A series that first
+//! appears mid-run is zero-padded so every series always has exactly one
+//! delta per retained tick; old ticks fold into each series' `base`, so the
+//! retained window always reconstructs exactly.
 
-use crate::metrics::{json_escape, MetricsSnapshot};
-use crate::trace::{TraceData, TraceEvent, TraceKind, TrackInfo};
+use crate::metrics::{json_escape, MetricValue, MetricsSnapshot, Tags};
+use crate::trace::{TraceData, TraceEvent, TraceKind};
 use jet_util::Histogram;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 const MS: u64 = 1_000_000;
 
-// ---------------------------------------------------------------- watchdog
+// ------------------------------------------------------------------ config
 
 /// Tuning for the online spike detector.
 #[derive(Clone, Debug)]
@@ -73,196 +93,7 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// One detected tail-latency excursion: a run of spiked emissions merged
-/// under the quiet-gap rule, keyed by its worst (peak) event.
-#[derive(Clone, Debug)]
-pub struct SpikeIncident {
-    pub id: u32,
-    /// Virtual instant of the first spiked emission.
-    pub first_detected: u64,
-    /// Virtual instant of the most recent spiked emission.
-    pub last_detected: u64,
-    /// Spiked emissions merged into this incident.
-    pub samples: u64,
-    /// Worst latency observed in the incident.
-    pub peak_latency: u64,
-    /// Occurrence timestamp of the peak event (window end for windowed
-    /// queries — the instant the paper's latency clock started).
-    pub peak_event_ts: u64,
-    /// Virtual instant the peak event was emitted at the sink.
-    pub peak_emitted_at: u64,
-    /// Detection threshold in force when the incident opened.
-    pub threshold: u64,
-}
-
-struct WatchdogInner {
-    cfg: WatchdogConfig,
-    epoch_start: Option<u64>,
-    current: Histogram,
-    /// p99 of the last completed epoch; None until one completes.
-    baseline_p99: Option<u64>,
-    incidents: Vec<SpikeIncident>,
-    observed: u64,
-    suppressed: u64,
-    next_id: u32,
-}
-
-impl WatchdogInner {
-    /// The adaptive threshold currently in force (`u64::MAX` = armed only
-    /// by the SLO until the first epoch completes).
-    fn threshold(&self) -> u64 {
-        let adaptive = match self.baseline_p99 {
-            Some(p99) => {
-                let scaled = (p99 as f64 * self.cfg.multiplier) as u64;
-                scaled.max(self.cfg.min_spike_nanos)
-            }
-            None => u64::MAX,
-        };
-        adaptive.min(self.cfg.slo_nanos.unwrap_or(u64::MAX))
-    }
-}
-
-/// Cheap-to-clone handle to the spike detector; `disabled()` is a no-op so
-/// the latency sink can hold one unconditionally.
-#[derive(Clone, Default)]
-pub struct LatencyWatchdog {
-    inner: Option<Arc<Mutex<WatchdogInner>>>,
-}
-
-impl LatencyWatchdog {
-    pub fn disabled() -> LatencyWatchdog {
-        LatencyWatchdog { inner: None }
-    }
-
-    pub fn with_config(cfg: WatchdogConfig) -> LatencyWatchdog {
-        LatencyWatchdog {
-            inner: Some(Arc::new(Mutex::new(WatchdogInner {
-                cfg,
-                epoch_start: None,
-                current: Histogram::latency(),
-                baseline_p99: None,
-                incidents: Vec::new(),
-                observed: 0,
-                suppressed: 0,
-                next_id: 0,
-            }))),
-        }
-    }
-
-    pub fn enabled() -> LatencyWatchdog {
-        Self::with_config(WatchdogConfig::default())
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Feed one emission: `now` is the virtual emission instant, `event_ts`
-    /// the event's occurrence timestamp, `latency = now - event_ts`. Called
-    /// from the latency sink; costs real time only.
-    // jet-analyze: allow(alloc, block) — watchdog bookkeeping: short uncontended lock; the spike ring is capacity-bounded
-    pub fn observe(&self, now: u64, event_ts: u64, latency: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut w = inner.lock();
-        w.observed += 1;
-        // Roll epochs: the completed epoch's p99 becomes the baseline.
-        match w.epoch_start {
-            None => w.epoch_start = Some(now),
-            Some(start) => {
-                if now >= start + w.cfg.epoch_nanos {
-                    if w.current.count() > 0 {
-                        w.baseline_p99 = Some(w.current.percentile(99.0));
-                    }
-                    w.current.clear();
-                    // Snap forward (don't loop per missed epoch on gaps).
-                    let missed = (now - start) / w.cfg.epoch_nanos;
-                    w.epoch_start = Some(start + missed * w.cfg.epoch_nanos);
-                }
-            }
-        }
-        let threshold = w.threshold();
-        if latency < threshold {
-            // Only non-spiked samples feed the baseline: a spike-heavy epoch
-            // must not inflate the next epoch's threshold and mask the tail
-            // of its own incident.
-            w.current.record(latency);
-            return;
-        }
-        // Spiked: merge into the open incident or start a new one.
-        let quiet_gap = w.cfg.quiet_gap_nanos;
-        if let Some(last) = w.incidents.last_mut() {
-            if now <= last.last_detected.saturating_add(quiet_gap) {
-                last.last_detected = last.last_detected.max(now);
-                last.samples += 1;
-                if latency > last.peak_latency {
-                    last.peak_latency = latency;
-                    last.peak_event_ts = event_ts;
-                    last.peak_emitted_at = now;
-                }
-                return;
-            }
-        }
-        if w.incidents.len() >= w.cfg.max_incidents {
-            w.suppressed += 1;
-            return;
-        }
-        let id = w.next_id;
-        w.next_id += 1;
-        w.incidents.push(SpikeIncident {
-            id,
-            first_detected: now,
-            last_detected: now,
-            samples: 1,
-            peak_latency: latency,
-            peak_event_ts: event_ts,
-            peak_emitted_at: now,
-            threshold,
-        });
-    }
-
-    /// Snapshot of all incidents so far.
-    pub fn incidents(&self) -> Vec<SpikeIncident> {
-        match &self.inner {
-            Some(inner) => inner.lock().incidents.clone(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Forget incidents (and suppression counts) recorded so far — used
-    /// after warm-up so cold-start noise does not pollute the report. The
-    /// rolling baseline is kept: warm-up is exactly what it should learn.
-    pub fn clear_incidents(&self) {
-        if let Some(inner) = &self.inner {
-            let mut w = inner.lock();
-            w.incidents.clear();
-            w.suppressed = 0;
-        }
-    }
-
-    /// Current effective detection threshold (`u64::MAX` until armed).
-    pub fn threshold(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.lock().threshold(),
-            None => u64::MAX,
-        }
-    }
-
-    /// (samples observed, spikes suppressed by the incident cap).
-    pub fn stats(&self) -> (u64, u64) {
-        match &self.inner {
-            Some(inner) => {
-                let w = inner.lock();
-                (w.observed, w.suppressed)
-            }
-            None => (0, 0),
-        }
-    }
-}
-
-// --------------------------------------------------------------- recorder
-
-/// Tuning for the always-on flight-recorder ring.
+/// Tuning for the span ring and the windows frozen around incidents.
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
     /// Rolling span retention horizon (virtual nanos behind the newest
@@ -270,15 +101,13 @@ pub struct FlightConfig {
     pub span_horizon_nanos: u64,
     /// Hard cap on rolling-ring records (32 B each).
     pub span_capacity: usize,
-    /// Metrics time-series snapshot cadence (virtual nanos).
-    pub snapshot_cadence_nanos: u64,
-    /// Snapshots kept in the rolling series.
-    pub snapshot_capacity: usize,
     /// Frozen window padding before the peak event's occurrence.
     pub pre_roll_nanos: u64,
     /// Frozen window padding after the last detection.
     pub post_roll_nanos: u64,
-    /// Per-incident cap on frozen spans.
+    /// Cap on frozen spans across all incident windows. A span evicted
+    /// inside a window once the store is full is counted as that window's
+    /// truncation instead.
     pub frozen_span_capacity: usize,
 }
 
@@ -287,294 +116,11 @@ impl Default for FlightConfig {
         FlightConfig {
             span_horizon_nanos: 4_000 * MS,
             span_capacity: 262_144,
-            snapshot_cadence_nanos: 50 * MS,
-            snapshot_capacity: 256,
             pre_roll_nanos: 20 * MS,
             post_roll_nanos: 20 * MS,
-            frozen_span_capacity: 65_536,
+            frozen_span_capacity: 262_144,
         }
     }
-}
-
-/// The span/snapshot window frozen around one incident.
-struct FrozenWindow {
-    incident: SpikeIncident,
-    lo: u64,
-    hi: u64,
-    /// Spans moved here when the rolling ring evicted them.
-    events: Vec<TraceEvent>,
-    snapshots: Vec<(u64, MetricsSnapshot)>,
-    truncated: u64,
-}
-
-struct RecorderInner {
-    cfg: FlightConfig,
-    names: Vec<String>,
-    tracks: Vec<TrackInfo>,
-    ring: VecDeque<TraceEvent>,
-    newest_ts: u64,
-    ingested: u64,
-    /// Spans evicted from the rolling ring *outside* any frozen window.
-    evicted: u64,
-    snapshots: VecDeque<(u64, MetricsSnapshot)>,
-    next_snapshot_at: u64,
-    windows: Vec<FrozenWindow>,
-}
-
-impl RecorderInner {
-    fn freeze_or_evict(&mut self, ev: TraceEvent) {
-        let ts = ev.rec.ts;
-        for w in self.windows.iter_mut() {
-            if ts >= w.lo && ts <= w.hi {
-                if w.events.len() < self.cfg.frozen_span_capacity {
-                    w.events.push(ev);
-                } else {
-                    w.truncated += 1;
-                }
-                return;
-            }
-        }
-        self.evicted += 1;
-    }
-
-    fn prune(&mut self) {
-        let floor = self.newest_ts.saturating_sub(self.cfg.span_horizon_nanos);
-        while self.ring.len() > self.cfg.span_capacity
-            || self.ring.front().is_some_and(|e| e.rec.ts < floor)
-        {
-            let ev = self.ring.pop_front().expect("non-empty: condition held");
-            self.freeze_or_evict(ev);
-        }
-        while self.snapshots.len() > self.cfg.snapshot_capacity {
-            let (at, snap) = self.snapshots.pop_front().expect("non-empty");
-            if let Some(w) = self.windows.iter_mut().find(|w| at >= w.lo && at <= w.hi) {
-                w.snapshots.push((at, snap));
-            }
-        }
-    }
-
-    fn sync_incidents(&mut self, incidents: &[SpikeIncident]) {
-        for inc in incidents {
-            let lo = inc.peak_event_ts.saturating_sub(self.cfg.pre_roll_nanos);
-            let hi = inc.last_detected.saturating_add(self.cfg.post_roll_nanos);
-            match self.windows.iter_mut().find(|w| w.incident.id == inc.id) {
-                Some(w) => {
-                    w.incident = inc.clone();
-                    w.lo = w.lo.min(lo);
-                    w.hi = w.hi.max(hi);
-                }
-                None => self.windows.push(FrozenWindow {
-                    incident: inc.clone(),
-                    lo,
-                    hi,
-                    events: Vec::new(),
-                    snapshots: Vec::new(),
-                    truncated: 0,
-                }),
-            }
-        }
-    }
-}
-
-/// Cheap-to-clone handle to the flight recorder. Carries the watchdog whose
-/// incidents it freezes windows for; `disabled()` is a no-op everywhere.
-#[derive(Clone, Default)]
-pub struct FlightRecorder {
-    inner: Option<Arc<Mutex<RecorderInner>>>,
-    watchdog: LatencyWatchdog,
-}
-
-impl FlightRecorder {
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder {
-            inner: None,
-            watchdog: LatencyWatchdog::disabled(),
-        }
-    }
-
-    pub fn with_config(cfg: FlightConfig, watchdog: LatencyWatchdog) -> FlightRecorder {
-        FlightRecorder {
-            inner: Some(Arc::new(Mutex::new(RecorderInner {
-                cfg,
-                names: vec!["?".to_string()],
-                tracks: Vec::new(),
-                ring: VecDeque::new(),
-                newest_ts: 0,
-                ingested: 0,
-                evicted: 0,
-                snapshots: VecDeque::new(),
-                next_snapshot_at: 0,
-                windows: Vec::new(),
-            }))),
-            watchdog,
-        }
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The watchdog this recorder freezes windows for.
-    pub fn watchdog(&self) -> &LatencyWatchdog {
-        &self.watchdog
-    }
-
-    /// Ingest freshly drained trace data (events `from..`). Syncs incident
-    /// windows from the watchdog first so eviction freezes rather than
-    /// discards in-window spans. Returns `data.events.len()` for use as the
-    /// next call's `from` cursor.
-    pub fn ingest(&self, data: &TraceData, from: usize) -> usize {
-        let Some(inner) = &self.inner else {
-            return data.events.len();
-        };
-        let mut r = inner.lock();
-        let incidents = self.watchdog.incidents();
-        r.sync_incidents(&incidents);
-        if data.names.len() > r.names.len() {
-            r.names = data.names.clone();
-        }
-        if data.tracks.len() > r.tracks.len() {
-            r.tracks = data.tracks.clone();
-        }
-        for ev in data.events.iter().skip(from) {
-            r.newest_ts = r.newest_ts.max(ev.rec.ts);
-            r.ring.push_back(*ev);
-            r.ingested += 1;
-        }
-        r.prune();
-        data.events.len()
-    }
-
-    /// Is a metrics time-series sample due at virtual instant `now`?
-    pub fn snapshot_due(&self, now: u64) -> bool {
-        match &self.inner {
-            Some(inner) => now >= inner.lock().next_snapshot_at,
-            None => false,
-        }
-    }
-
-    /// Virtual nanos until the next metrics snapshot is due (0 if overdue).
-    /// `None` when disabled — callers use this to chunk long runs at the
-    /// snapshot cadence without polling every quantum.
-    pub fn next_snapshot_in(&self, now: u64) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.lock().next_snapshot_at.saturating_sub(now))
-    }
-
-    /// Append one metrics snapshot to the time series.
-    pub fn record_snapshot(&self, now: u64, snap: MetricsSnapshot) {
-        let Some(inner) = &self.inner else { return };
-        let mut r = inner.lock();
-        let cadence = r.cfg.snapshot_cadence_nanos;
-        r.next_snapshot_at = now + cadence;
-        r.snapshots.push_back((now, snap));
-        r.prune();
-    }
-
-    /// (spans ingested, spans evicted un-frozen, spans retained, snapshots
-    /// retained) — the recorder's own fidelity counters.
-    pub fn stats(&self) -> (u64, u64, usize, usize) {
-        match &self.inner {
-            Some(inner) => {
-                let r = inner.lock();
-                let frozen: usize = r.windows.iter().map(|w| w.events.len()).sum();
-                (
-                    r.ingested,
-                    r.evicted,
-                    r.ring.len() + frozen,
-                    r.snapshots.len() + r.windows.iter().map(|w| w.snapshots.len()).sum::<usize>(),
-                )
-            }
-            None => (0, 0, 0, 0),
-        }
-    }
-
-    /// Freeze-sync with the watchdog and attribute every incident: the
-    /// closed loop's output. `cfg` carries cluster facts the span stream
-    /// alone cannot know (the one-way network latency).
-    pub fn forensics(&self, cfg: &AttributionConfig) -> Vec<IncidentReport> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut r = inner.lock();
-        let incidents = self.watchdog.incidents();
-        r.sync_incidents(&incidents);
-        let mut out = Vec::with_capacity(r.windows.len());
-        for w in &r.windows {
-            // Window spans live in the frozen store (evicted) and/or still
-            // in the rolling ring; an event is in exactly one of the two.
-            let mut events: Vec<TraceEvent> = w
-                .events
-                .iter()
-                .chain(
-                    r.ring
-                        .iter()
-                        .filter(|e| e.rec.ts >= w.lo && e.rec.ts <= w.hi),
-                )
-                .copied()
-                .collect();
-            events.sort_by_key(|e| e.rec.ts);
-            let snapshots = w.snapshots.len()
-                + r.snapshots
-                    .iter()
-                    .filter(|(at, _)| *at >= w.lo && *at <= w.hi)
-                    .count();
-            let attribution = attribute(
-                &events,
-                &r.names,
-                w.incident.peak_event_ts,
-                w.incident.peak_emitted_at,
-                cfg,
-            );
-            out.push(IncidentReport {
-                incident: w.incident.clone(),
-                window_lo: w.lo,
-                window_hi: w.hi,
-                window_events: events.len(),
-                window_truncated: w.truncated,
-                window_snapshots: snapshots,
-                attribution,
-            });
-        }
-        out.sort_by_key(|r| std::cmp::Reverse(r.incident.peak_latency));
-        out
-    }
-
-    /// Attribute an arbitrary event journey `[t0, t1]` from whatever spans
-    /// the rolling ring and frozen windows still hold — the full-
-    /// distribution generalization of incident forensics. A disabled
-    /// recorder yields an all-queue-wait decomposition (still exact-sum).
-    pub fn attribute_window(&self, t0: u64, t1: u64, cfg: &AttributionConfig) -> Attribution {
-        let Some(inner) = &self.inner else {
-            return attribute(&[], &[], t0, t1, cfg);
-        };
-        let r = inner.lock();
-        let overlaps = |e: &&TraceEvent| e.rec.ts <= t1 && e.rec.ts.saturating_add(e.rec.dur) >= t0;
-        // An event lives in exactly one of the two stores (frozen windows
-        // receive spans only on eviction from the ring).
-        let mut events: Vec<TraceEvent> = r
-            .windows
-            .iter()
-            .flat_map(|w| w.events.iter())
-            .filter(overlaps)
-            .chain(r.ring.iter().filter(overlaps))
-            .copied()
-            .collect();
-        events.sort_by_key(|e| e.rec.ts);
-        attribute(&events, &r.names, t0, t1, cfg)
-    }
-}
-
-// ------------------------------------------------------------- provenance
-
-/// One sampled event journey: occurrence → emission at the latency sink.
-#[derive(Clone, Copy, Debug)]
-pub struct Stamp {
-    pub event_ts: u64,
-    pub emitted_at: u64,
-    pub latency: u64,
 }
 
 /// Tuning for the provenance sampler.
@@ -597,7 +143,96 @@ impl Default for ProvenanceConfig {
     }
 }
 
-struct SamplerInner {
+/// Tuning for the metrics timeline.
+#[derive(Clone, Debug)]
+pub struct TimelineConfig {
+    /// Sampling cadence in virtual nanos.
+    pub cadence_nanos: u64,
+    /// Ticks retained per series; older ticks fold into the series base.
+    pub capacity: usize,
+}
+
+impl Default for TimelineConfig {
+    fn default() -> Self {
+        TimelineConfig {
+            cadence_nanos: 100 * MS,
+            capacity: 1024,
+        }
+    }
+}
+
+/// What a [`Recorder`] arms; a `None` part costs nothing. The span ring
+/// runs whenever the watchdog or the sampler is armed, since they are what
+/// reads it.
+#[derive(Clone, Debug, Default)]
+pub struct RecorderConfig {
+    pub watchdog: Option<WatchdogConfig>,
+    pub provenance: Option<ProvenanceConfig>,
+    pub timeline: Option<TimelineConfig>,
+    /// The span ring and the frozen windows.
+    pub flight: FlightConfig,
+}
+
+// ------------------------------------------------------------------- state
+
+/// One detected tail-latency excursion: a run of spiked emissions merged
+/// under the quiet-gap rule, keyed by its worst (peak) event.
+#[derive(Clone, Debug)]
+pub struct SpikeIncident {
+    pub id: u32,
+    /// Virtual instant of the first spiked emission.
+    pub first_detected: u64,
+    /// Virtual instant of the most recent spiked emission.
+    pub last_detected: u64,
+    /// Spiked emissions merged into this incident.
+    pub samples: u64,
+    /// Worst latency observed in the incident.
+    pub peak_latency: u64,
+    /// Occurrence timestamp of the peak event (window end for windowed
+    /// queries — the instant the paper's latency clock started).
+    pub peak_event_ts: u64,
+    /// Virtual instant the peak event was emitted at the sink.
+    pub peak_emitted_at: u64,
+    /// Detection threshold in force when the incident opened.
+    pub threshold: u64,
+}
+
+/// One sampled event journey: occurrence → emission at the latency sink.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stamp {
+    pub event_ts: u64,
+    pub emitted_at: u64,
+    pub latency: u64,
+}
+
+struct Watchdog {
+    cfg: WatchdogConfig,
+    epoch_start: Option<u64>,
+    current: Histogram,
+    /// p99 of the last completed epoch; None until one completes.
+    baseline_p99: Option<u64>,
+    observed: u64,
+    suppressed: u64,
+    next_id: u32,
+}
+
+impl Watchdog {
+    /// The adaptive threshold currently in force (`u64::MAX` = armed only
+    /// by the SLO until the first epoch completes).
+    fn threshold(&self) -> u64 {
+        let adaptive = match self.baseline_p99 {
+            Some(p99) => {
+                let scaled = (p99 as f64 * self.cfg.multiplier) as u64;
+                scaled.max(self.cfg.min_spike_nanos)
+            }
+            None => u64::MAX,
+        };
+        adaptive.min(self.cfg.slo_nanos.unwrap_or(u64::MAX))
+    }
+}
+
+#[derive(Default)]
+struct Sampler {
     cfg: ProvenanceConfig,
     shift: u32,
     observed: u64,
@@ -606,51 +241,645 @@ struct SamplerInner {
     top: Vec<Stamp>,
 }
 
-/// Cheap-to-clone per-event provenance sampler feeding the latency sink's
-/// `(event_ts, emitted_at)` pairs into a bounded exemplar store, so any
-/// percentile of the measured distribution can later be matched to a
-/// concrete journey and decomposed by [`FlightRecorder::attribute_window`].
-/// `disabled()` is a single-branch no-op on the hot path.
-#[derive(Clone, Default)]
-pub struct ProvenanceSampler {
-    inner: Option<Arc<Mutex<SamplerInner>>>,
+impl Sampler {
+    /// The sampled journey whose latency best matches `target_nanos`.
+    /// Within 2% relative error the *newest* emission wins — its spans are
+    /// the most likely to still sit in the span ring's horizon — else the
+    /// closest latency.
+    fn exemplar(&self, target_nanos: u64) -> Option<Stamp> {
+        let tol = target_nanos / 50;
+        let mut in_tol: Option<Stamp> = None;
+        let mut closest: Option<(u64, Stamp)> = None;
+        for s in self.sampled.iter().chain(self.top.iter()) {
+            let err = s.latency.abs_diff(target_nanos);
+            if err <= tol && in_tol.is_none_or(|b| s.emitted_at > b.emitted_at) {
+                in_tol = Some(*s);
+            }
+            if closest.is_none_or(|(e, _)| err < e) {
+                closest = Some((err, *s));
+            }
+        }
+        in_tol.or(closest.map(|(_, s)| s))
+    }
 }
 
-impl ProvenanceSampler {
-    pub fn disabled() -> ProvenanceSampler {
-        ProvenanceSampler { inner: None }
+/// The window frozen around one incident. Its bounds widen to the
+/// incident's at each ingest, before any span can be evicted into it, so
+/// they are the bounds the incident had when spans left the ring.
+struct FrozenWindow {
+    incident: SpikeIncident,
+    lo: u64,
+    hi: u64,
+    /// Spans evicted inside the window that the frozen store had no room
+    /// for.
+    truncated: u64,
+}
+
+impl FrozenWindow {
+    fn covers(&self, ts: u64) -> bool {
+        self.lo <= ts && ts <= self.hi
+    }
+}
+
+/// What a sampled instrument's scalar means.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeriesKind {
+    /// Cumulative counter; deltas are per-tick increments.
+    Counter,
+    /// Instantaneous gauge.
+    Gauge,
+    /// Histogram sampled at its p99 (nanos for latency instruments).
+    HistogramP99,
+}
+
+impl SeriesKind {
+    pub fn name(&self) -> &'static str {
+        match self {
+            SeriesKind::Counter => "counter",
+            SeriesKind::Gauge => "gauge",
+            SeriesKind::HistogramP99 => "histogram_p99",
+        }
+    }
+}
+
+/// One `(name, tags)` instrument's delta-encoded ring. `base` is the
+/// absolute value just before the oldest retained tick, so the value at
+/// retained tick `i` is `base + deltas[0..=i].sum()`.
+struct Series {
+    name: String,
+    tags: Tags,
+    kind: SeriesKind,
+    base: i64,
+    deltas: VecDeque<i64>,
+    /// Last sampled absolute value (next delta's reference point).
+    last: i64,
+}
+
+impl Series {
+    /// Reconstruct the absolute value at every retained tick.
+    fn values(&self) -> Vec<i64> {
+        let mut acc = self.base;
+        self.deltas
+            .iter()
+            .map(|d| {
+                acc += d;
+                acc
+            })
+            .collect()
+    }
+}
+
+#[derive(Default)]
+struct Timeline {
+    cfg: TimelineConfig,
+    /// Virtual timestamps of retained ticks, strictly increasing.
+    ticks: VecDeque<u64>,
+    /// Ticks folded out of the ring so far.
+    evicted_ticks: u64,
+    series: Vec<Series>,
+    /// (name, canonical tag string) -> index into `series`.
+    index: BTreeMap<(String, String), usize>,
+    next_sample_at: u64,
+    samples_total: u64,
+}
+
+fn tag_key(tags: &Tags) -> String {
+    let mut s = String::new();
+    for (k, v) in tags {
+        s.push_str(k);
+        s.push('\u{1}');
+        s.push_str(v);
+        s.push('\u{2}');
+    }
+    s
+}
+
+fn metric_scalar(value: &MetricValue) -> (SeriesKind, i64) {
+    match value {
+        MetricValue::Counter(v) => (SeriesKind::Counter, *v as i64),
+        MetricValue::Gauge(v) => (SeriesKind::Gauge, *v),
+        MetricValue::Histogram(h) => (SeriesKind::HistogramP99, h.p99 as i64),
+    }
+}
+
+impl Timeline {
+    fn record(&mut self, now: u64, snap: &MetricsSnapshot) {
+        self.next_sample_at = now + self.cfg.cadence_nanos;
+        // Re-sampling the same instant (e.g. a run boundary flush) would
+        // break tick monotonicity; fold into the existing tick instead by
+        // skipping — the snapshot at an instant is single-valued anyway.
+        if self.ticks.back().is_some_and(|&t| t >= now) {
+            return;
+        }
+        self.ticks.push_back(now);
+        self.samples_total += 1;
+        let prior_len = self.ticks.len() - 1;
+        // Every known series gets a delta this tick; start at "unchanged".
+        for s in &mut self.series {
+            s.deltas.push_back(0);
+        }
+        for m in &snap.metrics {
+            let (kind, value) = metric_scalar(&m.value);
+            let key = (m.name.clone(), tag_key(&m.tags));
+            match self.index.get(&key) {
+                Some(&i) => {
+                    let s = &mut self.series[i];
+                    *s.deltas.back_mut().expect("pushed above") = value - s.last;
+                    s.last = value;
+                }
+                None => {
+                    // First appearance: zero-pad history so the ring stays
+                    // rectangular, then step from 0 to the observed value.
+                    let mut deltas: VecDeque<i64> = VecDeque::with_capacity(prior_len + 1);
+                    deltas.extend(std::iter::repeat_n(0, prior_len));
+                    deltas.push_back(value);
+                    self.index.insert(key, self.series.len());
+                    self.series.push(Series {
+                        name: m.name.clone(),
+                        tags: m.tags.clone(),
+                        kind,
+                        base: 0,
+                        deltas,
+                        last: value,
+                    });
+                }
+            }
+        }
+        while self.ticks.len() > self.cfg.capacity {
+            self.ticks.pop_front();
+            self.evicted_ticks += 1;
+            for s in &mut self.series {
+                if let Some(d) = s.deltas.pop_front() {
+                    s.base += d;
+                }
+            }
+        }
     }
 
-    pub fn enabled() -> ProvenanceSampler {
-        ProvenanceSampler::with_config(ProvenanceConfig::default())
+    /// The retained window as `jet-timeline-v1` JSON.
+    fn to_json(&self, bench: &str, run: &str) -> String {
+        let mut s = String::new();
+        let _ = write!(
+            s,
+            "{{\n  \"schema\": \"jet-timeline-v1\",\n  \"bench\": \"{}\",\n  \"run\": \"{}\",\n  \
+             \"cadence_nanos\": {},\n  \"evicted_ticks\": {},\n  \"ticks_nanos\": [",
+            json_escape(bench),
+            json_escape(run),
+            self.cfg.cadence_nanos,
+            self.evicted_ticks
+        );
+        for (i, ts) in self.ticks.iter().enumerate() {
+            if i > 0 {
+                s.push_str(", ");
+            }
+            let _ = write!(s, "{ts}");
+        }
+        s.push_str("],\n  \"series\": [\n");
+        let mut sorted: Vec<&Series> = self.series.iter().collect();
+        sorted.sort_by(|a, b| (&a.name, &a.tags).cmp(&(&b.name, &b.tags)));
+        for (i, series) in sorted.iter().enumerate() {
+            s.push_str("    {\"name\": \"");
+            s.push_str(&json_escape(&series.name));
+            s.push_str("\", \"tags\": {");
+            for (j, (k, v)) in series.tags.iter().enumerate() {
+                if j > 0 {
+                    s.push_str(", ");
+                }
+                let _ = write!(s, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
+            }
+            let _ = write!(
+                s,
+                "}}, \"kind\": \"{}\", \"base\": {}, \"deltas\": [",
+                series.kind.name(),
+                series.base
+            );
+            for (j, d) in series.deltas.iter().enumerate() {
+                if j > 0 {
+                    s.push_str(", ");
+                }
+                let _ = write!(s, "{d}");
+            }
+            s.push_str("]}");
+            if i + 1 < sorted.len() {
+                s.push(',');
+            }
+            s.push('\n');
+        }
+        s.push_str("  ]\n}\n");
+        s
+    }
+}
+
+struct RecorderInner {
+    flight: FlightConfig,
+    watchdog: Option<Watchdog>,
+    sampler: Option<Sampler>,
+    timeline: Option<Timeline>,
+    names: Vec<String>,
+    ring: VecDeque<TraceEvent>,
+    newest_ts: u64,
+    /// Spans evicted from the ring inside some incident window, each kept
+    /// once however many windows cover it.
+    frozen: Vec<TraceEvent>,
+    /// Spans evicted from the ring outside every incident window.
+    evicted: u64,
+    /// One per incident, in detection order.
+    windows: Vec<FrozenWindow>,
+}
+
+impl RecorderInner {
+    fn records_spans(&self) -> bool {
+        self.watchdog.is_some() || self.sampler.is_some()
     }
 
-    pub fn with_config(cfg: ProvenanceConfig) -> ProvenanceSampler {
-        ProvenanceSampler {
-            inner: Some(Arc::new(Mutex::new(SamplerInner {
-                cfg,
-                shift: 0,
-                observed: 0,
-                sampled: Vec::new(),
-                top: Vec::new(),
+    fn widen_windows(&mut self) {
+        let (pre, post) = (self.flight.pre_roll_nanos, self.flight.post_roll_nanos);
+        for w in &mut self.windows {
+            w.lo = w.lo.min(w.incident.peak_event_ts.saturating_sub(pre));
+            w.hi = w.hi.max(w.incident.last_detected.saturating_add(post));
+        }
+    }
+
+    fn prune(&mut self) {
+        let floor = self
+            .newest_ts
+            .saturating_sub(self.flight.span_horizon_nanos);
+        while self.ring.len() > self.flight.span_capacity
+            || self.ring.front().is_some_and(|e| e.rec.ts < floor)
+        {
+            let ev = self.ring.pop_front().expect("non-empty: condition held");
+            self.freeze_or_evict(ev);
+        }
+    }
+
+    /// A span leaving the ring is frozen once if any incident window covers
+    /// it — every covering window then counts and attributes it — and is
+    /// discarded otherwise.
+    fn freeze_or_evict(&mut self, ev: TraceEvent) {
+        let ts = ev.rec.ts;
+        let room = self.frozen.len() < self.flight.frozen_span_capacity;
+        let mut covered = false;
+        for w in self.windows.iter_mut().filter(|w| w.covers(ts)) {
+            covered = true;
+            if !room {
+                w.truncated += 1;
+            }
+        }
+        if !covered {
+            self.evicted += 1;
+        } else if room {
+            self.frozen.push(ev);
+        }
+    }
+
+    /// Every retained span (frozen or still in the ring) that `keep`
+    /// selects, oldest first. A span lives in exactly one of the two
+    /// stores.
+    fn spans(&self, keep: impl Fn(&TraceEvent) -> bool) -> Vec<TraceEvent> {
+        let mut events: Vec<TraceEvent> = self
+            .frozen
+            .iter()
+            .chain(&self.ring)
+            .filter(|e| keep(e))
+            .copied()
+            .collect();
+        events.sort_by_key(|e| e.rec.ts);
+        events
+    }
+
+    /// Attribute an arbitrary event journey `[t0, t1]` from whatever spans
+    /// are still retained — the full-distribution generalization of
+    /// incident forensics.
+    fn attribute_window(&self, t0: u64, t1: u64, cfg: &AttributionConfig) -> Attribution {
+        let events = self.spans(|e| e.rec.ts <= t1 && e.rec.ts.saturating_add(e.rec.dur) >= t0);
+        attribute(&events, &self.names, t0, t1, cfg)
+    }
+}
+
+/// The recorder's own fidelity counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RecorderStats {
+    /// Spans evicted from the ring outside every incident window.
+    pub spans_evicted: u64,
+    /// Spans held in the ring and the frozen store.
+    pub spans_retained: usize,
+    /// Emissions the watchdog observed.
+    pub observed: u64,
+    /// Spikes dropped by the incident cap.
+    pub suppressed: u64,
+    /// The watchdog's detection threshold in force (`u64::MAX` until armed).
+    pub threshold: u64,
+    /// Timeline samples taken.
+    pub samples: u64,
+    /// Timeline series tracked.
+    pub series: usize,
+    /// Timeline ticks retained.
+    pub ticks: usize,
+    /// Timeline ticks folded into the series bases.
+    pub ticks_evicted: u64,
+}
+
+/// Cheap-to-clone handle to the flight recorder; `disabled()` is a no-op
+/// everywhere, one branch on the hot path.
+#[derive(Clone, Default)]
+pub struct Recorder {
+    inner: Option<Arc<Mutex<RecorderInner>>>,
+}
+
+impl Recorder {
+    pub fn disabled() -> Recorder {
+        Recorder { inner: None }
+    }
+
+    /// Arm the parts `cfg` names; a config that arms nothing yields
+    /// [`Recorder::disabled`].
+    pub fn new(cfg: RecorderConfig) -> Recorder {
+        let RecorderConfig {
+            watchdog,
+            provenance,
+            timeline,
+            flight,
+        } = cfg;
+        if watchdog.is_none() && provenance.is_none() && timeline.is_none() {
+            return Recorder::disabled();
+        }
+        Recorder {
+            inner: Some(Arc::new(Mutex::new(RecorderInner {
+                flight,
+                watchdog: watchdog.map(|cfg| Watchdog {
+                    cfg,
+                    epoch_start: None,
+                    current: Histogram::latency(),
+                    baseline_p99: None,
+                    observed: 0,
+                    suppressed: 0,
+                    next_id: 0,
+                }),
+                sampler: provenance.map(|cfg| Sampler {
+                    cfg,
+                    ..Sampler::default()
+                }),
+                timeline: timeline.map(|cfg| Timeline {
+                    cfg,
+                    ..Timeline::default()
+                }),
+                names: vec!["?".to_string()],
+                ring: VecDeque::new(),
+                newest_ts: 0,
+                frozen: Vec::new(),
+                evicted: 0,
+                windows: Vec::new(),
             }))),
         }
     }
 
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+    fn with<R>(&self, off: R, f: impl FnOnce(&mut RecorderInner) -> R) -> R {
+        match &self.inner {
+            Some(inner) => f(&mut inner.lock()),
+            None => off,
+        }
     }
 
-    /// Record one emitted event's journey.
-    // jet-analyze: allow(alloc, block) — sampling path: only sampled events enter; lock and maps bounded by the sample budget
-    pub fn observe(&self, event_ts: u64, emitted_at: u64, latency: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut p = inner.lock();
+    /// Is the span ring armed (the watchdog or the sampler is)? Only then
+    /// do sink emissions and drained spans carry anything for the recorder.
+    pub fn records_spans(&self) -> bool {
+        self.with(false, |r| r.records_spans())
+    }
+
+    /// Is the metrics timeline armed?
+    pub fn samples_metrics(&self) -> bool {
+        self.with(false, |r| r.timeline.is_some())
+    }
+
+    /// Feed one emission to the watchdog and the sampler: `now` is the
+    /// virtual emission instant, `event_ts` the event's occurrence
+    /// timestamp, `latency = now - event_ts`. Called from the latency sink
+    /// per emission, so a disabled recorder costs one inlined branch.
+    #[inline]
+    pub fn observe(&self, now: u64, event_ts: u64, latency: u64) {
+        if let Some(inner) = &self.inner {
+            observe_armed(inner, now, event_ts, latency);
+        }
+    }
+
+    /// Ingest freshly drained trace data. Widens every incident window
+    /// first, so eviction freezes in-window spans rather than discarding
+    /// them.
+    pub fn ingest(&self, data: &TraceData) {
+        self.with((), |r| {
+            if !r.records_spans() {
+                return;
+            }
+            r.widen_windows();
+            if data.names.len() > r.names.len() {
+                r.names.clone_from(&data.names);
+            }
+            for ev in &data.events {
+                r.newest_ts = r.newest_ts.max(ev.rec.ts);
+                r.ring.push_back(*ev);
+            }
+            r.prune();
+        })
+    }
+
+    /// Virtual nanos until the next timeline sample is due (0 if overdue);
+    /// `None` without a timeline. Callers chunk long runs at this deadline
+    /// without polling every quantum.
+    pub fn next_sample_in(&self, now: u64) -> Option<u64> {
+        self.with(None, |r| {
+            r.timeline
+                .as_ref()
+                .map(|t| t.next_sample_at.saturating_sub(now))
+        })
+    }
+
+    /// Append one timeline tick sampled from `snap` (normally the
+    /// member-merged job snapshot, so per-member series arrive pre-tagged
+    /// with `member`).
+    pub fn sample(&self, now: u64, snap: &MetricsSnapshot) {
+        self.with((), |r| {
+            if let Some(t) = &mut r.timeline {
+                t.record(now, snap);
+            }
+        })
+    }
+
+    /// The warm-up boundary: forget incidents, their frozen spans and
+    /// every sampled journey, so cold-start noise does not pollute the
+    /// report. The watchdog's rolling baseline is kept — warm-up is exactly
+    /// what it should learn.
+    pub fn clear(&self) {
+        self.with((), |r| {
+            r.windows.clear();
+            r.frozen.clear();
+            if let Some(w) = &mut r.watchdog {
+                w.suppressed = 0;
+            }
+            if let Some(p) = &mut r.sampler {
+                *p = Sampler {
+                    cfg: p.cfg.clone(),
+                    ..Sampler::default()
+                };
+            }
+        })
+    }
+
+    pub fn stats(&self) -> RecorderStats {
+        let off = RecorderStats {
+            threshold: u64::MAX,
+            ..RecorderStats::default()
+        };
+        self.with(off, |r| {
+            let mut s = RecorderStats {
+                spans_evicted: r.evicted,
+                spans_retained: r.ring.len() + r.frozen.len(),
+                ..off
+            };
+            if let Some(w) = &r.watchdog {
+                (s.observed, s.suppressed, s.threshold) = (w.observed, w.suppressed, w.threshold());
+            }
+            if let Some(t) = &r.timeline {
+                s.samples = t.samples_total;
+                s.series = t.series.len();
+                s.ticks = t.ticks.len();
+                s.ticks_evicted = t.evicted_ticks;
+            }
+            s
+        })
+    }
+
+    /// Attribute every incident over its frozen window: the closed loop's
+    /// output, worst incident first. `cfg` carries cluster facts the span
+    /// stream alone cannot know (the one-way network latency).
+    pub fn forensics(&self, cfg: &AttributionConfig) -> Vec<IncidentReport> {
+        self.with(Vec::new(), |r| {
+            r.widen_windows();
+            let mut out: Vec<IncidentReport> = r
+                .windows
+                .iter()
+                .map(|w| {
+                    let events = r.spans(|e| w.covers(e.rec.ts));
+                    let inc = &w.incident;
+                    IncidentReport {
+                        incident: inc.clone(),
+                        window_lo: w.lo,
+                        window_hi: w.hi,
+                        window_events: events.len(),
+                        window_truncated: w.truncated,
+                        attribution: attribute(
+                            &events,
+                            &r.names,
+                            inc.peak_event_ts,
+                            inc.peak_emitted_at,
+                            cfg,
+                        ),
+                    }
+                })
+                .collect();
+            out.sort_by_key(|r| std::cmp::Reverse(r.incident.peak_latency));
+            out
+        })
+    }
+
+    /// Build the per-percentile-band waterfall: for each `(band,
+    /// percentile, target_nanos)` pick the sampler's exemplar journey and
+    /// decompose it over the retained spans. Bands with no exemplar (no
+    /// sampler, or nothing sampled) are omitted.
+    pub fn waterfalls(
+        &self,
+        cfg: &AttributionConfig,
+        bands: &[(&str, f64, u64)],
+    ) -> AttributionReport {
+        self.with(AttributionReport::default(), |r| {
+            let Some(p) = &r.sampler else {
+                return AttributionReport::default();
+            };
+            let bands = bands
+                .iter()
+                .filter_map(|&(band, percentile, target_nanos)| {
+                    let stamp = p.exemplar(target_nanos)?;
+                    Some(BandWaterfall {
+                        band: band.to_string(),
+                        percentile,
+                        target_nanos,
+                        stamp,
+                        attribution: r.attribute_window(stamp.event_ts, stamp.emitted_at, cfg),
+                    })
+                })
+                .collect();
+            AttributionReport {
+                observed: p.observed,
+                sampled: p.sampled.len() + p.top.len(),
+                sample_shift: p.shift,
+                bands,
+            }
+        })
+    }
+
+    /// Retained timeline tick timestamps, oldest first.
+    pub fn ticks(&self) -> Vec<u64> {
+        self.with(Vec::new(), |r| {
+            r.timeline
+                .as_ref()
+                .map_or(Vec::new(), |t| t.ticks.iter().copied().collect())
+        })
+    }
+
+    /// Job-wide timeline view: series summed across tag sets per `(name,
+    /// kind)`, sorted by name — the compact rollup the diagnostics
+    /// sparklines show.
+    pub fn job_series(&self) -> Vec<(String, SeriesKind, Vec<i64>)> {
+        self.with(Vec::new(), |r| {
+            let Some(t) = &r.timeline else {
+                return Vec::new();
+            };
+            let n = t.ticks.len();
+            let mut rolled: BTreeMap<(String, &'static str), (SeriesKind, Vec<i64>)> =
+                BTreeMap::new();
+            for s in &t.series {
+                let entry = rolled
+                    .entry((s.name.clone(), s.kind.name()))
+                    .or_insert_with(|| (s.kind, vec![0; n]));
+                for (acc, v) in entry.1.iter_mut().zip(s.values()) {
+                    *acc += v;
+                }
+            }
+            rolled
+                .into_iter()
+                .map(|((name, _), (kind, values))| (name, kind, values))
+                .collect()
+        })
+    }
+
+    /// Export the retained timeline as `jet-timeline-v1` JSON; without a
+    /// timeline, an empty one with cadence 0.
+    pub fn timeline_json(&self, bench: &str, run: &str) -> String {
+        self.with(None, |r| r.timeline.as_ref().map(|t| t.to_json(bench, run)))
+            .unwrap_or_else(|| {
+                let cfg = TimelineConfig {
+                    cadence_nanos: 0,
+                    capacity: 0,
+                };
+                Timeline {
+                    cfg,
+                    ..Timeline::default()
+                }
+                .to_json(bench, run)
+            })
+    }
+}
+
+/// [`Recorder::observe`] past its branch: one short lock feeds the sampler
+/// and the watchdog, whose incidents open their frozen windows directly.
+// jet-analyze: allow(alloc, block) — one short uncontended lock per emission; incidents and sampled stamps are capacity-bounded
+fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency: u64) {
+    let mut guard = inner.lock();
+    let r = &mut *guard;
+    if let Some(p) = &mut r.sampler {
         p.observed += 1;
         let stamp = Stamp {
             event_ts,
-            emitted_at,
+            emitted_at: now,
             latency,
         };
         let pos = p.top.partition_point(|s| s.latency < latency);
@@ -676,49 +905,65 @@ impl ProvenanceSampler {
             }
         }
     }
-
-    /// Drop everything sampled so far (the warmup boundary).
-    pub fn clear(&self) {
-        let Some(inner) = &self.inner else { return };
-        let mut p = inner.lock();
-        p.shift = 0;
-        p.observed = 0;
-        p.sampled.clear();
-        p.top.clear();
-    }
-
-    /// (journeys observed, stamps retained, current sample shift).
-    pub fn stats(&self) -> (u64, usize, u32) {
-        match &self.inner {
-            Some(inner) => {
-                let p = inner.lock();
-                (p.observed, p.sampled.len() + p.top.len(), p.shift)
+    let Some(w) = &mut r.watchdog else { return };
+    w.observed += 1;
+    // Roll epochs: the completed epoch's p99 becomes the baseline.
+    match w.epoch_start {
+        None => w.epoch_start = Some(now),
+        Some(start) if now >= start + w.cfg.epoch_nanos => {
+            if w.current.count() > 0 {
+                w.baseline_p99 = Some(w.current.percentile(99.0));
             }
-            None => (0, 0, 0),
+            w.current.clear();
+            // Snap forward (don't loop per missed epoch on gaps).
+            let missed = (now - start) / w.cfg.epoch_nanos;
+            w.epoch_start = Some(start + missed * w.cfg.epoch_nanos);
+        }
+        Some(_) => {}
+    }
+    let threshold = w.threshold();
+    if latency < threshold {
+        // Only non-spiked samples feed the baseline: a spike-heavy epoch
+        // must not inflate the next epoch's threshold and mask the tail
+        // of its own incident.
+        w.current.record(latency);
+        return;
+    }
+    // Spiked: merge into the open incident or open a new one.
+    if let Some(last) = r.windows.last_mut().map(|fw| &mut fw.incident) {
+        if now <= last.last_detected.saturating_add(w.cfg.quiet_gap_nanos) {
+            last.last_detected = last.last_detected.max(now);
+            last.samples += 1;
+            if latency > last.peak_latency {
+                last.peak_latency = latency;
+                last.peak_event_ts = event_ts;
+                last.peak_emitted_at = now;
+            }
+            return;
         }
     }
-
-    /// The sampled journey whose latency best matches `target_nanos`.
-    /// Within 2% relative error the *newest* emission wins — its spans are
-    /// the most likely to still sit in the flight ring's horizon — else
-    /// the closest latency.
-    pub fn exemplar(&self, target_nanos: u64) -> Option<Stamp> {
-        let inner = self.inner.as_ref()?;
-        let p = inner.lock();
-        let tol = target_nanos / 50;
-        let mut in_tol: Option<Stamp> = None;
-        let mut closest: Option<(u64, Stamp)> = None;
-        for s in p.sampled.iter().chain(p.top.iter()) {
-            let err = s.latency.abs_diff(target_nanos);
-            if err <= tol && in_tol.is_none_or(|b| s.emitted_at > b.emitted_at) {
-                in_tol = Some(*s);
-            }
-            if closest.is_none_or(|(e, _)| err < e) {
-                closest = Some((err, *s));
-            }
-        }
-        in_tol.or(closest.map(|(_, s)| s))
+    if r.windows.len() >= w.cfg.max_incidents {
+        w.suppressed += 1;
+        return;
     }
+    let id = w.next_id;
+    w.next_id += 1;
+    r.windows.push(FrozenWindow {
+        incident: SpikeIncident {
+            id,
+            first_detected: now,
+            last_detected: now,
+            samples: 1,
+            peak_latency: latency,
+            peak_event_ts: event_ts,
+            peak_emitted_at: now,
+            threshold,
+        },
+        // Empty until the next ingest widens it.
+        lo: u64::MAX,
+        hi: 0,
+        truncated: 0,
+    });
 }
 
 // ------------------------------------------------------------ attribution
@@ -1112,6 +1357,44 @@ pub fn attribute(
     }
 }
 
+impl Attribution {
+    /// The fields every attribution object shares, `"total_nanos"` through
+    /// the `"causes"` array, without the enclosing braces.
+    fn write_json_fields(&self, s: &mut String) {
+        let _ = write!(
+            s,
+            "\"total_nanos\": {}, \"top_cause\": \"{}\", \"top_group\": \"{}\", \
+             \"blamed_vertex\": ",
+            self.total_nanos,
+            self.top_cause.name(),
+            self.top_group,
+        );
+        match &self.blamed_vertex {
+            Some(v) => {
+                let _ = write!(s, "\"{}\"", json_escape(v));
+            }
+            None => s.push_str("null"),
+        }
+        s.push_str(", \"causes\": [");
+        for (j, c) in self.slices.iter().enumerate() {
+            if j > 0 {
+                s.push_str(", ");
+            }
+            let _ = write!(
+                s,
+                "{{\"cause\": \"{}\", \"group\": \"{}\", \"nanos\": {}, \"share\": {:.6}, \
+                 \"detail\": \"{}\"}}",
+                c.cause.name(),
+                c.cause.group(),
+                c.nanos,
+                c.share,
+                json_escape(&c.detail),
+            );
+        }
+        s.push(']');
+    }
+}
+
 // ----------------------------------------------------------------- report
 
 /// One attributed incident, ready to render.
@@ -1122,7 +1405,6 @@ pub struct IncidentReport {
     pub window_hi: u64,
     pub window_events: usize,
     pub window_truncated: u64,
-    pub window_snapshots: usize,
     pub attribution: Attribution,
 }
 
@@ -1139,7 +1421,6 @@ pub struct SpikeFidelity {
     /// Call spans were sampled 1-in-2^shift.
     pub sample_shift: u32,
     pub spans_retained: usize,
-    pub snapshots_retained: usize,
     /// Latency samples the watchdog observed.
     pub observed: u64,
     /// Spikes dropped by the incident cap.
@@ -1164,8 +1445,8 @@ impl SpikeReport {
             "{{\n  \"schema\": \"jet-spike-v1\",\n  \"bench\": \"{}\",\n  \"run\": \"{}\",\n  \
              \"threshold_nanos\": {},\n  \"fidelity\": {{\"trace_ring_dropped\": {}, \
              \"collector_dropped\": {}, \"recorder_evicted\": {}, \"sample_shift\": {}, \
-             \"spans_retained\": {}, \"snapshots_retained\": {}, \"observed\": {}, \
-             \"suppressed\": {}}},\n  \"incidents\": [",
+             \"spans_retained\": {}, \"observed\": {}, \"suppressed\": {}}},\n  \
+             \"incidents\": [",
             json_escape(&self.bench),
             json_escape(&self.run_label),
             self.threshold_nanos,
@@ -1174,7 +1455,6 @@ impl SpikeReport {
             self.fidelity.recorder_evicted,
             self.fidelity.sample_shift,
             self.fidelity.spans_retained,
-            self.fidelity.snapshots_retained,
             self.fidelity.observed,
             self.fidelity.suppressed,
         );
@@ -1183,15 +1463,12 @@ impl SpikeReport {
                 s.push(',');
             }
             let inc = &r.incident;
-            let a = &r.attribution;
             let _ = write!(
                 s,
                 "\n    {{\"id\": {}, \"first_detected_nanos\": {}, \"last_detected_nanos\": {}, \
                  \"samples\": {}, \"peak\": {{\"event_ts_nanos\": {}, \"emitted_at_nanos\": {}, \
                  \"latency_nanos\": {}}}, \"window\": {{\"lo_nanos\": {}, \"hi_nanos\": {}, \
-                 \"events\": {}, \"truncated\": {}, \"snapshots\": {}}}, \
-                 \"attribution\": {{\"total_nanos\": {}, \"top_cause\": \"{}\", \
-                 \"top_group\": \"{}\", \"blamed_vertex\": ",
+                 \"events\": {}, \"truncated\": {}}}, \"attribution\": {{",
                 inc.id,
                 inc.first_detected,
                 inc.last_detected,
@@ -1203,34 +1480,9 @@ impl SpikeReport {
                 r.window_hi,
                 r.window_events,
                 r.window_truncated,
-                r.window_snapshots,
-                a.total_nanos,
-                a.top_cause.name(),
-                a.top_group,
             );
-            match &a.blamed_vertex {
-                Some(v) => {
-                    let _ = write!(s, "\"{}\"", json_escape(v));
-                }
-                None => s.push_str("null"),
-            }
-            s.push_str(", \"causes\": [");
-            for (j, c) in a.slices.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"cause\": \"{}\", \"group\": \"{}\", \"nanos\": {}, \"share\": {:.6}, \
-                     \"detail\": \"{}\"}}",
-                    c.cause.name(),
-                    c.cause.group(),
-                    c.nanos,
-                    c.share,
-                    json_escape(&c.detail),
-                );
-            }
-            s.push_str("]}}");
+            r.attribution.write_json_fields(&mut s);
+            s.push_str("}}");
         }
         s.push_str("\n  ]\n}\n");
         s
@@ -1267,39 +1519,6 @@ pub struct AttributionReport {
     pub bands: Vec<BandWaterfall>,
 }
 
-/// Build the per-percentile-band waterfall: for each `(band, percentile,
-/// target_nanos)` pick the sampler's exemplar journey and decompose it via
-/// the recorder's retained spans. Bands with no exemplar (empty sampler)
-/// are omitted.
-pub fn band_waterfalls(
-    sampler: &ProvenanceSampler,
-    flight: &FlightRecorder,
-    cfg: &AttributionConfig,
-    bands: &[(&str, f64, u64)],
-) -> AttributionReport {
-    let (observed, sampled, sample_shift) = sampler.stats();
-    let mut out = Vec::new();
-    for &(band, percentile, target_nanos) in bands {
-        let Some(stamp) = sampler.exemplar(target_nanos) else {
-            continue;
-        };
-        let attribution = flight.attribute_window(stamp.event_ts, stamp.emitted_at, cfg);
-        out.push(BandWaterfall {
-            band: band.to_string(),
-            percentile,
-            target_nanos,
-            stamp,
-            attribution,
-        });
-    }
-    AttributionReport {
-        observed,
-        sampled,
-        sample_shift,
-        bands: out,
-    }
-}
-
 impl AttributionReport {
     /// Render as the `"attribution"` object a BENCH run record embeds.
     /// `indent` is the base indentation of the object's opening brace.
@@ -1315,46 +1534,19 @@ impl AttributionReport {
             if i > 0 {
                 s.push(',');
             }
-            let a = &b.attribution;
             let _ = write!(
                 s,
                 "\n{indent}    {{\"band\": \"{}\", \"percentile\": {}, \"target_nanos\": {}, \
-                 \"event_ts_nanos\": {}, \"emitted_at_nanos\": {}, \"latency_nanos\": {}, \
-                 \"total_nanos\": {}, \"top_cause\": \"{}\", \"top_group\": \"{}\", \
-                 \"blamed_vertex\": ",
+                 \"event_ts_nanos\": {}, \"emitted_at_nanos\": {}, \"latency_nanos\": {}, ",
                 json_escape(&b.band),
                 b.percentile,
                 b.target_nanos,
                 b.stamp.event_ts,
                 b.stamp.emitted_at,
                 b.stamp.latency,
-                a.total_nanos,
-                a.top_cause.name(),
-                a.top_group,
             );
-            match &a.blamed_vertex {
-                Some(v) => {
-                    let _ = write!(s, "\"{}\"", json_escape(v));
-                }
-                None => s.push_str("null"),
-            }
-            s.push_str(", \"causes\": [");
-            for (j, c) in a.slices.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"cause\": \"{}\", \"group\": \"{}\", \"nanos\": {}, \"share\": {:.6}, \
-                     \"detail\": \"{}\"}}",
-                    c.cause.name(),
-                    c.cause.group(),
-                    c.nanos,
-                    c.share,
-                    json_escape(&c.detail),
-                );
-            }
-            s.push_str("]}");
+            b.attribution.write_json_fields(&mut s);
+            s.push('}');
         }
         let _ = write!(s, "\n{indent}  ]\n{indent}}}");
         s
@@ -1364,6 +1556,7 @@ impl AttributionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{tags, MetricsRegistry};
     use crate::trace::{SpanRecord, Tracer};
 
     fn ev(kind: TraceKind, ts: u64, dur: u64, name: u32) -> TraceEvent {
@@ -1379,28 +1572,99 @@ mod tests {
         }
     }
 
+    fn watched(cfg: WatchdogConfig, flight: FlightConfig) -> Recorder {
+        Recorder::new(RecorderConfig {
+            watchdog: Some(cfg),
+            flight,
+            ..RecorderConfig::default()
+        })
+    }
+
+    fn slo(slo_nanos: u64) -> WatchdogConfig {
+        WatchdogConfig {
+            slo_nanos: Some(slo_nanos),
+            ..WatchdogConfig::default()
+        }
+    }
+
+    fn sampled(cfg: ProvenanceConfig) -> Recorder {
+        Recorder::new(RecorderConfig {
+            provenance: Some(cfg),
+            ..RecorderConfig::default()
+        })
+    }
+
+    fn timeline(cadence_nanos: u64, capacity: usize) -> Recorder {
+        Recorder::new(RecorderConfig {
+            timeline: Some(TimelineConfig {
+                cadence_nanos,
+                capacity,
+            }),
+            ..RecorderConfig::default()
+        })
+    }
+
+    /// Incidents in detection order.
+    fn incidents(rec: &Recorder) -> Vec<SpikeIncident> {
+        let mut reps = rec.forensics(&AttributionConfig::default());
+        reps.sort_by_key(|r| r.incident.id);
+        reps.into_iter().map(|r| r.incident).collect()
+    }
+
+    fn exemplar(rec: &Recorder, target_nanos: u64) -> Option<Stamp> {
+        let report = rec.waterfalls(&AttributionConfig::default(), &[("t", 0.0, target_nanos)]);
+        report.bands.first().map(|b| b.stamp)
+    }
+
+    fn snap_with_counter(v: u64) -> MetricsSnapshot {
+        let reg = MetricsRegistry::new();
+        reg.counter("jet_test_items_total", tags(&[("member", "0")]))
+            .add(v);
+        reg.snapshot()
+    }
+
+    #[test]
+    fn disabled_recorder_is_inert() {
+        let off = Recorder::disabled();
+        assert!(Recorder::new(RecorderConfig::default()).inner.is_none());
+        assert!(!off.records_spans() && !off.samples_metrics());
+        assert_eq!(off.next_sample_in(0), None);
+        off.observe(0, 0, u64::MAX);
+        off.sample(0, &snap_with_counter(1));
+        off.ingest(&TraceData::new());
+        let s = off.stats();
+        assert_eq!((s.observed, s.samples, s.spans_retained), (0, 0, 0));
+        assert_eq!(s.threshold, u64::MAX);
+        assert!(off.forensics(&AttributionConfig::default()).is_empty());
+        assert!(exemplar(&off, 1).is_none());
+        assert!(off.timeline_json("b", "r").contains("\"cadence_nanos\": 0"));
+    }
+
     #[test]
     fn watchdog_adapts_threshold_and_merges_incidents() {
-        let wd = LatencyWatchdog::with_config(WatchdogConfig {
-            epoch_nanos: 100,
-            multiplier: 4.0,
-            min_spike_nanos: 10,
-            slo_nanos: None,
-            quiet_gap_nanos: 50,
-            max_incidents: 8,
-        });
+        let rec = watched(
+            WatchdogConfig {
+                epoch_nanos: 100,
+                multiplier: 4.0,
+                min_spike_nanos: 10,
+                slo_nanos: None,
+                quiet_gap_nanos: 50,
+                max_incidents: 8,
+            },
+            FlightConfig::default(),
+        );
         // First epoch: baseline latencies ~5, no spikes possible (unarmed).
         for i in 0..100u64 {
-            wd.observe(i, 0, 5);
+            rec.observe(i, 0, 5);
         }
-        assert!(wd.incidents().is_empty());
+        assert!(incidents(&rec).is_empty());
         // Second epoch armed at max(10, 4*5) = 20.
-        wd.observe(150, 100, 5);
-        assert_eq!(wd.threshold(), 20);
-        wd.observe(160, 100, 60); // spike
-        wd.observe(170, 120, 90); // merges, new peak
-        wd.observe(300, 250, 70); // past quiet gap: second incident
-        let incs = wd.incidents();
+        rec.observe(150, 100, 5);
+        assert_eq!(rec.stats().threshold, 20);
+        rec.observe(160, 100, 60); // spike
+        rec.observe(170, 120, 90); // merges, new peak
+        rec.observe(300, 250, 70); // past quiet gap: second incident
+        let incs = incidents(&rec);
         assert_eq!(incs.len(), 2);
         assert_eq!(incs[0].samples, 2);
         assert_eq!(incs[0].peak_latency, 90);
@@ -1410,61 +1674,148 @@ mod tests {
 
     #[test]
     fn watchdog_slo_arms_immediately() {
-        let wd = LatencyWatchdog::with_config(WatchdogConfig {
-            slo_nanos: Some(100),
-            ..WatchdogConfig::default()
-        });
-        wd.observe(10, 0, 150);
-        assert_eq!(wd.incidents().len(), 1);
-        assert_eq!(wd.incidents()[0].threshold, 100);
+        let rec = watched(slo(100), FlightConfig::default());
+        rec.observe(10, 0, 150);
+        let incs = incidents(&rec);
+        assert_eq!(incs.len(), 1);
+        assert_eq!(incs[0].threshold, 100);
     }
 
-    #[test]
-    fn disabled_watchdog_is_a_no_op() {
-        let wd = LatencyWatchdog::disabled();
-        wd.observe(0, 0, u64::MAX);
-        assert!(wd.incidents().is_empty());
-        assert_eq!(wd.stats(), (0, 0));
+    /// A recorder whose ring holds 8 spans, with no padding around windows.
+    fn tiny_ring() -> FlightConfig {
+        FlightConfig {
+            span_capacity: 8, // tiny: forces eviction
+            span_horizon_nanos: u64::MAX,
+            pre_roll_nanos: 0,
+            post_roll_nanos: 0,
+            ..FlightConfig::default()
+        }
     }
 
-    #[test]
-    fn recorder_freezes_spike_window_across_eviction() {
-        let wd = LatencyWatchdog::with_config(WatchdogConfig {
-            slo_nanos: Some(100),
-            ..WatchdogConfig::default()
-        });
-        let fr = FlightRecorder::with_config(
-            FlightConfig {
-                span_capacity: 8, // tiny: forces eviction
-                span_horizon_nanos: u64::MAX,
-                pre_roll_nanos: 0,
-                post_roll_nanos: 0,
-                ..FlightConfig::default()
-            },
-            wd.clone(),
-        );
+    /// Four `agg` calls at 1000..1030, then a flood of 32 later ones that
+    /// evicts them from an 8-span ring.
+    fn ingest_then_flood(rec: &Recorder, spike: impl FnOnce()) {
         let tracer = Tracer::enabled();
         let mut w = tracer.writer(0, "w");
         let name = w.intern("agg");
         for i in 0..4u64 {
             w.record(TraceKind::Call, 1_000 + i * 10, 5, name, 0);
         }
-        let data = tracer.drain();
-        fr.ingest(&data, 0);
-        // Spike whose window covers the spans above.
-        wd.observe(1_100, 990, 110);
-        // Flood the ring so the old spans are evicted — into the frozen
-        // window, not the void.
+        rec.ingest(&tracer.drain());
+        spike();
         for i in 0..32u64 {
             w.record(TraceKind::Call, 10_000 + i, 1, name, 0);
         }
-        let data2 = tracer.drain();
-        fr.ingest(&data2, 0);
-        let reps = fr.forensics(&AttributionConfig::default());
+        rec.ingest(&tracer.drain());
+    }
+
+    #[test]
+    fn recorder_freezes_spike_window_across_eviction() {
+        let rec = watched(slo(100), tiny_ring());
+        // Spike whose window covers the four early spans: they are evicted
+        // into the frozen window, not the void.
+        ingest_then_flood(&rec, || rec.observe(1_100, 990, 110));
+        let reps = rec.forensics(&AttributionConfig::default());
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0].window_events, 4, "frozen spans survived eviction");
-        let (_, evicted, _, _) = fr.stats();
-        assert!(evicted > 0, "out-of-window spans were evicted");
+        assert!(
+            rec.stats().spans_evicted > 0,
+            "out-of-window spans were evicted"
+        );
+    }
+
+    #[test]
+    fn a_span_in_two_overlapping_windows_counts_in_both() {
+        let rec = watched(
+            WatchdogConfig {
+                quiet_gap_nanos: 50,
+                ..slo(100)
+            },
+            tiny_ring(),
+        );
+        // Two incidents peaking on the same event instant: windows
+        // [1000, 1100] and [1000, 1300] both cover the four early spans.
+        ingest_then_flood(&rec, || {
+            rec.observe(1_100, 1_000, 100);
+            rec.observe(1_300, 1_000, 300);
+        });
+        let reps = rec.forensics(&AttributionConfig::default());
+        assert_eq!(reps.len(), 2);
+        for r in &reps {
+            assert_eq!(r.window_events, 4, "incident #{}", r.incident.id);
+            let exec = &r.attribution.slices;
+            let exec = exec.iter().find(|s| s.cause == Cause::TaskletExec).unwrap();
+            assert_eq!(
+                exec.nanos, 20,
+                "incident #{} attributes all four calls",
+                r.incident.id
+            );
+        }
+        assert_eq!(
+            rec.stats().spans_retained,
+            8 + 4,
+            "each frozen span kept once"
+        );
+    }
+
+    #[test]
+    fn watchdog_and_sampler_armed_together_match_each_armed_alone() {
+        let wd = WatchdogConfig {
+            epoch_nanos: 10_000,
+            min_spike_nanos: 1,
+            quiet_gap_nanos: 2_000,
+            max_incidents: 4,
+            ..WatchdogConfig::default()
+        };
+        let prov = ProvenanceConfig {
+            capacity: 32,
+            top_k: 4,
+        };
+        let both = Recorder::new(RecorderConfig {
+            watchdog: Some(wd.clone()),
+            provenance: Some(prov.clone()),
+            ..RecorderConfig::default()
+        });
+        let (wd_only, prov_only) = (watched(wd, FlightConfig::default()), sampled(prov));
+        for rec in [&both, &wd_only, &prov_only] {
+            for i in 1..=50_000u64 {
+                // A steady ~100 ns with a burst every 7919 emissions.
+                let latency = if i % 7_919 < 5 {
+                    5_000 + i % 13
+                } else {
+                    100 + i % 7
+                };
+                let now = 10_000 + i * 10;
+                rec.observe(now, now - latency, latency);
+            }
+        }
+        let fmt = |v: Vec<SpikeIncident>| format!("{v:?}");
+        assert_eq!(fmt(incidents(&both)), fmt(incidents(&wd_only)));
+        assert!(
+            incidents(&both).len() > 1,
+            "the feed must open several incidents"
+        );
+        let (a, b) = (both.stats(), wd_only.stats());
+        assert_eq!(
+            (a.observed, a.suppressed, a.threshold),
+            (b.observed, b.suppressed, b.threshold)
+        );
+        let targets = [
+            ("p50", 50.0, 103),
+            ("p99", 99.0, 106),
+            ("max", 100.0, 5_012),
+        ];
+        let (a, b) = (
+            both.waterfalls(&AttributionConfig::default(), &targets),
+            prov_only.waterfalls(&AttributionConfig::default(), &targets),
+        );
+        assert_eq!(
+            (a.observed, a.sampled, a.sample_shift),
+            (b.observed, b.sampled, b.sample_shift)
+        );
+        let stamps = |r: &AttributionReport| r.bands.iter().map(|b| b.stamp).collect::<Vec<_>>();
+        assert_eq!(stamps(&a), stamps(&b));
+        assert_eq!(a.bands.len(), 3);
     }
 
     #[test]
@@ -1543,18 +1894,14 @@ mod tests {
 
     #[test]
     fn spike_report_json_is_balanced_and_typed() {
-        let wd = LatencyWatchdog::with_config(WatchdogConfig {
-            slo_nanos: Some(50),
-            ..WatchdogConfig::default()
-        });
-        let fr = FlightRecorder::with_config(FlightConfig::default(), wd.clone());
-        wd.observe(2_000, 1_000, 1_000);
+        let rec = watched(slo(50), FlightConfig::default());
+        rec.observe(2_000, 1_000, 1_000);
         let report = SpikeReport {
             bench: "unit".into(),
             run_label: "crash".into(),
-            threshold_nanos: wd.threshold(),
+            threshold_nanos: rec.stats().threshold,
             fidelity: SpikeFidelity::default(),
-            incidents: fr.forensics(&AttributionConfig::default()),
+            incidents: rec.forensics(&AttributionConfig::default()),
         };
         let json = report.to_json();
         for key in [
@@ -1574,92 +1921,88 @@ mod tests {
 
     #[test]
     fn sampler_top_k_preserves_extreme_latencies() {
-        let ps = ProvenanceSampler::with_config(ProvenanceConfig {
+        let rec = sampled(ProvenanceConfig {
             capacity: 128,
             top_k: 8,
         });
         // 100k journeys, latency == i: heavy decimation, but the largest
         // latencies must survive in the top-k store.
         for i in 1..=100_000u64 {
-            ps.observe(i, 2 * i, i);
+            rec.observe(2 * i, i, i);
         }
-        let (observed, retained, shift) = ps.stats();
-        assert_eq!(observed, 100_000);
-        assert!(retained <= 128 + 8);
-        assert!(shift > 0, "decimation kicked in");
-        let top = ps.exemplar(100_000).expect("exemplar");
-        assert_eq!(top.latency, 100_000, "p-max exemplar is exact");
+        let report = rec.waterfalls(&AttributionConfig::default(), &[("max", 100.0, 100_000)]);
+        assert_eq!(report.observed, 100_000);
+        assert!(report.sampled <= 128 + 8);
+        assert!(report.sample_shift > 0, "decimation kicked in");
+        assert_eq!(
+            report.bands[0].stamp.latency, 100_000,
+            "p-max exemplar is exact"
+        );
     }
 
     #[test]
     fn sampler_is_deterministic_across_identical_feeds() {
         let mk = || {
-            let ps = ProvenanceSampler::with_config(ProvenanceConfig {
+            let rec = sampled(ProvenanceConfig {
                 capacity: 64,
                 top_k: 4,
             });
             for i in 1..=10_000u64 {
-                ps.observe(i, i + (i % 997) * 1_000, (i % 997) * 1_000);
+                rec.observe(i + (i % 997) * 1_000, i, (i % 997) * 1_000);
             }
-            ps
+            rec
         };
         let (a, b) = (mk(), mk());
-        assert_eq!(a.stats(), b.stats());
         for target in [0u64, 100_000, 500_000, 996_000] {
-            let (ea, eb) = (a.exemplar(target).unwrap(), b.exemplar(target).unwrap());
-            assert_eq!(
-                (ea.event_ts, ea.emitted_at, ea.latency),
-                (eb.event_ts, eb.emitted_at, eb.latency)
-            );
+            assert_eq!(exemplar(&a, target).unwrap(), exemplar(&b, target).unwrap());
         }
     }
 
     #[test]
     fn sampler_exemplar_prefers_newest_within_tolerance() {
-        let ps = ProvenanceSampler::enabled();
-        ps.observe(1_000, 2_000, 1_000); // old journey, exact match
-        ps.observe(9_000, 10_010, 1_010); // newer, within 2% of 1000
-        let e = ps.exemplar(1_000).expect("exemplar");
+        let rec = sampled(ProvenanceConfig::default());
+        rec.observe(2_000, 1_000, 1_000); // old journey, exact match
+        rec.observe(10_010, 9_000, 1_010); // newer, within 2% of 1000
+        let e = exemplar(&rec, 1_000).expect("exemplar");
         assert_eq!(e.emitted_at, 10_010, "newest in-tolerance journey wins");
         // Outside tolerance the closest latency wins regardless of age.
-        ps.observe(20_000, 520_000, 500_000);
-        let far = ps.exemplar(400_000).expect("exemplar");
+        rec.observe(520_000, 20_000, 500_000);
+        let far = exemplar(&rec, 400_000).expect("exemplar");
         assert_eq!(far.latency, 500_000);
     }
 
     #[test]
-    fn sampler_clear_resets_everything() {
-        let ps = ProvenanceSampler::enabled();
-        ps.observe(1, 2, 1);
-        ps.clear();
-        assert_eq!(ps.stats(), (0, 0, 0));
-        assert!(ps.exemplar(1).is_none());
-        // Disabled sampler is inert.
-        let off = ProvenanceSampler::disabled();
-        off.observe(1, 2, 1);
-        assert_eq!(off.stats(), (0, 0, 0));
-        assert!(off.exemplar(1).is_none());
+    fn clear_forgets_incidents_and_stamps_but_keeps_the_baseline() {
+        let rec = Recorder::new(RecorderConfig {
+            watchdog: Some(slo(100)),
+            provenance: Some(ProvenanceConfig::default()),
+            ..RecorderConfig::default()
+        });
+        rec.observe(200, 0, 200);
+        rec.clear();
+        assert!(incidents(&rec).is_empty());
+        let report = rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 1)]);
+        assert_eq!(
+            (report.observed, report.sampled, report.sample_shift),
+            (0, 0, 0)
+        );
+        assert!(report.bands.is_empty());
+        rec.observe(400, 0, 400);
+        assert_eq!(incidents(&rec)[0].id, 1, "incident ids keep counting");
+        assert_eq!(rec.stats().observed, 2);
     }
 
     #[test]
-    fn attribute_window_on_disabled_recorder_is_all_queue_wait() {
-        let fr = FlightRecorder::disabled();
-        let a = fr.attribute_window(100, 1_100, &AttributionConfig::default());
-        assert_eq!(a.total_nanos, 1_000);
-        assert_eq!(a.top_cause, Cause::QueueWait);
-        let sum: u64 = a.slices.iter().map(|s| s.nanos).sum();
-        assert_eq!(sum, 1_000);
-    }
-
-    #[test]
-    fn attribute_window_uses_ring_spans() {
-        let fr = FlightRecorder::with_config(FlightConfig::default(), LatencyWatchdog::disabled());
+    fn waterfall_attributes_ring_spans() {
+        let rec = sampled(ProvenanceConfig::default());
         let tracer = Tracer::enabled();
         let mut w = tracer.writer(0, "w");
         let name = w.intern("hot-agg");
         w.record(TraceKind::Call, 2_000, 6_000, name, 0);
-        fr.ingest(&tracer.drain(), 0);
-        let a = fr.attribute_window(1_000, 11_000, &AttributionConfig::default());
+        rec.ingest(&tracer.drain());
+        rec.observe(11_000, 1_000, 10_000);
+        let report = rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 10_000)]);
+        let a = &report.bands[0].attribution;
         let sum: u64 = a.slices.iter().map(|s| s.nanos).sum();
         assert_eq!(sum, 10_000, "partition is exact");
         assert_eq!(a.top_cause, Cause::TaskletExec);
@@ -1668,22 +2011,22 @@ mod tests {
 
     #[test]
     fn band_waterfalls_sum_exactly_and_render_json() {
-        let fr = FlightRecorder::with_config(FlightConfig::default(), LatencyWatchdog::disabled());
+        let rec = sampled(ProvenanceConfig::default());
         let tracer = Tracer::enabled();
         let mut w = tracer.writer(0, "w");
         let name = w.intern("agg");
         w.record(TraceKind::Call, 500, 200, name, 0);
         w.record(TraceKind::Call, 5_000, 3_000, name, 0);
-        fr.ingest(&tracer.drain(), 0);
-        let ps = ProvenanceSampler::enabled();
-        ps.observe(100, 1_100, 1_000); // p50-ish journey
-        ps.observe(400, 10_400, 10_000); // tail journey
-        let report = band_waterfalls(
-            &ps,
-            &fr,
-            &AttributionConfig::default(),
-            &[("p50", 50.0, 1_000), ("p99.99", 99.99, 10_000)],
-        );
+        rec.ingest(&tracer.drain());
+        let bands = [("p50", 50.0, 1_000), ("p99.99", 99.99, 10_000)];
+        // An empty sampler yields an empty-bands report, not a panic.
+        assert!(rec
+            .waterfalls(&AttributionConfig::default(), &bands)
+            .bands
+            .is_empty());
+        rec.observe(1_100, 100, 1_000); // p50-ish journey
+        rec.observe(10_400, 400, 10_000); // tail journey
+        let report = rec.waterfalls(&AttributionConfig::default(), &bands);
         assert_eq!(report.bands.len(), 2);
         for b in &report.bands {
             let sum: u64 = b.attribution.slices.iter().map(|s| s.nanos).sum();
@@ -1712,13 +2055,176 @@ mod tests {
         let open = json.matches(['{', '[']).count();
         let close = json.matches(['}', ']']).count();
         assert_eq!(open, close, "unbalanced JSON:\n{json}");
-        // Empty sampler yields an empty-bands report, not a panic.
-        let empty = band_waterfalls(
-            &ProvenanceSampler::enabled(),
-            &fr,
-            &AttributionConfig::default(),
-            &[("p50", 50.0, 1_000)],
+    }
+
+    #[test]
+    fn spike_and_band_json_render_attribution_identically() {
+        let rec = Recorder::new(RecorderConfig {
+            watchdog: Some(slo(50)),
+            provenance: Some(ProvenanceConfig::default()),
+            ..RecorderConfig::default()
+        });
+        rec.observe(2_000, 1_000, 1_000);
+        let spike = SpikeReport {
+            bench: "unit".into(),
+            run_label: "r".into(),
+            threshold_nanos: 50,
+            fidelity: SpikeFidelity::default(),
+            incidents: rec.forensics(&AttributionConfig::default()),
+        }
+        .to_json();
+        let band = rec
+            .waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 1_000)])
+            .to_json("");
+        let fields = "\"total_nanos\": 1000, \"top_cause\": \"queue_wait\", \"top_group\": \
+                      \"dataflow\", \"blamed_vertex\": null, \"causes\": [{\"cause\": \
+                      \"queue_wait\", \"group\": \"dataflow\", \"nanos\": 1000, \"share\": \
+                      1.000000, \"detail\": \"residual: no span covered this time\"}";
+        assert!(spike.contains(fields), "{spike}");
+        assert!(band.contains(fields), "{band}");
+    }
+
+    #[test]
+    fn timeline_only_recorder_keeps_no_spans() {
+        let rec = timeline(MS, 8);
+        assert!(rec.samples_metrics() && !rec.records_spans());
+        let tracer = Tracer::enabled();
+        let mut w = tracer.writer(0, "w");
+        let name = w.intern("agg");
+        w.record(TraceKind::Call, 0, 1, name, 0);
+        rec.ingest(&tracer.drain());
+        assert_eq!(rec.stats().spans_retained, 0);
+    }
+
+    #[test]
+    fn empty_job_exports_valid_empty_timeline() {
+        let rec = timeline(100 * MS, 1024);
+        let json = rec.timeline_json("bench", "run");
+        assert!(json.contains("\"schema\": \"jet-timeline-v1\""));
+        assert!(json.contains("\"ticks_nanos\": []"));
+        let s = rec.stats();
+        assert_eq!(
+            (s.samples, s.series, s.ticks, s.ticks_evicted),
+            (0, 0, 0, 0)
         );
-        assert!(empty.bands.is_empty());
+    }
+
+    #[test]
+    fn single_sample_records_absolute_values_as_first_delta() {
+        let rec = timeline(100 * MS, 1024);
+        assert_eq!(rec.next_sample_in(0), Some(0));
+        rec.sample(0, &snap_with_counter(42));
+        assert_eq!(rec.next_sample_in(1), Some(100 * MS - 1));
+        assert_eq!(rec.next_sample_in(100 * MS), Some(0));
+        let s = rec.stats();
+        assert_eq!(
+            (s.samples, s.series, s.ticks, s.ticks_evicted),
+            (1, 1, 1, 0)
+        );
+        let json = rec.timeline_json("b", "r");
+        assert!(json.contains("\"base\": 0, \"deltas\": [42]"), "{json}");
+    }
+
+    #[test]
+    fn counters_delta_encode_and_gauges_track_value() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("jet_test_items_total", tags(&[]));
+        let g = reg.gauge("jet_test_queue_depth", tags(&[]));
+        let rec = timeline(100 * MS, 1024);
+        c.add(10);
+        g.set(5);
+        rec.sample(0, &reg.snapshot());
+        c.add(7);
+        g.set(3);
+        rec.sample(100 * MS, &reg.snapshot());
+        let series = rec.job_series();
+        let counter = series
+            .iter()
+            .find(|(n, _, _)| n == "jet_test_items_total")
+            .expect("counter series");
+        assert_eq!(counter.2, vec![10, 17]);
+        let gauge = series
+            .iter()
+            .find(|(n, _, _)| n == "jet_test_queue_depth")
+            .expect("gauge series");
+        assert_eq!(gauge.2, vec![5, 3]);
+    }
+
+    #[test]
+    fn ring_wrap_folds_oldest_ticks_into_base() {
+        let rec = timeline(MS, 3);
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("jet_test_items_total", tags(&[]));
+        for i in 0..6u64 {
+            c.add(10);
+            rec.sample(i * MS, &reg.snapshot());
+        }
+        let s = rec.stats();
+        assert_eq!((s.samples, s.ticks, s.ticks_evicted), (6, 3, 3));
+        assert_eq!(rec.ticks(), vec![3 * MS, 4 * MS, 5 * MS]);
+        // Absolute values survive the fold: base picks up evicted deltas.
+        let series = rec.job_series();
+        assert_eq!(series[0].2, vec![40, 50, 60]);
+        let json = rec.timeline_json("b", "r");
+        assert!(json.contains("\"base\": 30"), "{json}");
+        assert!(json.contains("\"evicted_ticks\": 3"), "{json}");
+    }
+
+    #[test]
+    fn late_appearing_series_zero_pads_history() {
+        let rec = timeline(100 * MS, 1024);
+        let reg = MetricsRegistry::new();
+        let c1 = reg.counter("jet_test_a_total", tags(&[]));
+        c1.add(1);
+        rec.sample(0, &reg.snapshot());
+        let c2 = reg.counter("jet_test_b_total", tags(&[]));
+        c2.add(9);
+        rec.sample(100 * MS, &reg.snapshot());
+        let series = rec.job_series();
+        let b = series
+            .iter()
+            .find(|(n, _, _)| n == "jet_test_b_total")
+            .expect("late series");
+        assert_eq!(b.2, vec![0, 9]);
+        // Rectangular invariant: every series has one delta per tick.
+        let ticks = rec.stats().ticks;
+        for (_, _, values) in &series {
+            assert_eq!(values.len(), ticks);
+        }
+    }
+
+    #[test]
+    fn duplicate_instant_sample_is_folded() {
+        let rec = timeline(100 * MS, 1024);
+        rec.sample(0, &snap_with_counter(1));
+        rec.sample(0, &snap_with_counter(2));
+        let s = rec.stats();
+        assert_eq!((s.samples, s.ticks), (1, 1));
+    }
+
+    #[test]
+    fn histogram_series_sample_p99() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("jet_test_latency_nanos", tags(&[]));
+        for v in 1..=100u64 {
+            h.record(v);
+        }
+        let rec = timeline(100 * MS, 1024);
+        rec.sample(0, &reg.snapshot());
+        let series = rec.job_series();
+        assert_eq!(series[0].1, SeriesKind::HistogramP99);
+        assert!(series[0].2[0] > 0);
+        let json = rec.timeline_json("b", "r");
+        assert!(json.contains("\"kind\": \"histogram_p99\""), "{json}");
+    }
+
+    #[test]
+    fn timeline_json_ticks_are_strictly_monotone() {
+        let rec = timeline(MS, 8);
+        for i in 0..5u64 {
+            rec.sample(i * MS, &snap_with_counter(1));
+        }
+        let ticks = rec.ticks();
+        assert!(ticks.windows(2).all(|w| w[0] < w[1]));
     }
 }

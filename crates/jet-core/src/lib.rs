@@ -43,13 +43,12 @@ pub mod snapshot;
 pub mod state;
 pub mod sync;
 pub mod tasklet;
-pub mod telemetry;
 pub mod trace;
 pub mod watermark;
 
 pub use dag::{Dag, Edge, Routing, Vertex, VertexId};
 pub use fairness::{job_of_vertex, JobQuotas, Round, Schedule};
-pub use flight::{FlightRecorder, LatencyWatchdog};
+pub use flight::Recorder;
 pub use item::{Barrier, Item, SnapshotId, Ts};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use object::{boxed, downcast, downcast_ref, BoxedObject, Object};

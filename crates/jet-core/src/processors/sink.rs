@@ -12,6 +12,7 @@
 //! * [`IdempotentSink`] — dedups by record id persisted in the snapshot,
 //!   implementing the "idempotent writes" alternative.
 
+use crate::flight::Recorder;
 use crate::item::Ts;
 use crate::metrics::{SharedCounter, SharedHistogram};
 use crate::processor::{Inbox, Outbox, Processor, ProcessorContext};
@@ -60,48 +61,33 @@ impl Processor for CountSink {
 }
 
 /// Records `now - event_ts` (nanos) per event into a shared histogram, and
-/// optionally feeds each sample to the spike watchdog (a real-time-only
-/// observer: virtual time and the recorded histogram are identical with the
-/// watchdog on or off).
+/// optionally feeds each sample to the flight recorder's watchdog and
+/// provenance sampler (real-time-only observers: virtual time and the
+/// recorded histogram are identical with them on or off).
 pub struct LatencySink {
     hist: SharedHistogram,
     count: SharedCounter,
-    watchdog: crate::flight::LatencyWatchdog,
-    sampler: crate::flight::ProvenanceSampler,
+    recorder: Recorder,
 }
 
 impl LatencySink {
     pub fn new(hist: SharedHistogram, count: SharedCounter) -> Self {
-        Self::watched(hist, count, crate::flight::LatencyWatchdog::disabled())
+        Self::recorded(hist, count, Recorder::disabled())
     }
 
-    pub fn watched(
-        hist: SharedHistogram,
-        count: SharedCounter,
-        watchdog: crate::flight::LatencyWatchdog,
-    ) -> Self {
-        Self::instrumented(
-            hist,
-            count,
-            watchdog,
-            crate::flight::ProvenanceSampler::disabled(),
-        )
-    }
-
-    /// Full observer set: watchdog spike detection plus provenance stamps
-    /// for full-distribution attribution. Both are real-time-only; virtual
-    /// time and the recorded histogram stay bit-identical.
-    pub fn instrumented(
-        hist: SharedHistogram,
-        count: SharedCounter,
-        watchdog: crate::flight::LatencyWatchdog,
-        sampler: crate::flight::ProvenanceSampler,
-    ) -> Self {
+    /// Feed every sample to `recorder` as well. A recorder with neither a
+    /// watchdog nor a sampler armed learns nothing from emissions, so it is
+    /// dropped here and the hot path stays lock-free.
+    pub fn recorded(hist: SharedHistogram, count: SharedCounter, recorder: Recorder) -> Self {
+        let recorder = if recorder.records_spans() {
+            recorder
+        } else {
+            Recorder::disabled()
+        };
         LatencySink {
             hist,
             count,
-            watchdog,
-            sampler,
+            recorder,
         }
     }
 }
@@ -110,19 +96,13 @@ impl Processor for LatencySink {
     fn process(&mut self, _: usize, inbox: &mut Inbox, _: &mut Outbox, ctx: &ProcessorContext) {
         let now = ctx.now_nanos();
         let mut n = 0u64;
-        let watchdog = &self.watchdog;
-        let sampler = &self.sampler;
+        let recorder = &self.recorder;
         self.hist.record_batch(std::iter::from_fn(|| {
             inbox.take().map(|(ts, _obj)| {
                 n += 1;
                 let event_ts = ts.max(0) as u64;
                 let latency = now.saturating_sub(event_ts);
-                if watchdog.is_enabled() {
-                    watchdog.observe(now, event_ts, latency);
-                }
-                if sampler.is_enabled() {
-                    sampler.observe(event_ts, now, latency);
-                }
+                recorder.observe(now, event_ts, latency);
                 latency
             })
         }));

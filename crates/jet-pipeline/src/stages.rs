@@ -23,7 +23,7 @@ use jet_core::processors::window::{
 use jet_core::snapshot::SnapshotRegistry;
 use jet_core::state::Snap;
 use jet_core::supplier;
-use jet_core::{Dag, Ts};
+use jet_core::{Dag, Recorder, Ts};
 use parking_lot::Mutex;
 use std::fmt::Debug;
 use std::marker::PhantomData;
@@ -372,62 +372,25 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
         hist: SharedHistogram,
         counter: SharedCounter,
     ) -> StreamStage<()> {
-        self.add_sink(
-            "latency-sink",
-            Arc::new(move |_| {
-                let h = hist.clone();
-                let c = counter.clone();
-                supplier(move |_| Box::new(LatencySink::new(h.clone(), c.clone())))
-            }),
-        )
+        self.write_to_latency_recorded(hist, counter, Recorder::disabled())
     }
 
-    /// [`Self::write_to_latency`] with the spike watchdog attached: every
-    /// sample also feeds the flight recorder's online p99.99/SLO excursion
-    /// detector (zero virtual-time cost; see `jet_core::flight`).
-    pub fn write_to_latency_watched(
+    /// [`Self::write_to_latency`] with every sample also fed to the flight
+    /// recorder: its spike watchdog and its provenance sampler, whichever
+    /// are armed (zero virtual-time cost; see `jet_core::flight`).
+    pub fn write_to_latency_recorded(
         &self,
         hist: SharedHistogram,
         counter: SharedCounter,
-        watchdog: jet_core::flight::LatencyWatchdog,
+        recorder: Recorder,
     ) -> StreamStage<()> {
         self.add_sink(
             "latency-sink",
             Arc::new(move |_| {
                 let h = hist.clone();
                 let c = counter.clone();
-                let w = watchdog.clone();
-                supplier(move |_| Box::new(LatencySink::watched(h.clone(), c.clone(), w.clone())))
-            }),
-        )
-    }
-
-    /// [`Self::write_to_latency_watched`] plus per-event provenance stamps:
-    /// a deterministic stride/top-k sampler records `(event_ts, emitted_at)`
-    /// journeys so every percentile band of the final distribution can be
-    /// attributed via the flight recorder (zero virtual-time cost).
-    pub fn write_to_latency_instrumented(
-        &self,
-        hist: SharedHistogram,
-        counter: SharedCounter,
-        watchdog: jet_core::flight::LatencyWatchdog,
-        sampler: jet_core::flight::ProvenanceSampler,
-    ) -> StreamStage<()> {
-        self.add_sink(
-            "latency-sink",
-            Arc::new(move |_| {
-                let h = hist.clone();
-                let c = counter.clone();
-                let w = watchdog.clone();
-                let p = sampler.clone();
-                supplier(move |_| {
-                    Box::new(LatencySink::instrumented(
-                        h.clone(),
-                        c.clone(),
-                        w.clone(),
-                        p.clone(),
-                    ))
-                })
+                let r = recorder.clone();
+                supplier(move |_| Box::new(LatencySink::recorded(h.clone(), c.clone(), r.clone())))
             }),
         )
     }

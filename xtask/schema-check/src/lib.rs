@@ -9,7 +9,7 @@
 //!   emitted by `jet_core::flight::SpikeReport::to_json` (watchdog
 //!   fidelity, frozen windows, per-cause attribution).
 //! - `results/TIMELINE_<name>.json` — `jet-timeline-v1` metrics-timeline
-//!   schema emitted by `jet_core::telemetry::Timeline::to_json`
+//!   schema emitted by `jet_core::flight::Recorder::timeline_json`
 //!   (delta-encoded per-series samples on a fixed virtual-time cadence).
 //!
 //! Both writers emit JSON by hand (the workspace carries no serde), so the
@@ -636,7 +636,6 @@ pub fn validate_spike(doc: &Json) -> Vec<String> {
             "recorder_evicted",
             "sample_shift",
             "spans_retained",
-            "snapshots_retained",
             "observed",
             "suppressed",
         ] {
@@ -677,7 +676,7 @@ pub fn validate_spike(doc: &Json) -> Vec<String> {
         match inc.get("window") {
             Some(w) => {
                 let wpath = format!("{path}.window");
-                for key in ["lo_nanos", "hi_nanos", "events", "truncated", "snapshots"] {
+                for key in ["lo_nanos", "hi_nanos", "events", "truncated"] {
                     c.num(w, &wpath, key);
                 }
             }
@@ -853,11 +852,10 @@ mod tests {
     use jet_bench::{BenchReport, RunResult};
     use jet_cluster::{ControllerEvent, Direction};
     use jet_core::flight::{
-        Attribution, AttributionReport, BandWaterfall, Cause, CauseSlice, IncidentReport,
-        SpikeFidelity, SpikeIncident, SpikeReport, Stamp,
+        Attribution, AttributionReport, BandWaterfall, Cause, CauseSlice, IncidentReport, Recorder,
+        RecorderConfig, SpikeFidelity, SpikeIncident, SpikeReport, Stamp, TimelineConfig,
     };
     use jet_core::metrics::MetricsRegistry;
-    use jet_core::telemetry::{Timeline, TimelineConfig};
     use jet_util::histogram::Histogram;
 
     const MS: u64 = 1_000_000;
@@ -1071,7 +1069,6 @@ mod tests {
                 window_hi: 170 * MS,
                 window_events: 4,
                 window_truncated: 0,
-                window_snapshots: 0,
                 attribution: Attribution {
                     t0: 100 * MS,
                     t1: 150 * MS,
@@ -1156,17 +1153,21 @@ mod tests {
 
     #[test]
     fn real_timeline_output_conforms() {
-        let timeline = Timeline::with_config(TimelineConfig {
-            cadence_nanos: 10 * MS,
-            capacity: 8,
+        let timeline = Recorder::new(RecorderConfig {
+            timeline: Some(TimelineConfig {
+                cadence_nanos: 10 * MS,
+                capacity: 8,
+            }),
+            ..RecorderConfig::default()
         });
         let reg = MetricsRegistry::new();
         let c = reg.counter("jet_events_in_total", jet_core::metrics::tags(&[]));
         for tick in 1..=3u64 {
             c.add(100);
-            timeline.record_sample(tick * 10 * MS, &reg.snapshot());
+            timeline.sample(tick * 10 * MS, &reg.snapshot());
         }
-        let doc = parse(&timeline.to_json("unit", "case-a")).expect("producer emits valid JSON");
+        let doc =
+            parse(&timeline.timeline_json("unit", "case-a")).expect("producer emits valid JSON");
         let errors = validate_timeline(&doc);
         assert!(errors.is_empty(), "{errors:#?}");
     }
