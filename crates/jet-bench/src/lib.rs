@@ -594,6 +594,36 @@ pub fn percentile_curve(h: &Histogram) -> Vec<(f64, f64)> {
         .collect()
 }
 
+/// Figures 11 and 12 (§7.5): one latency curve per NEXMark query on a
+/// cluster of `members` members with 2 cores each, 400k events/s in total
+/// and a 1 s window sliding by 10 ms, fault tolerance off. Prints the
+/// curves and writes `results/BENCH_<name>.json`.
+pub fn nexmark_cluster_latency(name: &str, members: usize) {
+    let mut report = BenchReport::new(name);
+    report
+        .param("members", members)
+        .param("cores_per_member", 2)
+        .param("total_rate", 400_000);
+    for query in [Query::Q1, Query::Q2, Query::Q5, Query::Q8, Query::Q13] {
+        let mut spec = RunSpec::new(query, 400_000);
+        spec.members = members;
+        spec.cores_per_member = 2;
+        spec.window = WindowDef::sliding(SEC as Ts, (10 * MS) as Ts);
+        spec.warmup = SEC + 500 * MS;
+        spec.measure = 1500 * MS;
+        spec.guarantee = Guarantee::None;
+        let r = run(&spec);
+        print!("{:4}", query.name());
+        for (p, ms) in percentile_curve(&r.hist) {
+            print!("  p{p}={ms:.3}ms");
+        }
+        println!("  n={}", r.hist.count());
+        eprintln!("  [{} x{members} done]", query.name());
+        report.add_run(query.name(), &[("query", query.name().to_string())], &r);
+    }
+    report.write().expect("report");
+}
+
 /// Machine-readable results file shared by every figure/ablation binary:
 /// `results/BENCH_<name>.json` holds the bench-level parameters plus, per
 /// run, its parameters, latency percentiles, throughput accounting, and the

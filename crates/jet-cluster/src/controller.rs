@@ -36,8 +36,8 @@
 //!
 //! Decisions read **only** the windowed sample ring filled by
 //! [`Controller::observe`] — never an instantaneous gauge — so a single
-//! noisy quantum cannot trigger a rescale (jet-lint's `raw-gauge` rule
-//! enforces this split workspace-wide). Every transition lands in a
+//! noisy quantum cannot trigger a rescale (jet-analyze's `raw-gauge` check
+//! enforces this split). Every transition lands in a
 //! deterministic [`ControllerEvent`] log: same seed + same fault plan ⇒
 //! bit-for-bit the same decision timeline, which the chaos lane's no-flap
 //! and replay oracles check at 100 seeds.
@@ -437,6 +437,7 @@ impl Controller {
     /// simulator's cumulative busy nanos over `cores` virtual cores. This
     /// is the *only* place the controller reads instantaneous values; every
     /// decision below works on deltas between these samples.
+    // jet-analyze: allow(raw-gauge) — the cadenced ingestion point itself; decisions aggregate deltas across the window
     pub fn observe(
         &mut self,
         now: u64,
@@ -448,7 +449,6 @@ impl Controller {
         self.last_sample_at = Some(now);
         self.samples_taken.add(1);
         self.cluster_size.set(members as i64);
-        // jet-lint: allow(raw-gauge) — the cadenced ingestion point itself
         let recv_window_min = snap
             .get_all("jet_channel_receive_window")
             .filter_map(|m| m.as_gauge())
@@ -458,8 +458,6 @@ impl Controller {
             at: now,
             busy_nanos,
             cores: cores.max(1),
-            // jet-lint: allow(raw-gauge) — cumulative counter; decisions
-            // aggregate deltas of it across the window
             bp_stalls: snap.counter_total("jet_backpressure_stalls_total", &[]),
             recv_window_min,
         });

@@ -44,7 +44,6 @@ use std::time::{Duration, Instant};
 /// different worker threads land on one consistent timeline.
 fn trace_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // jet-lint: allow(instant) — initialized once per process (cold).
     *EPOCH.get_or_init(Instant::now)
 }
 
@@ -190,8 +189,6 @@ fn observed_call(
     o: &mut WorkerObs,
     epoch: Instant,
 ) -> Progress {
-    // jet-lint: allow(instant) — throttled by construction: only taken when
-    // self-profiling (`obs`) is enabled for the run.
     let start = Instant::now();
     let result = t.call();
     let nanos = start.elapsed().as_nanos() as u64;

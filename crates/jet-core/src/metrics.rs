@@ -720,10 +720,10 @@ fn prom_help_escape(v: &str) -> String {
 }
 
 /// Derive a HELP string from the workspace's structured metric names
-/// (`jet_<subject>[_<unit>|_total]`, enforced by jet-lint rule 6). Keeping
-/// the text derived rather than registered per call site means every
-/// instrument gets a spec-conformant `# HELP` line with zero registration
-/// overhead.
+/// (`jet_<subject>[_<unit>|_total]`, enforced by jet-analyze's `metric-name`
+/// check). Keeping the text derived rather than registered per call site
+/// means every instrument gets a spec-conformant `# HELP` line with zero
+/// registration overhead.
 fn prom_help(name: &str) -> String {
     fn capitalize(s: &str) -> String {
         let mut c = s.chars();

@@ -114,7 +114,6 @@ impl MemberNode {
     }
 
     /// Total entries across all partitions and maps on this member.
-    // jet-analyze: allow(block) — IMDG stand-in: partition tables under short locks model the member boundary
     pub fn entry_count(&self) -> usize {
         self.partitions.iter().map(|p| p.lock().entry_count()).sum()
     }
@@ -322,7 +321,6 @@ impl Grid {
 
     /// Sum of entries over primary replicas of a named map — the logical
     /// size of the map.
-    // jet-analyze: allow(block) — IMDG stand-in: partition tables under short locks model the member boundary
     pub fn map_size(&self, name: &str) -> usize {
         let st = self.inner.state.read();
         let mut total = 0;

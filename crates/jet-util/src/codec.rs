@@ -72,7 +72,6 @@ impl ByteWriter {
     }
 
     #[inline]
-    // jet-analyze: allow(alloc) — encode path appends to a caller-owned buffer (snapshot/replication, amortized growth)
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
@@ -93,7 +92,6 @@ impl ByteWriter {
     }
 
     #[inline]
-    // jet-analyze: allow(alloc) — encode path appends to a caller-owned buffer (snapshot/replication, amortized growth)
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -114,7 +112,6 @@ impl ByteWriter {
     }
 
     #[inline]
-    // jet-analyze: allow(alloc) — encode path appends to a caller-owned buffer (snapshot/replication, amortized growth)
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
         self.buf.extend_from_slice(v);

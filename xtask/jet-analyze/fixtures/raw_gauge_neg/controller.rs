@@ -1,15 +1,13 @@
-// Lint-test fixture for rule 7 (raw-gauge): the compliant shape — one
-// annotated cadenced ingestion point fills a sample window, and decisions
-// aggregate over that window only. Linted under the label `controller.rs`.
+// Negative fixture: one allowed, cadenced ingestion point fills a sample
+// window, and decisions aggregate over that window only.
 
+// jet-analyze: allow(raw-gauge) — the cadenced ingestion point itself
 pub fn observe(&mut self, now: u64, snap: &MetricsSnapshot) {
-    // jet-lint: allow(raw-gauge) — the cadenced ingestion point itself
     let recv_window_min = snap
         .get_all("jet_channel_receive_window")
         .filter_map(|m| m.as_gauge())
         .min()
         .unwrap_or(i64::MAX);
-    // jet-lint: allow(raw-gauge) — cumulative counter, windowed later
     let bp_stalls = snap.counter_total("jet_backpressure_stalls_total", &[]);
     self.samples.push_back(Sample {
         at: now,

@@ -7,7 +7,7 @@
 /// One audited, allowed violation.
 #[derive(Debug, Clone, Default)]
 pub struct BaselineEntry {
-    /// Effect class name (`alloc`, `block`, `panic`, `instant`, `ordering`).
+    /// Check class name (`alloc`, `block`, ..., see [`crate::Effect`]).
     pub effect: String,
     /// Qualified containing fn (`crates/.../file.rs::Type::fn`) or, for
     /// the ordering pass, `field:<name>`.
@@ -87,9 +87,10 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
         }
         if crate::Effect::parse(&e.effect).is_none() {
             return Err(format!(
-                "entry {}: unknown effect `{}` (known: alloc, block, panic, instant, ordering)",
+                "entry {}: unknown effect `{}` (known: {})",
                 n + 1,
-                e.effect
+                e.effect,
+                crate::Effect::known()
             ));
         }
         if e.reason.trim().len() < 8 {

@@ -3,6 +3,7 @@
 //! and impl indexes the resolver needs.
 
 use crate::Effect;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use syn::{parse_file, Item, ItemFn, Token, TokenKind};
 
@@ -84,10 +85,12 @@ pub(crate) struct FnDef {
     pub name: String,
     pub line: usize,
     /// `#[cold]` or `// jet-analyze: cold` above the decl: excluded from
-    /// hot-path traversal entirely.
-    pub cold: bool,
-    /// Effect classes allowed fn-wide via an annotation above the decl.
-    pub allows: Vec<Effect>,
+    /// hot-path traversal entirely. Holds the annotation's line (the fn's
+    /// own line for `#[cold]`).
+    pub cold: Option<usize>,
+    /// Classes allowed fn-wide via an annotation above the decl, with the
+    /// annotation's line.
+    pub allows: Vec<(Effect, usize)>,
     /// Typed parameters, `name -> type text` (`&`/`mut` stripped).
     pub params: BTreeMap<String, String>,
     /// Local bindings: `alias -> (source name, is_payload)`. Payload
@@ -139,6 +142,9 @@ pub(crate) struct Workspace {
     /// in the workspace agrees on the type (used to type bare locals that
     /// alias fields, and `x.field.m()` chains through foreign structs).
     pub field_unique_type: BTreeMap<String, String>,
+    /// Annotations that suppressed something in this run, keyed by
+    /// `(file, line, class)`; a `cold` marker has class `None`.
+    pub used: RefCell<BTreeSet<(String, usize, Option<Effect>)>>,
 }
 
 impl Workspace {
@@ -194,17 +200,31 @@ impl Workspace {
         }
     }
 
-    /// Comment text on `line` or up to `span` lines above it.
-    pub fn comment_window(&self, file: &str, line: usize, span: usize) -> Vec<&str> {
-        let Some(comments) = self.comments.get(file) else {
-            return Vec::new();
-        };
-        let lo = line.saturating_sub(span).max(1);
-        (lo..=line)
-            .filter_map(|l| comments.get(l - 1))
-            .map(String::as_str)
-            .filter(|s| !s.is_empty())
-            .collect()
+    /// `(line, comment text)` on `line` and up to `span` lines above it.
+    pub fn comment_window<'a>(
+        &'a self,
+        file: &str,
+        line: usize,
+        span: usize,
+    ) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+        let comments = self.comments.get(file);
+        (line.saturating_sub(span).max(1)..=line).filter_map(move |l| {
+            let c = comments?.get(l - 1)?;
+            (!c.is_empty()).then_some((l, c.as_str()))
+        })
+    }
+
+    /// Does a comment on `line` or up to `span` lines above it contain
+    /// `needle`? (The prose conventions: `// ordering:`, `// single-item:`.)
+    pub fn comment_near(&self, file: &str, line: usize, span: usize, needle: &str) -> bool {
+        self.comment_window(file, line, span)
+            .any(|(_, c)| c.contains(needle))
+    }
+
+    fn mark_used(&self, file: &str, line: usize, class: Option<Effect>) {
+        self.used
+            .borrow_mut()
+            .insert((file.to_string(), line, class));
     }
 }
 
@@ -236,20 +256,70 @@ fn has_reason(tail: &str) -> bool {
     tail.chars().filter(|c| c.is_alphanumeric()).count() >= 3
 }
 
-/// Does any line in the window carry `jet-analyze: allow(<class>)`?
-pub(crate) fn allow_near(ws: &Workspace, file: &str, line: usize, class: Effect) -> bool {
-    ws.comment_window(file, line, 2).iter().any(|c| {
-        scan_allows(c)
-            .iter()
-            .any(|(classes, _)| classes.contains(&Some(class)))
-    })
+/// Is `class` allowed at `line` of `f`, by an annotation above the fn or
+/// within two lines above the site? Marks the annotation used.
+pub(crate) fn allowed(ws: &Workspace, f: &FnDef, line: usize, class: Effect) -> bool {
+    let at = f
+        .allows
+        .iter()
+        .find(|(c, _)| *c == class)
+        .map(|&(_, at)| at)
+        .or_else(|| {
+            ws.comment_window(&f.file, line, 2)
+                .find(|(_, c)| {
+                    scan_allows(c)
+                        .iter()
+                        .any(|(classes, _)| classes.contains(&Some(class)))
+                })
+                .map(|(at, _)| at)
+        });
+    if let Some(at) = at {
+        ws.mark_used(&f.file, at, Some(class));
+    }
+    at.is_some()
 }
 
-/// Does any line in the window mark the site cold?
+/// Does any line in the window mark the site cold? Marks the marker used.
 pub(crate) fn cold_near(ws: &Workspace, file: &str, line: usize) -> bool {
-    ws.comment_window(file, line, 2)
-        .iter()
-        .any(|c| c.contains("jet-analyze: cold"))
+    let at = ws
+        .comment_window(file, line, 2)
+        .find(|(_, c)| c.contains("jet-analyze: cold"));
+    if let Some((at, _)) = at {
+        ws.mark_used(file, at, None);
+    }
+    at.is_some()
+}
+
+/// Marks `f`'s fn-level `cold` marker used; true when `f` is cold.
+pub(crate) fn fn_cold(ws: &Workspace, f: &FnDef) -> bool {
+    if let Some(at) = f.cold {
+        ws.mark_used(&f.file, at, None);
+    }
+    f.cold.is_some()
+}
+
+/// Every `allow(<class>)` and `cold` annotation that suppressed nothing in
+/// the run, as `file:line: allow(class)` / `file:line: cold`.
+pub(crate) fn stale_annotations(ws: &Workspace) -> Vec<String> {
+    let used = ws.used.borrow();
+    let mut out = Vec::new();
+    for (file, comments) in &ws.comments {
+        for (i, c) in comments.iter().enumerate() {
+            let line = i + 1;
+            let unused = |class| !used.contains(&(file.clone(), line, class));
+            for (classes, _) in scan_allows(c) {
+                for class in classes.into_iter().flatten() {
+                    if unused(Some(class)) {
+                        out.push(format!("{file}:{line}: allow({class})"));
+                    }
+                }
+            }
+            if c.contains("jet-analyze: cold") && unused(None) {
+                out.push(format!("{file}:{line}: cold"));
+            }
+        }
+    }
+    out
 }
 
 /// File-wide annotation hygiene: every `allow(...)` needs a known class
@@ -265,8 +335,8 @@ fn check_annotations(file: &str, comments: &[String], errors: &mut Vec<String>) 
         for (classes, reasoned) in scan_allows(c) {
             if classes.iter().any(Option::is_none) {
                 errors.push(format!(
-                    "{file}:{line}: jet-analyze: allow(...) names an unknown effect class \
-                     (known: alloc, block, panic, instant, ordering)"
+                    "{file}:{line}: jet-analyze: allow(...) names an unknown class (known: {})",
+                    Effect::known()
                 ));
             }
             if !reasoned {
@@ -336,8 +406,9 @@ fn macro_effect(name: &str) -> Option<Effect> {
         | "assert_ne" | "format" => Effect::Panic,
         "vec" => Effect::Alloc,
         "println" | "eprintln" | "print" | "eprint" | "dbg" => Effect::Block,
-        // debug_assert* compiles out of release builds; write!/log macros
-        // are target-dependent and audited by jet-lint instead.
+        // debug_assert* compiles out of release builds. write! and the log
+        // macros are not classed: their cost depends on the target they
+        // write to, and no check audits them.
         _ => return None,
     })
 }
@@ -688,18 +759,16 @@ fn record_fn(f: &ItemFn, ctx: &FnCtx<'_>, ws: &mut Workspace) {
         // Trait method declaration without a default body.
         return;
     }
-    let window: Vec<&str> = {
-        let lo = f.line.saturating_sub(3).max(1);
-        (lo..f.line)
-            .filter_map(|l| ctx.comments.get(l - 1))
-            .map(String::as_str)
-            .collect()
-    };
-    let cold = f.has_attr("cold") || window.iter().any(|c| c.contains("jet-analyze: cold"));
+    let window = (f.line.saturating_sub(3).max(1)..f.line)
+        .filter_map(|l| Some((l, ctx.comments.get(l - 1)?.as_str())));
+    let mut cold = f.has_attr("cold").then_some(f.line);
     let mut allows = Vec::new();
-    for c in &window {
+    for (l, c) in window {
+        if c.contains("jet-analyze: cold") {
+            cold = Some(l);
+        }
         for (classes, _) in scan_allows(c) {
-            allows.extend(classes.into_iter().flatten());
+            allows.extend(classes.into_iter().flatten().map(|class| (class, l)));
         }
     }
     let (calls, macro_effects) = scan_body(&f.body);

@@ -13,7 +13,7 @@
 //! 4. untyped receivers match every workspace method of that name;
 //! 5. last resort: a type-unknown effect table (`.clone()` → alloc, ...).
 
-use crate::extract::{allow_near, cold_near, Callee, ChainSeg, FnDef, Recv, Workspace};
+use crate::extract::{allowed, cold_near, fn_cold, Callee, ChainSeg, FnDef, Recv, Workspace};
 use crate::{sort_violations, Analysis, ChainHop, Effect, SeenSites, Violation};
 use std::collections::VecDeque;
 
@@ -585,7 +585,7 @@ fn root_ids(ws: &Workspace) -> Vec<usize> {
                 f.file.ends_with(suffix) && f.self_ty.is_none() && names.contains(&f.name.as_str())
             }
         });
-        if is_root && !f.cold {
+        if is_root && !fn_cold(ws, f) {
             ids.push(i);
         }
     }
@@ -593,22 +593,6 @@ fn root_ids(ws: &Workspace) -> Vec<usize> {
 }
 
 // -------------------------------------------------------------- traversal --
-
-/// Is this effect at this site suppressed by an inline annotation?
-fn suppressed(ws: &Workspace, f: &FnDef, line: usize, effect: Effect) -> bool {
-    if f.allows.contains(&effect) {
-        return true;
-    }
-    if allow_near(ws, &f.file, line, effect) {
-        return true;
-    }
-    // The instant class predates this tool: jet-lint rule 4 escapes count.
-    effect == Effect::Instant
-        && ws
-            .comment_window(&f.file, line, 2)
-            .iter()
-            .any(|c| c.contains("jet-lint: allow(instant)") || c.contains("throttled"))
-}
 
 pub(crate) fn analyze(ws: &Workspace) -> Analysis {
     let mut analysis = Analysis::default();
@@ -639,7 +623,7 @@ pub(crate) fn analyze(ws: &Workspace) -> Analysis {
                   seen: &mut SeenSites,
                   violations: &mut Vec<Violation>,
                   suppressed_count: &mut usize| {
-        if suppressed(ws, f, line, effect) || cold_near(ws, &f.file, line) {
+        if allowed(ws, f, line, effect) || cold_near(ws, &f.file, line) {
             *suppressed_count += 1;
             return;
         }
@@ -692,10 +676,6 @@ pub(crate) fn analyze(ws: &Workspace) -> Analysis {
             );
         }
         for call in &f.calls {
-            // A call-site cold marker cuts the edge (and any effect there).
-            if cold_near(ws, &f.file, call.line) {
-                continue;
-            }
             let resolved = match &call.callee {
                 Callee::Method {
                     name,
@@ -704,6 +684,10 @@ pub(crate) fn analyze(ws: &Workspace) -> Analysis {
                 } => resolve_method(ws, f, name, recv, *zero_args),
                 Callee::Path { segs } => resolve_path(ws, f, segs),
             };
+            // A call-site cold marker cuts the edge (and any effect there).
+            if !matches!(resolved, Resolved::Nothing) && cold_near(ws, &f.file, call.line) {
+                continue;
+            }
             match resolved {
                 Resolved::External(effect) => {
                     let pattern = match &call.callee {
@@ -724,7 +708,7 @@ pub(crate) fn analyze(ws: &Workspace) -> Analysis {
                 }
                 Resolved::Edges(targets) => {
                     for t in targets {
-                        if !visited[t] && !ws.fns[t].cold {
+                        if !fn_cold(ws, &ws.fns[t]) && !visited[t] {
                             visited[t] = true;
                             parent[t] = Some((id, call.line));
                             queue.push_back(t);

@@ -1,13 +1,16 @@
-//! jet-analyze: interprocedural hot-path reachability analyzer.
+//! jet-analyze: the workspace's one source checker.
 //!
 //! The engine's tail-latency story rests on one invariant (paper §3.2): a
 //! tasklet's `call()` on a shared cooperative worker never blocks, never
 //! allocates on the steady path, never panics, and never reads the wall
-//! clock per record. `jet-lint` checks the *direct text* of tasklet bodies;
-//! this tool proves the property *transitively*: it parses every crate
-//! (via the vendored mini-`syn`), builds a best-effort call graph, marks
-//! the hot roots, and reports every forbidden effect reachable from them —
-//! with the full call chain (`call() → flush_outbox() → grow()`).
+//! clock per record. This tool proves the property *transitively*: it
+//! parses every crate (via the vendored mini-`syn`), builds a best-effort
+//! call graph, marks the hot roots, and reports every forbidden effect
+//! reachable from them — with the full call chain
+//! (`call() → flush_outbox() → grow()`). Two more passes run over the same
+//! item tree: the release/acquire pairing audit and the source-hygiene
+//! rules (ordering comments, single-item polls, observability names,
+//! raw-gauge reads; see `rules.rs`).
 //!
 //! ## Effect lattice
 //!
@@ -38,26 +41,27 @@
 //!
 //! ## Escapes
 //!
-//! * `// jet-analyze: allow(<effect>) — <reason>` on the offending line
-//!   (or ≤2 lines above) suppresses one site; placed above a `fn` it
-//!   covers the whole body. A missing reason is itself a violation.
+//! * `// jet-analyze: allow(<class>) — <reason>` on the offending line
+//!   (or ≤2 lines above) suppresses one site of any check class; placed
+//!   above a `fn` it covers the whole body. A missing reason is itself a
+//!   violation.
 //! * `// jet-analyze: cold — <reason>` (or `#[cold]`) marks a fn or a
 //!   call site as off the hot path: traversal stops there.
 //! * `analyze-baseline.toml` allowlists audited violations by
-//!   `(effect, containing fn, pattern)` so pre-existing sites are explicit
+//!   `(class, containing fn, pattern)` so pre-existing sites are explicit
 //!   and new regressions fail CI. Baselined chains are still reported.
-//! * `jet-lint: allow(instant)` / a nearby `throttled` comment also
-//!   satisfy the **instant** class, so clock sites audited for jet-lint
-//!   rule 4 need no second annotation.
+//! * Baseline entries and inline annotations that suppressed nothing in
+//!   the run are reported as stale, so an escape cannot outlive the code
+//!   it excused.
 //!
 //! ## A second pass: release/acquire pairing
 //!
 //! Every `store(Release)` on a field must have a matching `load(Acquire)`
 //! somewhere in the workspace and vice versa (RMWs and SeqCst count for
-//! the side(s) they order). This upgrades jet-lint rule 3 from "has a
-//! comment" to "has a partner". Fields are keyed by name workspace-wide —
-//! coarse, but one-sided protocols are exactly the bug class loom found in
-//! the SPSC ring's early drafts.
+//! the side(s) they order): not just "has an `// ordering:` comment" but
+//! "has a partner". Fields are keyed by name workspace-wide — coarse, but
+//! one-sided protocols are exactly the bug class loom found in the SPSC
+//! ring's early drafts.
 //!
 //! ## Known soundness holes (documented, deliberate)
 //!
@@ -78,10 +82,13 @@ mod baseline;
 mod extract;
 mod graph;
 mod ordering;
+mod rules;
 
 pub use baseline::{parse_baseline, BaselineEntry};
 
-/// One forbidden-effect class (plus the pairing pass's `Ordering`).
+/// One check class: a forbidden effect the reachability pass traces from
+/// the hot roots, the pairing pass's `ordering`, or a source-hygiene rule.
+/// Its name is what `allow(..)` annotations and baseline entries say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Effect {
     Alloc,
@@ -89,9 +96,29 @@ pub enum Effect {
     Panic,
     Instant,
     Ordering,
+    OrderingComment,
+    SingleItem,
+    MetricName,
+    MetricDup,
+    SpanName,
+    RawGauge,
 }
 
 impl Effect {
+    pub const ALL: [Effect; 11] = [
+        Effect::Alloc,
+        Effect::Block,
+        Effect::Panic,
+        Effect::Instant,
+        Effect::Ordering,
+        Effect::OrderingComment,
+        Effect::SingleItem,
+        Effect::MetricName,
+        Effect::MetricDup,
+        Effect::SpanName,
+        Effect::RawGauge,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             Effect::Alloc => "alloc",
@@ -99,18 +126,22 @@ impl Effect {
             Effect::Panic => "panic",
             Effect::Instant => "instant",
             Effect::Ordering => "ordering",
+            Effect::OrderingComment => "ordering-comment",
+            Effect::SingleItem => "single-item",
+            Effect::MetricName => "metric-name",
+            Effect::MetricDup => "metric-dup",
+            Effect::SpanName => "span-name",
+            Effect::RawGauge => "raw-gauge",
         }
     }
 
     pub fn parse(s: &str) -> Option<Effect> {
-        Some(match s {
-            "alloc" => Effect::Alloc,
-            "block" => Effect::Block,
-            "panic" => Effect::Panic,
-            "instant" => Effect::Instant,
-            "ordering" => Effect::Ordering,
-            _ => return None,
-        })
+        Effect::ALL.into_iter().find(|e| e.name() == s)
+    }
+
+    /// Every class name, for error messages.
+    pub fn known() -> String {
+        Effect::ALL.map(Effect::name).join(", ")
     }
 }
 
@@ -206,6 +237,9 @@ pub struct Analysis {
     pub annotation_errors: Vec<String>,
     /// Baseline entries that matched nothing (warn: prune them).
     pub stale_baseline: Vec<String>,
+    /// Inline `allow(..)`/`cold` annotations that suppressed nothing
+    /// (warn: delete them).
+    pub stale_annotations: Vec<String>,
     pub files_scanned: usize,
     pub fns_indexed: usize,
     pub roots: usize,
@@ -246,6 +280,9 @@ impl Analysis {
         for e in &self.stale_baseline {
             s.push_str(&format!("stale baseline entry (matched nothing): {e}\n"));
         }
+        for e in &self.stale_annotations {
+            s.push_str(&format!("stale annotation (suppressed nothing): {e}\n"));
+        }
         s.push_str(&format!(
             "jet-analyze: {} files, {} fns, {} hot roots; {} failing, {} baselined, {} inline-allowed\n",
             self.files_scanned,
@@ -270,6 +307,8 @@ pub fn analyze_sources(sources: &[(String, String)], baseline: &[BaselineEntry])
     ws.build_indexes();
     let mut analysis = graph::analyze(&ws);
     ordering::check_pairing(&ws, &mut analysis);
+    rules::check(&ws, &mut analysis);
+    analysis.stale_annotations = extract::stale_annotations(&ws);
     analysis.annotation_errors.extend(annotation_errors);
     apply_baseline(&mut analysis, baseline);
     analysis.files_scanned = sources.len();
@@ -341,7 +380,7 @@ pub fn analyze_paths(paths: &[PathBuf], baseline: &[BaselineEntry]) -> std::io::
 /// Analyze the workspace rooted at `root`: every `.rs` under
 /// `crates/*/src`, with the baseline at `root/analyze-baseline.toml` (when
 /// present). Vendored stand-ins and the xtask tools themselves are out of
-/// scope on purpose, exactly like jet-lint.
+/// scope on purpose.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
     let mut files = Vec::new();
     let crates = root.join("crates");

@@ -1,4 +1,4 @@
-//! CLI for the jet-analyze hot-path reachability analyzer.
+//! CLI for jet-analyze, the workspace's source checker.
 //!
 //! ```text
 //! cargo run -p jet-analyze                  # whole workspace + baseline

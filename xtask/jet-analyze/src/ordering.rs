@@ -17,7 +17,7 @@
 //! `Ordering` are considered, so ordinary `store`/`swap` methods on
 //! non-atomic types never match.
 
-use crate::extract::{allow_near, Recv, Workspace};
+use crate::extract::{allowed, FnDef, Recv, Workspace};
 use crate::{sort_violations, Analysis, Effect, Violation};
 use std::collections::BTreeMap;
 use syn::{Token, TokenKind};
@@ -37,18 +37,21 @@ const RMW_OPS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-#[derive(Debug, Clone)]
-struct AtomicSite {
-    file: String,
-    line: usize,
-    in_fn: String,
-    op: String,
+/// One atomic op: a `store`/`load`/RMW call whose arguments name a memory
+/// `Ordering`.
+pub(crate) struct AtomicSite<'a> {
+    pub f: &'a FnDef,
+    pub line: usize,
+    pub op: String,
     /// Orderings named in the call arguments.
-    orderings: Vec<String>,
+    pub orderings: Vec<String>,
+    /// The atomic's field: the last hop of the receiver chain
+    /// (`self.shared.head.store(..)` → `head`).
+    pub field: Option<String>,
 }
 
-impl AtomicSite {
-    fn has(&self, o: &str) -> bool {
+impl AtomicSite<'_> {
+    pub fn has(&self, o: &str) -> bool {
         self.orderings.iter().any(|x| x == o)
     }
 
@@ -126,16 +129,12 @@ fn paren_after(b: &[Token], name_idx: usize) -> Option<usize> {
     b.get(j).is_some_and(|t| t.is_punct('(')).then_some(j)
 }
 
-/// Second pass over every fn body (including `Drop` impls the call graph
-/// cannot reach): gather atomic ops per field, then flag one-sided pairs.
-pub(crate) fn check_pairing(ws: &Workspace, analysis: &mut Analysis) {
-    let mut by_field: BTreeMap<String, Vec<AtomicSite>> = BTreeMap::new();
-    let mut fence_release = false;
-    let mut fence_acquire = false;
-
+/// Every atomic op in every fn body (including `Drop` impls the call graph
+/// cannot reach). Re-scans the raw tokens: the extractor's call list has no
+/// argument info, and the orderings are in the arguments.
+pub(crate) fn atomic_sites(ws: &Workspace) -> Vec<AtomicSite<'_>> {
+    let mut sites = Vec::new();
     for f in &ws.fns {
-        // Re-scan this body's raw tokens; the extractor's call list has no
-        // argument info, and we need the orderings.
         let b: &[Token] = &f.raw_body;
         for i in 0..b.len() {
             if !b[i].is_punct('.') {
@@ -155,23 +154,34 @@ pub(crate) fn check_pairing(ws: &Workspace, analysis: &mut Analysis) {
                 continue; // not an atomic op (or ordering passed indirectly)
             }
             let field = match crate::extract::receiver_pub(b, i) {
-                // The atomic is named by the last chain hop
-                // (`self.shared.head.store(..)` → field `head`).
                 Recv::Chain { segs, .. } => segs.last().map(|s| s.name.clone()),
                 Recv::SelfDirect | Recv::Other => None,
             };
-            let Some(field) = field.filter(|n| n != "self") else {
-                continue;
-            };
-            by_field.entry(field).or_default().push(AtomicSite {
-                file: f.file.clone(),
+            sites.push(AtomicSite {
+                f,
                 line: b[i + 1].line,
-                in_fn: f.qualified(),
                 op: op.to_string(),
                 orderings,
+                field: field.filter(|n| n != "self"),
             });
         }
+    }
+    sites
+}
+
+/// Gather the atomic ops per field, then flag one-sided pairs.
+pub(crate) fn check_pairing(ws: &Workspace, analysis: &mut Analysis) {
+    let mut by_field: BTreeMap<String, Vec<AtomicSite>> = BTreeMap::new();
+    for site in atomic_sites(ws) {
+        if let Some(field) = site.field.clone() {
+            by_field.entry(field).or_default().push(site);
+        }
+    }
+    let mut fence_release = false;
+    let mut fence_acquire = false;
+    for f in &ws.fns {
         // `fence(Ordering::X)` free calls.
+        let b: &[Token] = &f.raw_body;
         for i in 0..b.len() {
             if b[i].is_ident("fence")
                 && (i == 0 || !b[i - 1].is_punct('.'))
@@ -214,7 +224,7 @@ pub(crate) fn check_pairing(ws: &Workspace, analysis: &mut Analysis) {
             }
             if present
                 .iter()
-                .any(|s| allow_near(ws, &s.file, s.line, Effect::Ordering))
+                .any(|s| allowed(ws, s.f, s.line, Effect::Ordering))
             {
                 analysis.suppressed += 1;
                 continue;
@@ -222,12 +232,12 @@ pub(crate) fn check_pairing(ws: &Workspace, analysis: &mut Analysis) {
             let first = present[0];
             let sites_text = present
                 .iter()
-                .map(|s| format!("{}:{} ({})", s.file, s.line, s.in_fn))
+                .map(|s| format!("{}:{} ({})", s.f.file, s.line, s.f.qualified()))
                 .collect::<Vec<_>>()
                 .join(", ");
             violations.push(Violation {
                 effect: Effect::Ordering,
-                file: first.file.clone(),
+                file: first.f.file.clone(),
                 line: first.line,
                 pattern: tag.to_string(),
                 in_fn: format!("field:{field}"),

@@ -1,8 +1,8 @@
 //! Fixture-driven end-to-end tests: one positive and one negative case per
-//! effect class, plus a golden test for call-chain rendering and a CLI
+//! check class, plus a golden test for call-chain rendering and a CLI
 //! exit-code check.
 
-use jet_analyze::{analyze_paths, Analysis, Effect};
+use jet_analyze::{analyze_paths, analyze_sources, Analysis, Effect};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -109,6 +109,111 @@ fn ordering_negative_clean() {
     assert!(a.is_clean(), "{}", a.render_report());
 }
 
+/// The blocking calls of a tasklet body are flagged one by one: a sleep, a
+/// channel receive and a mutex lock.
+#[test]
+fn block_in_tasklet_body_flagged_per_call() {
+    let a = analyze_fixture("block_tasklet_pos.rs");
+    let patterns: Vec<&str> = a.violations.iter().map(|v| v.pattern.as_str()).collect();
+    assert_eq!(
+        patterns,
+        ["std::thread::sleep(", ".recv(", ".lock("],
+        "{}",
+        a.render_report()
+    );
+}
+
+/// The source-hygiene checks: each positive fixture trips its class, and
+/// only it, once per seeded site; each negative fixture is clean and its
+/// annotations all suppress something.
+#[test]
+fn hygiene_checks_flag_seeded_sites_only() {
+    for (pos, neg, class, sites) in [
+        (
+            "ordering_comment_pos.rs",
+            "ordering_comment_neg.rs",
+            Effect::OrderingComment,
+            1,
+        ),
+        (
+            "single_item_pos.rs",
+            "single_item_neg.rs",
+            Effect::SingleItem,
+            2,
+        ),
+        (
+            "metric_name_pos.rs",
+            "metric_name_neg.rs",
+            Effect::MetricName,
+            7,
+        ),
+        ("metric_dup_pos", "metric_dup_neg", Effect::MetricDup, 1),
+        ("span_name_pos.rs", "span_name_neg.rs", Effect::SpanName, 2),
+        ("raw_gauge_pos", "raw_gauge_neg", Effect::RawGauge, 6),
+    ] {
+        let a = analyze_fixture(pos);
+        let classes: Vec<Effect> = a.violations.iter().map(|v| v.effect).collect();
+        assert_eq!(classes, vec![class; sites], "{pos}:\n{}", a.render_report());
+        let a = analyze_fixture(neg);
+        assert!(
+            a.is_clean() && a.stale_annotations.is_empty(),
+            "{neg}:\n{}",
+            a.render_report()
+        );
+    }
+}
+
+/// Every `.intern(` on a line is read, not only the first.
+#[test]
+fn span_name_second_call_on_a_line_flagged() {
+    let a = analyze_fixture("span_name_pos.rs");
+    assert!(
+        a.violations
+            .iter()
+            .any(|v| v.line == 6 && v.message.contains("Snapshot_Commit")),
+        "{}",
+        a.render_report()
+    );
+}
+
+/// Two checks are scoped by file name: a relaxed publish needs a reason only
+/// in the lock-free files, and raw-gauge reads are only flagged in
+/// controller code.
+#[test]
+fn file_scoped_checks_follow_the_file_name() {
+    let relaxed = "pub struct Q {\n    tail: AtomicUsize,\n}\nimpl Q {\n    \
+                   fn publish(&self) {\n        self.tail.store(1, Ordering::Relaxed);\n    }\n    \
+                   fn peek(&self) -> usize {\n        self.tail.load(Ordering::Relaxed)\n    }\n}\n";
+    let controller = std::fs::read_to_string(fixture("raw_gauge_pos/controller.rs")).unwrap();
+    for (label, src, failing) in [
+        ("spsc.rs", relaxed, 1),
+        ("metrics.rs", relaxed, 0),
+        ("runtime.rs", controller.as_str(), 0),
+    ] {
+        let a = analyze_sources(&[(label.to_string(), src.to_string())], &[]);
+        assert_eq!(
+            a.violations.len(),
+            failing,
+            "{label}:\n{}",
+            a.render_report()
+        );
+    }
+}
+
+/// An annotation that suppresses nothing is reported, so escapes cannot
+/// outlive the code they excused.
+#[test]
+fn unused_annotations_reported_stale() {
+    let src = "// jet-analyze: allow(alloc) — nothing here allocates\nfn f() {}\n\
+               fn g() {\n    // jet-analyze: cold — never called\n    h();\n}\n";
+    let a = analyze_sources(&[("a.rs".to_string(), src.to_string())], &[]);
+    assert_eq!(
+        a.stale_annotations,
+        ["a.rs:1: allow(alloc)", "a.rs:4: cold"]
+    );
+    assert!(a.is_clean(), "{}", a.render_report());
+}
+
 /// Golden test: the alloc fixture must report the full multi-hop chain
 /// from the `Tasklet::call` root down to the allocating call.
 #[test]
@@ -141,7 +246,7 @@ fn chain_rendering_golden() {
 }
 
 /// The CLI must exit non-zero when pointed at a seeded violation, for
-/// every effect class, and report the sites on stdout.
+/// every check class, and report the sites on stdout.
 #[test]
 fn cli_exit_codes() {
     for (name, expect_fail) in [
@@ -152,6 +257,19 @@ fn cli_exit_codes() {
         ("ordering_pos.rs", true),
         ("alloc_neg.rs", false),
         ("ordering_neg.rs", false),
+        ("block_tasklet_pos.rs", true),
+        ("ordering_comment_pos.rs", true),
+        ("ordering_comment_neg.rs", false),
+        ("single_item_pos.rs", true),
+        ("single_item_neg.rs", false),
+        ("metric_name_pos.rs", true),
+        ("metric_name_neg.rs", false),
+        ("metric_dup_pos", true),
+        ("metric_dup_neg", false),
+        ("span_name_pos.rs", true),
+        ("span_name_neg.rs", false),
+        ("raw_gauge_pos", true),
+        ("raw_gauge_neg", false),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_jet-analyze"))
             .arg("--paths")
