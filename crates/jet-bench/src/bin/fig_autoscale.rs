@@ -12,8 +12,7 @@
 //!   at 3, cutting the tail the undersized run accumulates.
 //!
 //! The controller's decision timeline is embedded in
-//! `results/BENCH_fig_autoscale.json` (`runs[].controller`, validated by
-//! the `schema-check` xtask).
+//! `results/BENCH_fig_autoscale.json` (`runs[].controller`).
 
 use jet_bench::{percentile_row, BenchReport, RunResult, MS, SEC};
 use jet_cluster::{ControllerConfig, ControllerEvent, SimCluster, SimClusterConfig};

@@ -21,17 +21,15 @@ use jet_core::flight::{
     AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig,
     SpikeFidelity, SpikeReport, TimelineConfig, WatchdogConfig,
 };
-use jet_core::metrics::{
-    json_escape, HistogramSummary, MetricsSnapshot, SharedCounter, SharedHistogram,
-};
+use jet_core::metrics::{HistogramSummary, MetricsSnapshot, SharedCounter, SharedHistogram};
 use jet_core::processor::Guarantee;
 use jet_core::processors::WatermarkPolicy;
 use jet_core::trace::{TraceData, Tracer};
 use jet_core::{JobQuotas, Ts};
 use jet_nexmark::{queries, NexmarkConfig};
 use jet_pipeline::{Pipeline, WindowDef};
+use jet_util::json::{self, ToJson, Writer};
 use jet_util::Histogram;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 pub const SEC: u64 = 1_000_000_000;
@@ -422,6 +420,14 @@ pub fn run(spec: &RunSpec) -> RunResult {
     }
 }
 
+/// Write `text` as `results/<file>` and return its path.
+fn write_result(file: &str, text: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all("results")?;
+    let path = PathBuf::from("results").join(file);
+    std::fs::write(&path, text)?;
+    Ok(path)
+}
+
 /// Write the captured trace as `results/TRACE_<name>.json` (Chrome
 /// trace-event format — load it in Perfetto or `chrome://tracing`) and the
 /// diagnostics dump as `results/TRACE_<name>.txt`. Returns the JSON path,
@@ -430,12 +436,9 @@ pub fn write_trace(name: &str, r: &RunResult) -> std::io::Result<Option<PathBuf>
     let Some(trace) = &r.trace else {
         return Ok(None);
     };
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("TRACE_{name}.json"));
-    std::fs::write(&path, trace.to_chrome_json())?;
+    let path = write_result(&format!("TRACE_{name}.json"), &json::render(trace))?;
     if let Some(dump) = &r.diagnostics {
-        std::fs::write(dir.join(format!("TRACE_{name}.txt")), dump)?;
+        write_result(&format!("TRACE_{name}.txt"), dump)?;
     }
     eprintln!(
         "  [trace written to {} — {} spans, {} dropped]",
@@ -447,9 +450,8 @@ pub fn write_trace(name: &str, r: &RunResult) -> std::io::Result<Option<PathBuf>
 }
 
 /// Write the spike forensics as `results/SPIKE_<name>.json` (schema
-/// `jet-spike-v1`, validated by the `schema-check` xtask) and print a
-/// one-line verdict per incident. Returns the path, or `None` when the run
-/// had no watchdog armed.
+/// `jet-spike-v1`) and print a one-line verdict per incident. Returns the
+/// path, or `None` when the run had no watchdog armed.
 pub fn write_spike_report(
     name: &str,
     label: &str,
@@ -461,10 +463,7 @@ pub fn write_spike_report(
     let mut report = spike.clone();
     report.bench = name.to_string();
     report.run_label = label.to_string();
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("SPIKE_{name}.json"));
-    std::fs::write(&path, report.to_json())?;
+    let path = write_result(&format!("SPIKE_{name}.json"), &json::render(&report))?;
     eprintln!(
         "  [spike report written to {} — {} incidents]",
         path.display(),
@@ -488,16 +487,16 @@ pub fn write_spike_report(
 }
 
 /// Write the run's metrics timeline as `results/TIMELINE_<name>.json`
-/// (schema `jet-timeline-v1`, validated by the `schema-check` xtask).
-/// Returns the path, or `None` when the run had no timeline armed.
+/// (schema `jet-timeline-v1`). Returns the path, or `None` when the run had
+/// no timeline armed.
 pub fn write_timeline(name: &str, label: &str, r: &RunResult) -> std::io::Result<Option<PathBuf>> {
     let Some(timeline) = &r.timeline else {
         return Ok(None);
     };
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("TIMELINE_{name}.json"));
-    std::fs::write(&path, timeline.timeline_json(name, label))?;
+    let path = write_result(
+        &format!("TIMELINE_{name}.json"),
+        &timeline.timeline_json(name, label),
+    )?;
     let stats = timeline.stats();
     eprintln!(
         "  [timeline written to {} — {} samples, {} series, {} ticks evicted]",
@@ -509,67 +508,55 @@ pub fn write_timeline(name: &str, label: &str, r: &RunResult) -> std::io::Result
     Ok(Some(path))
 }
 
-/// One controller event as a JSON object (schema
-/// `runs[].controller.events[]`, validated by the `schema-check` xtask):
-/// always `at`/`kind`/`label`, plus the variant's numeric fields.
-fn controller_event_json(e: &ControllerEvent) -> String {
-    let mut s = format!(
-        "{{\"at\": {}, \"kind\": \"{}\", \"label\": \"{}\"",
-        e.at(),
-        e.kind(),
-        json_escape(&e.label())
-    );
-    match e {
-        ControllerEvent::Decided {
-            direction,
-            occupancy,
-            stall_rate,
-            members,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ", \"direction\": \"{}\", \"occupancy\": {occupancy}, \
-                 \"stall_rate\": {stall_rate}, \"members\": {members}",
-                direction.name()
-            );
+/// One controller event (`runs[].controller.events[]`): always `at`,
+/// `kind` and `label`, then the variant's own fields.
+fn write_controller_event(w: &mut Writer<'_>, e: &ControllerEvent) {
+    w.obj(|w| {
+        w.field("at", e.at())
+            .field("kind", e.kind())
+            .field("label", e.label());
+        match e {
+            ControllerEvent::Decided {
+                direction,
+                occupancy,
+                stall_rate,
+                members,
+                ..
+            } => {
+                w.field("direction", direction.name())
+                    .field("occupancy", occupancy)
+                    .field("stall_rate", stall_rate)
+                    .field("members", members);
+            }
+            ControllerEvent::RescaleCompleted {
+                direction, members, ..
+            } => {
+                w.field("direction", direction.name())
+                    .field("members", members);
+            }
+            ControllerEvent::RescaleFailed {
+                direction,
+                failures,
+                cause,
+                ..
+            } => {
+                w.field("direction", direction.name())
+                    .field("failures", failures)
+                    .field("cause", cause);
+            }
+            ControllerEvent::CooldownEntered { until, .. } => {
+                w.field("until", until);
+            }
+            ControllerEvent::BackoffEntered {
+                until, failures, ..
+            } => {
+                w.field("until", until).field("failures", failures);
+            }
+            ControllerEvent::Degraded { failures, .. } => {
+                w.field("failures", failures);
+            }
         }
-        ControllerEvent::RescaleCompleted {
-            direction, members, ..
-        } => {
-            let _ = write!(
-                s,
-                ", \"direction\": \"{}\", \"members\": {members}",
-                direction.name()
-            );
-        }
-        ControllerEvent::RescaleFailed {
-            direction,
-            failures,
-            cause,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ", \"direction\": \"{}\", \"failures\": {failures}, \"cause\": \"{}\"",
-                direction.name(),
-                json_escape(cause)
-            );
-        }
-        ControllerEvent::CooldownEntered { until, .. } => {
-            let _ = write!(s, ", \"until\": {until}");
-        }
-        ControllerEvent::BackoffEntered {
-            until, failures, ..
-        } => {
-            let _ = write!(s, ", \"until\": {until}, \"failures\": {failures}");
-        }
-        ControllerEvent::Degraded { failures, .. } => {
-            let _ = write!(s, ", \"failures\": {failures}");
-        }
-    }
-    s.push('}');
-    s
+    });
 }
 
 /// Standard percentile row used by the figure binaries.
@@ -663,6 +650,7 @@ impl BenchReport {
 
     /// Record one measured run with its full [`RunResult`].
     pub fn add_run(&mut self, label: &str, params: &[(&str, String)], r: &RunResult) {
+        debug_assert!(r.members_final >= 1, "run {label} ended with no member");
         self.runs.push(RunRecord {
             label: label.to_string(),
             params: params
@@ -701,79 +689,56 @@ impl BenchReport {
         });
     }
 
-    pub fn to_json(&self) -> String {
-        fn obj(pairs: &[(String, String)]) -> String {
-            let body = pairs
-                .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{{{body}}}")
-        }
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"bench\": \"{}\",\n  \"params\": {},\n  \"runs\": [",
-            json_escape(&self.name),
-            obj(&self.params)
-        );
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"label\": \"{}\", \"params\": {}",
-                json_escape(&r.label),
-                obj(&r.params)
-            );
-            for (k, v) in &r.values {
-                let v = if v.is_finite() { *v } else { -1.0 };
-                let _ = write!(s, ", \"{}\": {v}", json_escape(k));
-            }
-            if let Some(l) = &r.latency {
-                let _ = write!(
-                    s,
-                    ", \"latency_nanos\": {{\"count\": {}, \"min\": {}, \"max\": {}, \
-                     \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                     \"p999\": {}, \"p9999\": {}}}",
-                    l.count, l.min, l.max, l.mean, l.p50, l.p90, l.p99, l.p999, l.p9999
-                );
-            }
-            if let Some(m) = &r.metrics {
-                let _ = write!(s, ", \"metrics\": {}", m.render_json());
-            }
-            if let Some(a) = &r.attribution {
-                let _ = write!(s, ", \"attribution\": {}", a.to_json("    "));
-            }
-            if let Some((events, final_members)) = &r.controller {
-                let _ = write!(
-                    s,
-                    ", \"controller\": {{\"final_members\": {final_members}, \"events\": ["
-                );
-                for (j, e) in events.iter().enumerate() {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&controller_event_json(e));
-                }
-                s.push_str("]}");
-            }
-            s.push('}');
-        }
-        s.push_str("\n  ]\n}\n");
-        s
-    }
-
     /// Write `results/BENCH_<name>.json` next to the latency output and
     /// return its path.
     pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
+        let path = write_result(&format!("BENCH_{}.json", self.name), &json::render(self))?;
         eprintln!("  [report written to {}]", path.display());
         Ok(path)
+    }
+}
+
+impl ToJson for BenchReport {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("bench", &self.name)
+                .key("params")
+                .pairs(&self.params)
+                .field("runs", &self.runs);
+        });
+    }
+}
+
+impl ToJson for RunRecord {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("label", &self.label)
+                .key("params")
+                .pairs(&self.params);
+            for (k, v) in &self.values {
+                w.field(k, v);
+            }
+            if let Some(l) = &self.latency {
+                w.field("latency_nanos", l);
+            }
+            if let Some(m) = &self.metrics {
+                w.field("metrics", m);
+            }
+            if let Some(a) = &self.attribution {
+                w.field("attribution", a);
+            }
+            if let Some((events, final_members)) = &self.controller {
+                w.key("controller").obj(|w| {
+                    w.field("final_members", final_members)
+                        .key("events")
+                        .arr(|w| {
+                            for e in events {
+                                write_controller_event(w, e);
+                            }
+                        });
+                });
+            }
+        });
     }
 }
 
@@ -781,8 +746,7 @@ impl BenchReport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bench_report_json_has_the_shared_schema() {
+    fn sample_run() -> RunResult {
         let mut hist = Histogram::latency();
         for v in [MS, 2 * MS, 5 * MS, 10 * MS] {
             hist.record(v);
@@ -793,7 +757,7 @@ mod tests {
             jet_core::metrics::tags(&[("vertex", "v")]),
         )
         .add(4);
-        let r = RunResult {
+        RunResult {
             hist,
             outputs: 4,
             inputs: 100,
@@ -829,41 +793,79 @@ mod tests {
                 },
             ]),
             members_final: 3,
-        };
+        }
+    }
+
+    #[test]
+    fn bench_report_json_has_the_shared_schema() {
         let mut report = BenchReport::new("unit");
         report.param("query", "Q5").param("members", 2);
-        report.add_run("case-a", &[("rate", "1000".to_string())], &r);
+        report.add_run("case-a", &[("rate", "1000".to_string())], &sample_run());
         report.add_values("case-b", &[], &[("speedup", 2.5)]);
-        let json = report.to_json();
-        for key in [
-            "\"bench\": \"unit\"",
-            "\"params\": {\"query\": \"Q5\", \"members\": \"2\"}",
-            "\"label\": \"case-a\"",
-            "\"latency_nanos\"",
-            "\"p9999\"",
-            "\"outputs\": 4",
-            "\"metrics\": {\"metrics\":[",
-            "jet_events_in_total",
-            "\"speedup\": 2.5",
-            "\"attribution\": {",
-            "\"observed\": 4, \"sampled\": 4, \"sample_shift\": 0",
-            "\"bands\": [",
-            "\"controller\": {\"final_members\": 3, \"events\": [",
-            "\"kind\": \"decided\"",
-            "\"direction\": \"up\", \"occupancy\": 912345",
-            "\"kind\": \"rescale-completed\"",
-            "\"kind\": \"cooldown\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        // Balanced braces/brackets — a cheap structural sanity check given
-        // the writer emits JSON by hand.
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced JSON:\n{json}");
+        let json = json::render(&report);
+        let doc = json::parse(&json).expect("valid JSON");
+        assert_eq!(doc["bench"].as_str(), Some("unit"));
+        assert_eq!(doc["params"]["query"].as_str(), Some("Q5"));
+        assert_eq!(doc["params"]["members"].as_str(), Some("2"));
+        let run = &doc["runs"][0];
+        assert_eq!(run["label"].as_str(), Some("case-a"));
+        assert_eq!(run["params"]["rate"].as_str(), Some("1000"));
+        assert_eq!(run["outputs"].as_u64(), Some(4));
+        assert_eq!(run["virtual_secs"].as_u64(), Some(3));
+        let latency = &run["latency_nanos"];
+        assert_eq!(latency["count"].as_u64(), Some(4));
+        assert!(latency["p9999"].as_u64() >= latency["p50"].as_u64());
+        let metric = &run["metrics"]["metrics"][0];
+        assert_eq!(metric["name"].as_str(), Some("jet_events_in_total"));
+        assert_eq!(metric["value"].as_u64(), Some(4));
+        let a = &run["attribution"];
+        assert_eq!(
+            (
+                a["observed"].as_u64(),
+                a["sampled"].as_u64(),
+                a["sample_shift"].as_u64()
+            ),
+            (Some(4), Some(4), Some(0))
+        );
+        assert_eq!(a["bands"], json::Json::Arr(Vec::new()));
+        let ctl = &run["controller"];
+        assert_eq!(ctl["final_members"].as_u64(), Some(3));
+        let kinds: Vec<_> = (0..3).map(|i| ctl["events"][i]["kind"].as_str()).collect();
+        assert_eq!(
+            kinds,
+            [Some("decided"), Some("rescale-completed"), Some("cooldown")]
+        );
+        let decided = &ctl["events"][0];
+        assert_eq!(decided["at"].as_u64(), Some(15 * MS));
+        assert_eq!(decided["direction"].as_str(), Some("up"));
+        assert_eq!(decided["occupancy"].as_u64(), Some(912_345));
+        assert_eq!(ctl["events"][2]["until"].as_u64(), Some(90 * MS));
+        let values = &doc["runs"][1];
+        assert_eq!(values["label"].as_str(), Some("case-b"));
+        assert_eq!(values["speedup"].as_f64(), Some(2.5));
+        assert_eq!(values["latency_nanos"], json::Json::Null);
         // The committed artifacts are gated byte for byte, so the report
         // carries no wall-clock field and renders the same bytes every time.
         assert!(!json.contains("wall"), "wall-clock field in:\n{json}");
-        assert_eq!(json, report.to_json());
+        assert_eq!(json, json::render(&report));
+    }
+
+    #[test]
+    fn a_non_finite_value_is_written_as_null() {
+        let mut report = BenchReport::new("unit");
+        report.add_values("empty-store", &[], &[("bytes_per_key", f64::NAN)]);
+        let doc = json::parse(&json::render(&report)).expect("valid JSON");
+        assert_eq!(doc["runs"][0]["bytes_per_key"], json::Json::Null);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ended with no member")]
+    fn a_run_must_end_with_a_member() {
+        let r = RunResult {
+            members_final: 0,
+            ..sample_run()
+        };
+        BenchReport::new("unit").add_run("empty", &[], &r);
     }
 }

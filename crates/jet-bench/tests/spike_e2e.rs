@@ -15,6 +15,7 @@ use jet_bench::{run, Query, RunSpec, MS, SEC};
 use jet_core::flight::{Cause, TimelineConfig, WatchdogConfig};
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
+use jet_util::json;
 
 fn small_q5() -> RunSpec {
     let mut spec = RunSpec::new(Query::Q5, 50_000);
@@ -104,8 +105,15 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
         stats.samples as usize, stats.ticks,
         "no eviction expected at this scale"
     );
-    let json = timeline.timeline_json("test", "q5");
-    assert!(json.contains("\"schema\": \"jet-timeline-v1\""), "{json}");
+    let doc = json::parse(&timeline.timeline_json("test", "q5")).expect("valid JSON");
+    assert_eq!(doc["schema"].as_str(), Some("jet-timeline-v1"));
+    let ticks = doc["ticks_nanos"].as_arr().expect("ticks_nanos");
+    assert_eq!(ticks.len(), stats.ticks);
+    let series = doc["series"].as_arr().expect("series");
+    assert_eq!(series.len(), stats.series);
+    assert!(series
+        .iter()
+        .all(|s| s["deltas"].as_arr().map(<[_]>::len) == Some(ticks.len())));
     assert!(armed.trace.is_some(), "trace kept when armed");
 }
 
@@ -168,7 +176,9 @@ fn crash_spike_attributes_to_recovery_not_a_vertex() {
     // The frozen window actually holds forensic spans.
     assert!(top.window_events > 0, "frozen window is empty");
     // And the JSON report round-trips the verdict.
-    let json = report.to_json();
-    assert!(json.contains("\"schema\": \"jet-spike-v1\""), "{json}");
-    assert!(json.contains("\"top_group\": \"recovery\""), "{json}");
+    let doc = json::parse(&json::render(&report)).expect("valid JSON");
+    assert_eq!(doc["schema"].as_str(), Some("jet-spike-v1"));
+    let attribution = &doc["incidents"][0]["attribution"];
+    assert_eq!(attribution["top_group"].as_str(), Some("recovery"));
+    assert_eq!(attribution["total_nanos"].as_u64(), Some(a.total_nanos));
 }

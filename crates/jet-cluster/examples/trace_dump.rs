@@ -68,7 +68,7 @@ fn main() {
 
     if enabled {
         let path = "trace_dump.json";
-        std::fs::write(path, trace.to_chrome_json()).expect("write trace");
+        std::fs::write(path, jet_util::json::render(&trace)).expect("write trace");
         eprintln!(
             "wrote {path}: {} spans on {} tracks ({} dropped) — open it in Perfetto",
             trace.events.len(),

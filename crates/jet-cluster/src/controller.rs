@@ -538,7 +538,7 @@ impl Controller {
             Direction::Up => self.decisions_up.add(1),
             Direction::Down => self.decisions_down.add(1),
         }
-        self.events.push(ControllerEvent::Decided {
+        self.push_event(ControllerEvent::Decided {
             at: now,
             direction,
             occupancy,
@@ -565,15 +565,14 @@ impl Controller {
         self.cluster_size.set(members as i64);
         self.ladder.reset();
         self.discard_samples();
-        self.events.push(ControllerEvent::RescaleCompleted {
+        self.push_event(ControllerEvent::RescaleCompleted {
             at: now,
             direction,
             members,
         });
         let until = now + self.cfg.cooldown;
         self.phase = Phase::Cooldown { until };
-        self.events
-            .push(ControllerEvent::CooldownEntered { at: now, until });
+        self.push_event(ControllerEvent::CooldownEntered { at: now, until });
         self.tw
             .record(TraceKind::Recovery, now, 0, self.n_rescale, members as i64);
     }
@@ -585,7 +584,7 @@ impl Controller {
         self.discard_samples();
         let delay = self.ladder.next_delay();
         let failures = self.ladder.attempt();
-        self.events.push(ControllerEvent::RescaleFailed {
+        self.push_event(ControllerEvent::RescaleFailed {
             at: now,
             direction,
             failures,
@@ -595,17 +594,35 @@ impl Controller {
             .record(TraceKind::Recovery, now, 0, self.n_fail, failures as i64);
         if failures >= self.cfg.max_rescale_failures {
             self.phase = Phase::Degraded;
-            self.events
-                .push(ControllerEvent::Degraded { at: now, failures });
+            self.push_event(ControllerEvent::Degraded { at: now, failures });
         } else {
             let until = now + delay;
             self.phase = Phase::Backoff { until };
-            self.events.push(ControllerEvent::BackoffEntered {
+            self.push_event(ControllerEvent::BackoffEntered {
                 at: now,
                 until,
                 failures,
             });
         }
+    }
+
+    /// Appends to the decision timeline, which is chronological and never
+    /// reports an empty cluster.
+    fn push_event(&mut self, e: ControllerEvent) {
+        debug_assert!(
+            self.events.last().is_none_or(|prev| prev.at() <= e.at()),
+            "controller event at {} precedes the previous one: {e:?}",
+            e.at()
+        );
+        debug_assert!(
+            !matches!(
+                e,
+                ControllerEvent::Decided { members: 0, .. }
+                    | ControllerEvent::RescaleCompleted { members: 0, .. }
+            ),
+            "controller event reports 0 members: {e:?}"
+        );
+        self.events.push(e);
     }
 }
 
@@ -832,5 +849,22 @@ mod tests {
         let mut c = controller(cfg());
         pinned(&mut c);
         assert_eq!(c.decide(2 * MS, 1), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "precedes the previous one")]
+    fn event_times_never_go_backwards() {
+        let mut c = controller(cfg());
+        c.rescale_completed(5 * MS, Direction::Up, 2);
+        c.rescale_failed(4 * MS, Direction::Up, "late");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reports 0 members")]
+    fn events_never_report_an_empty_cluster() {
+        let mut c = controller(cfg());
+        c.rescale_completed(MS, Direction::Down, 0);
     }
 }

@@ -10,6 +10,7 @@ use jet_core::processors::agg::counting;
 use jet_core::trace::{TraceData, TraceKind, Tracer};
 use jet_core::Ts;
 use jet_pipeline::{Pipeline, WindowDef, WindowResult};
+use jet_util::json;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -100,14 +101,24 @@ fn traced_job_produces_spans_from_every_layer() {
 fn chrome_export_and_diagnostics_dump_are_complete() {
     let (cluster, data, _out) = run_traced_job(Tracer::enabled());
 
-    let json = data.to_chrome_json();
-    assert!(json.starts_with("{\"displayTimeUnit\""));
-    assert!(json.contains("\"ph\":\"M\""), "missing track metadata");
-    assert!(json.contains("\"ph\":\"X\""), "missing complete events");
-    assert!(json.contains("\"dur\":"));
-    let opens = json.chars().filter(|&c| c == '{').count();
-    let closes = json.chars().filter(|&c| c == '}').count();
-    assert_eq!(opens, closes, "unbalanced JSON braces");
+    let doc = json::parse(&json::render(&data)).expect("valid JSON");
+    assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
+    let events = doc["traceEvents"].as_arr().expect("traceEvents");
+    let phase = |ph: &'static str| events.iter().filter(move |e| e["ph"].as_str() == Some(ph));
+    let pids: std::collections::HashSet<u32> = data.tracks.iter().map(|t| t.pid).collect();
+    assert_eq!(
+        phase("M").count(),
+        data.tracks.len() + pids.len(),
+        "one thread name per track and one process name per member"
+    );
+    assert_eq!(phase("X").count() + phase("i").count(), data.events.len());
+    assert!(phase("X").all(|e| e["dur"].as_f64() > Some(0.0)));
+    for v in VERTICES {
+        assert!(
+            phase("X").any(|e| e["name"].as_str() == Some(v)),
+            "no complete event for vertex {v}"
+        );
+    }
 
     let dump = cluster.diagnostics_dump(Some(&data));
     for v in VERTICES {

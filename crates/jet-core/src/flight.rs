@@ -48,12 +48,12 @@
 //! delta per retained tick; old ticks fold into each series' `base`, so the
 //! retained window always reconstructs exactly.
 
-use crate::metrics::{json_escape, MetricValue, MetricsSnapshot, Tags};
+use crate::metrics::{MetricValue, MetricsSnapshot, Tags};
 use crate::trace::{TraceData, TraceEvent, TraceKind};
+use jet_util::json::{self, ToJson, Writer};
 use jet_util::Histogram;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 const MS: u64 = 1_000_000;
@@ -414,59 +414,50 @@ impl Timeline {
                 }
             }
         }
+        debug_assert!(
+            self.ticks.iter().is_sorted_by(|a, b| a < b),
+            "timeline ticks are not strictly monotone: {:?}",
+            self.ticks
+        );
+        debug_assert!(
+            self.series
+                .iter()
+                .all(|s| s.deltas.len() == self.ticks.len()),
+            "a ragged timeline series: not one delta per tick"
+        );
     }
 
-    /// The retained window as `jet-timeline-v1` JSON.
+    /// The retained window as `jet-timeline-v1` JSON, series sorted by
+    /// (name, tags).
     fn to_json(&self, bench: &str, run: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema\": \"jet-timeline-v1\",\n  \"bench\": \"{}\",\n  \"run\": \"{}\",\n  \
-             \"cadence_nanos\": {},\n  \"evicted_ticks\": {},\n  \"ticks_nanos\": [",
-            json_escape(bench),
-            json_escape(run),
-            self.cfg.cadence_nanos,
-            self.evicted_ticks
-        );
-        for (i, ts) in self.ticks.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{ts}");
-        }
-        s.push_str("],\n  \"series\": [\n");
         let mut sorted: Vec<&Series> = self.series.iter().collect();
         sorted.sort_by(|a, b| (&a.name, &a.tags).cmp(&(&b.name, &b.tags)));
-        for (i, series) in sorted.iter().enumerate() {
-            s.push_str("    {\"name\": \"");
-            s.push_str(&json_escape(&series.name));
-            s.push_str("\", \"tags\": {");
-            for (j, (k, v)) in series.tags.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
-            }
-            let _ = write!(
-                s,
-                "}}, \"kind\": \"{}\", \"base\": {}, \"deltas\": [",
-                series.kind.name(),
-                series.base
-            );
-            for (j, d) in series.deltas.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{d}");
-            }
-            s.push_str("]}");
-            if i + 1 < sorted.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::document(|w| {
+            w.obj(|w| {
+                w.field("schema", "jet-timeline-v1")
+                    .field("bench", bench)
+                    .field("run", run)
+                    .field("cadence_nanos", self.cfg.cadence_nanos)
+                    .field("evicted_ticks", self.evicted_ticks)
+                    .key("ticks_nanos")
+                    .items(&self.ticks)
+                    .field("series", &sorted);
+            });
+        })
+    }
+}
+
+impl ToJson for Series {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("name", &self.name)
+                .key("tags")
+                .pairs(&self.tags)
+                .field("kind", self.kind.name())
+                .field("base", self.base)
+                .key("deltas")
+                .items(&self.deltas);
+        });
     }
 }
 
@@ -760,19 +751,25 @@ impl Recorder {
                 .map(|w| {
                     let events = r.spans(|e| w.covers(e.rec.ts));
                     let inc = &w.incident;
+                    let attribution = attribute(
+                        &events,
+                        &r.names,
+                        inc.peak_event_ts,
+                        inc.peak_emitted_at,
+                        cfg,
+                    );
+                    debug_assert_eq!(
+                        attribution.total_nanos, inc.peak_latency,
+                        "incident #{}: the attributed journey is not the peak latency",
+                        inc.id
+                    );
                     IncidentReport {
                         incident: inc.clone(),
                         window_lo: w.lo,
                         window_hi: w.hi,
                         window_events: events.len(),
                         window_truncated: w.truncated,
-                        attribution: attribute(
-                            &events,
-                            &r.names,
-                            inc.peak_event_ts,
-                            inc.peak_emitted_at,
-                            cfg,
-                        ),
+                        attribution,
                     }
                 })
                 .collect();
@@ -798,12 +795,22 @@ impl Recorder {
                 .iter()
                 .filter_map(|&(band, percentile, target_nanos)| {
                     let stamp = p.exemplar(target_nanos)?;
+                    debug_assert_eq!(
+                        stamp.latency,
+                        stamp.emitted_at.saturating_sub(stamp.event_ts),
+                        "band {band}: the stamp's latency is not emitted_at - event_ts"
+                    );
+                    let attribution = r.attribute_window(stamp.event_ts, stamp.emitted_at, cfg);
+                    debug_assert_eq!(
+                        attribution.total_nanos, stamp.latency,
+                        "band {band}: the attributed journey is not the exemplar's latency"
+                    );
                     Some(BandWaterfall {
                         band: band.to_string(),
                         percentile,
                         target_nanos,
                         stamp,
-                        attribution: r.attribute_window(stamp.event_ts, stamp.emitted_at, cfg),
+                        attribution,
                     })
                 })
                 .collect();
@@ -1346,7 +1353,7 @@ pub fn attribute(
         }
         _ => None,
     };
-    Attribution {
+    let a = Attribution {
         t0,
         t1,
         total_nanos: total,
@@ -1354,44 +1361,53 @@ pub fn attribute(
         top_cause,
         top_group: top_cause.group(),
         blamed_vertex,
-    }
+    };
+    a.assert_exact();
+    a
 }
 
 impl Attribution {
-    /// The fields every attribution object shares, `"total_nanos"` through
-    /// the `"causes"` array, without the enclosing braces.
-    fn write_json_fields(&self, s: &mut String) {
-        let _ = write!(
-            s,
-            "\"total_nanos\": {}, \"top_cause\": \"{}\", \"top_group\": \"{}\", \
-             \"blamed_vertex\": ",
+    /// The partition is exact: slice nanos sum to `total_nanos` and, over a
+    /// non-empty window, shares sum to one.
+    fn assert_exact(&self) {
+        debug_assert_eq!(
+            self.slices.iter().map(|c| c.nanos).sum::<u64>(),
             self.total_nanos,
-            self.top_cause.name(),
-            self.top_group,
+            "cause nanos do not sum to total_nanos"
         );
-        match &self.blamed_vertex {
-            Some(v) => {
-                let _ = write!(s, "\"{}\"", json_escape(v));
-            }
-            None => s.push_str("null"),
-        }
-        s.push_str(", \"causes\": [");
-        for (j, c) in self.slices.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{{\"cause\": \"{}\", \"group\": \"{}\", \"nanos\": {}, \"share\": {:.6}, \
-                 \"detail\": \"{}\"}}",
-                c.cause.name(),
-                c.cause.group(),
-                c.nanos,
-                c.share,
-                json_escape(&c.detail),
-            );
-        }
-        s.push(']');
+        debug_assert!(
+            self.total_nanos == 0
+                || (self.slices.iter().map(|c| c.share).sum::<f64>() - 1.0).abs() < 1e-9,
+            "cause shares do not sum to 1"
+        );
+    }
+
+    /// The members every attribution object shares, `total_nanos` through
+    /// `causes`.
+    fn write_fields(&self, w: &mut Writer<'_>) {
+        w.field("total_nanos", self.total_nanos)
+            .field("top_cause", self.top_cause.name())
+            .field("top_group", self.top_group)
+            .field("blamed_vertex", &self.blamed_vertex)
+            .field("causes", &self.slices);
+    }
+}
+
+impl ToJson for Attribution {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| self.write_fields(w));
+    }
+}
+
+impl ToJson for CauseSlice {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("cause", self.cause.name())
+                .field("group", self.cause.group())
+                .field("nanos", self.nanos)
+                .field("share", self.share)
+                .field("detail", &self.detail);
+        });
     }
 }
 
@@ -1437,55 +1453,53 @@ pub struct SpikeReport {
     pub incidents: Vec<IncidentReport>,
 }
 
-impl SpikeReport {
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema\": \"jet-spike-v1\",\n  \"bench\": \"{}\",\n  \"run\": \"{}\",\n  \
-             \"threshold_nanos\": {},\n  \"fidelity\": {{\"trace_ring_dropped\": {}, \
-             \"collector_dropped\": {}, \"recorder_evicted\": {}, \"sample_shift\": {}, \
-             \"spans_retained\": {}, \"observed\": {}, \"suppressed\": {}}},\n  \
-             \"incidents\": [",
-            json_escape(&self.bench),
-            json_escape(&self.run_label),
-            self.threshold_nanos,
-            self.fidelity.trace_ring_dropped,
-            self.fidelity.collector_dropped,
-            self.fidelity.recorder_evicted,
-            self.fidelity.sample_shift,
-            self.fidelity.spans_retained,
-            self.fidelity.observed,
-            self.fidelity.suppressed,
-        );
-        for (i, r) in self.incidents.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let inc = &r.incident;
-            let _ = write!(
-                s,
-                "\n    {{\"id\": {}, \"first_detected_nanos\": {}, \"last_detected_nanos\": {}, \
-                 \"samples\": {}, \"peak\": {{\"event_ts_nanos\": {}, \"emitted_at_nanos\": {}, \
-                 \"latency_nanos\": {}}}, \"window\": {{\"lo_nanos\": {}, \"hi_nanos\": {}, \
-                 \"events\": {}, \"truncated\": {}}}, \"attribution\": {{",
-                inc.id,
-                inc.first_detected,
-                inc.last_detected,
-                inc.samples,
-                inc.peak_event_ts,
-                inc.peak_emitted_at,
-                inc.peak_latency,
-                r.window_lo,
-                r.window_hi,
-                r.window_events,
-                r.window_truncated,
-            );
-            r.attribution.write_json_fields(&mut s);
-            s.push_str("}}");
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+/// `jet-spike-v1`.
+impl ToJson for SpikeReport {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        let f = &self.fidelity;
+        w.obj(|w| {
+            w.field("schema", "jet-spike-v1")
+                .field("bench", &self.bench)
+                .field("run", &self.run_label)
+                .field("threshold_nanos", self.threshold_nanos)
+                .key("fidelity")
+                .obj(|w| {
+                    w.field("trace_ring_dropped", f.trace_ring_dropped)
+                        .field("collector_dropped", f.collector_dropped)
+                        .field("recorder_evicted", f.recorder_evicted)
+                        .field("sample_shift", f.sample_shift)
+                        .field("spans_retained", f.spans_retained)
+                        .field("observed", f.observed)
+                        .field("suppressed", f.suppressed);
+                })
+                .field("incidents", &self.incidents);
+        });
+    }
+}
+
+impl ToJson for IncidentReport {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        let inc = &self.incident;
+        w.obj(|w| {
+            w.field("id", inc.id)
+                .field("first_detected_nanos", inc.first_detected)
+                .field("last_detected_nanos", inc.last_detected)
+                .field("samples", inc.samples)
+                .key("peak")
+                .obj(|w| {
+                    w.field("event_ts_nanos", inc.peak_event_ts)
+                        .field("emitted_at_nanos", inc.peak_emitted_at)
+                        .field("latency_nanos", inc.peak_latency);
+                })
+                .key("window")
+                .obj(|w| {
+                    w.field("lo_nanos", self.window_lo)
+                        .field("hi_nanos", self.window_hi)
+                        .field("events", self.window_events)
+                        .field("truncated", self.window_truncated);
+                })
+                .field("attribution", &self.attribution);
+        });
     }
 }
 
@@ -1519,37 +1533,30 @@ pub struct AttributionReport {
     pub bands: Vec<BandWaterfall>,
 }
 
-impl AttributionReport {
-    /// Render as the `"attribution"` object a BENCH run record embeds.
-    /// `indent` is the base indentation of the object's opening brace.
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n{indent}  \"observed\": {}, \"sampled\": {}, \"sample_shift\": {},\n\
-             {indent}  \"bands\": [",
-            self.observed, self.sampled, self.sample_shift,
-        );
-        for (i, b) in self.bands.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n{indent}    {{\"band\": \"{}\", \"percentile\": {}, \"target_nanos\": {}, \
-                 \"event_ts_nanos\": {}, \"emitted_at_nanos\": {}, \"latency_nanos\": {}, ",
-                json_escape(&b.band),
-                b.percentile,
-                b.target_nanos,
-                b.stamp.event_ts,
-                b.stamp.emitted_at,
-                b.stamp.latency,
-            );
-            b.attribution.write_json_fields(&mut s);
-            s.push('}');
-        }
-        let _ = write!(s, "\n{indent}  ]\n{indent}}}");
-        s
+/// The `"attribution"` object a BENCH run record embeds.
+impl ToJson for AttributionReport {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("observed", self.observed)
+                .field("sampled", self.sampled)
+                .field("sample_shift", self.sample_shift)
+                .field("bands", &self.bands);
+        });
+    }
+}
+
+/// A band flattens its exemplar stamp and its attribution into one object.
+impl ToJson for BandWaterfall {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("band", &self.band)
+                .field("percentile", self.percentile)
+                .field("target_nanos", self.target_nanos)
+                .field("event_ts_nanos", self.stamp.event_ts)
+                .field("emitted_at_nanos", self.stamp.emitted_at)
+                .field("latency_nanos", self.stamp.latency);
+            self.attribution.write_fields(w);
+        });
     }
 }
 
@@ -1637,7 +1644,9 @@ mod tests {
         assert_eq!(s.threshold, u64::MAX);
         assert!(off.forensics(&AttributionConfig::default()).is_empty());
         assert!(exemplar(&off, 1).is_none());
-        assert!(off.timeline_json("b", "r").contains("\"cadence_nanos\": 0"));
+        let doc = json::parse(&off.timeline_json("b", "r")).expect("valid JSON");
+        assert_eq!(doc["cadence_nanos"].as_u64(), Some(0));
+        assert_eq!(doc["series"], json::Json::Arr(Vec::new()));
     }
 
     #[test]
@@ -1655,27 +1664,27 @@ mod tests {
         );
         // First epoch: baseline latencies ~5, no spikes possible (unarmed).
         for i in 0..100u64 {
-            rec.observe(i, 0, 5);
+            rec.observe(i + 5, i, 5);
         }
         assert!(incidents(&rec).is_empty());
         // Second epoch armed at max(10, 4*5) = 20.
-        rec.observe(150, 100, 5);
+        rec.observe(150, 145, 5);
         assert_eq!(rec.stats().threshold, 20);
         rec.observe(160, 100, 60); // spike
-        rec.observe(170, 120, 90); // merges, new peak
-        rec.observe(300, 250, 70); // past quiet gap: second incident
+        rec.observe(170, 80, 90); // merges, new peak
+        rec.observe(300, 230, 70); // past quiet gap: second incident
         let incs = incidents(&rec);
         assert_eq!(incs.len(), 2);
         assert_eq!(incs[0].samples, 2);
         assert_eq!(incs[0].peak_latency, 90);
-        assert_eq!(incs[0].peak_event_ts, 120);
+        assert_eq!(incs[0].peak_event_ts, 80);
         assert_eq!(incs[1].samples, 1);
     }
 
     #[test]
     fn watchdog_slo_arms_immediately() {
         let rec = watched(slo(100), FlightConfig::default());
-        rec.observe(10, 0, 150);
+        rec.observe(150, 0, 150);
         let incs = incidents(&rec);
         assert_eq!(incs.len(), 1);
         assert_eq!(incs[0].threshold, 100);
@@ -1893,7 +1902,7 @@ mod tests {
     }
 
     #[test]
-    fn spike_report_json_is_balanced_and_typed() {
+    fn spike_report_json_parses_into_typed_fields() {
         let rec = watched(slo(50), FlightConfig::default());
         rec.observe(2_000, 1_000, 1_000);
         let report = SpikeReport {
@@ -1903,20 +1912,20 @@ mod tests {
             fidelity: SpikeFidelity::default(),
             incidents: rec.forensics(&AttributionConfig::default()),
         };
-        let json = report.to_json();
-        for key in [
-            "\"schema\": \"jet-spike-v1\"",
-            "\"bench\": \"unit\"",
-            "\"incidents\": [",
-            "\"top_cause\"",
-            "\"causes\": [",
-            "\"queue_wait\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced JSON:\n{json}");
+        let doc = json::parse(&json::render(&report)).expect("valid JSON");
+        assert_eq!(doc["schema"].as_str(), Some("jet-spike-v1"));
+        assert_eq!(doc["bench"].as_str(), Some("unit"));
+        assert_eq!(doc["threshold_nanos"].as_u64(), Some(50));
+        assert_eq!(doc["fidelity"]["suppressed"].as_u64(), Some(0));
+        let inc = &doc["incidents"][0];
+        assert_eq!(inc["peak"]["latency_nanos"].as_u64(), Some(1_000));
+        assert_eq!(inc["window"]["events"].as_u64(), Some(0));
+        let a = &inc["attribution"];
+        assert_eq!(a["total_nanos"].as_u64(), Some(1_000));
+        assert_eq!(a["top_cause"].as_str(), Some("queue_wait"));
+        assert_eq!(a["blamed_vertex"], json::Json::Null);
+        assert_eq!(a["causes"].as_arr().map(<[_]>::len), Some(ALL_CAUSES.len()));
+        assert_eq!(a["causes"][0]["share"].as_f64(), Some(1.0));
     }
 
     #[test]
@@ -2042,19 +2051,15 @@ mod tests {
             .unwrap();
         // Both ring spans (500..700 and 5000..8000) fall inside the band.
         assert_eq!(exec.nanos, 3_200, "ring spans attributed inside the band");
-        let json = report.to_json("      ");
-        for key in [
-            "\"bands\": [",
-            "\"band\": \"p50\"",
-            "\"band\": \"p99.99\"",
-            "\"latency_nanos\": 10000",
-            "\"causes\": [",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced JSON:\n{json}");
+        let doc = json::parse(&json::render(&report)).expect("valid JSON");
+        assert_eq!(doc["observed"].as_u64(), Some(2));
+        assert_eq!(doc["bands"][0]["band"].as_str(), Some("p50"));
+        let tail = &doc["bands"][1];
+        assert_eq!(tail["band"].as_str(), Some("p99.99"));
+        assert_eq!(tail["percentile"].as_f64(), Some(99.99));
+        assert_eq!(tail["latency_nanos"].as_u64(), Some(10_000));
+        assert_eq!(tail["total_nanos"].as_u64(), Some(10_000));
+        assert_eq!(tail["causes"][0]["cause"].as_str(), Some("queue_wait"));
     }
 
     #[test]
@@ -2065,23 +2070,29 @@ mod tests {
             ..RecorderConfig::default()
         });
         rec.observe(2_000, 1_000, 1_000);
-        let spike = SpikeReport {
+        let spike = json::render(SpikeReport {
             bench: "unit".into(),
             run_label: "r".into(),
             threshold_nanos: 50,
             fidelity: SpikeFidelity::default(),
             incidents: rec.forensics(&AttributionConfig::default()),
-        }
-        .to_json();
-        let band = rec
-            .waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 1_000)])
-            .to_json("");
-        let fields = "\"total_nanos\": 1000, \"top_cause\": \"queue_wait\", \"top_group\": \
-                      \"dataflow\", \"blamed_vertex\": null, \"causes\": [{\"cause\": \
-                      \"queue_wait\", \"group\": \"dataflow\", \"nanos\": 1000, \"share\": \
-                      1.000000, \"detail\": \"residual: no span covered this time\"}";
-        assert!(spike.contains(fields), "{spike}");
-        assert!(band.contains(fields), "{band}");
+        });
+        let band =
+            json::render(rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 1_000)]));
+        let (spike, band) = (json::parse(&spike).unwrap(), json::parse(&band).unwrap());
+        let attribution = spike["incidents"][0]["attribution"].as_obj().unwrap();
+        let band = band["bands"][0].as_obj().unwrap();
+        // The band's members end with exactly the spike's attribution object.
+        assert_eq!(&band[band.len() - attribution.len()..], attribution);
+        assert_eq!(
+            attribution[0],
+            ("total_nanos".into(), json::Json::Int(1_000))
+        );
+        let causes = spike["incidents"][0]["attribution"]["causes"].clone();
+        assert_eq!(
+            causes[0]["detail"].as_str(),
+            Some("residual: no span covered this time")
+        );
     }
 
     #[test]
@@ -2099,9 +2110,11 @@ mod tests {
     #[test]
     fn empty_job_exports_valid_empty_timeline() {
         let rec = timeline(100 * MS, 1024);
-        let json = rec.timeline_json("bench", "run");
-        assert!(json.contains("\"schema\": \"jet-timeline-v1\""));
-        assert!(json.contains("\"ticks_nanos\": []"));
+        let doc = json::parse(&rec.timeline_json("bench", "run")).expect("valid JSON");
+        assert_eq!(doc["schema"].as_str(), Some("jet-timeline-v1"));
+        assert_eq!(doc["bench"].as_str(), Some("bench"));
+        assert_eq!(doc["cadence_nanos"].as_u64(), Some(100 * MS));
+        assert_eq!(doc["ticks_nanos"], json::Json::Arr(Vec::new()));
         let s = rec.stats();
         assert_eq!(
             (s.samples, s.series, s.ticks, s.ticks_evicted),
@@ -2121,8 +2134,12 @@ mod tests {
             (s.samples, s.series, s.ticks, s.ticks_evicted),
             (1, 1, 1, 0)
         );
-        let json = rec.timeline_json("b", "r");
-        assert!(json.contains("\"base\": 0, \"deltas\": [42]"), "{json}");
+        let series = &timeline_doc(&rec)["series"][0];
+        assert_eq!(series["name"].as_str(), Some("jet_test_items_total"));
+        assert_eq!(series["tags"]["member"].as_str(), Some("0"));
+        assert_eq!(series["kind"].as_str(), Some("counter"));
+        assert_eq!(series["base"].as_u64(), Some(0));
+        assert_eq!(series["deltas"], json::Json::Arr(vec![json::Json::Int(42)]));
     }
 
     #[test]
@@ -2165,9 +2182,9 @@ mod tests {
         // Absolute values survive the fold: base picks up evicted deltas.
         let series = rec.job_series();
         assert_eq!(series[0].2, vec![40, 50, 60]);
-        let json = rec.timeline_json("b", "r");
-        assert!(json.contains("\"base\": 30"), "{json}");
-        assert!(json.contains("\"evicted_ticks\": 3"), "{json}");
+        let doc = timeline_doc(&rec);
+        assert_eq!(doc["series"][0]["base"].as_u64(), Some(30));
+        assert_eq!(doc["evicted_ticks"].as_u64(), Some(3));
     }
 
     #[test]
@@ -2214,8 +2231,8 @@ mod tests {
         let series = rec.job_series();
         assert_eq!(series[0].1, SeriesKind::HistogramP99);
         assert!(series[0].2[0] > 0);
-        let json = rec.timeline_json("b", "r");
-        assert!(json.contains("\"kind\": \"histogram_p99\""), "{json}");
+        let doc = timeline_doc(&rec);
+        assert_eq!(doc["series"][0]["kind"].as_str(), Some("histogram_p99"));
     }
 
     #[test]
@@ -2224,7 +2241,81 @@ mod tests {
         for i in 0..5u64 {
             rec.sample(i * MS, &snap_with_counter(1));
         }
-        let ticks = rec.ticks();
-        assert!(ticks.windows(2).all(|w| w[0] < w[1]));
+        rec.sample(3 * MS, &snap_with_counter(1));
+        let doc = timeline_doc(&rec);
+        let ticks: Vec<u64> = doc["ticks_nanos"]
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|t| t.as_u64().unwrap())
+            .collect();
+        assert_eq!(ticks, (0..5u64).map(|i| i * MS).collect::<Vec<_>>());
+        assert_eq!(
+            doc["series"][0]["deltas"].as_arr().unwrap().len(),
+            ticks.len()
+        );
+    }
+
+    fn timeline_doc(rec: &Recorder) -> json::Json {
+        json::parse(&rec.timeline_json("b", "r")).expect("valid JSON")
+    }
+
+    /// A timeline of ticks at 1 and 2 ms, one counter series.
+    fn two_ticks() -> Timeline {
+        let mut t = Timeline {
+            cfg: TimelineConfig {
+                cadence_nanos: MS,
+                capacity: 8,
+            },
+            ..Timeline::default()
+        };
+        t.record(MS, &snap_with_counter(1));
+        t.record(2 * MS, &snap_with_counter(2));
+        t
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly monotone")]
+    fn timeline_asserts_strictly_monotone_ticks() {
+        let mut t = two_ticks();
+        t.ticks[0] = 3 * MS;
+        t.record(4 * MS, &snap_with_counter(3));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ragged timeline series")]
+    fn timeline_asserts_one_delta_per_tick() {
+        let mut t = two_ticks();
+        t.series[0].deltas.pop_back();
+        t.record(3 * MS, &snap_with_counter(3));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cause nanos do not sum to total_nanos")]
+    fn attribution_asserts_an_exact_partition() {
+        let mut a = attribute(&[], &[], 100, 1_100, &AttributionConfig::default());
+        a.slices[0].nanos += 1;
+        a.assert_exact();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not emitted_at - event_ts")]
+    fn waterfall_asserts_a_consistent_stamp() {
+        let rec = sampled(ProvenanceConfig::default());
+        rec.observe(11_000, 1_000, 9_000);
+        rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 9_000)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the peak latency")]
+    fn forensics_asserts_the_incident_journey_is_its_peak() {
+        let rec = watched(slo(50), FlightConfig::default());
+        rec.observe(2_000, 1_000, 900);
+        rec.forensics(&AttributionConfig::default());
     }
 }

@@ -15,6 +15,7 @@
 //! Standard tags: `job`, `member`, `vertex`, `instance`, `ordinal`,
 //! `worker`, `edge` — whichever subset identifies the instrument's scope.
 
+use jet_util::json::{ToJson, Writer};
 use jet_util::Histogram;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -197,7 +198,7 @@ impl HistogramSummary {
         if h.count() == 0 {
             return HistogramSummary::default();
         }
-        HistogramSummary {
+        let s = HistogramSummary {
             count: h.count(),
             min: h.min(),
             max: h.max(),
@@ -207,7 +208,36 @@ impl HistogramSummary {
             p99: h.percentile(99.0),
             p999: h.percentile(99.9),
             p9999: h.percentile(99.99),
-        }
+        };
+        debug_assert!(s.is_monotone(), "percentiles out of order: {s:?}");
+        s
+    }
+
+    /// `min <= p50 <= p90 <= p99 <= p999 <= p9999 <= max`.
+    fn is_monotone(&self) -> bool {
+        [
+            self.min, self.p50, self.p90, self.p99, self.p999, self.p9999, self.max,
+        ]
+        .is_sorted()
+    }
+
+    /// The digest's members, for an object that embeds them.
+    fn write_fields(&self, w: &mut Writer<'_>) {
+        w.field("count", self.count)
+            .field("min", self.min)
+            .field("max", self.max)
+            .field("mean", self.mean)
+            .field("p50", self.p50)
+            .field("p90", self.p90)
+            .field("p99", self.p99)
+            .field("p999", self.p999)
+            .field("p9999", self.p9999);
+    }
+}
+
+impl ToJson for HistogramSummary {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| self.write_fields(w));
     }
 }
 
@@ -641,45 +671,35 @@ impl MetricsSnapshot {
         }
         out
     }
+}
 
-    /// Render as a JSON document (hand-rolled; the workspace has no JSON
-    /// dependency). Shape:
-    /// `{"metrics": [{"name": ..., "tags": {...}, "type": ..., ...}]}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"tags\":{{", json_escape(&m.name));
-            for (j, (k, v)) in m.tags.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
-            }
-            out.push_str("},");
-            match &m.value {
+/// `{"metrics": [{"name": …, "tags": {…}, "type": …, …}, …]}`; a histogram
+/// carries its digest's members where a counter or gauge has `value`.
+impl ToJson for MetricsSnapshot {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("metrics", &self.metrics);
+        });
+    }
+}
+
+impl ToJson for Metric {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("name", &self.name).key("tags").pairs(&self.tags);
+            match &self.value {
                 MetricValue::Counter(v) => {
-                    let _ = write!(out, "\"type\":\"counter\",\"value\":{v}");
+                    w.field("type", "counter").field("value", v);
                 }
                 MetricValue::Gauge(v) => {
-                    let _ = write!(out, "\"type\":\"gauge\",\"value\":{v}");
+                    w.field("type", "gauge").field("value", v);
                 }
                 MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "\"type\":\"histogram\",\"count\":{},\"min\":{},\"max\":{},\
-                         \"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\
-                         \"p9999\":{}",
-                        h.count, h.min, h.max, h.mean, h.p50, h.p90, h.p99, h.p999, h.p9999
-                    );
+                    w.field("type", "histogram");
+                    h.write_fields(w);
                 }
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        });
     }
 }
 
@@ -744,29 +764,10 @@ fn prom_help(name: &str) -> String {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal. Public because
-/// `jet-bench`'s report writer emits JSON by hand too.
-pub fn json_escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jet_util::json;
 
     #[test]
     fn counters_accumulate() {
@@ -924,7 +925,7 @@ mod tests {
             for i in perm {
                 job.merge(&snaps[i]);
             }
-            renderings.push(job.render_json());
+            renderings.push(jet_util::json::render(&job));
         }
         for r in &renderings[1..] {
             assert_eq!(r, &renderings[0], "merge result depends on member order");
@@ -1058,9 +1059,44 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter("jet_x_total", tags(&[("vertex", "a\"b\\c")]))
             .add(1);
-        let json = r.snapshot().render_json();
-        assert!(json.starts_with("{\"metrics\":["));
-        assert!(json.contains("\"vertex\":\"a\\\"b\\\\c\""));
-        assert!(json.ends_with("]}"));
+        let h = r.histogram("jet_y_nanos", tags(&[]));
+        h.record(10);
+        h.record(30);
+        let doc = json::parse(&json::render(r.snapshot())).expect("valid JSON");
+        let counter = &doc["metrics"][0];
+        assert_eq!(counter["name"].as_str(), Some("jet_x_total"));
+        assert_eq!(counter["tags"]["vertex"].as_str(), Some("a\"b\\c"));
+        assert_eq!(counter["type"].as_str(), Some("counter"));
+        assert_eq!(counter["value"].as_u64(), Some(1));
+        let hist = &doc["metrics"][1];
+        assert_eq!(hist["type"].as_str(), Some("histogram"));
+        assert_eq!(hist["tags"], json::Json::Obj(Vec::new()));
+        assert_eq!(
+            (hist["count"].as_u64(), hist["p9999"].as_u64()),
+            (Some(2), Some(30))
+        );
+        assert_eq!(hist["mean"].as_f64(), Some(20.0));
+    }
+
+    #[test]
+    fn summaries_of_real_histograms_are_monotone() {
+        let mut h = Histogram::latency();
+        for v in [3u64, 1_000, 7, 5_000_000, 42] {
+            h.record(v);
+        }
+        assert!(HistogramSummary::of(&h).is_monotone());
+        // The ladder `HistogramSummary::of` asserts rejects a p90 below p50.
+        let s = HistogramSummary {
+            count: 4,
+            min: 0,
+            max: 10,
+            mean: 5.0,
+            p50: 6,
+            p90: 5,
+            p99: 7,
+            p999: 8,
+            p9999: 9,
+        };
+        assert!(!s.is_monotone());
     }
 }

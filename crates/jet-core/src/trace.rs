@@ -21,8 +21,8 @@
 //!   runs; drops from sampling are *not* counted (they are policy), drops
 //!   from a full ring are.
 
-use crate::metrics::json_escape;
 use crate::sync::{AtomicU64, AtomicUsize, CachePadded, Ordering, UnsafeCell};
+use jet_util::json::{ToJson, Writer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -592,80 +592,68 @@ impl TraceData {
         calls.truncate(k);
         calls
     }
+}
 
-    /// Render as Chrome trace-event JSON (the format Perfetto and
-    /// `chrome://tracing` load). Spans with a duration become complete
-    /// events (`"ph":"X"`); zero-duration records become thread-scoped
-    /// instants (`"ph":"i"`). Timestamps are microseconds (fractional
-    /// nanos preserved).
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 150);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut emit = |s: String, out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('\n');
-            out.push_str(&s);
-        };
-        // Track metadata: name each pid (member) and tid (writer label).
-        let mut seen_pids: Vec<u32> = Vec::new();
-        for t in &self.tracks {
-            if !seen_pids.contains(&t.pid) {
-                seen_pids.push(t.pid);
-                emit(
-                    format!(
-                        "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\
-                         \"args\":{{\"name\":\"member-{}\"}}}}",
-                        t.pid, t.pid
-                    ),
-                    &mut out,
-                );
-            }
-            emit(
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    t.pid,
-                    t.tid,
-                    json_escape(&t.label)
-                ),
-                &mut out,
-            );
-        }
-        for e in &self.events {
-            let Some(track) = self.tracks.get(e.track as usize) else {
-                continue;
-            };
-            let r = &e.rec;
-            let ts_us = r.ts as f64 / 1_000.0;
-            let name = json_escape(self.name(r.name));
-            let kind = r.kind.name();
-            let s = if r.dur > 0 {
-                format!(
-                    "{{\"ph\":\"X\",\"name\":\"{name}\",\"cat\":\"{kind}\",\
-                     \"ts\":{ts_us:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"arg\":{}}}}}",
-                    r.dur as f64 / 1_000.0,
-                    track.pid,
-                    track.tid,
-                    r.arg
-                )
-            } else {
-                format!(
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{name}\",\"cat\":\"{kind}\",\
-                     \"ts\":{ts_us:.3},\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"arg\":{}}}}}",
-                    track.pid, track.tid, r.arg
-                )
-            };
-            emit(s, &mut out);
-        }
-        out.push_str("\n]}\n");
-        out
+/// Chrome trace-event JSON (the format Perfetto and `chrome://tracing`
+/// load). Spans with a duration become complete events (`"ph": "X"`);
+/// zero-duration records become thread-scoped instants (`"ph": "i"`).
+/// Timestamps are microseconds (fractional nanos preserved).
+impl ToJson for TraceData {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("displayTimeUnit", "ms")
+                .key("traceEvents")
+                .arr(|w| {
+                    // Track metadata: name each pid (member) and tid (writer label).
+                    let mut seen_pids: Vec<u32> = Vec::new();
+                    for t in &self.tracks {
+                        if !seen_pids.contains(&t.pid) {
+                            seen_pids.push(t.pid);
+                            let member = format!("member-{}", t.pid);
+                            metadata(w, "process_name", t.pid, 0, &member);
+                        }
+                        metadata(w, "thread_name", t.pid, t.tid, &t.label);
+                    }
+                    for e in &self.events {
+                        let Some(track) = self.tracks.get(e.track as usize) else {
+                            continue;
+                        };
+                        let r = &e.rec;
+                        w.obj(|w| {
+                            w.field("ph", if r.dur > 0 { "X" } else { "i" });
+                            if r.dur == 0 {
+                                w.field("s", "t");
+                            }
+                            w.field("name", self.name(r.name))
+                                .field("cat", r.kind.name())
+                                .field("ts", r.ts as f64 / 1_000.0);
+                            if r.dur > 0 {
+                                w.field("dur", r.dur as f64 / 1_000.0);
+                            }
+                            w.field("pid", track.pid)
+                                .field("tid", track.tid)
+                                .key("args")
+                                .obj(|w| {
+                                    w.field("arg", r.arg);
+                                });
+                        });
+                    }
+                });
+        });
     }
+}
+
+fn metadata(w: &mut Writer<'_>, kind: &str, pid: u32, tid: u32, name: &str) {
+    w.obj(|w| {
+        w.field("ph", "M")
+            .field("name", kind)
+            .field("pid", pid)
+            .field("tid", tid)
+            .key("args")
+            .obj(|w| {
+                w.field("name", name);
+            });
+    });
 }
 
 /// Loom models of the trace ring's writer/collector protocol. Run with
@@ -751,6 +739,7 @@ mod loom_tests {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use jet_util::json;
 
     fn rec(ts: u64, dur: u64) -> SpanRecord {
         SpanRecord {
@@ -938,27 +927,32 @@ mod tests {
         w.record(TraceKind::Call, 1_500, 2_000, name, 0);
         w.record(TraceKind::WmEmit, 4_000, 0, name, 42);
         let data = tracer.drain();
-        let json = data.to_chrome_json();
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        // Complete event with proper ph/ts/dur/pid/tid fields.
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":1.500"));
-        assert!(json.contains("\"dur\":2.000"));
-        assert!(json.contains("\"pid\":3"));
-        // Instant event for the zero-duration record.
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"arg\":42"));
-        // Metadata names the process and thread.
-        assert!(json.contains("\"process_name\""));
-        assert!(json.contains("member-3"));
-        assert!(json.contains("m3/core-0"));
-        // Escaped name survived.
-        assert!(json.contains("map \\\"v\\\""));
-        // Structural sanity: balanced braces/brackets.
+        let doc = json::parse(&json::render(&data)).expect("valid JSON");
+        assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
+        let events = doc["traceEvents"].as_arr().expect("traceEvents");
+        // Metadata names the process and the thread.
+        assert_eq!(events[0]["name"].as_str(), Some("process_name"));
+        assert_eq!(events[0]["args"]["name"].as_str(), Some("member-3"));
+        assert_eq!(events[1]["name"].as_str(), Some("thread_name"));
+        assert_eq!(events[1]["args"]["name"].as_str(), Some("m3/core-0"));
+        // A complete event with ph/ts/dur/pid/tid, its escaped name intact.
+        let call = &events[2];
+        assert_eq!(call["ph"].as_str(), Some("X"));
+        assert_eq!(call["name"].as_str(), Some("map \"v\""));
         assert_eq!(
-            json.matches(['{', '[']).count(),
-            json.matches(['}', ']']).count()
+            (call["ts"].as_f64(), call["dur"].as_f64()),
+            (Some(1.5), Some(2.0))
         );
+        assert_eq!(
+            (call["pid"].as_u64(), call["tid"].as_u64()),
+            (Some(3), Some(0))
+        );
+        // An instant event for the zero-duration record.
+        let instant = &events[3];
+        assert_eq!(instant["ph"].as_str(), Some("i"));
+        assert_eq!(instant["dur"], json::Json::Null);
+        assert_eq!(instant["args"]["arg"].as_u64(), Some(42));
+        assert_eq!(events.len(), 4);
     }
 
     #[test]

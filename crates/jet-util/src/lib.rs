@@ -10,6 +10,8 @@
 //! * [`histogram`] — an HDR-style log-linear histogram used for every latency
 //!   measurement in the evaluation (the paper reports 99.99th percentiles,
 //!   which require a histogram with bounded relative error, not sampling).
+//! * [`json`] — the one JSON writer, value type and parser every
+//!   machine-readable artifact goes through.
 //! * [`idle`] — the progressive backoff idle strategy cooperative worker
 //!   threads use when none of their tasklets made progress.
 //! * [`progress`] — the `MadeProgress`/`NoProgress`/`Done` tri-state that
@@ -22,6 +24,7 @@ pub mod clock;
 pub mod codec;
 pub mod histogram;
 pub mod idle;
+pub mod json;
 pub mod progress;
 pub mod rng;
 pub mod seq;

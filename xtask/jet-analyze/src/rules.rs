@@ -14,7 +14,7 @@
 //!   `drain_*` APIs. Control-item sites say why in a `// single-item:`
 //!   comment within three lines above.
 //! * **metric-name**, **metric-dup**, **span-name** — observability names
-//!   are API: dashboards, schema-check and the flight recorder match on
+//!   are API: dashboards, tests and the flight recorder match on
 //!   them. A literal name registered through `.counter(`, `.gauge(`,
 //!   `.histogram(` and friends is `jet_`-prefixed snake_case; a counter
 //!   ends in `_total`, a gauge or histogram in a unit suffix. A name
