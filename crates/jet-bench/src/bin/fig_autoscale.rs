@@ -89,14 +89,12 @@ fn run_one(members: usize, ctl: Option<ControllerConfig>) -> RunResult {
     );
     let controller_events = ctl.is_some().then(|| cluster.controller_events());
     let members_final = cluster.grid().members().len();
-    let metrics = cluster.job_metrics();
     cluster.cancel();
     RunResult {
         hist: hist.snapshot(),
         outputs: count.get(),
         inputs: LIMIT,
         virtual_secs: finished_at as f64 / 1e9,
-        metrics,
         trace: None,
         diagnostics: None,
         cluster_events: cluster.cluster_events(),

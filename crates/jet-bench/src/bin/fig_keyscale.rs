@@ -125,7 +125,6 @@ fn run_scale(sweep: &Sweep, keys: u64) -> ScaleResult {
         outputs,
         inputs: sweep.probe_rate * sweep.measure / SEC,
         virtual_secs: sweep.measure as f64 / 1e9,
-        metrics,
         trace: None,
         diagnostics: None,
         cluster_events: Vec::new(),

@@ -91,7 +91,6 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
     let before = count.get();
     cluster.run_for(MEASURE);
     let outputs = count.get() - before;
-    let metrics = cluster.job_metrics();
     let members_final = cluster.grid().members().len();
     cluster.cancel();
     RunResult {
@@ -99,7 +98,6 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
         outputs,
         inputs: CRITICAL_RATE * MEASURE / SEC,
         virtual_secs: MEASURE as f64 / 1e9,
-        metrics,
         trace: None,
         diagnostics: None,
         cluster_events: Vec::new(),

@@ -1,11 +1,11 @@
 //! # jet-bench — the reproduction harness
 //!
-//! One binary per paper figure/table (see DESIGN.md §4 for the full index)
-//! plus criterion micro-benches. This library holds the shared runner: build
-//! a NEXMark query as a pipeline, execute it on the virtual-time cluster
-//! simulator with the paper's measurement methodology (§7.1 — the latency
-//! clock starts at each event's predetermined occurrence time; measurement
-//! begins after warm-up), and report the percentile series the paper plots.
+//! One binary per paper figure/table (see DESIGN.md §4 for the full index).
+//! This library holds the shared runner: build a NEXMark query as a
+//! pipeline, execute it on the virtual-time cluster simulator with the
+//! paper's measurement methodology (§7.1 — the latency clock starts at each
+//! event's predetermined occurrence time; measurement begins after warm-up),
+//! and report the percentile series the paper plots.
 //!
 //! Scale-down vs the paper (documented per experiment in EXPERIMENTS.md):
 //! virtual cores per member, input rates, and measurement durations are
@@ -21,7 +21,7 @@ use jet_core::flight::{
     AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig,
     SpikeFidelity, SpikeReport, TimelineConfig, WatchdogConfig,
 };
-use jet_core::metrics::{HistogramSummary, MetricsSnapshot, SharedCounter, SharedHistogram};
+use jet_core::metrics::{HistogramSummary, SharedCounter, SharedHistogram};
 use jet_core::processor::Guarantee;
 use jet_core::processors::WatermarkPolicy;
 use jet_core::trace::{TraceData, Tracer};
@@ -47,7 +47,6 @@ pub enum Query {
     Q3,
     Q4,
     Q5,
-    Q5SingleStage,
     Q6,
     Q7,
     Q8,
@@ -62,7 +61,6 @@ impl Query {
             Query::Q3 => "Q3",
             Query::Q4 => "Q4",
             Query::Q5 => "Q5",
-            Query::Q5SingleStage => "Q5-single",
             Query::Q6 => "Q6",
             Query::Q7 => "Q7",
             Query::Q8 => "Q8",
@@ -169,9 +167,6 @@ pub struct RunResult {
     pub inputs: u64,
     /// Virtual seconds simulated.
     pub virtual_secs: f64,
-    /// Job-wide metrics snapshot taken at the end of the measurement
-    /// period (all members merged).
-    pub metrics: MetricsSnapshot,
     /// Execution trace of the measurement period ([`RunSpec::trace`]).
     pub trace: Option<TraceData>,
     /// Diagnostics dump rendered at the end of the run (always available
@@ -237,9 +232,6 @@ pub fn build_query(
         }
         Query::Q5 => {
             queries::q5(&src, spec.window).write_to_latency_recorded(h, c, r);
-        }
-        Query::Q5SingleStage => {
-            queries::q5_single_stage(&src, spec.window).write_to_latency_recorded(h, c, r);
         }
         Query::Q6 => {
             queries::q6(&src, spec.window.size).write_to_latency_recorded(h, c, r);
@@ -362,7 +354,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         None
     };
     let outputs = count.get() - out_before;
-    let metrics = cluster.job_metrics();
     let diagnostics = collect_spans.then(|| cluster.diagnostics_dump(trace.as_ref()));
     let cluster_events = cluster.cluster_events();
     let spike = spec.spike.is_some().then(|| {
@@ -408,7 +399,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         outputs,
         inputs: spec.total_rate * spec.measure / SEC,
         virtual_secs: spec.measure as f64 / 1e9,
-        metrics,
         trace,
         diagnostics,
         cluster_events,
@@ -573,7 +563,8 @@ pub fn percentile_row(h: &Histogram) -> String {
     )
 }
 
-/// The percentile curve (Fig. 9/11/12 style).
+/// The percentile curve (Fig. 9 style; `fig8_scaleout_latency` prints it per
+/// query at 5 and 10 members for Figs. 11 and 12).
 pub fn percentile_curve(h: &Histogram) -> Vec<(f64, f64)> {
     [50.0, 70.0, 80.0, 90.0, 95.0, 99.0, 99.9, 99.99, 100.0]
         .iter()
@@ -581,40 +572,9 @@ pub fn percentile_curve(h: &Histogram) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Figures 11 and 12 (§7.5): one latency curve per NEXMark query on a
-/// cluster of `members` members with 2 cores each, 400k events/s in total
-/// and a 1 s window sliding by 10 ms, fault tolerance off. Prints the
-/// curves and writes `results/BENCH_<name>.json`.
-pub fn nexmark_cluster_latency(name: &str, members: usize) {
-    let mut report = BenchReport::new(name);
-    report
-        .param("members", members)
-        .param("cores_per_member", 2)
-        .param("total_rate", 400_000);
-    for query in [Query::Q1, Query::Q2, Query::Q5, Query::Q8, Query::Q13] {
-        let mut spec = RunSpec::new(query, 400_000);
-        spec.members = members;
-        spec.cores_per_member = 2;
-        spec.window = WindowDef::sliding(SEC as Ts, (10 * MS) as Ts);
-        spec.warmup = SEC + 500 * MS;
-        spec.measure = 1500 * MS;
-        spec.guarantee = Guarantee::None;
-        let r = run(&spec);
-        print!("{:4}", query.name());
-        for (p, ms) in percentile_curve(&r.hist) {
-            print!("  p{p}={ms:.3}ms");
-        }
-        println!("  n={}", r.hist.count());
-        eprintln!("  [{} x{members} done]", query.name());
-        report.add_run(query.name(), &[("query", query.name().to_string())], &r);
-    }
-    report.write().expect("report");
-}
-
 /// Machine-readable results file shared by every figure/ablation binary:
 /// `results/BENCH_<name>.json` holds the bench-level parameters plus, per
-/// run, its parameters, latency percentiles, throughput accounting, and the
-/// job-wide metrics snapshot.
+/// run, its parameters, latency percentiles and throughput accounting.
 pub struct BenchReport {
     name: String,
     params: Vec<(String, String)>,
@@ -626,7 +586,6 @@ struct RunRecord {
     params: Vec<(String, String)>,
     values: Vec<(String, f64)>,
     latency: Option<HistogramSummary>,
-    metrics: Option<MetricsSnapshot>,
     attribution: Option<AttributionReport>,
     /// Autoscaler decision timeline + final cluster size, when a
     /// controller was armed for the run.
@@ -663,7 +622,6 @@ impl BenchReport {
                 ("virtual_secs".into(), r.virtual_secs),
             ],
             latency: Some(HistogramSummary::of(&r.hist)),
-            metrics: Some(r.metrics.clone()),
             attribution: r.attribution.clone(),
             controller: r
                 .controller_events
@@ -683,7 +641,6 @@ impl BenchReport {
                 .collect(),
             values: values.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             latency: None,
-            metrics: None,
             attribution: None,
             controller: None,
         });
@@ -721,9 +678,6 @@ impl ToJson for RunRecord {
             if let Some(l) = &self.latency {
                 w.field("latency_nanos", l);
             }
-            if let Some(m) = &self.metrics {
-                w.field("metrics", m);
-            }
             if let Some(a) = &self.attribution {
                 w.field("attribution", a);
             }
@@ -751,18 +705,11 @@ mod tests {
         for v in [MS, 2 * MS, 5 * MS, 10 * MS] {
             hist.record(v);
         }
-        let reg = jet_core::metrics::MetricsRegistry::new();
-        reg.counter(
-            "jet_events_in_total",
-            jet_core::metrics::tags(&[("vertex", "v")]),
-        )
-        .add(4);
         RunResult {
             hist,
             outputs: 4,
             inputs: 100,
             virtual_secs: 3.0,
-            metrics: reg.snapshot(),
             trace: None,
             diagnostics: None,
             cluster_events: Vec::new(),
@@ -815,9 +762,8 @@ mod tests {
         let latency = &run["latency_nanos"];
         assert_eq!(latency["count"].as_u64(), Some(4));
         assert!(latency["p9999"].as_u64() >= latency["p50"].as_u64());
-        let metric = &run["metrics"]["metrics"][0];
-        assert_eq!(metric["name"].as_str(), Some("jet_events_in_total"));
-        assert_eq!(metric["value"].as_u64(), Some(4));
+        // Metrics live in TIMELINE_*/TRACE_* files, not in the report.
+        assert!(!json.contains("\"metrics\""), "metrics key in:\n{json}");
         let a = &run["attribution"];
         assert_eq!(
             (

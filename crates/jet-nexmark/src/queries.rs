@@ -127,17 +127,6 @@ pub fn q5(src: &StreamStage<Event>, wdef: WindowDef) -> StreamStage<WindowResult
         .aggregate(counting::<Bid>())
 }
 
-/// Q5 with single-stage aggregation (ablation).
-pub fn q5_single_stage(
-    src: &StreamStage<Event>,
-    wdef: WindowDef,
-) -> StreamStage<WindowResult<u64, u64>> {
-    bids(src)
-        .grouping_key(|b: &Bid| b.auction)
-        .window(wdef)
-        .aggregate_single_stage(counting::<Bid>())
-}
-
 /// **Q6 — Average selling price by seller** (specialized combiner): mean of
 /// the last 10 winning bids per seller. Winners approximated as the max bid
 /// per auction per tumbling window, joined to the auction's seller.

@@ -558,8 +558,9 @@ impl<K: WindowKey, T: Send + Clone + Debug + 'static> WindowedStage<K, T> {
         )
     }
 
-    /// Single-stage windowed aggregation (partitions raw events; used by the
-    /// single-stage-vs-two-stage ablation).
+    /// Single-stage windowed aggregation: partitions the raw events and
+    /// aggregates each window in one stage, with no combine step. Its results
+    /// equal [`Self::aggregate`]'s two-stage ones.
     pub fn aggregate_single_stage<A, R>(
         &self,
         op: AggregateOp<A, R>,

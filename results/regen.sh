@@ -24,8 +24,6 @@ runs=(
   "fig8_scaleout_latency fig8.txt"
   "fig10_throughput_scaling fig10_throughput_scaling.txt"
   "fig_keyscale -"
-  "fig12_latency_10node fig12_latency_10node.txt"
-  "fig11_latency_5node fig11_latency_5node.txt"
   "fig7_throughput_vs_latency fig7.txt"
   "abl3_guarantees abl3_guarantees.txt"
   "fig13_fault_tolerance_latency fig13_fault_tolerance_latency.txt"
