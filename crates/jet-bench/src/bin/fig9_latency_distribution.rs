@@ -8,8 +8,9 @@
 //! Scale-down: largest cluster = 20 members × 2 vcores (DOP 40), total
 //! rate 400k ev/s.
 //!
-//! Every run is traced, carries full-distribution attribution and samples
-//! the metrics timeline: per query, `results/TRACE_fig9_<query>.json` is
+//! Every run carries full-distribution attribution, which arms the flight
+//! recorder's span ring, and samples the metrics timeline: per query,
+//! `results/TRACE_fig9_<query>.json` is the recorder's retained spans as
 //! Chrome trace-event JSON (load in Perfetto) and `.txt` the diagnostics
 //! dump, `results/TIMELINE_fig9_<query>.json` the timeline, and each run's
 //! `BENCH_fig9.json` record carries a p50/p99/p99.99 latency waterfall.
@@ -38,7 +39,6 @@ fn main() {
         spec.window = WindowDef::sliding(SEC as Ts, (10 * MS) as Ts);
         spec.warmup = SEC + 500 * MS;
         spec.measure = 1500 * MS;
-        spec.trace = true;
         spec.attribution = true;
         spec.timeline = Some(TimelineConfig::default());
         let r = run(&spec);

@@ -16,6 +16,7 @@
 
 use jet_bench::{percentile_row, BenchReport, RunResult, MS, SEC};
 use jet_cluster::{ControllerConfig, ControllerEvent, SimCluster, SimClusterConfig};
+use jet_core::flight::Recorder;
 use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::processor::Guarantee;
 use jet_core::processors::agg::counting;
@@ -95,12 +96,11 @@ fn run_one(members: usize, ctl: Option<ControllerConfig>) -> RunResult {
         outputs: count.get(),
         inputs: LIMIT,
         virtual_secs: finished_at as f64 / 1e9,
-        trace: None,
         diagnostics: None,
         cluster_events: cluster.cluster_events(),
         spike: None,
         attribution: None,
-        timeline: None,
+        recorder: Recorder::disabled(),
         controller_events,
         members_final,
     }

@@ -28,6 +28,7 @@
 
 use jet_bench::{percentile_row, BenchReport, RunResult, MS, SEC};
 use jet_cluster::{SimCluster, SimClusterConfig};
+use jet_core::flight::Recorder;
 use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::processors::agg::counting;
 use jet_core::Ts;
@@ -125,12 +126,11 @@ fn run_scale(sweep: &Sweep, keys: u64) -> ScaleResult {
         outputs,
         inputs: sweep.probe_rate * sweep.measure / SEC,
         virtual_secs: sweep.measure as f64 / 1e9,
-        trace: None,
         diagnostics: None,
         cluster_events: Vec::new(),
         spike: None,
         attribution: None,
-        timeline: None,
+        recorder: Recorder::disabled(),
         controller_events: None,
         members_final,
     };

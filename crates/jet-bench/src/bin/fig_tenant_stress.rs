@@ -19,6 +19,7 @@
 
 use jet_bench::{percentile_row, BenchReport, RunResult, MS, SEC};
 use jet_cluster::{SimCluster, SimClusterConfig};
+use jet_core::flight::Recorder;
 use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::processors::agg::counting;
 use jet_core::{JobQuotas, Ts};
@@ -98,12 +99,11 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
         outputs,
         inputs: CRITICAL_RATE * MEASURE / SEC,
         virtual_secs: MEASURE as f64 / 1e9,
-        trace: None,
         diagnostics: None,
         cluster_events: Vec::new(),
         spike: None,
         attribution: None,
-        timeline: None,
+        recorder: Recorder::disabled(),
         controller_events: None,
         members_final,
     }

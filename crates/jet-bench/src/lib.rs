@@ -18,13 +18,12 @@ use jet_cluster::{
     SimClusterConfig,
 };
 use jet_core::flight::{
-    AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig,
-    SpikeFidelity, SpikeReport, TimelineConfig, WatchdogConfig,
+    AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig, SpikeReport,
+    TimelineConfig, WatchdogConfig,
 };
 use jet_core::metrics::{HistogramSummary, SharedCounter, SharedHistogram};
 use jet_core::processor::Guarantee;
 use jet_core::processors::WatermarkPolicy;
-use jet_core::trace::{TraceData, Tracer};
 use jet_core::{JobQuotas, Ts};
 use jet_nexmark::{queries, NexmarkConfig};
 use jet_pipeline::{Pipeline, WindowDef};
@@ -34,10 +33,6 @@ use std::path::PathBuf;
 
 pub const SEC: u64 = 1_000_000_000;
 pub const MS: u64 = 1_000_000;
-
-/// Traced runs capture the final stretch of the measurement window
-/// (virtual nanos) rather than all of it — see [`run`].
-pub const TRACE_TAIL_WINDOW: u64 = 250 * MS;
 
 /// Which NEXMark query to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,15 +91,11 @@ pub struct RunSpec {
     /// Heartbeat failure detector + self-healing recovery; required for a
     /// `fault_plan` crash to be detected rather than fatal.
     pub coordinator: Option<CoordinatorConfig>,
-    /// Capture an execution trace of the measurement period (Chrome
-    /// trace-event spans + diagnostics dump in the [`RunResult`]).
-    pub trace: bool,
     /// Arm the flight recorder's tail-latency watchdog: spikes detected
     /// online on the virtual timeline freeze their span window and are
-    /// root-cause attributed in [`RunResult::spike`]. Implies span
-    /// collection (the tracer runs even when `trace` is false), but is
-    /// invisible on the virtual timeline — percentiles are bit-identical
-    /// with the watchdog on or off.
+    /// root-cause attributed in [`RunResult::spike`]. Arms the recorder's
+    /// span ring, but is invisible on the virtual timeline — percentiles
+    /// are bit-identical with the watchdog on or off.
     pub spike: Option<WatchdogConfig>,
     /// Arm full-distribution latency attribution: the latency sink stamps
     /// sampled per-event provenance and the flight recorder's span ring
@@ -113,7 +104,7 @@ pub struct RunSpec {
     /// timeline — percentiles are bit-identical on or off.
     pub attribution: bool,
     /// Sample the job-wide metrics snapshot into delta-encoded rings at a
-    /// fixed cadence ([`RunResult::timeline`], exported by
+    /// fixed cadence (exported from [`RunResult::recorder`] by
     /// [`write_timeline`]). Invisible on the virtual timeline.
     pub timeline: Option<TimelineConfig>,
     /// Arm the elastic autoscaling controller: the cluster watches windowed
@@ -146,7 +137,6 @@ impl RunSpec {
             partition_count: jet_imdg::DEFAULT_PARTITION_COUNT,
             fault_plan: None,
             coordinator: None,
-            trace: false,
             spike: None,
             attribution: false,
             timeline: None,
@@ -167,10 +157,8 @@ pub struct RunResult {
     pub inputs: u64,
     /// Virtual seconds simulated.
     pub virtual_secs: f64,
-    /// Execution trace of the measurement period ([`RunSpec::trace`]).
-    pub trace: Option<TraceData>,
-    /// Diagnostics dump rendered at the end of the run (always available
-    /// when traced; trace sections fall back to `n/a` otherwise).
+    /// Diagnostics dump rendered at the end of the run, when the
+    /// recorder's span ring was armed.
     pub diagnostics: Option<String>,
     /// Detector/recovery event log (empty unless a coordinator ran).
     pub cluster_events: Vec<ClusterEvent>,
@@ -182,9 +170,9 @@ pub struct RunResult {
     /// p50/p99/p99.99 exemplar journeys decomposed into exact-sum cause
     /// slices; embedded in `BENCH_*.json` by [`BenchReport::add_run`].
     pub attribution: Option<AttributionReport>,
-    /// The run's recorder when its metrics timeline was armed
-    /// ([`RunSpec::timeline`]); export it with [`write_timeline`].
-    pub timeline: Option<Recorder>,
+    /// The run's recorder: its retained spans of the measurement period
+    /// ([`write_trace`]) and its metrics timeline ([`write_timeline`]).
+    pub recorder: Recorder,
     /// Autoscaling decision timeline ([`RunSpec::controller`]): `Some`
     /// (possibly empty) when a controller was armed; embedded in
     /// `BENCH_*.json` by [`BenchReport::add_run`].
@@ -269,17 +257,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
     let dag = pipeline
         .compile(spec.cores_per_member)
         .expect("pipeline compiles");
-    // Spike forensics needs the span stream even when no trace is kept.
-    let collect_spans = spec.trace || recorder.records_spans();
-    let tracer = if collect_spans {
-        // Small rings (drained every ~10 ms of virtual time below) keep the
-        // footprint bounded even at fig9 scale: 20 members × dozens of
-        // writers each. Calls are sampled 1-in-16: they outnumber every
-        // other span kind ~10:1 and the slowest ones still surface.
-        Tracer::with_config(8192, 4)
-    } else {
-        Tracer::disabled()
-    };
     let cfg = SimClusterConfig {
         members: spec.members,
         cores_per_member: spec.cores_per_member,
@@ -290,7 +267,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         cost_model: spec.cost_model.clone(),
         gc: spec.gc.clone(),
         fixed_receive_window: spec.fixed_receive_window,
-        tracer: tracer.clone(),
         fault_plan: spec.fault_plan.clone(),
         coordinator: spec.coordinator.clone(),
         recorder: recorder.clone(),
@@ -301,79 +277,20 @@ pub fn run(spec: &RunSpec) -> RunResult {
     let mut cluster = SimCluster::start(dag, cfg).expect("cluster starts");
     cluster.run_for(spec.warmup);
     hist.clear();
-    // The trace covers the measurement period only: throw away whatever the
-    // warm-up left in the rings, and forget warm-up excursions (the adaptive
-    // baseline the warm-up established is kept).
-    if collect_spans {
-        tracer.drain();
-    }
+    // The recorder covers the measurement period only: forget the warm-up's
+    // spans and excursions (the adaptive baseline the warm-up established
+    // is kept).
     recorder.clear();
     let out_before = count.get();
-    let trace = if collect_spans {
-        // A full-fidelity trace of the whole measurement at fig9 scale is
-        // ~15M spans; capture the *tail* of the window instead — a steady
-        // -state zoom that fits the collector with near-zero drops. The
-        // latency histogram still covers the full measurement period, and
-        // the flight recorder ingests every drain, so spikes anywhere in the
-        // measurement freeze their window.
-        let tail = if spec.trace {
-            spec.measure.min(TRACE_TAIL_WINDOW)
-        } else {
-            0
-        };
-        let mut scratch = TraceData::new();
-        let mut data = TraceData::new();
-        data.capacity = 2_000_000;
-        // Drain every ~10 ms of virtual time and once more at the end of
-        // each phase (which also resets the ring drop counters); only the
-        // tail phase keeps its spans.
-        let mut drain = |keep: bool| {
-            tracer.drain_into(&mut scratch);
-            recorder.ingest(&scratch);
-            if keep {
-                data.absorb(&mut scratch);
-            } else {
-                scratch.events.clear();
-            }
-        };
-        for (phase, keep) in [(spec.measure - tail, false), (tail, true)] {
-            if phase > 0 {
-                let mut next_drain = 0u64;
-                cluster.run_for_with(phase, |now| {
-                    if now >= next_drain {
-                        drain(keep);
-                        next_drain = now + 10 * MS;
-                    }
-                });
-                drain(keep);
-            }
-        }
-        spec.trace.then_some(data)
-    } else {
-        cluster.run_for(spec.measure);
-        None
-    };
+    cluster.run_for(spec.measure);
     let outputs = count.get() - out_before;
-    let diagnostics = collect_spans.then(|| cluster.diagnostics_dump(trace.as_ref()));
+    let diagnostics = recorder.records_spans().then(|| cluster.diagnostics_dump());
     let cluster_events = cluster.cluster_events();
-    let spike = spec.spike.is_some().then(|| {
-        let incidents = cluster.spike_forensics();
-        let stats = recorder.stats();
-        SpikeReport {
-            bench: String::new(),
-            run_label: String::new(),
-            threshold_nanos: stats.threshold,
-            fidelity: SpikeFidelity {
-                trace_ring_dropped: tracer.dropped_total(),
-                collector_dropped: trace.as_ref().map_or(0, |d| d.dropped),
-                recorder_evicted: stats.spans_evicted,
-                sample_shift: tracer.sample_shift(),
-                spans_retained: stats.spans_retained,
-                observed: stats.observed,
-                suppressed: stats.suppressed,
-            },
-            incidents,
-        }
+    let spike = spec.spike.is_some().then(|| SpikeReport {
+        bench: String::new(),
+        run_label: String::new(),
+        incidents: cluster.spike_forensics(),
+        fidelity: recorder.stats(),
     });
     let final_hist = hist.snapshot();
     let attribution = spec.attribution.then(|| {
@@ -399,12 +316,11 @@ pub fn run(spec: &RunSpec) -> RunResult {
         outputs,
         inputs: spec.total_rate * spec.measure / SEC,
         virtual_secs: spec.measure as f64 / 1e9,
-        trace,
         diagnostics,
         cluster_events,
         spike,
         attribution,
-        timeline: spec.timeline.is_some().then_some(recorder),
+        recorder,
         controller_events,
         members_final,
     }
@@ -418,15 +334,15 @@ fn write_result(file: &str, text: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Write the captured trace as `results/TRACE_<name>.json` (Chrome
-/// trace-event format — load it in Perfetto or `chrome://tracing`) and the
-/// diagnostics dump as `results/TRACE_<name>.txt`. Returns the JSON path,
-/// or `None` when the run was not traced.
+/// Write the recorder's retained spans as `results/TRACE_<name>.json`
+/// (Chrome trace-event format — load it in Perfetto or `chrome://tracing`)
+/// and the diagnostics dump as `results/TRACE_<name>.txt`. Returns the JSON
+/// path, or `None` when the run's span ring was not armed.
 pub fn write_trace(name: &str, r: &RunResult) -> std::io::Result<Option<PathBuf>> {
-    let Some(trace) = &r.trace else {
+    let Some(trace) = r.recorder.trace() else {
         return Ok(None);
     };
-    let path = write_result(&format!("TRACE_{name}.json"), &json::render(trace))?;
+    let path = write_result(&format!("TRACE_{name}.json"), &json::render(&trace))?;
     if let Some(dump) = &r.diagnostics {
         write_result(&format!("TRACE_{name}.txt"), dump)?;
     }
@@ -434,7 +350,7 @@ pub fn write_trace(name: &str, r: &RunResult) -> std::io::Result<Option<PathBuf>
         "  [trace written to {} — {} spans, {} dropped]",
         path.display(),
         trace.events.len(),
-        trace.dropped
+        r.recorder.stats().ring_dropped
     );
     Ok(Some(path))
 }
@@ -480,14 +396,11 @@ pub fn write_spike_report(
 /// (schema `jet-timeline-v1`). Returns the path, or `None` when the run had
 /// no timeline armed.
 pub fn write_timeline(name: &str, label: &str, r: &RunResult) -> std::io::Result<Option<PathBuf>> {
-    let Some(timeline) = &r.timeline else {
+    let Some(timeline) = r.recorder.timeline_json(name, label) else {
         return Ok(None);
     };
-    let path = write_result(
-        &format!("TIMELINE_{name}.json"),
-        &timeline.timeline_json(name, label),
-    )?;
-    let stats = timeline.stats();
+    let path = write_result(&format!("TIMELINE_{name}.json"), &timeline)?;
+    let stats = r.recorder.stats();
     eprintln!(
         "  [timeline written to {} — {} samples, {} series, {} ticks evicted]",
         path.display(),
@@ -710,7 +623,6 @@ mod tests {
             outputs: 4,
             inputs: 100,
             virtual_secs: 3.0,
-            trace: None,
             diagnostics: None,
             cluster_events: Vec::new(),
             spike: None,
@@ -720,7 +632,7 @@ mod tests {
                 sample_shift: 0,
                 bands: Vec::new(),
             }),
-            timeline: None,
+            recorder: Recorder::disabled(),
             controller_events: Some(vec![
                 ControllerEvent::Decided {
                     at: 15 * MS,

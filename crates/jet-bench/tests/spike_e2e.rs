@@ -35,7 +35,8 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
     // recorder's lock on every emission: an absurdly low SLO fires the
     // watchdog on ~every sample, provenance sampling on every sink event,
     // a metrics timeline at a deliberately aggressive 10 ms cadence
-    // (maximum chunking perturbation), and the trace.
+    // (maximum chunking perturbation); the watchdog and the sampler also
+    // arm the span ring.
     armed_spec.spike = Some(WatchdogConfig {
         slo_nanos: Some(1),
         ..WatchdogConfig::default()
@@ -45,7 +46,6 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
         cadence_nanos: 10 * MS,
         ..TimelineConfig::default()
     });
-    armed_spec.trace = true;
     let armed = run(&armed_spec);
     assert!(plain.hist.count() > 0, "no samples measured");
     assert_eq!(
@@ -93,8 +93,7 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
 
     // The timeline actually sampled: multiple ticks, live series, and a
     // parseable jet-timeline-v1 document.
-    let timeline = armed.timeline.expect("timeline present when armed");
-    let stats = timeline.stats();
+    let stats = armed.recorder.stats();
     assert!(
         stats.samples > 1,
         "timeline sampled {} time(s)",
@@ -105,7 +104,8 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
         stats.samples as usize, stats.ticks,
         "no eviction expected at this scale"
     );
-    let doc = json::parse(&timeline.timeline_json("test", "q5")).expect("valid JSON");
+    let timeline = armed.recorder.timeline_json("test", "q5");
+    let doc = json::parse(&timeline.expect("timeline armed")).expect("valid JSON");
     assert_eq!(doc["schema"].as_str(), Some("jet-timeline-v1"));
     let ticks = doc["ticks_nanos"].as_arr().expect("ticks_nanos");
     assert_eq!(ticks.len(), stats.ticks);
@@ -114,7 +114,10 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
     assert!(series
         .iter()
         .all(|s| s["deltas"].as_arr().map(<[_]>::len) == Some(ticks.len())));
-    assert!(armed.trace.is_some(), "trace kept when armed");
+    let trace = armed.recorder.trace().expect("span ring armed");
+    assert!(!trace.events.is_empty(), "the recorder retained no spans");
+    assert_eq!(trace.events.len(), stats.spans_retained);
+    assert!(armed.diagnostics.is_some(), "no diagnostics dump");
 }
 
 #[test]
@@ -142,7 +145,7 @@ fn crash_spike_attributes_to_recovery_not_a_vertex() {
         "a detected crash must register at least one spike incident \
          (observed={} threshold={}ns)",
         report.fidelity.observed,
-        report.threshold_nanos
+        report.fidelity.threshold
     );
     // Incidents come worst-first; the outage spike dominates.
     let top = &report.incidents[0];

@@ -1,22 +1,31 @@
 //! Execution-tracing demo: run a windowed counting job on a two-member
-//! simulated cluster with the tracer on, print the job diagnostics dump,
-//! and write the captured spans as Chrome trace-event JSON (open
-//! `trace_dump.json` in Perfetto or `chrome://tracing`).
+//! simulated cluster with the flight recorder's span ring armed, print the
+//! job diagnostics dump, and write the recorder's retained spans as Chrome
+//! trace-event JSON (open `trace_dump.json` in Perfetto or
+//! `chrome://tracing`). The run checks what it claims: a non-empty trace
+//! that lost no span to a full ring.
 //!
-//! Run untraced (spans skipped, dump still renders) with `--disabled`.
+//! Run untraced with `--disabled`: no recorder, no spans, and the dump's
+//! trace lines read `n/a`.
 use jet_cluster::{SimCluster, SimClusterConfig};
+use jet_core::flight::{ProvenanceConfig, Recorder, RecorderConfig};
 use jet_core::processors::agg::counting;
-use jet_core::trace::{TraceData, Tracer};
 use jet_pipeline::{Pipeline, WindowDef};
+use jet_util::json;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 fn main() {
     let enabled = !std::env::args().any(|a| a == "--disabled");
-    let tracer = if enabled {
-        Tracer::enabled()
+    // Spans are recorded exactly when the recorder's span ring is armed;
+    // its provenance sampler arms it.
+    let recorder = if enabled {
+        Recorder::new(RecorderConfig {
+            provenance: Some(ProvenanceConfig::default()),
+            ..RecorderConfig::default()
+        })
     } else {
-        Tracer::disabled()
+        Recorder::disabled()
     };
 
     let p = Pipeline::create();
@@ -37,45 +46,38 @@ fn main() {
         members: 2,
         cores_per_member: 2,
         partition_count: 31,
-        tracer: tracer.clone(),
+        recorder: recorder.clone(),
         ..Default::default()
     };
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
 
-    // Drain the per-worker rings every ~1 ms of virtual time so they never
-    // overflow, accumulating the job-level trace as the job runs.
-    let mut trace = TraceData::new();
-    let mut next_drain = 0u64;
-    let mut drain = |now: u64, trace: &mut TraceData| {
-        if now >= next_drain {
-            tracer.drain_into(trace);
-            next_drain = now + 1_000_000;
-        }
-    };
-
     // Dump diagnostics mid-run (5 ms in, while tasklets are live)...
-    cluster.run_for_with(5_000_000, |now| drain(now, &mut trace));
-    cluster.drain_trace_into(&mut trace);
-    print!("{}", cluster.diagnostics_dump(enabled.then_some(&trace)));
+    cluster.run_for(5_000_000);
+    let dump = cluster.diagnostics_dump();
+    print!("{dump}");
 
     // ...then run the job to completion.
-    let finished = cluster.run_for_with(30_000_000_000, |now| drain(now, &mut trace));
-    assert!(finished, "job did not finish");
-    cluster.drain_trace_into(&mut trace);
-
+    assert!(cluster.run_for(30_000_000_000), "job did not finish");
     let windows: u64 = out.lock().iter().map(|(_, r)| r.value).sum();
     eprintln!("job finished: {windows} events counted across windows");
 
-    if enabled {
-        let path = "trace_dump.json";
-        std::fs::write(path, jet_util::json::render(&trace)).expect("write trace");
-        eprintln!(
-            "wrote {path}: {} spans on {} tracks ({} dropped) — open it in Perfetto",
-            trace.events.len(),
-            trace.tracks.len(),
-            trace.dropped
+    let Some(trace) = recorder.trace() else {
+        assert_eq!(recorder.stats().spans_retained, 0, "spans without tracing");
+        assert!(
+            dump.contains("slowest calls: n/a (tracing disabled)")
+                && dump.contains("\ntrace\n  n/a (tracing disabled)"),
+            "trace lines are not n/a:\n{dump}"
         );
-    } else {
-        eprintln!("tracing disabled: {} spans recorded", trace.events.len());
-    }
+        eprintln!("tracing disabled: 0 spans recorded");
+        return;
+    };
+    assert!(!trace.events.is_empty(), "no spans recorded");
+    assert_eq!(recorder.stats().ring_dropped, 0, "rings overflowed");
+    let path = "trace_dump.json";
+    std::fs::write(path, json::render(&trace)).expect("write trace");
+    eprintln!(
+        "wrote {path}: {} spans on {} tracks (0 dropped) — open it in Perfetto",
+        trace.events.len(),
+        trace.tracks.len(),
+    );
 }

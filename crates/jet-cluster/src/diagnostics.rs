@@ -4,16 +4,16 @@
 //! The dump is assembled from three sources that are each cheap to obtain
 //! on a live job: the merged metrics snapshot (queue depths, watermark
 //! gauges, stall counters), the scheduler's per-tasklet state table, and —
-//! when tracing is enabled — the drained [`TraceData`] for top-k slowest
-//! call attribution. Every section degrades gracefully: with tracing
-//! disabled the trace-derived lines render as `n/a` rather than vanishing,
-//! so operators always see the same shape of report.
+//! when the flight recorder's span ring is armed — its retained spans for
+//! top-k slowest call attribution. Every section degrades gracefully: with
+//! tracing disabled the trace-derived lines render as `n/a` rather than
+//! vanishing, so operators always see the same shape of report.
 
 use crate::controller::{Controller, Phase};
 use crate::coordinator::{Coordinator, MemberHealth};
 use jet_core::flight::{IncidentReport, Recorder};
 use jet_core::metrics::{Metric, MetricsSnapshot};
-use jet_core::trace::{TraceData, TraceKind};
+use jet_core::trace::TraceKind;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
@@ -40,18 +40,19 @@ fn gauge_or(snap: &MetricsSnapshot, name: &str, tags: &[(&str, &str)], default: 
 /// Render the job diagnostics dump.
 ///
 /// `tasklets` is the scheduler's `(core, name, state, events_in,
-/// events_out)` table; `trace` adds latency attribution when present;
-/// `coordinator` adds the cluster-health section (member liveness,
-/// suspicion state, last recovery) and degrades to `n/a` when the job
-/// runs without a failure detector.
+/// events_out)` table; `recorder`'s retained spans add latency attribution
+/// when its span ring is armed; `coordinator` adds the cluster-health
+/// section (member liveness, suspicion state, last recovery) and degrades
+/// to `n/a` when the job runs without a failure detector.
 pub fn render_dump(
     job_id: u64,
     now_nanos: u64,
     snap: &MetricsSnapshot,
     tasklets: &[(usize, String, &'static str, u64, u64)],
-    trace: Option<&TraceData>,
+    recorder: &Recorder,
     coordinator: Option<&Coordinator>,
 ) -> String {
+    let trace = recorder.trace();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -268,7 +269,7 @@ pub fn render_dump(
         }
 
         // Latency attribution: the slowest timeslices this vertex ran.
-        match trace {
+        match &trace {
             Some(data) => {
                 let top = data.top_k_slowest_calls(v, 5);
                 if top.is_empty() {
@@ -315,28 +316,16 @@ pub fn render_dump(
 
     // Trace roll-up.
     let _ = writeln!(out, "\ntrace");
-    match trace {
+    match &trace {
         Some(data) => {
             let _ = writeln!(
                 out,
                 "  events={} tracks={} dropped={}",
                 data.events.len(),
                 data.tracks.len(),
-                data.dropped
+                recorder.stats().ring_dropped
             );
-            for kind in [
-                TraceKind::Call,
-                TraceKind::Stall,
-                TraceKind::IdlePark,
-                TraceKind::WmEmit,
-                TraceKind::WmCoalesce,
-                TraceKind::SnapshotPhase,
-                TraceKind::NetSend,
-                TraceKind::NetRecv,
-                TraceKind::Detect,
-                TraceKind::Recovery,
-                TraceKind::FaultInject,
-            ] {
+            for kind in TraceKind::ALL {
                 let n = data.of_kind(kind).count();
                 if n > 0 {
                     let _ = writeln!(out, "  {:<12} {}", kind.name(), n);
@@ -535,7 +524,14 @@ mod tests {
         bh.record(4);
         let snap = r.snapshot();
         let tasklets = vec![(0usize, "agg".to_string(), "running", 7u64, 7u64)];
-        let dump = render_dump(9, 3_000_000_000, &snap, &tasklets, None, None);
+        let dump = render_dump(
+            9,
+            3_000_000_000,
+            &snap,
+            &tasklets,
+            &Recorder::disabled(),
+            None,
+        );
         for v in ["src", "agg", "sink"] {
             assert!(
                 dump.contains(&format!("vertex {}", v)),
@@ -574,22 +570,8 @@ mod tests {
     use jet_core::flight::{
         AttributionConfig, Cause, RecorderConfig, TimelineConfig, WatchdogConfig,
     };
-    use jet_core::trace::{SpanRecord, TraceData, TraceEvent};
 
     const MS: u64 = 1_000_000;
-
-    fn span(track: u32, ts: u64, dur: u64, name: u32, kind: TraceKind, arg: i64) -> TraceEvent {
-        TraceEvent {
-            track,
-            rec: SpanRecord {
-                ts,
-                dur,
-                name,
-                kind,
-                arg,
-            },
-        }
-    }
 
     /// Watchdog armed purely by a hard SLO: deterministic from sample one.
     fn slo_watchdog(slo: u64) -> Recorder {
@@ -602,42 +584,50 @@ mod tests {
         })
     }
 
-    #[test]
-    fn dump_renders_with_completely_empty_trace() {
+    /// Record `(kind, ts, dur, name, arg)` spans on one track of `rec`'s
+    /// tracer, then drain them into its span ring.
+    fn record_spans(rec: &Recorder, spans: &[(TraceKind, u64, u64, &str, i64)]) {
+        let mut w = rec.tracer().writer(0, "m0/agg#0");
+        for &(kind, ts, dur, name, arg) in spans {
+            let id = w.intern(name);
+            w.record(kind, ts, dur, id, arg);
+        }
+        rec.drain_spans();
+    }
+
+    fn agg_snapshot() -> MetricsSnapshot {
         let r = MetricsRegistry::new();
         r.counter(
             "jet_events_in_total",
             tags(&[("vertex", "agg"), ("instance", "0")]),
         )
         .add(1);
-        let data = TraceData {
-            names: Vec::new(),
-            tracks: Vec::new(),
-            events: Vec::new(),
-            dropped: 0,
-            capacity: 0,
-        };
-        let dump = render_dump(1, MS, &r.snapshot(), &[], Some(&data), None);
+        r.snapshot()
+    }
+
+    #[test]
+    fn dump_renders_with_completely_empty_trace() {
+        let dump = render_dump(1, MS, &agg_snapshot(), &[], &slo_watchdog(MS), None);
         assert!(dump.contains("slowest calls: none recorded"), "{dump}");
         assert!(dump.contains("events=0 tracks=0 dropped=0"), "{dump}");
     }
 
     #[test]
-    fn dump_renders_when_rings_dropped_everything() {
-        let data = TraceData {
-            names: vec!["agg".to_string()],
-            tracks: Vec::new(),
-            events: Vec::new(),
-            dropped: 4_096,
-            capacity: 8,
-        };
-        let dump = render_dump(1, MS, &MetricsSnapshot::default(), &[], Some(&data), None);
+    fn dump_renders_when_rings_dropped_spans() {
+        let flight = slo_watchdog(MS);
+        flight.observe(50 * MS, 40 * MS, 10 * MS);
+        // Overfill one writer's ring with spans far past the incident's
+        // window: the ring keeps 8192 and drops the rest.
+        let mut w = flight.tracer().writer(0, "w");
+        let name = w.intern("agg");
+        for i in 0..8192 + 4096 {
+            w.record(TraceKind::Stall, 900 * MS + i, 0, name, 0);
+        }
+        flight.drain_spans();
+        let dump = render_dump(1, MS, &MetricsSnapshot::default(), &[], &flight, None);
         assert!(dump.contains("dropped=4096"), "{dump}");
         // And forensics over an incident with zero surviving spans still
         // attributes: everything is queue wait (the honest residual).
-        let flight = slo_watchdog(MS);
-        flight.observe(50 * MS, 40 * MS, 10 * MS);
-        flight.ingest(&data);
         let reports = flight.forensics(&AttributionConfig::default());
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window_events, 0);
@@ -651,14 +641,7 @@ mod tests {
     fn blame_attributes_a_single_span_window() {
         let flight = slo_watchdog(MS);
         flight.observe(50 * MS, 40 * MS, 10 * MS);
-        let data = TraceData {
-            names: vec!["?".to_string(), "agg".to_string()],
-            tracks: Vec::new(),
-            events: vec![span(0, 45 * MS, 2 * MS, 1, TraceKind::Call, 0)],
-            dropped: 0,
-            capacity: 1024,
-        };
-        flight.ingest(&data);
+        record_spans(&flight, &[(TraceKind::Call, 45 * MS, 2 * MS, "agg", 0)]);
         let reports = flight.forensics(&AttributionConfig::default());
         assert_eq!(reports.len(), 1);
         let a = &reports[0].attribution;
@@ -696,24 +679,15 @@ mod tests {
         flight.observe(150 * MS, 100 * MS, 50 * MS);
         // The forensic story: fault injected at 105ms, suspected at 110ms,
         // fenced at 120ms, rebuilt by 140ms, replay caught up by 150ms.
-        let data = TraceData {
-            names: vec![
-                "crash".to_string(),
-                "suspect".to_string(),
-                "fence".to_string(),
-                "recovery".to_string(),
+        record_spans(
+            &flight,
+            &[
+                (TraceKind::FaultInject, 105 * MS, 0, "crash", 1),
+                (TraceKind::Detect, 110 * MS, 0, "suspect", 1),
+                (TraceKind::Detect, 120 * MS, 0, "fence", 1),
+                (TraceKind::Recovery, 120 * MS, 20 * MS, "recovery", -1),
             ],
-            tracks: Vec::new(),
-            events: vec![
-                span(0, 105 * MS, 0, 0, TraceKind::FaultInject, 1),
-                span(0, 110 * MS, 0, 1, TraceKind::Detect, 1),
-                span(0, 120 * MS, 0, 2, TraceKind::Detect, 1),
-                span(0, 120 * MS, 20 * MS, 3, TraceKind::Recovery, -1),
-            ],
-            dropped: 0,
-            capacity: 1024,
-        };
-        flight.ingest(&data);
+        );
         let reports = flight.forensics(&AttributionConfig::default());
         let blame = render_blame(&reports);
         let golden = include_str!("golden/spike_blame.txt");
@@ -722,20 +696,12 @@ mod tests {
 
     #[test]
     fn dump_includes_trace_attribution_when_present() {
-        let r = MetricsRegistry::new();
-        r.counter(
-            "jet_events_in_total",
-            tags(&[("vertex", "agg"), ("instance", "0")]),
-        )
-        .add(1);
-        let tracer = Tracer::enabled();
-        let mut w = tracer.writer(0, "m0/agg#0");
-        let name = w.intern("agg");
-        w.record_call(1_000, 50_000, name);
-        let data = tracer.drain();
-        let dump = render_dump(1, 1_000_000, &r.snapshot(), &[], Some(&data), None);
+        let flight = slo_watchdog(MS);
+        record_spans(&flight, &[(TraceKind::Call, 1_000, 50_000, "agg", 0)]);
+        let dump = render_dump(1, MS, &agg_snapshot(), &[], &flight, None);
         assert!(dump.contains("slowest calls: 50.0us@"), "{dump}");
-        assert!(dump.contains("events=1"), "{dump}");
+        assert!(dump.contains("events=1 tracks=1 dropped=0"), "{dump}");
+        assert!(dump.contains("call         1"), "{dump}");
     }
 
     fn timeline() -> Recorder {

@@ -21,7 +21,7 @@ use jet_core::metrics::{tags, MetricsRegistry, MetricsSnapshot};
 use jet_core::network::{ChannelChaos, InMemoryTransport, NetworkFaults};
 use jet_core::processor::Guarantee;
 use jet_core::snapshot::SnapshotRegistry;
-use jet_core::trace::{TraceData, TraceKind, TraceWriter, Tracer};
+use jet_core::trace::{TraceKind, TraceWriter, Tracer};
 use jet_core::Dag;
 use jet_imdg::{Grid, MemberId, SnapshotStore, StoreFaults};
 use jet_sim::{CostModel, FaultEvent, FaultKind, FaultPlan, SimTick, Simulator};
@@ -30,6 +30,10 @@ use jet_util::clock::{ManualClock, SharedClock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+
+/// Virtual nanos between two drains of the recorder's tracer into its span
+/// ring while a run is in progress.
+const SPAN_DRAIN_PERIOD: u64 = 10_000_000;
 
 /// Simulation-mode cluster configuration.
 #[derive(Clone)]
@@ -52,8 +56,6 @@ pub struct SimClusterConfig {
     pub gc: Option<jet_sim::GcModel>,
     /// Ablation A4: fixed (non-adaptive) receive window.
     pub fixed_receive_window: Option<u64>,
-    /// Execution tracer shared by every tasklet; disabled by default.
-    pub tracer: Tracer,
     /// Deterministic fault script applied from the per-quantum hook.
     pub fault_plan: Option<FaultPlan>,
     /// Heartbeat failure detection + self-healing recovery. `None` (the
@@ -70,11 +72,13 @@ pub struct SimClusterConfig {
     /// prefixes). `None` (the default) keeps the original tasklet-level
     /// round-robin bit-identically.
     pub quotas: Option<JobQuotas>,
-    /// Flight recorder. With its span ring armed the diagnostics dump
-    /// gains a blame section; with its timeline armed the runtime samples
-    /// the job-wide metrics snapshot at the timeline's cadence and the dump
-    /// gains a sparkline section. Disabled by default: zero cost, identical
-    /// virtual timeline either way.
+    /// Flight recorder, the job's one telemetry handle. With its span ring
+    /// armed every tasklet records spans through the recorder's tracer,
+    /// the runtime drains them into the ring, and the diagnostics dump
+    /// gains trace and blame sections; with its timeline armed the runtime
+    /// samples the job-wide metrics snapshot at the timeline's cadence and
+    /// the dump gains a sparkline section. Disabled by default: zero cost,
+    /// identical virtual timeline either way.
     pub recorder: Recorder,
 }
 
@@ -93,7 +97,6 @@ impl Default for SimClusterConfig {
             batch: jet_core::tasklet::DEFAULT_BATCH,
             gc: None,
             fixed_receive_window: None,
-            tracer: Tracer::disabled(),
             fault_plan: None,
             coordinator: None,
             controller: None,
@@ -278,28 +281,15 @@ impl SimCluster {
                 move || sf.read_failures(),
             );
         }
-        // Flight-recorder fidelity is itself observable: when tracing is on,
-        // ring drops, sampling policy, and recorder retention surface as
-        // first-class metrics in the same Prometheus/JSON renderers as
-        // everything else. (Registered only when the tracer is enabled so
-        // untraced jobs keep their exact metric set.)
-        if cfg.tracer.is_enabled() {
-            let t = cfg.tracer.clone();
-            cluster_metrics.counter_fn("jet_trace_ring_dropped_total", tags(&[]), move || {
-                t.dropped_total()
-            });
-            let t = cfg.tracer.clone();
-            cluster_metrics.gauge_fn("jet_trace_pending_records", tags(&[]), move || {
-                t.pending() as i64
-            });
-            cluster_metrics
-                .gauge("jet_trace_call_sample_period", tags(&[]))
-                .set(1i64 << cfg.tracer.sample_shift());
-            cluster_metrics
-                .gauge("jet_trace_ring_capacity", tags(&[]))
-                .set(cfg.tracer.ring_capacity() as i64);
-        }
+        // Flight-recorder fidelity is itself observable: with the span ring
+        // armed, ring drops and recorder retention surface as first-class
+        // metrics in the same renderers as everything else. (Registered
+        // only then, so untraced jobs keep their exact metric set.)
         if cfg.recorder.records_spans() {
+            let r = cfg.recorder.clone();
+            cluster_metrics.counter_fn("jet_trace_ring_dropped_total", tags(&[]), move || {
+                r.stats().ring_dropped
+            });
             let r = cfg.recorder.clone();
             cluster_metrics.counter_fn("jet_flight_spans_evicted_total", tags(&[]), move || {
                 r.stats().spans_evicted
@@ -324,15 +314,16 @@ impl SimCluster {
             });
         }
         let member_ids: Vec<u32> = grid.members().iter().map(|m| m.0).collect();
+        let tracer = cfg.recorder.tracer();
         let coordinator = cfg
             .coordinator
             .clone()
-            .map(|c| Coordinator::new(c, &member_ids, 0, &cluster_metrics, &cfg.tracer));
+            .map(|c| Coordinator::new(c, &member_ids, 0, &cluster_metrics, &tracer));
         let controller = cfg
             .controller
             .clone()
-            .map(|c| Controller::new(c, member_ids.len(), &cluster_metrics, &cfg.tracer));
-        let fault_driver = FaultDriver::new(cfg.fault_plan.as_ref(), &cfg.tracer);
+            .map(|c| Controller::new(c, member_ids.len(), &cluster_metrics, &tracer));
+        let fault_driver = FaultDriver::new(cfg.fault_plan.as_ref(), &tracer);
         let mut me = SimCluster {
             cfg,
             dag,
@@ -367,7 +358,7 @@ impl SimCluster {
             clock: self.shared_clock.clone(),
             partition_count: self.cfg.partition_count,
             fixed_receive_window: self.cfg.fixed_receive_window,
-            tracer: self.cfg.tracer.clone(),
+            tracer: self.cfg.recorder.tracer(),
         }
     }
 
@@ -436,7 +427,7 @@ impl SimCluster {
         if let Some(gc) = self.cfg.gc.clone() {
             sim = sim.with_gc(gc);
         }
-        sim = sim.with_tracer(self.cfg.tracer.clone());
+        sim = sim.with_tracer(self.cfg.recorder.tracer());
         for (mi, member_exec) in exec.members.into_iter().enumerate() {
             let base = mi * self.cfg.cores_per_member;
             let pid = members[mi].0;
@@ -460,11 +451,6 @@ impl SimCluster {
             ctl.discard_samples();
         }
         Ok(())
-    }
-
-    /// Job identifier (names the snapshot maps in the grid).
-    pub fn job_id(&self) -> u64 {
-        self.job_id
     }
 
     pub fn registry(&self) -> Arc<SnapshotRegistry> {
@@ -514,39 +500,22 @@ impl SimCluster {
         self.job_metrics().render_prometheus()
     }
 
-    /// Per-tasklet (core, name, in, out) diagnostics.
-    pub fn tasklet_stats(&self) -> Vec<(usize, String, u64, u64)> {
-        self.sim.tasklet_stats()
-    }
-
     /// Per-tasklet (core, name, state, in, out) diagnostics.
     pub fn tasklet_details(&self) -> Vec<(usize, String, &'static str, u64, u64)> {
         self.sim.tasklet_details()
     }
 
-    /// The job's tracer (disabled unless configured via
-    /// [`SimClusterConfig::tracer`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.cfg.tracer
-    }
-
-    /// Drain pending span records from every worker ring into `data`.
-    /// Call periodically during long traced runs so rings don't overflow.
-    pub fn drain_trace_into(&self, data: &mut TraceData) {
-        self.cfg.tracer.drain_into(data);
-    }
-
-    /// Render the plain-text job diagnostics dump. Pass the accumulated
-    /// trace to include latency attribution; `None` renders the
-    /// metrics-only view. Cluster health renders from the coordinator when
+    /// Render the plain-text job diagnostics dump. Its trace lines come
+    /// from the recorder's retained spans, and render `n/a` when the span
+    /// ring is not armed. Cluster health renders from the coordinator when
     /// one is wired, `n/a` otherwise.
-    pub fn diagnostics_dump(&self, trace: Option<&TraceData>) -> String {
+    pub fn diagnostics_dump(&self) -> String {
         let mut dump = crate::diagnostics::render_dump(
             self.job_id,
             self.now(),
             &self.job_metrics(),
             &self.tasklet_details(),
-            trace,
+            &self.cfg.recorder,
             self.coordinator.as_ref(),
         );
         if let Some(ctl) = self.controller.as_ref() {
@@ -582,8 +551,25 @@ impl SimCluster {
     }
 
     /// Run with a custom per-quantum hook in addition to snapshot triggers
-    /// and fault/detector driving.
+    /// and fault/detector driving. With the recorder's span ring armed, the
+    /// tracer's rings drain into it on the first quantum, every 10 ms of
+    /// virtual time after that, and once more when the call returns —
+    /// between quanta, so at zero virtual cost.
     pub fn run_for_with(&mut self, duration: u64, mut hook: impl FnMut(u64)) -> bool {
+        let recorder = self.cfg.recorder.clone();
+        let mut next_drain = 0u64;
+        let done = self.run_quanta(duration, |now| {
+            if now >= next_drain {
+                recorder.drain_spans();
+                next_drain = now + SPAN_DRAIN_PERIOD;
+            }
+            hook(now);
+        });
+        recorder.drain_spans();
+        done
+    }
+
+    fn run_quanta(&mut self, duration: u64, mut hook: impl FnMut(u64)) -> bool {
         enum Action {
             Fence(u32),
             RetryRecovery,
@@ -804,11 +790,6 @@ impl SimCluster {
     /// The failure detector / recovery orchestrator, when configured.
     pub fn coordinator(&self) -> Option<&Coordinator> {
         self.coordinator.as_ref()
-    }
-
-    /// Network fault hooks (shared across execution rebuilds).
-    pub fn net_faults(&self) -> &NetworkFaults {
-        &self.net_faults
     }
 
     /// Cooperatively stop the job and drain.

@@ -95,7 +95,7 @@ fn run_plan(seed: u64, plan: FaultPlan) -> ChaosRun {
         events: cluster.cluster_events(),
         collected,
         fences: cluster.coordinator().map(|c| c.fences()).unwrap_or(0),
-        dump: cluster.diagnostics_dump(None),
+        dump: cluster.diagnostics_dump(),
     }
 }
 
@@ -485,7 +485,6 @@ fn nexmark_q5_survives_a_detected_crash_with_identical_results() {
 fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
     use jet_core::flight::{Recorder, RecorderConfig, WatchdogConfig};
     use jet_core::metrics::{SharedCounter, SharedHistogram};
-    use jet_core::trace::{TraceData, Tracer};
 
     let mut plan = FaultPlan::new(4242);
     plan.crash(20 * MS, 1);
@@ -516,7 +515,6 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
     .aggregate(counting::<u64>())
     .write_to_latency_recorded(hist, count, recorder.clone());
     let dag = p.compile(2).unwrap();
-    let tracer = Tracer::with_config(8192, 4);
     let cfg = SimClusterConfig {
         members: 3,
         cores_per_member: 2,
@@ -525,29 +523,17 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
         snapshot_interval: 5 * MS,
         fault_plan: Some(plan),
         coordinator: Some(CoordinatorConfig::default()),
-        tracer: tracer.clone(),
         recorder: recorder.clone(),
         ..Default::default()
     };
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
-    let mut scratch = TraceData::new();
-    let mut next_drain = 0u64;
-    let done = cluster.run_for_with(SEC, |now| {
-        if now >= next_drain {
-            tracer.drain_into(&mut scratch);
-            recorder.ingest(&scratch);
-            scratch.events.clear();
-            next_drain = now + 10 * MS;
-        }
-    });
+    let done = cluster.run_for(SEC);
     assert!(done, "job did not complete");
     assert!(
         cluster.failed().is_none(),
         "job lost: {:?}",
         cluster.failed()
     );
-    tracer.drain_into(&mut scratch);
-    recorder.ingest(&scratch);
 
     let incidents = cluster.spike_forensics();
     assert!(

@@ -121,7 +121,7 @@ fn run_scaled(
         cooldown,
         members_final: cluster.grid().members().len(),
         collected,
-        dump: cluster.diagnostics_dump(None),
+        dump: cluster.diagnostics_dump(),
     }
 }
 

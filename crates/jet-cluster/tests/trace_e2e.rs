@@ -1,13 +1,15 @@
-//! End-to-end checks of the execution tracer (observability PR
-//! acceptance): a traced windowed job on a 2-member simulated cluster must
-//! produce a well-formed Chrome trace (spans from every layer — tasklet
+//! End-to-end checks of the execution tracer: a windowed job on a 2-member
+//! simulated cluster with the flight recorder's span ring armed must leave
+//! the recorder a well-formed Chrome trace (spans from every layer — tasklet
 //! calls, watermark emissions, network send/receive) and a diagnostics
-//! dump that lists every vertex; and running the identical job untraced
-//! must record nothing while producing the same results.
+//! dump that lists every vertex, with no caller draining anything; and
+//! running the identical job untraced must record nothing while producing
+//! the same results.
 
 use jet_cluster::{SimCluster, SimClusterConfig};
+use jet_core::flight::{ProvenanceConfig, Recorder, RecorderConfig};
 use jet_core::processors::agg::counting;
-use jet_core::trace::{TraceData, TraceKind, Tracer};
+use jet_core::trace::{TraceData, TraceKind};
 use jet_core::Ts;
 use jet_pipeline::{Pipeline, WindowDef, WindowResult};
 use jet_util::json;
@@ -21,8 +23,17 @@ const LIMIT: u64 = 20_000;
 const VERTICES: [&str; 4] = ["gen", "window-accumulate", "window-combine", "collect-sink"];
 
 /// gen -> window-accumulate -> window-combine -> collect-sink on two
-/// members, draining the tracer's rings every ~10 ms of virtual time.
-fn run_traced_job(tracer: Tracer) -> (SimCluster, TraceData, Collected<WindowResult<u64, u64>>) {
+/// members. With `traced`, the recorder's provenance sampler arms its span
+/// ring, and with it the tracer the runtime drains.
+fn run_job(traced: bool) -> (SimCluster, Recorder, Collected<WindowResult<u64, u64>>) {
+    let recorder = if traced {
+        Recorder::new(RecorderConfig {
+            provenance: Some(ProvenanceConfig::default()),
+            ..RecorderConfig::default()
+        })
+    } else {
+        Recorder::disabled()
+    };
     let p = Pipeline::create();
     let out = Arc::new(Mutex::new(Vec::new()));
     p.read_from_generator_cfg(
@@ -41,31 +52,29 @@ fn run_traced_job(tracer: Tracer) -> (SimCluster, TraceData, Collected<WindowRes
         members: 2,
         cores_per_member: 2,
         partition_count: 31,
-        tracer: tracer.clone(),
+        recorder: recorder.clone(),
         ..Default::default()
     };
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
-    let mut data = TraceData::new();
-    let mut next_drain = 0u64;
-    let finished = cluster.run_for_with(30 * SEC, |now| {
-        if now >= next_drain {
-            tracer.drain_into(&mut data);
-            next_drain = now + 10_000_000;
-        }
-    });
-    assert!(finished, "job did not finish");
-    cluster.drain_trace_into(&mut data);
-    (cluster, data, out)
+    assert!(cluster.run_for(30 * SEC), "job did not finish");
+    (cluster, recorder, out)
+}
+
+fn traced_job() -> (SimCluster, Recorder, TraceData) {
+    let (cluster, recorder, out) = run_job(true);
+    let results: u64 = out.lock().iter().map(|(_, r)| r.value).sum();
+    assert_eq!(results, LIMIT, "tracing must not change results");
+    let data = recorder.trace().expect("span ring armed");
+    (cluster, recorder, data)
 }
 
 #[test]
 fn traced_job_produces_spans_from_every_layer() {
-    let (_cluster, data, out) = run_traced_job(Tracer::enabled());
-    let results: u64 = out.lock().iter().map(|(_, r)| r.value).sum();
-    assert_eq!(results, LIMIT, "tracing must not change results");
-
+    let (_cluster, recorder, data) = traced_job();
     assert!(!data.events.is_empty(), "no spans recorded");
-    assert_eq!(data.dropped, 0, "rings overflowed despite periodic drains");
+    let stats = recorder.stats();
+    assert_eq!(stats.ring_dropped, 0, "rings overflowed between drains");
+    assert_eq!(stats.spans_evicted, 0, "the whole job fits the span ring");
 
     // Tasklet call spans exist for every vertex, on the virtual timeline.
     for v in VERTICES {
@@ -99,7 +108,7 @@ fn traced_job_produces_spans_from_every_layer() {
 
 #[test]
 fn chrome_export_and_diagnostics_dump_are_complete() {
-    let (cluster, data, _out) = run_traced_job(Tracer::enabled());
+    let (cluster, _recorder, data) = traced_job();
 
     let doc = json::parse(&json::render(&data)).expect("valid JSON");
     assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
@@ -120,7 +129,7 @@ fn chrome_export_and_diagnostics_dump_are_complete() {
         );
     }
 
-    let dump = cluster.diagnostics_dump(Some(&data));
+    let dump = cluster.diagnostics_dump();
     for v in VERTICES {
         assert!(dump.contains(&format!("vertex {v}")), "dump misses {v}");
     }
@@ -132,14 +141,14 @@ fn chrome_export_and_diagnostics_dump_are_complete() {
 
 #[test]
 fn disabled_tracer_records_nothing_but_job_still_dumps() {
-    let (cluster, data, out) = run_traced_job(Tracer::disabled());
+    let (cluster, recorder, out) = run_job(false);
     let results: u64 = out.lock().iter().map(|(_, r)| r.value).sum();
     assert_eq!(results, LIMIT);
-    assert!(data.events.is_empty(), "disabled tracer recorded spans");
-    assert!(data.tracks.is_empty());
+    assert!(recorder.trace().is_none(), "disabled recorder kept spans");
+    assert_eq!(recorder.stats().spans_retained, 0);
 
     // The dump still renders, with trace sections marked n/a.
-    let dump = cluster.diagnostics_dump(None);
+    let dump = cluster.diagnostics_dump();
     for v in VERTICES {
         assert!(dump.contains(&format!("vertex {v}")), "dump misses {v}");
     }

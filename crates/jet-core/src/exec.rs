@@ -738,6 +738,6 @@ mod tests {
         assert!(names.contains("cd5") && names.contains("cd3"), "{names:?}");
         assert_eq!(data.tracks.len(), 1);
         assert!(data.tracks[0].label.starts_with("worker-"));
-        assert_eq!(data.dropped, 0);
+        assert_eq!(tracer.dropped(), 0);
     }
 }

@@ -13,8 +13,11 @@
 //!   (`multiplier × previous-epoch p99`, floored) or a configured SLO.
 //!   Consecutive detections merge into bounded *incidents*, and each
 //!   incident opens a frozen window;
-//! * the **span ring** — a bounded ring of drained trace spans. A span that
-//!   ages out inside an incident window is *frozen* instead of discarded;
+//! * the **span ring** — a bounded ring of the spans drained from the
+//!   recorder's own [`Tracer`], which it creates whenever the ring is armed.
+//!   A span that ages out inside an incident window is *frozen* instead of
+//!   discarded. The ring and the frozen store are the one span store: the
+//!   Perfetto export, the diagnostics dump and forensics all read it;
 //! * the **provenance sampler** — a bounded store of sampled
 //!   `(event_ts, emitted_at)` journeys, so any percentile of the measured
 //!   distribution can be matched to a concrete journey and decomposed
@@ -34,10 +37,11 @@
 //! end-to-end latency.
 //!
 //! The recorder has three feeds: [`Recorder::observe`] per sink emission,
-//! [`Recorder::ingest`] per trace drain, and [`Recorder::sample`] on the
-//! timeline's cadence. All of them cost *real* time only and never advance
-//! the virtual clock, so a recorded run produces bit-identical percentiles
-//! to an unrecorded one.
+//! [`Recorder::sample`] on the timeline's cadence, and
+//! [`Recorder::drain_spans`], which the runtime that schedules the work
+//! calls on its own cadence. All of them cost *real* time only and never
+//! advance the virtual clock, so a recorded run produces bit-identical
+//! percentiles to an unrecorded one.
 //!
 //! Timeline encoding: one series per distinct `(name, tags)` instrument.
 //! Each tick appends one signed delta per series (`value - previous
@@ -49,7 +53,7 @@
 //! retained window always reconstructs exactly.
 
 use crate::metrics::{MetricValue, MetricsSnapshot, Tags};
-use crate::trace::{TraceData, TraceEvent, TraceKind};
+use crate::trace::{TraceData, TraceEvent, TraceKind, Tracer};
 use jet_util::json::{self, ToJson, Writer};
 use jet_util::Histogram;
 use parking_lot::Mutex;
@@ -57,6 +61,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 const MS: u64 = 1_000_000;
+
+/// Records per writer ring of the recorder's tracer (drained every ~10 ms
+/// of virtual time, so even 20 members × dozens of writers stay bounded).
+const SPAN_RING_CAPACITY: usize = 8192;
+/// The recorder's tracer keeps one Call span in `2^4`: calls outnumber
+/// every other span kind ~10:1, and the slowest ones still surface.
+const CALL_SAMPLE_SHIFT: u32 = 4;
 
 // ------------------------------------------------------------------ config
 
@@ -162,8 +173,8 @@ impl Default for TimelineConfig {
 }
 
 /// What a [`Recorder`] arms; a `None` part costs nothing. The span ring
-/// runs whenever the watchdog or the sampler is armed, since they are what
-/// reads it.
+/// and its tracer run whenever the watchdog or the sampler is armed, since
+/// they are what reads it.
 #[derive(Clone, Debug, Default)]
 pub struct RecorderConfig {
     pub watchdog: Option<WatchdogConfig>,
@@ -264,7 +275,7 @@ impl Sampler {
 }
 
 /// The window frozen around one incident. Its bounds widen to the
-/// incident's at each ingest, before any span can be evicted into it, so
+/// incident's at each drain, before any span can be evicted into it, so
 /// they are the bounds the incident had when spans left the ring.
 struct FrozenWindow {
     incident: SpikeIncident,
@@ -466,7 +477,8 @@ struct RecorderInner {
     watchdog: Option<Watchdog>,
     sampler: Option<Sampler>,
     timeline: Option<Timeline>,
-    names: Vec<String>,
+    /// Enabled exactly when the span ring is armed.
+    tracer: Tracer,
     ring: VecDeque<TraceEvent>,
     newest_ts: u64,
     /// Spans evicted from the ring inside some incident window, each kept
@@ -480,7 +492,7 @@ struct RecorderInner {
 
 impl RecorderInner {
     fn records_spans(&self) -> bool {
-        self.watchdog.is_some() || self.sampler.is_some()
+        self.tracer.is_enabled()
     }
 
     fn widen_windows(&mut self) {
@@ -543,14 +555,21 @@ impl RecorderInner {
     /// incident forensics.
     fn attribute_window(&self, t0: u64, t1: u64, cfg: &AttributionConfig) -> Attribution {
         let events = self.spans(|e| e.rec.ts <= t1 && e.rec.ts.saturating_add(e.rec.dur) >= t0);
-        attribute(&events, &self.names, t0, t1, cfg)
+        attribute(&events, &self.tracer.names(), t0, t1, cfg)
     }
 }
 
-/// The recorder's own fidelity counters.
+/// The recorder's own fidelity counters: what the recording pipeline
+/// dropped, sampled, or suppressed along the way.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecorderStats {
-    /// Spans evicted from the ring outside every incident window.
+    /// Records lost to full tracer rings (never goes down, not even at
+    /// [`Recorder::clear`]).
+    pub ring_dropped: u64,
+    /// Call spans are sampled 1-in-2^shift.
+    pub sample_shift: u32,
+    /// Spans evicted from the ring outside every incident window (never
+    /// goes down).
     pub spans_evicted: u64,
     /// Spans held in the ring and the frozen store.
     pub spans_retained: usize,
@@ -594,6 +613,11 @@ impl Recorder {
         if watchdog.is_none() && provenance.is_none() && timeline.is_none() {
             return Recorder::disabled();
         }
+        let tracer = if watchdog.is_some() || provenance.is_some() {
+            Tracer::with_config(SPAN_RING_CAPACITY, CALL_SAMPLE_SHIFT)
+        } else {
+            Tracer::disabled()
+        };
         Recorder {
             inner: Some(Arc::new(Mutex::new(RecorderInner {
                 flight,
@@ -614,7 +638,7 @@ impl Recorder {
                     cfg,
                     ..Timeline::default()
                 }),
-                names: vec!["?".to_string()],
+                tracer,
                 ring: VecDeque::new(),
                 newest_ts: 0,
                 frozen: Vec::new(),
@@ -637,6 +661,12 @@ impl Recorder {
         self.with(false, |r| r.records_spans())
     }
 
+    /// The tracer whose rings feed the span ring: enabled exactly when
+    /// [`Self::records_spans`] is. Hand it to everything that records spans.
+    pub fn tracer(&self) -> Tracer {
+        self.with(Tracer::disabled(), |r| r.tracer.clone())
+    }
+
     /// Is the metrics timeline armed?
     pub fn samples_metrics(&self) -> bool {
         self.with(false, |r| r.timeline.is_some())
@@ -653,23 +683,31 @@ impl Recorder {
         }
     }
 
-    /// Ingest freshly drained trace data. Widens every incident window
-    /// first, so eviction freezes in-window spans rather than discarding
-    /// them.
-    pub fn ingest(&self, data: &TraceData) {
+    /// Drain the tracer's rings into the span ring. Widens every incident
+    /// window first, so eviction freezes in-window spans rather than
+    /// discarding them. The rings are small by design: the runtime calls
+    /// this every ~10 ms of virtual time and once more when a run returns.
+    pub fn drain_spans(&self) {
         self.with((), |r| {
             if !r.records_spans() {
                 return;
             }
             r.widen_windows();
-            if data.names.len() > r.names.len() {
-                r.names.clone_from(&data.names);
-            }
-            for ev in &data.events {
-                r.newest_ts = r.newest_ts.max(ev.rec.ts);
-                r.ring.push_back(*ev);
-            }
+            let (ring, newest_ts) = (&mut r.ring, &mut r.newest_ts);
+            r.tracer.drain_each(|ev| {
+                *newest_ts = (*newest_ts).max(ev.rec.ts);
+                ring.push_back(ev);
+            });
             r.prune();
+        })
+    }
+
+    /// The retained spans (frozen or still in the ring, oldest first) with
+    /// the names and tracks they refer to — the Perfetto export and the
+    /// diagnostics dump render this. `None` when the span ring is not armed.
+    pub fn trace(&self) -> Option<TraceData> {
+        self.with(None, |r| {
+            r.records_spans().then(|| r.tracer.view(r.spans(|_| true)))
         })
     }
 
@@ -695,14 +733,15 @@ impl Recorder {
         })
     }
 
-    /// The warm-up boundary: forget incidents, their frozen spans and
+    /// The warm-up boundary: forget incidents, every retained span and
     /// every sampled journey, so cold-start noise does not pollute the
     /// report. The watchdog's rolling baseline is kept — warm-up is exactly
-    /// what it should learn.
+    /// what it should learn — and so are the drop and eviction counts.
     pub fn clear(&self) {
         self.with((), |r| {
             r.windows.clear();
             r.frozen.clear();
+            r.ring.clear();
             if let Some(w) = &mut r.watchdog {
                 w.suppressed = 0;
             }
@@ -722,6 +761,8 @@ impl Recorder {
         };
         self.with(off, |r| {
             let mut s = RecorderStats {
+                ring_dropped: r.tracer.dropped(),
+                sample_shift: r.tracer.sample_shift(),
                 spans_evicted: r.evicted,
                 spans_retained: r.ring.len() + r.frozen.len(),
                 ..off
@@ -745,19 +786,15 @@ impl Recorder {
     pub fn forensics(&self, cfg: &AttributionConfig) -> Vec<IncidentReport> {
         self.with(Vec::new(), |r| {
             r.widen_windows();
+            let names = r.tracer.names();
             let mut out: Vec<IncidentReport> = r
                 .windows
                 .iter()
                 .map(|w| {
                     let events = r.spans(|e| w.covers(e.rec.ts));
                     let inc = &w.incident;
-                    let attribution = attribute(
-                        &events,
-                        &r.names,
-                        inc.peak_event_ts,
-                        inc.peak_emitted_at,
-                        cfg,
-                    );
+                    let attribution =
+                        attribute(&events, &names, inc.peak_event_ts, inc.peak_emitted_at, cfg);
                     debug_assert_eq!(
                         attribution.total_nanos, inc.peak_latency,
                         "incident #{}: the attributed journey is not the peak latency",
@@ -858,21 +895,10 @@ impl Recorder {
         })
     }
 
-    /// Export the retained timeline as `jet-timeline-v1` JSON; without a
-    /// timeline, an empty one with cadence 0.
-    pub fn timeline_json(&self, bench: &str, run: &str) -> String {
+    /// Export the retained timeline as `jet-timeline-v1` JSON; `None`
+    /// without a timeline.
+    pub fn timeline_json(&self, bench: &str, run: &str) -> Option<String> {
         self.with(None, |r| r.timeline.as_ref().map(|t| t.to_json(bench, run)))
-            .unwrap_or_else(|| {
-                let cfg = TimelineConfig {
-                    cadence_nanos: 0,
-                    capacity: 0,
-                };
-                Timeline {
-                    cfg,
-                    ..Timeline::default()
-                }
-                .to_json(bench, run)
-            })
     }
 }
 
@@ -966,7 +992,7 @@ fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency:
             peak_emitted_at: now,
             threshold,
         },
-        // Empty until the next ingest widens it.
+        // Empty until the next drain widens it.
         lo: u64::MAX,
         hi: 0,
         truncated: 0,
@@ -1424,32 +1450,13 @@ pub struct IncidentReport {
     pub attribution: Attribution,
 }
 
-/// How trustworthy the forensics are: what the recording pipeline dropped,
-/// sampled, or suppressed along the way.
-#[derive(Clone, Debug, Default)]
-pub struct SpikeFidelity {
-    /// Records lost to full tracer rings (cumulative over the run).
-    pub trace_ring_dropped: u64,
-    /// Records lost to collector capacity.
-    pub collector_dropped: u64,
-    /// Spans evicted from the rolling ring outside any frozen window.
-    pub recorder_evicted: u64,
-    /// Call spans were sampled 1-in-2^shift.
-    pub sample_shift: u32,
-    pub spans_retained: usize,
-    /// Latency samples the watchdog observed.
-    pub observed: u64,
-    /// Spikes dropped by the incident cap.
-    pub suppressed: u64,
-}
-
 /// The structured spike report written as `results/SPIKE_<bench>.json`.
 #[derive(Clone, Debug)]
 pub struct SpikeReport {
     pub bench: String,
     pub run_label: String,
-    pub threshold_nanos: u64,
-    pub fidelity: SpikeFidelity,
+    /// How trustworthy the forensics are, and the detection threshold.
+    pub fidelity: RecorderStats,
     pub incidents: Vec<IncidentReport>,
 }
 
@@ -1461,12 +1468,11 @@ impl ToJson for SpikeReport {
             w.field("schema", "jet-spike-v1")
                 .field("bench", &self.bench)
                 .field("run", &self.run_label)
-                .field("threshold_nanos", self.threshold_nanos)
+                .field("threshold_nanos", f.threshold)
                 .key("fidelity")
                 .obj(|w| {
-                    w.field("trace_ring_dropped", f.trace_ring_dropped)
-                        .field("collector_dropped", f.collector_dropped)
-                        .field("recorder_evicted", f.recorder_evicted)
+                    w.field("trace_ring_dropped", f.ring_dropped)
+                        .field("recorder_evicted", f.spans_evicted)
                         .field("sample_shift", f.sample_shift)
                         .field("spans_retained", f.spans_retained)
                         .field("observed", f.observed)
@@ -1564,7 +1570,7 @@ impl ToJson for BandWaterfall {
 mod tests {
     use super::*;
     use crate::metrics::{tags, MetricsRegistry};
-    use crate::trace::{SpanRecord, Tracer};
+    use crate::trace::SpanRecord;
 
     fn ev(kind: TraceKind, ts: u64, dur: u64, name: u32) -> TraceEvent {
         TraceEvent {
@@ -1638,15 +1644,14 @@ mod tests {
         assert_eq!(off.next_sample_in(0), None);
         off.observe(0, 0, u64::MAX);
         off.sample(0, &snap_with_counter(1));
-        off.ingest(&TraceData::new());
+        off.drain_spans();
+        assert!(!off.tracer().is_enabled() && off.trace().is_none());
         let s = off.stats();
         assert_eq!((s.observed, s.samples, s.spans_retained), (0, 0, 0));
         assert_eq!(s.threshold, u64::MAX);
         assert!(off.forensics(&AttributionConfig::default()).is_empty());
         assert!(exemplar(&off, 1).is_none());
-        let doc = json::parse(&off.timeline_json("b", "r")).expect("valid JSON");
-        assert_eq!(doc["cadence_nanos"].as_u64(), Some(0));
-        assert_eq!(doc["series"], json::Json::Arr(Vec::new()));
+        assert!(off.timeline_json("b", "r").is_none());
     }
 
     #[test]
@@ -1703,19 +1708,18 @@ mod tests {
 
     /// Four `agg` calls at 1000..1030, then a flood of 32 later ones that
     /// evicts them from an 8-span ring.
-    fn ingest_then_flood(rec: &Recorder, spike: impl FnOnce()) {
-        let tracer = Tracer::enabled();
-        let mut w = tracer.writer(0, "w");
+    fn drain_then_flood(rec: &Recorder, spike: impl FnOnce()) {
+        let mut w = rec.tracer().writer(0, "w");
         let name = w.intern("agg");
         for i in 0..4u64 {
             w.record(TraceKind::Call, 1_000 + i * 10, 5, name, 0);
         }
-        rec.ingest(&tracer.drain());
+        rec.drain_spans();
         spike();
         for i in 0..32u64 {
             w.record(TraceKind::Call, 10_000 + i, 1, name, 0);
         }
-        rec.ingest(&tracer.drain());
+        rec.drain_spans();
     }
 
     #[test]
@@ -1723,7 +1727,7 @@ mod tests {
         let rec = watched(slo(100), tiny_ring());
         // Spike whose window covers the four early spans: they are evicted
         // into the frozen window, not the void.
-        ingest_then_flood(&rec, || rec.observe(1_100, 990, 110));
+        drain_then_flood(&rec, || rec.observe(1_100, 990, 110));
         let reps = rec.forensics(&AttributionConfig::default());
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0].window_events, 4, "frozen spans survived eviction");
@@ -1744,7 +1748,7 @@ mod tests {
         );
         // Two incidents peaking on the same event instant: windows
         // [1000, 1100] and [1000, 1300] both cover the four early spans.
-        ingest_then_flood(&rec, || {
+        drain_then_flood(&rec, || {
             rec.observe(1_100, 1_000, 100);
             rec.observe(1_300, 1_000, 300);
         });
@@ -1908,8 +1912,7 @@ mod tests {
         let report = SpikeReport {
             bench: "unit".into(),
             run_label: "crash".into(),
-            threshold_nanos: rec.stats().threshold,
-            fidelity: SpikeFidelity::default(),
+            fidelity: rec.stats(),
             incidents: rec.forensics(&AttributionConfig::default()),
         };
         let doc = json::parse(&json::render(&report)).expect("valid JSON");
@@ -2004,11 +2007,10 @@ mod tests {
     #[test]
     fn waterfall_attributes_ring_spans() {
         let rec = sampled(ProvenanceConfig::default());
-        let tracer = Tracer::enabled();
-        let mut w = tracer.writer(0, "w");
+        let mut w = rec.tracer().writer(0, "w");
         let name = w.intern("hot-agg");
         w.record(TraceKind::Call, 2_000, 6_000, name, 0);
-        rec.ingest(&tracer.drain());
+        rec.drain_spans();
         rec.observe(11_000, 1_000, 10_000);
         let report = rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 10_000)]);
         let a = &report.bands[0].attribution;
@@ -2021,12 +2023,11 @@ mod tests {
     #[test]
     fn band_waterfalls_sum_exactly_and_render_json() {
         let rec = sampled(ProvenanceConfig::default());
-        let tracer = Tracer::enabled();
-        let mut w = tracer.writer(0, "w");
+        let mut w = rec.tracer().writer(0, "w");
         let name = w.intern("agg");
         w.record(TraceKind::Call, 500, 200, name, 0);
         w.record(TraceKind::Call, 5_000, 3_000, name, 0);
-        rec.ingest(&tracer.drain());
+        rec.drain_spans();
         let bands = [("p50", 50.0, 1_000), ("p99.99", 99.99, 10_000)];
         // An empty sampler yields an empty-bands report, not a panic.
         assert!(rec
@@ -2073,8 +2074,7 @@ mod tests {
         let spike = json::render(SpikeReport {
             bench: "unit".into(),
             run_label: "r".into(),
-            threshold_nanos: 50,
-            fidelity: SpikeFidelity::default(),
+            fidelity: rec.stats(),
             incidents: rec.forensics(&AttributionConfig::default()),
         });
         let band =
@@ -2099,18 +2099,56 @@ mod tests {
     fn timeline_only_recorder_keeps_no_spans() {
         let rec = timeline(MS, 8);
         assert!(rec.samples_metrics() && !rec.records_spans());
-        let tracer = Tracer::enabled();
+        assert!(!rec.tracer().is_enabled(), "no span ring, no tracer");
+        rec.drain_spans();
+        assert_eq!(rec.stats().spans_retained, 0);
+        assert!(rec.trace().is_none());
+    }
+
+    #[test]
+    fn clear_forgets_retained_spans_and_counts_only_grow() {
+        let rec = watched(slo(100), tiny_ring());
+        let tracer = rec.tracer();
+        assert_eq!(tracer.sample_shift(), CALL_SAMPLE_SHIFT);
         let mut w = tracer.writer(0, "w");
         let name = w.intern("agg");
-        w.record(TraceKind::Call, 0, 1, name, 0);
-        rec.ingest(&tracer.drain());
-        assert_eq!(rec.stats().spans_retained, 0);
+        let mut last = rec.stats();
+        let mut ts = 0u64;
+        for round in 0..3 {
+            // Overfill the writer's ring (drops) and the 8-span store
+            // (evictions), then drain.
+            for _ in 0..SPAN_RING_CAPACITY + 5 {
+                ts += 1;
+                w.record(TraceKind::Call, ts, 1, name, 0);
+            }
+            rec.drain_spans();
+            let s = rec.stats();
+            assert_eq!(s.ring_dropped, 5 * (round + 1), "round {round}");
+            assert!(s.spans_evicted > last.spans_evicted, "round {round}");
+            assert_eq!(s.spans_retained, 8);
+            let trace = rec.trace().expect("span ring armed");
+            assert_eq!(trace.events.len(), 8);
+            assert_eq!(trace.tracks.len(), 1);
+            assert_eq!(trace.name(name), "agg");
+            if round == 1 {
+                rec.clear();
+                let cleared = rec.stats();
+                assert_eq!(cleared.spans_retained, 0, "clear forgets retained spans");
+                assert!(rec.trace().expect("still armed").events.is_empty());
+                assert_eq!(
+                    (cleared.ring_dropped, cleared.spans_evicted),
+                    (s.ring_dropped, s.spans_evicted),
+                    "clear keeps the counts"
+                );
+            }
+            last = rec.stats();
+        }
     }
 
     #[test]
     fn empty_job_exports_valid_empty_timeline() {
         let rec = timeline(100 * MS, 1024);
-        let doc = json::parse(&rec.timeline_json("bench", "run")).expect("valid JSON");
+        let doc = timeline_doc_named(&rec, "bench", "run");
         assert_eq!(doc["schema"].as_str(), Some("jet-timeline-v1"));
         assert_eq!(doc["bench"].as_str(), Some("bench"));
         assert_eq!(doc["cadence_nanos"].as_u64(), Some(100 * MS));
@@ -2257,7 +2295,12 @@ mod tests {
     }
 
     fn timeline_doc(rec: &Recorder) -> json::Json {
-        json::parse(&rec.timeline_json("b", "r")).expect("valid JSON")
+        timeline_doc_named(rec, "b", "r")
+    }
+
+    fn timeline_doc_named(rec: &Recorder, bench: &str, run: &str) -> json::Json {
+        let text = rec.timeline_json(bench, run).expect("timeline armed");
+        json::parse(&text).expect("valid JSON")
     }
 
     /// A timeline of ticks at 1 and 2 ms, one counter series.

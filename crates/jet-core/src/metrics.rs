@@ -220,24 +220,21 @@ impl HistogramSummary {
         ]
         .is_sorted()
     }
-
-    /// The digest's members, for an object that embeds them.
-    fn write_fields(&self, w: &mut Writer<'_>) {
-        w.field("count", self.count)
-            .field("min", self.min)
-            .field("max", self.max)
-            .field("mean", self.mean)
-            .field("p50", self.p50)
-            .field("p90", self.p90)
-            .field("p99", self.p99)
-            .field("p999", self.p999)
-            .field("p9999", self.p9999);
-    }
 }
 
 impl ToJson for HistogramSummary {
     fn write_json(&self, w: &mut Writer<'_>) {
-        w.obj(|w| self.write_fields(w));
+        w.obj(|w| {
+            w.field("count", self.count)
+                .field("min", self.min)
+                .field("max", self.max)
+                .field("mean", self.mean)
+                .field("p50", self.p50)
+                .field("p90", self.p90)
+                .field("p99", self.p99)
+                .field("p999", self.p999)
+                .field("p9999", self.p9999);
+        });
     }
 }
 
@@ -673,36 +670,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// `{"metrics": [{"name": …, "tags": {…}, "type": …, …}, …]}`; a histogram
-/// carries its digest's members where a counter or gauge has `value`.
-impl ToJson for MetricsSnapshot {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.obj(|w| {
-            w.field("metrics", &self.metrics);
-        });
-    }
-}
-
-impl ToJson for Metric {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.obj(|w| {
-            w.field("name", &self.name).key("tags").pairs(&self.tags);
-            match &self.value {
-                MetricValue::Counter(v) => {
-                    w.field("type", "counter").field("value", v);
-                }
-                MetricValue::Gauge(v) => {
-                    w.field("type", "gauge").field("value", v);
-                }
-                MetricValue::Histogram(h) => {
-                    w.field("type", "histogram");
-                    h.write_fields(w);
-                }
-            }
-        });
-    }
-}
-
 fn prom_labels(tags: &Tags, quantile: Option<&str>) -> String {
     if tags.is_empty() && quantile.is_none() {
         return String::new();
@@ -767,7 +734,6 @@ fn prom_help(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jet_util::json;
 
     #[test]
     fn counters_accumulate() {
@@ -925,7 +891,7 @@ mod tests {
             for i in perm {
                 job.merge(&snaps[i]);
             }
-            renderings.push(jet_util::json::render(&job));
+            renderings.push(job.render_prometheus());
         }
         for r in &renderings[1..] {
             assert_eq!(r, &renderings[0], "merge result depends on member order");
@@ -1052,30 +1018,6 @@ mod tests {
         );
         assert_eq!(prom_help("jet_state_bytes"), "State in bytes.");
         assert_eq!(prom_help("jet_queue_depth"), "Queue depth.");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_nests() {
-        let r = MetricsRegistry::new();
-        r.counter("jet_x_total", tags(&[("vertex", "a\"b\\c")]))
-            .add(1);
-        let h = r.histogram("jet_y_nanos", tags(&[]));
-        h.record(10);
-        h.record(30);
-        let doc = json::parse(&json::render(r.snapshot())).expect("valid JSON");
-        let counter = &doc["metrics"][0];
-        assert_eq!(counter["name"].as_str(), Some("jet_x_total"));
-        assert_eq!(counter["tags"]["vertex"].as_str(), Some("a\"b\\c"));
-        assert_eq!(counter["type"].as_str(), Some("counter"));
-        assert_eq!(counter["value"].as_u64(), Some(1));
-        let hist = &doc["metrics"][1];
-        assert_eq!(hist["type"].as_str(), Some("histogram"));
-        assert_eq!(hist["tags"], json::Json::Obj(Vec::new()));
-        assert_eq!(
-            (hist["count"].as_u64(), hist["p9999"].as_u64()),
-            (Some(2), Some(30))
-        );
-        assert_eq!(hist["mean"].as_f64(), Some(20.0));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! a processor tasklet, a network sender/receiver) owns a private fixed-size
 //! lock-free ring of [`SpanRecord`]s and appends to it without ever blocking
 //! the hot loop: when the ring is full the record is dropped and counted,
-//! never waited for. A collector (see `jet-cluster`) drains the rings into a
-//! job-level [`TraceData`] which renders as Chrome trace-event JSON — open
-//! `results/TRACE_*.json` in <https://ui.perfetto.dev> — and feeds the
-//! plain-text diagnostics dump.
+//! never waited for. On the simulated cluster the flight recorder
+//! (`flight.rs`) owns the tracer and the runtime drains the rings into the
+//! recorder's span ring. A [`TraceData`] is the render view of drained
+//! spans: Chrome trace-event JSON — open `results/TRACE_*.json` in
+//! <https://ui.perfetto.dev> — and the plain-text diagnostics dump.
 //!
 //! Cost discipline:
 //! * Disabled tracing allocates nothing: [`Tracer::disabled`] hands out
@@ -66,6 +67,21 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
+    /// Every kind, in discriminant order.
+    pub const ALL: [TraceKind; 11] = [
+        TraceKind::Call,
+        TraceKind::Stall,
+        TraceKind::IdlePark,
+        TraceKind::WmEmit,
+        TraceKind::WmCoalesce,
+        TraceKind::SnapshotPhase,
+        TraceKind::NetSend,
+        TraceKind::NetRecv,
+        TraceKind::Detect,
+        TraceKind::Recovery,
+        TraceKind::FaultInject,
+    ];
+
     pub fn name(&self) -> &'static str {
         match self {
             TraceKind::Call => "call",
@@ -122,7 +138,8 @@ struct Ring {
     head: CachePadded<AtomicUsize>,
     /// Next slot the writer fills. Written by the writer only.
     tail: CachePadded<AtomicUsize>,
-    /// Records discarded because the ring was full when they were offered.
+    /// Records discarded because the ring was full when they were offered
+    /// (run-cumulative: draining never resets it).
     dropped: AtomicU64,
 }
 
@@ -198,12 +215,6 @@ impl Ring {
         self.head.store(head, Ordering::Release);
         n
     }
-
-    fn len(&self) -> usize {
-        self.tail
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.head.load(Ordering::Acquire))
-    }
 }
 
 /// Identity of one trace track (≈ one ring): which member it belongs to
@@ -254,10 +265,6 @@ struct TracerInner {
     /// record).
     sample_shift: u32,
     next_tid: AtomicUsize,
-    /// Ring-full drops already swept into some [`TraceData`] by
-    /// [`Tracer::drain_into`] (whose per-ring counters reset on drain);
-    /// adding the live counters gives the run-cumulative total.
-    drained_dropped: AtomicU64,
 }
 
 /// Default records per ring: 4096 × 32 B = 128 KiB per instrumented writer.
@@ -291,7 +298,6 @@ impl Tracer {
                 ring_capacity,
                 sample_shift,
                 next_tid: AtomicUsize::new(0),
-                drained_dropped: AtomicU64::new(0),
             })),
         }
     }
@@ -299,11 +305,6 @@ impl Tracer {
     /// Call spans are recorded 1-in-`2^shift` (0 when disabled).
     pub fn sample_shift(&self) -> u32 {
         self.inner.as_ref().map_or(0, |i| i.sample_shift)
-    }
-
-    /// Records per writer ring (0 when disabled).
-    pub fn ring_capacity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.ring_capacity)
     }
 
     #[inline]
@@ -350,81 +351,66 @@ impl Tracer {
         }
     }
 
-    /// Records discarded because some ring was full, since the last drain.
+    /// Records discarded because some ring was full, since the tracer was
+    /// created. Only the writers add to it, so it never goes down.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
             Some(inner) => inner
                 .tracks
                 .lock()
                 .iter()
+                // ordering: Relaxed — the drop counter is a statistic.
                 .map(|t| t.ring.dropped.load(Ordering::Relaxed))
                 .sum(),
             None => 0,
         }
     }
 
-    /// Run-cumulative ring-full drops: drains reset the per-ring counters
-    /// (the drops move into the drained [`TraceData`]), so the flight
-    /// recorder's fidelity metric adds the already-swept total back in.
-    pub fn dropped_total(&self) -> u64 {
+    /// The interned names, indexed by id.
+    pub(crate) fn names(&self) -> Vec<String> {
         match &self.inner {
-            Some(inner) => {
-                // ordering: Relaxed — statistics, no ordering obligations.
-                inner.drained_dropped.load(Ordering::Relaxed) + self.dropped()
-            }
-            None => 0,
+            Some(inner) => inner.names.lock().names.clone(),
+            None => Vec::new(),
         }
     }
 
-    /// Records currently buffered (pending drain) across all rings.
-    pub fn pending(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.tracks.lock().iter().map(|t| t.ring.len()).sum(),
-            None => 0,
+    /// The render view of drained `events`: this tracer's names, and its
+    /// tracks indexed by `tid`.
+    pub(crate) fn view(&self, events: Vec<TraceEvent>) -> TraceData {
+        let mut tracks: Vec<TrackInfo> = match &self.inner {
+            Some(inner) => inner.tracks.lock().iter().map(|t| t.info.clone()).collect(),
+            None => Vec::new(),
+        };
+        tracks.sort_by_key(|t| t.tid);
+        TraceData {
+            names: self.names(),
+            tracks,
+            events,
         }
     }
 
-    /// Drain every ring into `data`, refreshing its name table and track
-    /// list. Call periodically during long runs (rings are small by design)
-    /// and once at the end. Records beyond `data.capacity` are discarded and
-    /// counted in `data.dropped`.
-    pub fn drain_into(&self, data: &mut TraceData) {
+    /// Move every published record out of the rings into `f`: tracks in
+    /// creation order, each ring oldest first.
+    pub(crate) fn drain_each(&self, mut f: impl FnMut(TraceEvent)) {
         let Some(inner) = &self.inner else { return };
-        {
-            let names = inner.names.lock();
-            data.names = names.names.clone();
-        }
-        let tracks = inner.tracks.lock();
-        for t in tracks.iter() {
-            if data.tracks.len() <= t.info.tid as usize {
-                data.tracks.resize(t.info.tid as usize + 1, t.info.clone());
-            }
-            data.tracks[t.info.tid as usize] = t.info.clone();
-            let mut scratch = Vec::new();
+        let mut scratch = Vec::new();
+        for t in inner.tracks.lock().iter() {
+            scratch.clear();
             t.ring.drain_into(&mut scratch);
-            for rec in scratch {
-                if data.events.len() >= data.capacity {
-                    data.dropped += 1;
-                } else {
-                    data.events.push(TraceEvent {
-                        track: t.info.tid,
-                        rec,
-                    });
-                }
+            for &rec in &scratch {
+                f(TraceEvent {
+                    track: t.info.tid,
+                    rec,
+                });
             }
-            // ordering: Relaxed — the drop counter is a statistic; RMW
-            // atomicity alone keeps drain-and-reset lossless.
-            let swept = t.ring.dropped.swap(0, Ordering::Relaxed);
-            data.dropped += swept;
-            inner.drained_dropped.fetch_add(swept, Ordering::Relaxed);
         }
     }
 
-    /// Convenience: drain everything into a fresh [`TraceData`].
+    /// Drain everything into a fresh [`TraceData`].
     pub fn drain(&self) -> TraceData {
-        let mut d = TraceData::new();
-        self.drain_into(&mut d);
-        d
+        let mut events = Vec::new();
+        self.drain_each(|e| events.push(e));
+        self.view(events)
     }
 }
 
@@ -511,42 +497,14 @@ pub struct TraceEvent {
     pub rec: SpanRecord,
 }
 
-/// A job-level trace: everything drained from a tracer's rings, ready to
-/// render. Bounded by `capacity` (overflow is counted in `dropped`).
+/// Drained spans with the names and tracks they refer to, ready to render.
 pub struct TraceData {
     pub names: Vec<String>,
     pub tracks: Vec<TrackInfo>,
     pub events: Vec<TraceEvent>,
-    /// Records lost to full rings or the collector capacity.
-    pub dropped: u64,
-    /// Max events retained (default 1M ≈ 150 MB of JSON; benches lower it).
-    pub capacity: usize,
-}
-
-impl Default for TraceData {
-    fn default() -> Self {
-        TraceData::new()
-    }
 }
 
 impl TraceData {
-    pub fn new() -> TraceData {
-        TraceData {
-            names: vec!["?".to_string()],
-            tracks: Vec::new(),
-            events: Vec::new(),
-            dropped: 0,
-            capacity: 1_000_000,
-        }
-    }
-
-    pub fn with_capacity(capacity: usize) -> TraceData {
-        TraceData {
-            capacity,
-            ..TraceData::new()
-        }
-    }
-
     pub fn name(&self, id: u32) -> &str {
         self.names
             .get(id as usize)
@@ -554,29 +512,7 @@ impl TraceData {
             .unwrap_or("?")
     }
 
-    /// Move another drain's events into this trace (capacity-bounded, the
-    /// overflow counted in `dropped`), adopting its name table / track list
-    /// (which only ever grow) and taking over its drop count. Lets one
-    /// periodic `drain_into` a scratch buffer feed several consumers.
-    pub fn absorb(&mut self, other: &mut TraceData) {
-        if other.names.len() > self.names.len() {
-            self.names.clone_from(&other.names);
-        }
-        if other.tracks.len() > self.tracks.len() {
-            self.tracks.clone_from(&other.tracks);
-        }
-        for ev in other.events.drain(..) {
-            if self.events.len() >= self.capacity {
-                self.dropped += 1;
-            } else {
-                self.events.push(ev);
-            }
-        }
-        self.dropped += other.dropped;
-        other.dropped = 0;
-    }
-
-    /// Events of one kind, in drain order.
+    /// Events of one kind, in order.
     pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.rec.kind == kind)
     }
@@ -717,7 +653,6 @@ mod loom_tests {
     fn sampled_writer_with_concurrent_collector() {
         loom::model(|| {
             let tracer = Tracer::with_config(4, 1); // keep 1 in 2 calls
-            let mut data = TraceData::new();
             let writer = thread::spawn({
                 let mut w = tracer.writer(0, "w");
                 move || {
@@ -726,12 +661,12 @@ mod loom_tests {
                     }
                 }
             });
-            tracer.drain_into(&mut data);
+            let mut ts = Vec::new();
+            tracer.drain_each(|e| ts.push(e.rec.ts));
             writer.join().unwrap();
-            tracer.drain_into(&mut data);
-            let ts: Vec<u64> = data.events.iter().map(|e| e.rec.ts).collect();
+            tracer.drain_each(|e| ts.push(e.rec.ts));
             assert_eq!(ts, vec![1, 3], "sampling must keep calls 2 and 4");
-            assert_eq!(data.dropped, 0, "sampling is not a drop");
+            assert_eq!(tracer.dropped(), 0, "sampling is not a drop");
         });
     }
 }
@@ -802,12 +737,12 @@ mod tests {
         let collector = std::thread::spawn({
             let tracer = tracer.clone();
             move || {
-                let mut data = TraceData::new();
+                let mut events = Vec::new();
                 // Drain until the writer signals completion via a sentinel.
                 loop {
-                    tracer.drain_into(&mut data);
-                    if data.events.iter().any(|e| e.rec.ts == u64::MAX) {
-                        return data;
+                    tracer.drain_each(|e| events.push(e));
+                    if events.last().is_some_and(|e| e.rec.ts == u64::MAX) {
+                        return events;
                     }
                     std::thread::yield_now();
                 }
@@ -818,7 +753,8 @@ mod tests {
         }
         // The sentinel can itself be dropped when the ring is momentarily
         // full — retry until the ring accepts it, and keep the retries out
-        // of the loss accounting.
+        // of the loss accounting. Draining never resets the drop count, so
+        // an unchanged count means the ring took the sentinel.
         let mut sentinel_drops = 0;
         loop {
             let before = tracer.dropped();
@@ -829,21 +765,17 @@ mod tests {
             sentinel_drops += 1;
             std::thread::yield_now();
         }
-        let data = collector.join().unwrap();
+        let events = collector.join().unwrap();
         // accepted = drained + sentinel; accepted + dropped = offered.
-        let drained = data.events.len() as u64 - 1;
+        let drained = events.len() as u64 - 1;
         assert_eq!(
-            drained + (data.dropped - sentinel_drops),
+            drained + (tracer.dropped() - sentinel_drops),
             N,
             "records leaked or duplicated"
         );
         // Drained timestamps are strictly increasing (order preserved).
-        let mut last = None;
-        for e in data.events.iter().take(data.events.len() - 1) {
-            if let Some(prev) = last {
-                assert!(e.rec.ts > prev, "out of order: {} after {prev}", e.rec.ts);
-            }
-            last = Some(e.rec.ts);
+        for pair in events.windows(2) {
+            assert!(pair[1].rec.ts > pair[0].rec.ts, "out of order: {pair:?}");
         }
     }
 
@@ -882,7 +814,7 @@ mod tests {
         }
         let data = tracer.drain();
         assert_eq!(data.events.len(), 25);
-        assert_eq!(data.dropped, 0, "sampling is not a drop");
+        assert_eq!(tracer.dropped(), 0, "sampling is not a drop");
         // Non-call kinds are never sampled away.
         let mut w2 = tracer.writer(0, "unsampled");
         for i in 0..10 {
@@ -904,19 +836,6 @@ mod tests {
         let data = tracer.drain();
         assert_eq!(data.name(a), "vertex-a");
         assert_eq!(data.name(0), "?");
-    }
-
-    #[test]
-    fn collector_capacity_bounds_job_trace() {
-        let tracer = Tracer::enabled();
-        let mut w = tracer.writer(0, "w");
-        for i in 0..100 {
-            w.record(TraceKind::Call, i, 1, 0, 0);
-        }
-        let mut data = TraceData::with_capacity(30);
-        tracer.drain_into(&mut data);
-        assert_eq!(data.events.len(), 30);
-        assert_eq!(data.dropped, 70);
     }
 
     #[test]

@@ -192,18 +192,6 @@ impl Simulator {
         self.cores.iter().map(|c| c.busy_nanos).collect()
     }
 
-    /// Per-tasklet (core, name, events_in, events_out) diagnostics.
-    pub fn tasklet_stats(&self) -> Vec<(usize, String, u64, u64)> {
-        let mut out = Vec::new();
-        for (ci, core) in self.cores.iter().enumerate() {
-            for t in core.schedule.iter() {
-                let (i, o) = t.stats();
-                out.push((ci, t.name().to_string(), i, o));
-            }
-        }
-        out
-    }
-
     /// Per-tasklet (core, name, state, events_in, events_out) — the richer
     /// variant behind the diagnostics dump. Finished tasklets have already
     /// left their core and are not listed.
