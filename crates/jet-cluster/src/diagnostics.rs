@@ -161,6 +161,25 @@ pub fn render_dump(
             );
         }
 
+        // Stage 1 of a two-stage window: how many of each instance's frames
+        // were forwarded at once instead of held to the frame close, and
+        // the events-per-key ratio of its last measured frame.
+        for m in snap
+            .get_all("jet_window_events_per_key_milli_ratio")
+            .filter(|m| m.tag("vertex") == Some(v))
+        {
+            let instance = m.tag("instance").unwrap_or("?");
+            let tags: &[(&str, &str)] = &[("vertex", v), ("instance", instance)];
+            let bypassed = snap.counter_total("jet_window_bypassed_frames_total", tags);
+            let _ = writeln!(
+                out,
+                "  stage-1[#{}]: bypassed-frames={} events-per-key={:.3}",
+                instance,
+                bypassed,
+                m.as_gauge().unwrap_or(0) as f64 / 1000.0
+            );
+        }
+
         // Watermark position per instance: highest seen on any input vs.
         // the coalesced output the instance forwarded. A persistent gap
         // means one input channel is a straggler holding results back.

@@ -388,7 +388,8 @@ pub fn build_cluster_execution(
                     processor.finish_snapshot_restore(&ctx);
                 }
                 // Keyed-state processors export a probe: late-event drops
-                // and resident keyed-state footprint, refreshed on the
+                // and resident keyed-state footprint (plus, for a window's
+                // stage 1, its hold-or-forward decision), refreshed on the
                 // processor's own tick (no lock on the hot path).
                 if let Some(sp) = processor.state_probe() {
                     // The job tag rides in at the job-registry level like
@@ -407,6 +408,22 @@ pub fn build_cluster_execution(
                     registries[mi].gauge_fn("jet_state_resident_bytes", kt.clone(), move || {
                         p.resident_bytes.load(Ordering::Relaxed) as i64
                     });
+                    // Stage 1 of a two-stage window also reports which
+                    // path its frames took (hold or forward at once).
+                    if let Some(b) = &sp.bypass {
+                        let f = b.clone();
+                        registries[mi].counter_fn(
+                            "jet_window_bypassed_frames_total",
+                            kt.clone(),
+                            move || f.frames.load(Ordering::Relaxed),
+                        );
+                        let r = b.clone();
+                        registries[mi].gauge_fn(
+                            "jet_window_events_per_key_milli_ratio",
+                            kt.clone(),
+                            move || r.events_per_key_milli.load(Ordering::Relaxed) as i64,
+                        );
+                    }
                     registries[mi].gauge_fn("jet_state_keys_records", kt, move || {
                         sp.resident_keys.load(Ordering::Relaxed) as i64
                     });

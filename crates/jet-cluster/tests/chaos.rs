@@ -36,6 +36,9 @@ const MS: u64 = 1_000_000;
 const SEC: u64 = 1_000_000_000;
 const LIMIT: u64 = 60_000; // 60 ms of stream at 1M events/s
 const KEYS: u64 = 16;
+/// Keys of the odd 10 ms frames in `run_plan`: about one event per key and
+/// stage-1 instance, where the even frames have ~100.
+const WIDE_KEYS: u64 = 4096;
 const WINDOW: Ts = 10 * MS as Ts;
 
 fn chaos_seeds() -> Vec<u64> {
@@ -67,7 +70,16 @@ fn run_plan(seed: u64, plan: FaultPlan) -> ChaosRun {
         1_000_000,
         Some(LIMIT),
         jet_core::processors::WatermarkPolicy::default(),
-        |seq, _ts| seq % KEYS,
+        // Frames alternate between few and many keys, so the window's stage
+        // 1 flips between holding a frame and forwarding its events at once
+        // under every fault schedule.
+        |seq, _ts| {
+            if (seq / 10_000).is_multiple_of(2) {
+                seq % KEYS
+            } else {
+                KEYS + seq % WIDE_KEYS
+            }
+        },
     )
     .grouping_key(|k: &u64| *k)
     .window(WindowDef::tumbling(WINDOW))

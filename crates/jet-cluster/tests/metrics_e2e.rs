@@ -194,6 +194,8 @@ fn prometheus_exposition_is_well_formed_and_unique() {
         "jet_events_out_total",
         "jet_queue_depth",
         "jet_channel_items_sent_total",
+        "jet_window_bypassed_frames_total",
+        "jet_window_events_per_key_milli_ratio",
     ] {
         assert!(typed.contains(expected), "missing {expected} in exposition");
     }

@@ -408,7 +408,9 @@ pub trait Processor: Send {
     /// Keyed-state health probe, when this processor maintains keyed state.
     /// The wiring layer registers the probe's numbers as
     /// `jet_state_resident_bytes` / `jet_state_keys_records` gauges and the
-    /// `jet_window_late_events_total` counter.
+    /// `jet_window_late_events_total` counter, plus a window stage 1's
+    /// `jet_window_bypassed_frames_total` and
+    /// `jet_window_events_per_key_milli_ratio`.
     fn state_probe(&self) -> Option<std::sync::Arc<crate::state::StateProbe>> {
         None
     }

@@ -41,8 +41,11 @@
 //! * [`SlidingWindowP`] — single-stage keyed windowing (events in, window
 //!   results out);
 //! * [`AccumulateFrameP`] — stage 1 of the two-stage distributed aggregation
-//!   (§3.1): accumulates *locally* (no shuffle) and emits per-frame partial
-//!   accumulators when the watermark closes a frame;
+//!   (§3.1): where a frame's events share keys it accumulates them
+//!   *locally* (no shuffle) and emits per-frame partial accumulators when
+//!   the watermark closes the frame; where holding would not halve the
+//!   partials it forwards each event at once as a one-event partial, so the
+//!   frame close ships nothing;
 //! * [`CombineFramesP`] — stage 2: receives partials on a partitioned edge,
 //!   combines them, and emits window results.
 
@@ -72,6 +75,32 @@ const SPILL_CAP: usize = 1024;
 const MAX_DUE_WINDOWS: i64 = 4;
 /// Ticks between refreshes of the state probe gauges.
 const PROBE_STRIDE: u32 = 64;
+/// Stage 1 holds a frame only if its previous frame had at least this many
+/// events per distinct key, i.e. only if holding at least halves what it
+/// ships; below it, stage 1 forwards every event at once.
+///
+/// Holding a frame of `N` events over `d` keys ships `d` partials, all of
+/// them after the watermark that closes the frame and before its first
+/// window result can leave. On the wall clock (paced `q5-sliding`, one
+/// worker on a 2-vCPU VM) each costs ~98 ns there (ship 37 ns, routing,
+/// stage-2 ingest into a cold recycled table 68–95 ns, fold 32 ns), so the
+/// close of a Q5 frame of ~3,300 partials delays its window by ~324 µs. Forwarding ships all `N` events as one-event partials while
+/// the frame is still open, where they delay no result; what it costs is
+/// the throughput of the `N − d` extra partials against the stage-1 upsert
+/// each event saves. From those per-layer costs, holding breaks even on the
+/// clock near `N/d ≈ 3`. In the simulator, Fig. 7's 2M/core row (`N/d ≈
+/// 2.2`, ~18k bids per frame and instance over 10k keys) needs holding to
+/// keep stage 2 under capacity, and so does Q7's single-key fan-in. Forwarding only
+/// below 2 is therefore conservative on the clock and holds every measured
+/// row that needs it.
+const HOLD_MIN_EVENTS_PER_KEY: f64 = 2.0;
+/// Bits of the distinct-key sketch of a frame (1 KiB per stage-1 instance).
+/// Linear counting over `m` bits estimates up to ~`m` distinct keys within
+/// about 1 % (Whang et al., 1990); a saturated sketch reads `m·ln m` ≈ 74k
+/// keys, so a frame with more keys than that is held unless it has fewer
+/// than ~148k events, which is today's path. Q5's frames carry a few
+/// thousand keys per instance and Fig. 7's up to ~8k, all in range.
+const SKETCH_BITS: usize = 8192;
 
 /// Window definition in event-time nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1234,8 +1263,148 @@ where
     }
 }
 
-/// Stage 1 of two-stage windowed aggregation: accumulate locally, emit
-/// per-frame partials when the watermark closes each frame.
+/// Linear-counting sketch of the distinct keys of one frame: one bit per
+/// fingerprint bucket, and the number of buckets still empty.
+struct KeySketch {
+    words: [u64; SKETCH_BITS / 64],
+    zeros: u32,
+}
+
+impl KeySketch {
+    fn new() -> Self {
+        KeySketch {
+            words: [0; SKETCH_BITS / 64],
+            zeros: SKETCH_BITS as u32,
+        }
+    }
+
+    #[inline]
+    fn note(&mut self, fp: u64) {
+        let bit = fp as usize % SKETCH_BITS;
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        if self.words[word] & mask == 0 {
+            self.words[word] |= mask;
+            self.zeros -= 1;
+        }
+    }
+
+    /// Estimated distinct keys: `m·ln(m / empty buckets)`.
+    fn distinct(&self) -> f64 {
+        let m = SKETCH_BITS as f64;
+        m * ln_at_least_1(m / f64::from(self.zeros.max(1)))
+    }
+
+    fn clear(&mut self) {
+        self.words = [0; SKETCH_BITS / 64];
+        self.zeros = SKETCH_BITS as u32;
+    }
+}
+
+/// `ln y` for `y ≥ 1`, computed here rather than by `f64::ln`, which links
+/// the math library into every process (+0.3 MB resident even where no
+/// window runs): `y = 2^k·f` with `f ∈ [1, 2)`, and
+/// `ln f = 2·atanh((f − 1)/(f + 1))`, whose series converges to ~1e-9 in
+/// eight terms since `(f − 1)/(f + 1) ≤ 1/3`.
+fn ln_at_least_1(y: f64) -> f64 {
+    let bits = y.to_bits();
+    let k = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    let f = f64::from_bits((bits & ((1 << 52) - 1)) | (1023 << 52));
+    let s = (f - 1.0) / (f + 1.0);
+    let (mut term, mut sum) = (s, 0.0);
+    for i in 0..8 {
+        sum += term / f64::from(2 * i + 1);
+        term *= s * s;
+    }
+    k as f64 * std::f64::consts::LN_2 + 2.0 * sum
+}
+
+/// Stage 1's measurement of its newest frame and the path it chose for it.
+/// Only the newest frame is measured: events for older frames are not
+/// counted. Not snapshotted: a fresh or restored instance holds until it
+/// has measured a frame.
+struct FrameMeter {
+    /// End of the newest frame seen, the one being measured.
+    newest: Ts,
+    /// Events of `newest` this instance took.
+    events: u64,
+    /// Distinct keys of `newest`.
+    keys: KeySketch,
+    /// `newest` is forwarded event by event instead of held.
+    bypass: bool,
+    /// Frames this instance forwarded.
+    bypassed_frames: u64,
+    /// Events per distinct key of the last measured frame, in thousandths.
+    events_per_key_milli: u64,
+}
+
+impl FrameMeter {
+    fn new() -> Self {
+        FrameMeter {
+            newest: NO_WATERMARK,
+            events: 0,
+            keys: KeySketch::new(),
+            bypass: false,
+            bypassed_frames: 0,
+            events_per_key_milli: 0,
+        }
+    }
+
+    /// Note the frame of the next event: a newer frame ends the measurement
+    /// of the current one and takes its path from it.
+    #[inline]
+    fn see(&mut self, frame_end: Ts) {
+        if frame_end > self.newest {
+            self.roll(frame_end);
+        }
+    }
+
+    /// Count one taken event of frame `frame_end` with key fingerprint `fp`.
+    #[inline]
+    fn count(&mut self, frame_end: Ts, fp: u64) {
+        if frame_end == self.newest {
+            self.events += 1;
+            self.keys.note(fp);
+        }
+    }
+
+    /// Close the measured frame and choose the path of the new newest one.
+    /// Cold: once per frame.
+    #[cold]
+    fn roll(&mut self, frame_end: Ts) {
+        if self.newest != NO_WATERMARK {
+            let keys = self.keys.distinct();
+            let events = self.events as f64;
+            self.bypass = events < HOLD_MIN_EVENTS_PER_KEY * keys;
+            self.bypassed_frames += u64::from(self.bypass);
+            self.events_per_key_milli = if keys > 0.0 {
+                (events * 1000.0 / keys) as u64
+            } else {
+                0
+            };
+        }
+        self.newest = frame_end;
+        self.events = 0;
+        self.keys.clear();
+    }
+}
+
+/// Stage 1 of two-stage windowed aggregation (§3.1). It chooses one of two
+/// paths frame by frame, from how many events per distinct key its newest
+/// frame had:
+///
+/// * **hold** — accumulate the frame's events per key locally and ship the
+///   frame's partials when the watermark closes it, which pays when many
+///   events share a key (Fig. 10's regime, Q7's single key);
+/// * **bypass** — forward every event at once as a one-event
+///   [`FrameChunk`] on the same partitioned edge, so stage 2 ingests the
+///   frame while it is open and the watermark finds nothing left to ship.
+///
+/// The next frame is bypassed when the newest one had fewer than
+/// [`HOLD_MIN_EVENTS_PER_KEY`] events per key. A frame still open when the
+/// path flips ships at its close as usual, and an event whose frame was
+/// already shipped is forwarded on either path, so stage 2 applies it or
+/// counts it late exactly as single-stage windowing does. Partials from
+/// both paths reach the outbox before the held watermark and any barrier.
 pub struct AccumulateFrameP<K, A, R> {
     wdef: WindowDef,
     key_fn: ObjKeyFn<K>,
@@ -1251,6 +1420,7 @@ pub struct AccumulateFrameP<K, A, R> {
     wm_target: Ts,
     held_wm: Ts,
     snap_cursor: Option<(u64, usize, Cursor)>,
+    meter: FrameMeter,
     probe: Arc<StateProbe>,
     ticks: u32,
 }
@@ -1278,7 +1448,8 @@ where
             wm_target: NO_WATERMARK,
             held_wm: NO_WATERMARK,
             snap_cursor: None,
-            probe: Arc::new(StateProbe::default()),
+            meter: FrameMeter::new(),
+            probe: Arc::new(StateProbe::with_bypass()),
             ticks: 0,
         }
     }
@@ -1376,6 +1547,8 @@ where
             bytes += t.resident_bytes();
         }
         self.probe.set_resident(bytes as u64, keys as u64);
+        self.probe
+            .set_bypass(self.meter.bypassed_frames, self.meter.events_per_key_milli);
     }
 }
 
@@ -1396,7 +1569,7 @@ where
         &mut self,
         ordinal: usize,
         inbox: &mut Inbox,
-        _outbox: &mut Outbox,
+        outbox: &mut Outbox,
         _ctx: &ProcessorContext,
     ) {
         let Self {
@@ -1408,21 +1581,44 @@ where
             hint,
             pool,
             emitted_through,
+            meter,
             ..
         } = self;
         let acc_fn = &op.accumulate[ordinal];
-        while let Some((ts, obj)) = inbox.take() {
-            let frame_end = wdef.frame_end(ts);
-            if *emitted_through != NO_WATERMARK && frame_end <= *emitted_through {
-                continue; // frame already shipped; stage 2 counts it late
+        while let Some((ts, _)) = inbox.peek() {
+            let frame_end = wdef.frame_end(*ts);
+            meter.see(frame_end);
+            // A shipped frame takes no more partials from this instance:
+            // stage 2 applies the event or counts it late.
+            let shipped = *emitted_through != NO_WATERMARK && frame_end <= *emitted_through;
+            let forward = meter.bypass || shipped;
+            if forward && !outbox.has_room_all() {
+                break; // resume once the outbox drains
             }
+            let Some((_, obj)) = inbox.take() else {
+                break;
+            };
             let key = (key_fn)(obj.as_ref());
+            let fp = fp_of(&key);
+            meter.count(frame_end, fp);
+            if forward {
+                let mut acc = (op.create)();
+                acc_fn(&mut acc, obj.as_ref());
+                let c = FrameChunk {
+                    key,
+                    frame_end,
+                    acc,
+                };
+                let delivered = outbox.broadcast(Item::event(frame_end, boxed(c)));
+                debug_assert!(delivered);
+                continue;
+            }
             let fi = match find_frame(frames, *hint, frame_end) {
                 Some(i) => i,
                 None => create_frame(frames, pool, *parts, frame_end),
             };
             *hint = fi;
-            let (acc, _) = frames[fi].table.upsert(fp_of(&key), key, || (op.create)());
+            let (acc, _) = frames[fi].table.upsert(fp, key, || (op.create)());
             acc_fn(acc, obj.as_ref());
         }
     }
@@ -1675,5 +1871,19 @@ where
 
     fn finish_snapshot_restore(&mut self, _ctx: &ProcessorContext) {
         self.state.finish_restore(&self.op);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ln_matches_the_math_library_over_the_sketch_range() {
+        for zeros in 1..=SKETCH_BITS {
+            let y = SKETCH_BITS as f64 / zeros as f64;
+            let (got, want) = (ln_at_least_1(y), y.ln());
+            assert!((got - want).abs() < 1e-8, "ln {y}: {got} vs {want}");
+        }
     }
 }

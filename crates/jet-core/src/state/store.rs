@@ -30,10 +30,12 @@
 //!
 //! [`StateProbe`] is the tiny atomic bundle a keyed processor exports to
 //! the metrics layer (`jet_state_resident_bytes`,
-//! `jet_window_late_events_total`) without any lock on the hot path.
+//! `jet_window_late_events_total`, and for a two-stage window's stage 1
+//! its [`BypassProbe`]) without any lock on the hot path.
 
 use jet_util::seq;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// log2 of the shard count per table.
 pub const SHARD_BITS: u32 = 4;
@@ -401,6 +403,21 @@ pub struct StateProbe {
     /// Events dropped as late by the window floor
     /// (`jet_window_late_events_total`).
     pub late_events: AtomicU64,
+    /// How a two-stage window's stage 1 chose between holding and
+    /// forwarding each frame; `None` on every other keyed processor.
+    pub bypass: Option<Arc<BypassProbe>>,
+}
+
+/// Stage-1 numbers of two-stage window aggregation: which path each frame
+/// took and the measurement that chose it.
+#[derive(Default)]
+pub struct BypassProbe {
+    /// Frames whose events were forwarded one by one instead of held
+    /// (`jet_window_bypassed_frames_total`).
+    pub frames: AtomicU64,
+    /// Events per distinct key of the last measured frame, in thousandths
+    /// (`jet_window_events_per_key_milli_ratio`).
+    pub events_per_key_milli: AtomicU64,
 }
 
 impl StateProbe {
@@ -411,6 +428,23 @@ impl StateProbe {
 
     pub fn set_late_events(&self, n: u64) {
         self.late_events.store(n, Ordering::Relaxed);
+    }
+
+    /// A probe that also carries the stage-1 [`BypassProbe`].
+    pub(crate) fn with_bypass() -> Self {
+        StateProbe {
+            bypass: Some(Arc::default()),
+            ..StateProbe::default()
+        }
+    }
+
+    /// Publish the stage-1 decision numbers (no-op without a bypass probe).
+    pub(crate) fn set_bypass(&self, frames: u64, events_per_key_milli: u64) {
+        if let Some(b) = &self.bypass {
+            b.frames.store(frames, Ordering::Relaxed);
+            b.events_per_key_milli
+                .store(events_per_key_milli, Ordering::Relaxed);
+        }
     }
 }
 
