@@ -25,7 +25,11 @@
 //!   run. A worker thread then engages the progressive backoff idle
 //!   strategy, so idle jobs cost (almost) nothing — the property
 //!   multi-tenancy (§7.7) relies on; a virtual core gives up the rest of its
-//!   quantum. Only the clock differs between the two.
+//!   quantum. Only the clock differs between the two. Every thread that runs
+//!   [`worker_loop`] first sets its own timer slack to the minimum
+//!   ([`jet_util::idle::precise_parks`]), so a park ends when it asked to
+//!   and not up to 50 µs later; the ladder's 15 µs first park is sized for
+//!   that.
 
 use crate::fairness::{JobQuotas, Round, Schedule};
 use crate::log::RateLimitedLog;
@@ -94,8 +98,9 @@ impl ExecObservability {
     }
 
     /// Instruments for one worker thread: busy/idle round counters (the
-    /// previously dead `TaskletCounters` fields), a per-`call()` duration
-    /// histogram, and a hog counter — all tagged `worker=<label>`.
+    /// previously dead `TaskletCounters` fields), park count and measured
+    /// parked time, a per-`call()` duration histogram, and a hog counter —
+    /// all tagged `worker=<label>`.
     fn for_worker(&self, label: &str) -> WorkerObs {
         let counters = TaskletCounters::shared();
         let t = tags(&[("worker", label)]);
@@ -113,6 +118,10 @@ impl ExecObservability {
         let idle_name = trace.intern("worker-idle");
         WorkerObs {
             counters,
+            parks: self.registry.counter("jet_worker_parks_total", t.clone()),
+            parked_nanos: self
+                .registry
+                .counter("jet_worker_parked_nanos_total", t.clone()),
             call_hist: self
                 .registry
                 .histogram("jet_worker_call_duration_nanos", t.clone()),
@@ -129,6 +138,8 @@ impl ExecObservability {
 /// Per-worker observability state threaded into `worker_loop`.
 struct WorkerObs {
     counters: Arc<TaskletCounters>,
+    parks: SharedCounter,
+    parked_nanos: SharedCounter,
     call_hist: SharedHistogram,
     hogs: SharedCounter,
     hog_budget_nanos: u64,
@@ -217,14 +228,16 @@ fn observed_call(
 /// One worker's loop (§3.2): poll the tasklets round after round in
 /// [`Schedule`] order until all are done, backing off after every round in
 /// which none progressed. With `obs`, rounds are counted busy or idle, every
-/// `call()` is timed and parks are traced.
-// jet-analyze: allow(instant) — idle-park timestamps only when tracing is enabled
+/// `call()` is timed, and every park is timed, counted and traced with the
+/// time it really took.
+// jet-analyze: allow(instant) — with `obs` only, one clock read before and one after each park (≥ 15 µs)
 fn worker_loop(
     tasklets: Vec<Box<dyn Tasklet>>,
     live_tasklets: &AtomicUsize,
     quotas: Option<JobQuotas>,
     mut obs: Option<WorkerObs>,
 ) {
+    jet_util::idle::precise_parks();
     // Tasklet names are interned once here (cold); the hot loop only ever
     // touches the u32 ids.
     let mut schedule = Schedule::new(quotas);
@@ -252,22 +265,30 @@ fn worker_loop(
         });
         if round == Round::Fruitless {
             idle_rounds += 1;
-            if let Some(o) = &mut obs {
-                o.counters.add_idle(1);
-                if o.trace.enabled() {
-                    if let Some(park) = idle.park_duration(idle_rounds) {
-                        let ts = epoch.elapsed().as_nanos() as u64;
+            match &mut obs {
+                None => idle.idle(idle_rounds),
+                Some(o) if idle.park_duration(idle_rounds).is_some() => {
+                    o.counters.add_idle(1);
+                    let start = Instant::now();
+                    idle.idle(idle_rounds);
+                    let nanos = start.elapsed().as_nanos() as u64;
+                    o.parks.add(1);
+                    o.parked_nanos.add(nanos);
+                    if o.trace.enabled() {
                         o.trace.record(
                             TraceKind::IdlePark,
-                            ts,
-                            park.as_nanos() as u64,
+                            start.duration_since(epoch).as_nanos() as u64,
+                            nanos,
                             o.idle_name,
                             idle_rounds as i64,
                         );
                     }
                 }
+                Some(o) => {
+                    o.counters.add_idle(1);
+                    idle.idle(idle_rounds);
+                }
             }
-            idle.idle(idle_rounds);
         } else {
             idle_rounds = 0;
             if let Some(o) = &mut obs {
@@ -500,7 +521,10 @@ mod tests {
     fn observed_worker_wires_busy_and_idle_round_counters() {
         let registry = Arc::new(MetricsRegistry::new());
         let obs = ExecObservability::new(registry.clone());
-        let ts: Vec<Box<dyn Tasklet>> = vec![Box::new(BusyThenStall { busy: 10, stall: 4 })];
+        let ts: Vec<Box<dyn Tasklet>> = vec![Box::new(BusyThenStall {
+            busy: 10,
+            stall: 20,
+        })];
         spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), Some(&obs), None).join();
         let snap = registry.snapshot();
         // 10 progressing rounds + the final Done round.
@@ -510,14 +534,20 @@ mod tests {
         );
         assert_eq!(
             snap.counter_total("jet_worker_idle_rounds_total", &[("worker", "0")]),
-            4
+            20
         );
+        // Idle rounds 16..=20 park: 15 spins and yields come first.
+        let parks = snap.counter_total("jet_worker_parks_total", &[("worker", "0")]);
+        assert_eq!(parks, 5);
+        // A park sleeps at least what it asked, and every ask is ≥ 15 µs.
+        let parked = snap.counter_total("jet_worker_parked_nanos_total", &[("worker", "0")]);
+        assert!(parked >= parks * 15_000, "{parks} parks took {parked} ns");
         // Every call() landed in the duration histogram.
         let m = snap
             .find("jet_worker_call_duration_nanos", &[("worker", "0")])
             .unwrap();
         match &m.value {
-            crate::metrics::MetricValue::Histogram(h) => assert_eq!(h.count, 15),
+            crate::metrics::MetricValue::Histogram(h) => assert_eq!(h.count, 31),
             other => panic!("expected histogram, got {other:?}"),
         }
     }

@@ -39,7 +39,7 @@ pub enum TraceKind {
     /// ordinal of the stalled edge.
     Stall = 1,
     /// An idle worker parked. `arg` = consecutive idle rounds. Has a
-    /// duration (the park time).
+    /// duration (the measured park time, not the requested one).
     IdlePark = 2,
     /// A watermark left this tasklet's outbox. `arg` = watermark ts.
     WmEmit = 3,

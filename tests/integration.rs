@@ -644,3 +644,60 @@ fn one_worker_thread_and_one_virtual_core_poll_in_the_same_order() {
         assert_eq!(*threaded, *simulated.lock(), "quotas: {quotas:?}");
     }
 }
+
+/// Records the timer slack of the thread that polls it, then finishes.
+struct SlackProbe {
+    cooperative: bool,
+    seen: Arc<Mutex<Vec<Option<std::time::Duration>>>>,
+}
+
+impl jet_core::Tasklet for SlackProbe {
+    fn call(&mut self) -> jet_util::Progress {
+        self.seen.lock().push(jet_util::idle::timer_slack());
+        jet_util::Progress::Done
+    }
+    fn name(&self) -> &str {
+        "slack-probe"
+    }
+    fn is_cooperative(&self) -> bool {
+        self.cooperative
+    }
+}
+
+/// Parks are precise on every executor: a cooperative worker, a dedicated
+/// thread and the thread-per-operator baseline all run with the minimum
+/// timer slack, so a 15 µs park is not stretched by the kernel's default
+/// 50 µs.
+#[test]
+fn every_executor_thread_parks_with_minimal_timer_slack() {
+    use jet_core::exec::{spawn_thread_per_operator, spawn_threaded};
+    use std::sync::atomic::AtomicBool;
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let probe = |cooperative| {
+        Box::new(SlackProbe {
+            cooperative,
+            seen: seen.clone(),
+        }) as Box<dyn jet_core::Tasklet>
+    };
+    spawn_threaded(
+        vec![probe(true), probe(false)],
+        1,
+        Arc::new(AtomicBool::new(false)),
+    )
+    .join();
+    spawn_thread_per_operator(vec![probe(true)], Arc::new(AtomicBool::new(false))).join();
+
+    let seen = seen.lock();
+    assert_eq!(seen.len(), 3, "one probe per executor thread");
+    for slack in seen.iter() {
+        if cfg!(target_os = "linux") {
+            let slack = slack.expect("PR_GET_TIMERSLACK answers on Linux");
+            assert!(
+                slack <= std::time::Duration::from_micros(1),
+                "a worker thread runs with {slack:?} of timer slack"
+            );
+        } else {
+            assert_eq!(*slack, None);
+        }
+    }
+}
