@@ -119,7 +119,6 @@ fn run_scale(sweep: &Sweep, keys: u64) -> ScaleResult {
         .get_all("jet_state_keys_records")
         .filter_map(jet_core::metrics::Metric::as_gauge)
         .sum::<i64>() as f64;
-    let members_final = cluster.grid().members().len();
     cluster.cancel();
     let run = RunResult {
         hist: probe_hist.snapshot(),
@@ -131,8 +130,6 @@ fn run_scale(sweep: &Sweep, keys: u64) -> ScaleResult {
         spike: None,
         attribution: None,
         recorder: Recorder::disabled(),
-        controller_events: None,
-        members_final,
     };
     let probe_p9999 = run.hist.percentile(99.99) as f64;
     ScaleResult {

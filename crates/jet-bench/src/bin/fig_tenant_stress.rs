@@ -92,7 +92,6 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
     let before = count.get();
     cluster.run_for(MEASURE);
     let outputs = count.get() - before;
-    let members_final = cluster.grid().members().len();
     cluster.cancel();
     RunResult {
         hist: hist.snapshot(),
@@ -104,8 +103,6 @@ fn run_one(neighbours: u64, quotas: Option<JobQuotas>) -> RunResult {
         spike: None,
         attribution: None,
         recorder: Recorder::disabled(),
-        controller_events: None,
-        members_final,
     }
 }
 

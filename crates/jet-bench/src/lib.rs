@@ -13,10 +13,7 @@
 //! *shapes* (who wins, where knees fall) are the reproduction target, not
 //! absolute numbers.
 
-use jet_cluster::{
-    ClusterEvent, ControllerConfig, ControllerEvent, CoordinatorConfig, SimCluster,
-    SimClusterConfig,
-};
+use jet_cluster::{ClusterEvent, CoordinatorConfig, SimCluster, SimClusterConfig};
 use jet_core::flight::{
     AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig, SpikeReport,
     TimelineConfig, WatchdogConfig,
@@ -107,12 +104,6 @@ pub struct RunSpec {
     /// fixed cadence (exported from [`RunResult::recorder`] by
     /// [`write_timeline`]). Invisible on the virtual timeline.
     pub timeline: Option<TimelineConfig>,
-    /// Arm the elastic autoscaling controller: the cluster watches windowed
-    /// occupancy/stall telemetry on the controller's cadence and live
-    /// rescales itself mid-run. Decisions land in
-    /// [`RunResult::controller_events`] and the `"controller"` section of
-    /// `BENCH_*.json`.
-    pub controller: Option<ControllerConfig>,
     /// Per-job weighted round-robin scheduling quotas (multi-tenant
     /// fairness, §7.7). Vertices opt in by `job<N>-` name prefix.
     pub quotas: Option<JobQuotas>,
@@ -140,7 +131,6 @@ impl RunSpec {
             spike: None,
             attribution: false,
             timeline: None,
-            controller: None,
             quotas: None,
         }
     }
@@ -173,13 +163,6 @@ pub struct RunResult {
     /// The run's recorder: its retained spans of the measurement period
     /// ([`write_trace`]) and its metrics timeline ([`write_timeline`]).
     pub recorder: Recorder,
-    /// Autoscaling decision timeline ([`RunSpec::controller`]): `Some`
-    /// (possibly empty) when a controller was armed; embedded in
-    /// `BENCH_*.json` by [`BenchReport::add_run`].
-    pub controller_events: Option<Vec<ControllerEvent>>,
-    /// Cluster size when the run ended (equals the starting size unless the
-    /// controller rescaled).
-    pub members_final: usize,
 }
 
 impl RunResult {
@@ -270,7 +253,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         fault_plan: spec.fault_plan.clone(),
         coordinator: spec.coordinator.clone(),
         recorder: recorder.clone(),
-        controller: spec.controller.clone(),
         quotas: spec.quotas.clone(),
         ..Default::default()
     };
@@ -305,11 +287,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         ];
         recorder.waterfalls(&AttributionConfig::default(), &bands)
     });
-    let controller_events = spec
-        .controller
-        .is_some()
-        .then(|| cluster.controller_events());
-    let members_final = cluster.grid().members().len();
     cluster.cancel();
     RunResult {
         hist: final_hist,
@@ -321,8 +298,6 @@ pub fn run(spec: &RunSpec) -> RunResult {
         spike,
         attribution,
         recorder,
-        controller_events,
-        members_final,
     }
 }
 
@@ -411,57 +386,6 @@ pub fn write_timeline(name: &str, label: &str, r: &RunResult) -> std::io::Result
     Ok(Some(path))
 }
 
-/// One controller event (`runs[].controller.events[]`): always `at`,
-/// `kind` and `label`, then the variant's own fields.
-fn write_controller_event(w: &mut Writer<'_>, e: &ControllerEvent) {
-    w.obj(|w| {
-        w.field("at", e.at())
-            .field("kind", e.kind())
-            .field("label", e.label());
-        match e {
-            ControllerEvent::Decided {
-                direction,
-                occupancy,
-                stall_rate,
-                members,
-                ..
-            } => {
-                w.field("direction", direction.name())
-                    .field("occupancy", occupancy)
-                    .field("stall_rate", stall_rate)
-                    .field("members", members);
-            }
-            ControllerEvent::RescaleCompleted {
-                direction, members, ..
-            } => {
-                w.field("direction", direction.name())
-                    .field("members", members);
-            }
-            ControllerEvent::RescaleFailed {
-                direction,
-                failures,
-                cause,
-                ..
-            } => {
-                w.field("direction", direction.name())
-                    .field("failures", failures)
-                    .field("cause", cause);
-            }
-            ControllerEvent::CooldownEntered { until, .. } => {
-                w.field("until", until);
-            }
-            ControllerEvent::BackoffEntered {
-                until, failures, ..
-            } => {
-                w.field("until", until).field("failures", failures);
-            }
-            ControllerEvent::Degraded { failures, .. } => {
-                w.field("failures", failures);
-            }
-        }
-    });
-}
-
 /// Standard percentile row used by the figure binaries.
 pub fn percentile_row(h: &Histogram) -> String {
     format!(
@@ -500,9 +424,6 @@ struct RunRecord {
     values: Vec<(String, f64)>,
     latency: Option<HistogramSummary>,
     attribution: Option<AttributionReport>,
-    /// Autoscaler decision timeline + final cluster size, when a
-    /// controller was armed for the run.
-    controller: Option<(Vec<ControllerEvent>, usize)>,
 }
 
 impl BenchReport {
@@ -522,7 +443,6 @@ impl BenchReport {
 
     /// Record one measured run with its full [`RunResult`].
     pub fn add_run(&mut self, label: &str, params: &[(&str, String)], r: &RunResult) {
-        debug_assert!(r.members_final >= 1, "run {label} ended with no member");
         self.runs.push(RunRecord {
             label: label.to_string(),
             params: params
@@ -536,10 +456,6 @@ impl BenchReport {
             ],
             latency: Some(HistogramSummary::of(&r.hist)),
             attribution: r.attribution.clone(),
-            controller: r
-                .controller_events
-                .as_ref()
-                .map(|ev| (ev.clone(), r.members_final)),
         });
     }
 
@@ -555,7 +471,6 @@ impl BenchReport {
             values: values.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             latency: None,
             attribution: None,
-            controller: None,
         });
     }
 
@@ -594,17 +509,6 @@ impl ToJson for RunRecord {
             if let Some(a) = &self.attribution {
                 w.field("attribution", a);
             }
-            if let Some((events, final_members)) = &self.controller {
-                w.key("controller").obj(|w| {
-                    w.field("final_members", final_members)
-                        .key("events")
-                        .arr(|w| {
-                            for e in events {
-                                write_controller_event(w, e);
-                            }
-                        });
-                });
-            }
         });
     }
 }
@@ -633,25 +537,6 @@ mod tests {
                 bands: Vec::new(),
             }),
             recorder: Recorder::disabled(),
-            controller_events: Some(vec![
-                ControllerEvent::Decided {
-                    at: 15 * MS,
-                    direction: jet_cluster::Direction::Up,
-                    occupancy: 912_345,
-                    stall_rate: 2_500,
-                    members: 2,
-                },
-                ControllerEvent::RescaleCompleted {
-                    at: 40 * MS,
-                    direction: jet_cluster::Direction::Up,
-                    members: 3,
-                },
-                ControllerEvent::CooldownEntered {
-                    at: 40 * MS,
-                    until: 90 * MS,
-                },
-            ]),
-            members_final: 3,
         }
     }
 
@@ -686,18 +571,6 @@ mod tests {
             (Some(4), Some(4), Some(0))
         );
         assert_eq!(a["bands"], json::Json::Arr(Vec::new()));
-        let ctl = &run["controller"];
-        assert_eq!(ctl["final_members"].as_u64(), Some(3));
-        let kinds: Vec<_> = (0..3).map(|i| ctl["events"][i]["kind"].as_str()).collect();
-        assert_eq!(
-            kinds,
-            [Some("decided"), Some("rescale-completed"), Some("cooldown")]
-        );
-        let decided = &ctl["events"][0];
-        assert_eq!(decided["at"].as_u64(), Some(15 * MS));
-        assert_eq!(decided["direction"].as_str(), Some("up"));
-        assert_eq!(decided["occupancy"].as_u64(), Some(912_345));
-        assert_eq!(ctl["events"][2]["until"].as_u64(), Some(90 * MS));
         let values = &doc["runs"][1];
         assert_eq!(values["label"].as_str(), Some("case-b"));
         assert_eq!(values["speedup"].as_f64(), Some(2.5));
@@ -714,16 +587,5 @@ mod tests {
         report.add_values("empty-store", &[], &[("bytes_per_key", f64::NAN)]);
         let doc = json::parse(&json::render(&report)).expect("valid JSON");
         assert_eq!(doc["runs"][0]["bytes_per_key"], json::Json::Null);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "ended with no member")]
-    fn a_run_must_end_with_a_member() {
-        let r = RunResult {
-            members_final: 0,
-            ..sample_run()
-        };
-        BenchReport::new("unit").add_run("empty", &[], &r);
     }
 }

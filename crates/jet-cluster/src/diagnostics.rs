@@ -9,7 +9,6 @@
 //! tracing disabled the trace-derived lines render as `n/a` rather than
 //! vanishing, so operators always see the same shape of report.
 
-use crate::controller::{Controller, Phase};
 use crate::coordinator::{Coordinator, MemberHealth};
 use jet_core::flight::{IncidentReport, Recorder};
 use jet_core::metrics::{Metric, MetricsSnapshot};
@@ -358,31 +357,6 @@ pub fn render_dump(
     out
 }
 
-/// Render the autoscaler section appended to the dump when a controller
-/// is armed: the decision state machine's current phase plus the full
-/// decision timeline (decisions, rescale outcomes, cooldown/backoff
-/// entries). The shape is stable with zero decisions ("no decisions yet")
-/// so operators always see the section.
-pub fn render_autoscaler(controller: &Controller) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "\nautoscaler");
-    let phase = match controller.phase() {
-        Phase::Steady => "steady".to_string(),
-        Phase::Cooldown { until } => format!("cooldown until {:.3}s", secs(until)),
-        Phase::Backoff { until } => format!("backoff until {:.3}s", secs(until)),
-        Phase::Degraded => "DEGRADED (rescale ladder exhausted; topology frozen)".to_string(),
-    };
-    let _ = writeln!(out, "  phase: {}", phase);
-    let events = controller.events();
-    if events.is_empty() {
-        let _ = writeln!(out, "  no decisions yet");
-    }
-    for e in events {
-        let _ = writeln!(out, "  t={:9.3}s  {}", secs(e.at()), e.label());
-    }
-    out
-}
-
 /// Render the spike-blame section appended to the dump when a flight
 /// recorder is wired: one block per detected p99.99 excursion, worst
 /// first, decomposing the spiked event's journey into named causes. The
@@ -513,7 +487,6 @@ fn sparkline(values: &[i64], width: usize) -> String {
 mod tests {
     use super::*;
     use jet_core::metrics::{tags, MetricsRegistry};
-    use jet_core::trace::Tracer;
 
     #[test]
     fn dump_renders_without_trace_and_lists_every_vertex() {
@@ -563,27 +536,6 @@ mod tests {
         assert!(dump.contains("n/a (tracing disabled)"));
         assert!(dump.contains("cluster health"));
         assert!(dump.contains("n/a (no coordinator wired)"));
-    }
-
-    #[test]
-    fn autoscaler_section_renders_phase_and_timeline() {
-        use crate::controller::{ControllerConfig, Direction};
-        let r = MetricsRegistry::new();
-        let tracer = Tracer::default();
-        let mut ctl = Controller::new(ControllerConfig::default(), 2, &r, &tracer);
-
-        // Fresh controller: stable shape with nothing decided yet.
-        let dump = render_autoscaler(&ctl);
-        assert!(dump.contains("autoscaler"), "{dump}");
-        assert!(dump.contains("phase: steady"), "{dump}");
-        assert!(dump.contains("no decisions yet"), "{dump}");
-
-        // After a completed rescale: timeline lines plus the cooldown phase.
-        ctl.rescale_completed(40 * MS, Direction::Up, 3);
-        let dump = render_autoscaler(&ctl);
-        assert!(dump.contains("phase: cooldown until"), "{dump}");
-        assert!(dump.contains("scale-up completed"), "{dump}");
-        assert!(!dump.contains("no decisions yet"), "{dump}");
     }
 
     use jet_core::flight::{

@@ -12,21 +12,16 @@
 //! * [`coordinator`] — heartbeat failure detection and recovery
 //!   orchestration: suspect/fence with grace, bounded-backoff retry,
 //!   documented degradation to cold restart (§4.4).
-//! * [`controller`] — elastic autoscaling: windowed stall/occupancy/
-//!   receive-window telemetry driving live rescale through a hysteresis +
-//!   cooldown + bounded-backoff decision state machine (§4.3, §7.7).
 //! * [`active_active`] — the §4.6 alternative to snapshots: run the job
 //!   twice, fail over by switching consumers.
 
 pub mod active_active;
-pub mod controller;
 pub mod coordinator;
 pub mod diagnostics;
 pub mod runtime;
 pub mod wiring;
 
 pub use active_active::{ActiveActive, ActiveSide};
-pub use controller::{Controller, ControllerConfig, ControllerEvent, Direction, Phase};
 pub use coordinator::{ClusterEvent, Coordinator, CoordinatorConfig, MemberHealth};
 pub use runtime::{SimCluster, SimClusterConfig};
 pub use wiring::{build_cluster_execution, ClusterConfig, ClusterExecution, MemberExecution};

@@ -12,7 +12,6 @@
 //! snapshot over the surviving members, and resume on the same virtual
 //! clock.
 
-use crate::controller::{Controller, ControllerConfig, ControllerEvent, Direction};
 use crate::coordinator::{ClusterEvent, Coordinator, CoordinatorConfig};
 use crate::wiring::{build_cluster_execution, ClusterConfig, ClusterExecution};
 use jet_core::fairness::JobQuotas;
@@ -25,7 +24,7 @@ use jet_core::trace::{TraceKind, TraceWriter, Tracer};
 use jet_core::Dag;
 use jet_imdg::{Grid, MemberId, SnapshotStore, StoreFaults};
 use jet_sim::{CostModel, FaultEvent, FaultKind, FaultPlan, SimTick, Simulator};
-use jet_util::backoff::BackoffLadder;
+use jet_util::backoff::backoff_delay;
 use jet_util::clock::{ManualClock, SharedClock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
@@ -62,11 +61,6 @@ pub struct SimClusterConfig {
     /// default) wires no coordinator at all: no heartbeat traffic, no
     /// detector state, zero cost on fault-free runs.
     pub coordinator: Option<CoordinatorConfig>,
-    /// Elastic autoscaling: watches stall/occupancy/receive-window
-    /// telemetry on its cadence and drives live rescale through the
-    /// hysteresis + cooldown + backoff state machine. `None` (the default)
-    /// wires no controller at all: no sampling, zero cost.
-    pub controller: Option<ControllerConfig>,
     /// Multi-tenant fairness (§7.7): per-job scheduling quotas applied to
     /// every virtual core (jobs are tagged by `job<N>-` vertex-name
     /// prefixes). `None` (the default) keeps the original tasklet-level
@@ -99,7 +93,6 @@ impl Default for SimClusterConfig {
             fixed_receive_window: None,
             fault_plan: None,
             coordinator: None,
-            controller: None,
             quotas: None,
             recorder: Recorder::disabled(),
         }
@@ -212,11 +205,6 @@ pub struct SimCluster {
     /// survives execution rebuilds, merged into [`Self::job_metrics`].
     cluster_metrics: Arc<MetricsRegistry>,
     coordinator: Option<Coordinator>,
-    controller: Option<Controller>,
-    /// Re-entrancy guard: `add/remove_member_and_rescale` advance virtual
-    /// time through nested `run_for` calls, which must not trigger another
-    /// controller decision mid-rescale.
-    in_rescale: bool,
     fault_driver: FaultDriver,
     pending_recovery: Option<PendingRecovery>,
     /// Set when recovery exhausted its attempts: the job is lost.
@@ -225,21 +213,11 @@ pub struct SimCluster {
 
 impl SimCluster {
     /// Build the grid, wire the job, and place tasklets on virtual cores.
-    /// Rejects invalid coordinator/controller configurations up front
-    /// (satellite: clear errors instead of silent misbehavior).
+    /// Rejects an invalid coordinator configuration up front.
     pub fn start(dag: Dag, cfg: SimClusterConfig) -> Result<SimCluster, String> {
         if let Some(c) = &cfg.coordinator {
             c.validate()
                 .map_err(|e| format!("coordinator config: {e}"))?;
-        }
-        if let Some(c) = &cfg.controller {
-            c.validate()
-                .map_err(|e| format!("controller config: {e}"))?;
-            if cfg.snapshot_interval == 0 {
-                return Err("controller config: autoscaling requires snapshots enabled \
-                     (snapshot_interval > 0) — rescale rides the terminal-snapshot path"
-                    .into());
-            }
         }
         let grid = Grid::with_partition_count(cfg.members, cfg.backup_count, cfg.partition_count);
         let clock = Arc::new(ManualClock::new());
@@ -319,10 +297,6 @@ impl SimCluster {
             .coordinator
             .clone()
             .map(|c| Coordinator::new(c, &member_ids, 0, &cluster_metrics, &tracer));
-        let controller = cfg
-            .controller
-            .clone()
-            .map(|c| Controller::new(c, member_ids.len(), &cluster_metrics, &tracer));
         let fault_driver = FaultDriver::new(cfg.fault_plan.as_ref(), &tracer);
         let mut me = SimCluster {
             cfg,
@@ -340,8 +314,6 @@ impl SimCluster {
             net_faults,
             cluster_metrics,
             coordinator,
-            controller,
-            in_rescale: false,
             fault_driver,
             pending_recovery: None,
             job_failed: None,
@@ -442,14 +414,6 @@ impl SimCluster {
             sim.set_job_quotas(q);
         }
         self.sim = sim;
-        // The fresh simulator's busy-nanos counters start at zero, so any
-        // autoscaler samples from the old execution are no longer
-        // comparable — discard them. (During a controller-ordered rescale
-        // the controller is checked out of `self` and clears its own
-        // window on completion/failure.)
-        if let Some(ctl) = self.controller.as_mut() {
-            ctl.discard_samples();
-        }
         Ok(())
     }
 
@@ -518,9 +482,6 @@ impl SimCluster {
             &self.cfg.recorder,
             self.coordinator.as_ref(),
         );
-        if let Some(ctl) = self.controller.as_ref() {
-            dump.push_str(&crate::diagnostics::render_autoscaler(ctl));
-        }
         if self.cfg.recorder.records_spans() {
             dump.push_str(&crate::diagnostics::render_blame(&self.spike_forensics()));
         }
@@ -583,29 +544,12 @@ impl SimCluster {
             if remaining == 0 {
                 return self.sim.live_tasklets() == 0;
             }
-            // The autoscaler samples on its own cadence, between simulator
-            // calls like the metrics timeline below: zero virtual cost, identical
-            // schedule. Stepping *before* the chunk is sized means a due
-            // sample (including the very first, which has no deadline yet)
-            // is taken now, and `next_sample_in` below always has a
-            // concrete deadline to clamp the chunk to. (When a rescale is
-            // in flight the controller has been taken out of `self`, so
-            // nested run_for calls skip this.)
-            self.controller_step();
             // With a metrics timeline armed, chunk the run at its sampling
             // deadline: samples are taken *between* simulator calls, so they
             // cost zero virtual time and the executed schedule is identical
             // to an unchunked run.
             let mut chunk = remaining;
             if let Some(gap) = self.cfg.recorder.next_sample_in(self.now()) {
-                chunk = chunk.min(gap.max(1));
-            }
-            if let Some(ctl) = self.controller.as_ref() {
-                // After the step above a fresh deadline always exists; fall
-                // back to one cadence if the sample was somehow skipped.
-                let gap = ctl
-                    .next_sample_in(self.now())
-                    .unwrap_or(ctl.config().cadence);
                 chunk = chunk.min(gap.max(1));
             }
             let mut action: Option<Action> = None;
@@ -661,43 +605,6 @@ impl SimCluster {
                 Some(Action::RetryRecovery) => self.attempt_recovery(),
             }
         }
-    }
-
-    /// One autoscaler step between simulator chunks: sample the telemetry
-    /// on the controller's cadence, run the decision state machine, and execute
-    /// any ordered rescale. The controller is taken out of `self` while the
-    /// rescale runs, so the nested `run_for` calls inside
-    /// `add/remove_member_and_rescale` can never re-enter it.
-    fn controller_step(&mut self) {
-        let Some(mut ctl) = self.controller.take() else {
-            return;
-        };
-        let now = self.now();
-        if ctl.sample_due(now) {
-            let busy_per_core = self.sim.busy_nanos();
-            let busy: u64 = busy_per_core.iter().sum();
-            let members = self.grid.members().len();
-            ctl.observe(now, &self.job_metrics(), busy, busy_per_core.len(), members);
-            let quiet =
-                !self.in_rescale && self.pending_recovery.is_none() && self.job_failed.is_none();
-            if quiet {
-                if let Some(direction) = ctl.decide(now, members) {
-                    let max_wait = ctl.config().rescale_max_wait;
-                    let outcome = match direction {
-                        Direction::Up => self.add_member_and_rescale(max_wait).map(|_| ()),
-                        Direction::Down => self.remove_member_and_rescale(max_wait).map(|_| ()),
-                    };
-                    let after = self.now();
-                    match outcome {
-                        Ok(()) => {
-                            ctl.rescale_completed(after, direction, self.grid.members().len())
-                        }
-                        Err(cause) => ctl.rescale_failed(after, direction, &cause),
-                    }
-                }
-            }
-        }
-        self.controller = Some(ctl);
     }
 
     /// The failure detector fenced `member`: remove it from the cluster
@@ -765,11 +672,13 @@ impl SimCluster {
             ));
             self.pending_recovery = None;
         } else {
-            // Same bounded-exponential ladder the autoscaler uses; the
-            // ladder itself is unit-tested in jet-util.
-            let backoff = BackoffLadder::new(ccfg.recovery_backoff_base, ccfg.recovery_backoff_max)
-                .raw_delay(pending.attempt);
-            pending.next_at = now + backoff;
+            // Bounded exponential backoff, unit-tested in jet-util.
+            pending.next_at = now
+                + backoff_delay(
+                    ccfg.recovery_backoff_base,
+                    ccfg.recovery_backoff_max,
+                    pending.attempt,
+                );
             self.pending_recovery = Some(pending);
         }
     }
@@ -843,10 +752,38 @@ impl SimCluster {
         r
     }
 
+    /// Refuse a rescale before it touches the grid: it rides the
+    /// terminal-snapshot path, so it needs snapshots, and it must not race
+    /// a pending recovery or restart a job that is already lost.
+    fn check_rescale(&self) -> Result<(), String> {
+        if self.cfg.snapshot_interval == 0 {
+            return Err("rescaling requires snapshots enabled".into());
+        }
+        if let Some(cause) = &self.job_failed {
+            return Err(format!("rescale refused, the job is lost: {cause}"));
+        }
+        if self.pending_recovery.is_some() {
+            return Err("rescale refused while a recovery is pending".into());
+        }
+        Ok(())
+    }
+
+    /// Run the job a few quanta while a rescale waits on a snapshot.
+    fn rescale_wait_step(&mut self) -> Result<(), String> {
+        self.run_for(self.cfg.quantum * 16);
+        match &self.job_failed {
+            Some(cause) => Err(format!("job failed during rescale: {cause}")),
+            None => Ok(()),
+        }
+    }
+
     /// Take a terminal snapshot for a rescale and wait for it (bounded by
     /// `max_wait`). Returns the snapshot id to restore from on success; on
     /// timeout the in-flight snapshot is aborted and the job rebuilt on the
     /// current topology so the half-snapshotted execution never lingers.
+    /// The terminal snapshot starts only once a periodic one in flight has
+    /// completed; if that misses the deadline, the rescale fails with
+    /// nothing to abort.
     ///
     /// A member may crash *during* the wait: the heartbeat path fences it,
     /// recovery rebuilds from the latest complete snapshot, and periodic
@@ -855,19 +792,20 @@ impl SimCluster {
     /// restore id is the newest complete one; restoring the stale terminal
     /// id would purge those newer complete snapshots as if they were torn.
     fn terminal_snapshot_for_rescale(&mut self, max_wait: u64) -> Result<u64, String> {
-        if self.cfg.snapshot_interval == 0 {
-            return Err("rescaling requires snapshots enabled".into());
-        }
-        let id = self
-            .registry
-            .trigger_terminal()
-            .ok_or("terminal snapshot could not be triggered")?;
         let deadline = self.now() + max_wait;
-        while self.registry.completed() < id && self.now() < deadline {
-            self.run_for(self.cfg.quantum * 16);
-            if let Some(cause) = &self.job_failed {
-                return Err(format!("job failed during rescale: {cause}"));
+        // A periodic snapshot may be in flight: the terminal one can only
+        // start once it is done.
+        let id = loop {
+            if let Some(id) = self.registry.trigger_terminal() {
+                break id;
             }
+            if self.now() >= deadline {
+                return Err("the snapshot in flight did not complete in time".into());
+            }
+            self.rescale_wait_step()?;
+        };
+        while self.registry.completed() < id && self.now() < deadline {
+            self.rescale_wait_step()?;
         }
         if self.registry.completed() < id {
             // Unwedge: abandon the torn terminal snapshot (it can never be
@@ -909,7 +847,10 @@ impl SimCluster {
     }
 
     /// Gracefully add a member and rescale: terminal snapshot, rebuild with
-    /// the larger cluster from it (§4.3).
+    /// the larger cluster from it (§4.3). Cluster size is an operator
+    /// input: the call is refused with `Err`, before the grid is touched,
+    /// when snapshots are disabled, while a recovery is pending, or once
+    /// the job is lost.
     ///
     /// If the terminal snapshot misses `max_wait`, the in-flight snapshot
     /// is aborted and the job is rebuilt from the last complete snapshot,
@@ -920,13 +861,7 @@ impl SimCluster {
     /// back and the job resumes on the pre-rescale topology — a failed
     /// rescale must never leave a wedged half-scaled cluster.
     pub fn add_member_and_rescale(&mut self, max_wait: u64) -> Result<MemberId, String> {
-        self.in_rescale = true;
-        let r = self.add_member_and_rescale_inner(max_wait);
-        self.in_rescale = false;
-        r
-    }
-
-    fn add_member_and_rescale_inner(&mut self, max_wait: u64) -> Result<MemberId, String> {
+        self.check_rescale()?;
         let restore = self.terminal_snapshot_for_rescale(max_wait)?;
         let new_member = self.grid.add_member();
         self.cfg.members = self.grid.members().len();
@@ -964,13 +899,7 @@ impl SimCluster {
     /// Mirrors [`Self::add_member_and_rescale`] including the abort and
     /// rollback paths.
     pub fn remove_member_and_rescale(&mut self, max_wait: u64) -> Result<MemberId, String> {
-        self.in_rescale = true;
-        let r = self.remove_member_and_rescale_inner(max_wait);
-        self.in_rescale = false;
-        r
-    }
-
-    fn remove_member_and_rescale_inner(&mut self, max_wait: u64) -> Result<MemberId, String> {
+        self.check_rescale()?;
         if self.grid.members().len() <= 1 {
             return Err("cannot scale below one member".into());
         }
@@ -1007,21 +936,5 @@ impl SimCluster {
             coord.remove_member(victim.0);
         }
         Ok(victim)
-    }
-
-    /// The autoscaling controller, when configured. (`None` is also
-    /// returned transiently while a controller-ordered rescale is mid
-    /// flight — the controller is checked out of the runtime for the
-    /// duration.)
-    pub fn controller(&self) -> Option<&Controller> {
-        self.controller.as_ref()
-    }
-
-    /// The controller's decision timeline (empty when none configured).
-    pub fn controller_events(&self) -> Vec<ControllerEvent> {
-        self.controller
-            .as_ref()
-            .map(|c| c.events().to_vec())
-            .unwrap_or_default()
     }
 }

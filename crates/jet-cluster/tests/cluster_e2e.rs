@@ -1,6 +1,6 @@
 //! Cluster-level end-to-end tests on the virtual-time simulator: multi-
 //! member correctness, distributed snapshots with failure recovery,
-//! elastic rescaling, and active-active failover.
+//! operator-ordered rescaling, and active-active failover.
 
 use jet_cluster::{ActiveActive, ActiveSide, SimCluster, SimClusterConfig};
 use jet_core::metrics::{SharedCounter, SharedHistogram};
@@ -56,6 +56,18 @@ fn three_member_cluster_counts_every_event_once() {
         ..Default::default()
     };
     let mut cluster = SimCluster::start(dag, cfg).unwrap();
+    // A rescale rides the terminal-snapshot path: without snapshots it is
+    // refused before it touches the grid.
+    for err in [
+        cluster.add_member_and_rescale(SEC).unwrap_err(),
+        cluster.remove_member_and_rescale(SEC).unwrap_err(),
+    ] {
+        assert!(
+            err.contains("rescaling requires snapshots enabled"),
+            "unexpected error: {err}"
+        );
+    }
+    assert_eq!(cluster.grid().members().len(), 3, "refused rescale moved");
     assert!(cluster.run_for(20 * SEC), "job did not finish");
     let results = out.lock();
     let mut per_key: HashMap<u64, u64> = HashMap::new();
@@ -391,6 +403,18 @@ fn failed_topology_commit_rolls_back_and_self_heals() {
         2,
         "failed commit must roll the added member back out"
     );
+    // The rollback rebuild cannot read the store either, so a recovery is
+    // pending: further rescales are refused before they touch the grid.
+    for err in [
+        cluster.add_member_and_rescale(SEC).unwrap_err(),
+        cluster.remove_member_and_rescale(SEC).unwrap_err(),
+    ] {
+        assert!(
+            err.contains("while a recovery is pending"),
+            "unexpected error: {err}"
+        );
+    }
+    assert_eq!(cluster.grid().members().len(), 2, "refused rescale moved");
     faults.set_fail_reads(false);
     assert!(
         cluster.run_for(60 * SEC),

@@ -87,6 +87,8 @@ pub struct GeneratorSource<T> {
     burst: usize,
     /// Set once an instance with no shards has told downstream it is idle.
     idle_marked: bool,
+    /// Restored from a snapshot: the frontier came from it, not from init.
+    restored: bool,
 }
 
 impl<T: Any + Send + Clone + Debug> GeneratorSource<T> {
@@ -101,6 +103,7 @@ impl<T: Any + Send + Clone + Debug> GeneratorSource<T> {
             mapper: EventTimeMapper::new(0, 1, 0),
             burst: 512,
             idle_marked: false,
+            restored: false,
         }
     }
 
@@ -120,7 +123,7 @@ impl<T: Any + Send + Clone + Debug> GeneratorSource<T> {
     }
 
     /// Claim, at offset 0, every owned shard the frontier does not hold.
-    // jet-analyze: allow(alloc) — runs once, in init or at the end of a restore, before the first call()
+    // jet-analyze: allow(alloc) — runs once, in the init of a fresh start, before the first call()
     fn claim_fresh_shards(&mut self, ctx: &ProcessorContext) {
         for s in 0..GENERATOR_SHARDS {
             if ctx.owns_key_hash(seq::hash_of(&s))
@@ -139,8 +142,7 @@ impl<T: Any + Send + Clone + Debug> Processor for GeneratorSource<T> {
             self.policy.stride,
             self.policy.idle_timeout_nanos,
         );
-        if self.frontier.is_empty() {
-            // Fresh start (no restore).
+        if !self.restored {
             self.claim_fresh_shards(ctx);
         }
     }
@@ -233,9 +235,13 @@ impl<T: Any + Send + Clone + Debug> Processor for GeneratorSource<T> {
         self.frontier.push(Reverse(k * GENERATOR_SHARDS + shard));
     }
 
-    fn finish_snapshot_restore(&mut self, ctx: &ProcessorContext) {
-        // Owned shards that had no snapshot record start fresh.
-        self.claim_fresh_shards(ctx);
+    fn finish_snapshot_restore(&mut self, _ctx: &ProcessorContext) {
+        // Every shard is claimed before the first snapshot, so a shard the
+        // snapshot has no record of was held by an instance that had
+        // finished, which it does only once all its shards are past the
+        // limit. The shard stays exhausted: restarting it at offset 0 would
+        // emit its events a second time.
+        self.restored = true;
     }
 }
 

@@ -107,22 +107,30 @@ impl SnapshotRegistry {
     /// Coordinator: request a new snapshot if the previous one finished.
     /// Returns the new id if one was started.
     pub fn trigger(&self) -> Option<SnapshotId> {
+        self.start(false)
+    }
+
+    /// Coordinator: request a terminal snapshot (suspend the job once it
+    /// completes). Like `trigger`, refuses while a snapshot is in flight: a
+    /// source that has not emitted the in-flight barrier yet would skip
+    /// straight to the terminal id, and its consumers would align the two
+    /// snapshots' barriers into one torn cut.
+    pub fn trigger_terminal(&self) -> Option<SnapshotId> {
+        self.start(true)
+    }
+
+    fn start(&self, terminal: bool) -> Option<SnapshotId> {
         self.store.as_ref()?;
         let req = self.requested.load(Ordering::Acquire);
         if req != self.completed.load(Ordering::Acquire) {
             return None; // previous still in flight
         }
         let next = req + 1;
-        self.requested.store(next, Ordering::Release);
-        Some(next)
-    }
-
-    /// Coordinator: request a terminal snapshot (suspend the job once it
-    /// completes). Unlike `trigger`, does not wait for in-flight snapshots.
-    pub fn trigger_terminal(&self) -> Option<SnapshotId> {
-        self.store.as_ref()?;
-        let next = self.requested.load(Ordering::Acquire) + 1;
-        self.terminal.store(next, Ordering::Release);
+        if terminal {
+            // The flag goes up before the id, so a source never sees the
+            // new id without it.
+            self.terminal.store(next, Ordering::Release);
+        }
         self.requested.store(next, Ordering::Release);
         Some(next)
     }
@@ -376,6 +384,17 @@ mod tests {
         let id = r.trigger_terminal().unwrap();
         assert!(r.is_terminal(id));
         assert!(!r.is_terminal(id + 1));
+    }
+
+    #[test]
+    fn terminal_trigger_waits_for_the_in_flight_snapshot() {
+        let r = registry(1);
+        let id = r.trigger().unwrap();
+        assert_eq!(r.trigger_terminal(), None, "snapshot {id} in flight");
+        assert!(!r.is_terminal(id));
+        r.ack(id);
+        assert_eq!(r.trigger_terminal(), Some(id + 1));
+        assert!(r.is_terminal(id + 1));
     }
 
     #[test]

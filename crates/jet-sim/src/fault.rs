@@ -236,9 +236,9 @@ impl FaultPlan {
     }
 
     /// Draw a random plan whose fault *onsets* all land inside `[lo, hi)` —
-    /// the chaos-autoscale lane uses this to aim crash/stall/partition/
-    /// store-outage faults into an expected controller-decision or rescale
-    /// window, rather than spraying them over the whole run. Windowed
+    /// the ordered-rescale chaos lane uses this to aim crash/stall/
+    /// partition/store-outage faults at the window its rescales are ordered
+    /// in, rather than spraying them over the whole run. Windowed
     /// faults (stalls, partitions, outages) may extend past `hi`; only
     /// their start instant is constrained. Same seed + same spec + same
     /// window => identical plan, bit for bit.

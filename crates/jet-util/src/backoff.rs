@@ -1,94 +1,19 @@
-//! Bounded exponential backoff with optional seeded jitter.
-//!
-//! Both the recovery retry loop and the autoscaling controller follow the
-//! same "degrade instead of flap" discipline: after a failure, wait
-//! `base << (attempt-1)` capped at `max` before trying again, and reset the
-//! ladder on the first success. The ladder lives here — away from any
-//! engine state — so the cap, the jitter determinism, and the
-//! reset-on-success contract can be tested in isolation.
-//!
-//! Jitter is drawn from a [`SimRng`] stream owned by the ladder: the same
-//! seed yields the same jitter sequence on every run and platform, which the
-//! chaos suite's bit-for-bit replay oracle depends on. `reset()` clears the
-//! attempt counter but deliberately does *not* rewind the jitter stream —
-//! two distinct failure episodes in one run must not reuse the same draws,
-//! while two same-seed runs still replay identically.
+//! Bounded exponential backoff for the recovery retry loop: after the
+//! `attempt`-th failure wait `base << (attempt-1)` capped at `max`. It
+//! lives here, away from any engine state, so the cap and the overflow
+//! guard can be tested in isolation.
 
-use crate::rng::SimRng;
-
-/// Bounded exponential backoff: `delay(n) = min(base << (n-1), max)`, plus
-/// an optional deterministic jitter of up to `jitter_millionths` of the
-/// delay.
-#[derive(Debug, Clone)]
-pub struct BackoffLadder {
-    base: u64,
-    max: u64,
-    jitter_millionths: u32,
-    rng: SimRng,
-    attempt: u32,
-}
-
-impl BackoffLadder {
-    /// A jitter-free ladder. `base` must be positive and `max >= base`
-    /// (checked with `debug_assert` — callers validate configs upstream).
-    pub fn new(base: u64, max: u64) -> BackoffLadder {
-        debug_assert!(base > 0, "backoff base must be positive");
-        debug_assert!(max >= base, "backoff max below base");
-        BackoffLadder {
-            base,
-            max,
-            jitter_millionths: 0,
-            rng: SimRng::new(0),
-            attempt: 0,
-        }
+/// The capped delay after `attempt` failures (1-based):
+/// `min(base << (attempt-1), max)`, saturating instead of wrapping.
+/// `attempt == 0` means "no failure yet" and yields 0.
+pub fn backoff_delay(base: u64, max: u64, attempt: u32) -> u64 {
+    debug_assert!(base > 0, "backoff base must be positive");
+    debug_assert!(max >= base, "backoff max below base");
+    if attempt == 0 {
+        return 0;
     }
-
-    /// Add a deterministic jitter of up to `millionths/1e6` of each delay,
-    /// drawn from a seeded stream.
-    pub fn with_jitter(mut self, millionths: u32, seed: u64) -> BackoffLadder {
-        self.jitter_millionths = millionths;
-        self.rng = SimRng::new(seed);
-        self
-    }
-
-    /// Completed (failed) attempts since the last reset.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// The capped un-jittered delay after `attempt` failures (1-based).
-    /// `attempt == 0` means "no failure yet" and yields 0.
-    pub fn raw_delay(&self, attempt: u32) -> u64 {
-        if attempt == 0 {
-            return 0;
-        }
-        self.base
-            .checked_shl(attempt - 1)
-            .unwrap_or(u64::MAX)
-            .min(self.max)
-    }
-
-    /// Record a failure and return how long to wait before the next
-    /// attempt (capped, jittered when configured).
-    pub fn next_delay(&mut self) -> u64 {
-        self.attempt += 1;
-        let d = self.raw_delay(self.attempt);
-        if self.jitter_millionths == 0 {
-            return d;
-        }
-        let span = (d as u128 * self.jitter_millionths as u128 / 1_000_000) as u64;
-        d + if span > 0 {
-            self.rng.below(span + 1)
-        } else {
-            0
-        }
-    }
-
-    /// Success: the next failure starts the ladder from the bottom again.
-    /// The jitter stream is *not* rewound (see module docs).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
+    base.saturating_mul(2u64.saturating_pow(attempt - 1))
+        .min(max)
 }
 
 #[cfg(test)]
@@ -97,8 +22,9 @@ mod tests {
 
     #[test]
     fn delays_double_then_cap() {
-        let mut l = BackoffLadder::new(2_000_000, 32_000_000);
-        let delays: Vec<u64> = (0..8).map(|_| l.next_delay()).collect();
+        let delays: Vec<u64> = (1..=8)
+            .map(|n| backoff_delay(2_000_000, 32_000_000, n))
+            .collect();
         assert_eq!(
             delays,
             vec![
@@ -106,65 +32,21 @@ mod tests {
                 32_000_000
             ]
         );
-        assert_eq!(l.attempt(), 8);
     }
 
     #[test]
     fn huge_attempt_counts_do_not_overflow() {
-        let l = BackoffLadder::new(1 << 40, u64::MAX);
-        // Shifting past 64 bits saturates instead of wrapping.
-        assert_eq!(l.raw_delay(200), u64::MAX);
-        let mut l = BackoffLadder::new(1, 1 << 20);
-        for _ in 0..100 {
-            assert!(l.next_delay() <= 1 << 20);
+        // Doubling past 64 bits saturates instead of wrapping, both when
+        // the shift itself is too wide and when the high bits fall off.
+        assert_eq!(backoff_delay(1 << 40, u64::MAX, 200), u64::MAX);
+        assert_eq!(backoff_delay(1 << 40, u64::MAX, 30), u64::MAX);
+        for n in 1..100 {
+            assert!(backoff_delay(1, 1 << 20, n) <= 1 << 20);
         }
-    }
-
-    #[test]
-    fn reset_on_success_restarts_from_base() {
-        let mut l = BackoffLadder::new(1_000, 64_000);
-        assert_eq!(l.next_delay(), 1_000);
-        assert_eq!(l.next_delay(), 2_000);
-        assert_eq!(l.next_delay(), 4_000);
-        l.reset();
-        assert_eq!(l.attempt(), 0);
-        assert_eq!(l.next_delay(), 1_000);
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic_under_seed() {
-        let run = |seed: u64| -> Vec<u64> {
-            let mut l = BackoffLadder::new(1_000_000, 16_000_000).with_jitter(250_000, seed);
-            (0..10).map(|_| l.next_delay()).collect()
-        };
-        let a = run(42);
-        let b = run(42);
-        assert_eq!(a, b, "same seed must replay the same jitter");
-        let c = run(43);
-        assert_ne!(a, c, "different seeds should diverge");
-        // Every jittered delay stays within [raw, raw * 1.25].
-        let l = BackoffLadder::new(1_000_000, 16_000_000);
-        for (i, &d) in a.iter().enumerate() {
-            let raw = l.raw_delay(i as u32 + 1);
-            assert!(d >= raw && d <= raw + raw / 4, "attempt {i}: {d} vs {raw}");
-        }
-    }
-
-    #[test]
-    fn reset_does_not_rewind_the_jitter_stream() {
-        let mut l = BackoffLadder::new(1_000_000, 16_000_000).with_jitter(500_000, 7);
-        let first = l.next_delay();
-        l.reset();
-        let second = l.next_delay();
-        // Same raw delay (attempt 1 both times) but a fresh draw — with a
-        // 50% jitter span the odds of an accidental collision are ~1e-6;
-        // seed 7 is known not to collide.
-        assert_ne!(first, second);
     }
 
     #[test]
     fn zero_attempt_means_no_delay() {
-        let l = BackoffLadder::new(5, 10);
-        assert_eq!(l.raw_delay(0), 0);
+        assert_eq!(backoff_delay(5, 10, 0), 0);
     }
 }

@@ -30,7 +30,6 @@ pub mod rng;
 pub mod seq;
 pub mod sync;
 
-pub use backoff::BackoffLadder;
 pub use clock::{Clock, ManualClock, SharedClock, SystemClock};
 pub use codec::{ByteReader, ByteWriter, DecodeError};
 pub use histogram::Histogram;

@@ -31,7 +31,7 @@ runs=(
   "fig_tenant_stress -"
   "sec77_multitenancy sec77_multitenancy.txt"
   "abl4_receive_window abl4_receive_window.txt"
-  "fig_autoscale -"
+  "fig_rescale -"
   "rec_failover rec_failover.txt"
 )
 

@@ -9,8 +9,8 @@
 //! reachable from them — with the full call chain
 //! (`call() → flush_outbox() → grow()`). Two more passes run over the same
 //! item tree: the release/acquire pairing audit and the source-hygiene
-//! rules (ordering comments, single-item polls, observability names,
-//! raw-gauge reads; see `rules.rs`).
+//! rules (ordering comments, single-item polls, observability names; see
+//! `rules.rs`).
 //!
 //! ## Effect lattice
 //!
@@ -101,11 +101,10 @@ pub enum Effect {
     MetricName,
     MetricDup,
     SpanName,
-    RawGauge,
 }
 
 impl Effect {
-    pub const ALL: [Effect; 11] = [
+    pub const ALL: [Effect; 10] = [
         Effect::Alloc,
         Effect::Block,
         Effect::Panic,
@@ -116,7 +115,6 @@ impl Effect {
         Effect::MetricName,
         Effect::MetricDup,
         Effect::SpanName,
-        Effect::RawGauge,
     ];
 
     pub fn name(self) -> &'static str {
@@ -131,7 +129,6 @@ impl Effect {
             Effect::MetricName => "metric-name",
             Effect::MetricDup => "metric-dup",
             Effect::SpanName => "span-name",
-            Effect::RawGauge => "raw-gauge",
         }
     }
 

@@ -22,11 +22,6 @@
 //!   (name, kind) registered in two files is a `metric-dup` (same-file
 //!   repeats are per-instance instruments). Literal `.intern(` span names
 //!   are lowercase kebab-case.
-//! * **raw-gauge** — autoscaling decision code (`controller.rs`) does not
-//!   read unsampled instantaneous telemetry (`.snapshot()`,
-//!   `.job_metrics(`, `.counter_total(`, `.gauge_total(`, `.as_gauge(`,
-//!   `.get_all(`): one noisy quantum must never drive a rescale, so only
-//!   the cadenced ingestion point, which carries the allow, reads them.
 
 use crate::extract::{allowed, Callee, FnDef, Workspace};
 use crate::ordering::atomic_sites;
@@ -35,15 +30,6 @@ use crate::{sort_violations, Analysis, Effect, Violation};
 const LOCK_FREE_FILES: &[&str] = &["spsc.rs", "conveyor.rs", "trace.rs"];
 
 const SINGLE_ITEM_POLLS: &[&str] = &["poll", "poll_lane", "poll_any"];
-
-const RAW_GAUGE_READS: &[&str] = &[
-    "snapshot",
-    "job_metrics",
-    "counter_total",
-    "gauge_total",
-    "as_gauge",
-    "get_all",
-];
 
 /// Registration methods whose first argument is the instrument name, and
 /// the kind of instrument they create.
@@ -96,7 +82,6 @@ pub(crate) fn check(ws: &Workspace, analysis: &mut Analysis) {
     let mut metrics = Vec::new();
     for f in &ws.fns {
         single_item_polls(ws, f, &mut findings);
-        raw_gauge_reads(f, &mut findings);
         literal_names(f, &mut findings, &mut metrics);
     }
     metric_collisions(ws, analysis, &metrics, &mut findings);
@@ -166,32 +151,6 @@ fn single_item_polls<'a>(ws: &Workspace, f: &'a FnDef, out: &mut Vec<Finding<'a>
                           event; use the bulk `drain_*` APIs, or say why with a \
                           `// single-item: <reason>` comment"
                     .to_string(),
-            });
-        }
-    }
-}
-
-fn raw_gauge_reads<'a>(f: &'a FnDef, out: &mut Vec<Finding<'a>>) {
-    if base_name(&f.file) != "controller.rs" {
-        return;
-    }
-    for c in &f.calls {
-        let Callee::Method {
-            name, zero_args, ..
-        } = &c.callee
-        else {
-            continue;
-        };
-        if RAW_GAUGE_READS.contains(&name.as_str()) && (name != "snapshot" || *zero_args) {
-            out.push(Finding {
-                class: Effect::RawGauge,
-                f,
-                line: c.line,
-                pattern: format!(".{name}("),
-                message: format!(
-                    "`.{name}(` in controller code reads an unsampled instantaneous value; \
-                     decide on the windowed sample ring instead"
-                ),
             });
         }
     }

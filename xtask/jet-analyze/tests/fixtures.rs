@@ -149,7 +149,6 @@ fn hygiene_checks_flag_seeded_sites_only() {
         ),
         ("metric_dup_pos", "metric_dup_neg", Effect::MetricDup, 1),
         ("span_name_pos.rs", "span_name_neg.rs", Effect::SpanName, 2),
-        ("raw_gauge_pos", "raw_gauge_neg", Effect::RawGauge, 6),
     ] {
         let a = analyze_fixture(pos);
         let classes: Vec<Effect> = a.violations.iter().map(|v| v.effect).collect();
@@ -176,20 +175,14 @@ fn span_name_second_call_on_a_line_flagged() {
     );
 }
 
-/// Two checks are scoped by file name: a relaxed publish needs a reason only
-/// in the lock-free files, and raw-gauge reads are only flagged in
-/// controller code.
+/// A file-scoped check follows the file name: a relaxed publish needs a
+/// reason only in the lock-free files.
 #[test]
 fn file_scoped_checks_follow_the_file_name() {
     let relaxed = "pub struct Q {\n    tail: AtomicUsize,\n}\nimpl Q {\n    \
                    fn publish(&self) {\n        self.tail.store(1, Ordering::Relaxed);\n    }\n    \
                    fn peek(&self) -> usize {\n        self.tail.load(Ordering::Relaxed)\n    }\n}\n";
-    let controller = std::fs::read_to_string(fixture("raw_gauge_pos/controller.rs")).unwrap();
-    for (label, src, failing) in [
-        ("spsc.rs", relaxed, 1),
-        ("metrics.rs", relaxed, 0),
-        ("runtime.rs", controller.as_str(), 0),
-    ] {
+    for (label, src, failing) in [("spsc.rs", relaxed, 1), ("metrics.rs", relaxed, 0)] {
         let a = analyze_sources(&[(label.to_string(), src.to_string())], &[]);
         assert_eq!(
             a.violations.len(),
@@ -268,8 +261,6 @@ fn cli_exit_codes() {
         ("metric_dup_neg", false),
         ("span_name_pos.rs", true),
         ("span_name_neg.rs", false),
-        ("raw_gauge_pos", true),
-        ("raw_gauge_neg", false),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_jet-analyze"))
             .arg("--paths")
