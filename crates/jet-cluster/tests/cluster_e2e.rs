@@ -2,7 +2,7 @@
 //! member correctness, distributed snapshots with failure recovery,
 //! operator-ordered rescaling, and active-active failover.
 
-use jet_cluster::{ActiveActive, ActiveSide, SimCluster, SimClusterConfig};
+use jet_cluster::{ActiveActive, ActiveSide, CoordinatorConfig, SimCluster, SimClusterConfig};
 use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::processor::Guarantee;
 use jet_core::processors::agg::counting;
@@ -480,6 +480,41 @@ fn rescale_adds_member_without_losing_state() {
     );
     let total: u64 = out.lock().iter().map(|(_, r)| r.value).sum();
     assert_eq!(total, LIMIT, "rescale lost or duplicated events");
+}
+
+/// A rescale restores every stage-1 instance at a point inside a frame, so
+/// the first frame a restored instance measures holds only the restore
+/// point's tail, a few events per key. Were that frame to choose the path,
+/// the next one would be forwarded event by event into channels rebuilt at
+/// the minimum receive window, and no window result could leave before the
+/// receivers' first ack, 100 ms later. The job is the rescale chaos lane's.
+#[test]
+fn a_rescale_does_not_stall_the_next_window() {
+    const WINDOW: Ts = 10 * MS as Ts;
+    let (p, out) = counting_job(4_000_000, 480_000, 16, WINDOW);
+    let dag = p.compile(2).unwrap();
+    let cfg = SimClusterConfig {
+        members: 3,
+        cores_per_member: 2,
+        partition_count: 31,
+        guarantee: Guarantee::ExactlyOnce,
+        snapshot_interval: 5 * MS,
+        coordinator: Some(CoordinatorConfig::default()),
+        ..Default::default()
+    };
+    let mut cluster = SimCluster::start(dag, cfg).unwrap();
+    cluster.run_for(30 * MS);
+    cluster.add_member_and_rescale(SEC).unwrap();
+    let mut emitted_at = None;
+    cluster.run_for_with((50 * MS).saturating_sub(cluster.now()), |now| {
+        if emitted_at.is_none() && out.lock().iter().any(|(_, r)| r.end == 4 * WINDOW) {
+            emitted_at = Some(now);
+        }
+    });
+    assert!(
+        emitted_at.is_some(),
+        "the window ending at 40 ms was not emitted by t = 50 ms"
+    );
 }
 
 #[test]

@@ -35,6 +35,14 @@
 //!   bounded record chunks across quanta behind a resumable cursor; the
 //!   exactly-once oracle is unchanged because a barrier only commits once
 //!   the final chunk is written.
+//! * **Fold ahead.** In deduct mode the newest frame of the next window is
+//!   folded into the running accumulators in the background once the last
+//!   window has closed and retired, and its later events are written
+//!   through; the watermark that closes the window then starts emitting at
+//!   once instead of behind an O(keys) fold.
+//!
+//! Results leave as typed values through [`Outbox::emit_value`] on
+//! out-ordinal 0: a fused chain takes each [`WindowResult`] unboxed.
 //!
 //! Three processors are built on the shared [`WindowState`]:
 //!
@@ -84,13 +92,14 @@ const PROBE_STRIDE: u32 = 64;
 /// window result can leave. On the wall clock (paced `q5-sliding`, one
 /// worker on a 2-vCPU VM) each costs ~98 ns there (ship 37 ns, routing,
 /// stage-2 ingest into a cold recycled table 68–95 ns, fold 32 ns), so the
-/// close of a Q5 frame of ~3,300 partials delays its window by ~324 µs. Forwarding ships all `N` events as one-event partials while
-/// the frame is still open, where they delay no result; what it costs is
-/// the throughput of the `N − d` extra partials against the stage-1 upsert
-/// each event saves. From those per-layer costs, holding breaks even on the
-/// clock near `N/d ≈ 3`. In the simulator, Fig. 7's 2M/core row (`N/d ≈
-/// 2.2`, ~18k bids per frame and instance over 10k keys) needs holding to
-/// keep stage 2 under capacity, and so does Q7's single-key fan-in. Forwarding only
+/// close of a Q5 frame of ~3,300 partials delays its window by ~324 µs.
+/// Forwarding ships all `N` events as one-event partials while the frame is
+/// still open, where they delay no result; what it costs is the throughput
+/// of the `N − d` extra partials against the stage-1 upsert each event
+/// saves. From those per-layer costs, holding breaks even on the clock near
+/// `N/d ≈ 3`. In the simulator, Fig. 7's 2M/core row (`N/d ≈ 2.2`, ~18k
+/// bids per frame and instance over 10k keys) needs holding to keep stage 2
+/// under capacity, and so does Q7's single-key fan-in. Forwarding only
 /// below 2 is therefore conservative on the clock and holds every measured
 /// row that needs it.
 const HOLD_MIN_EVENTS_PER_KEY: f64 = 2.0;
@@ -290,6 +299,9 @@ struct WindowState<K, A> {
     /// until the first window is produced. Advances when a window's
     /// emission *starts* (the classification boundary).
     floor: Ts,
+    /// Deduct mode: frame `floor` is already folded into `running` ahead
+    /// of its window's watermark, so that window's emission starts at once.
+    folded_ahead: bool,
     /// Highest accepted watermark; emission owes every window `<=` it.
     wm_target: Ts,
     /// Accepted watermark not yet forwarded downstream (`NO_WATERMARK`
@@ -318,6 +330,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
             spill_len: 0,
             next_emit: NO_WATERMARK,
             floor: NO_WATERMARK,
+            folded_ahead: false,
             wm_target: NO_WATERMARK,
             held_wm: NO_WATERMARK,
             snap_cursor: None,
@@ -367,9 +380,12 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     /// running accumulators by past emissions; a (valid, in-window) late
     /// arrival for such a frame must therefore update `running` directly as
     /// well, or the eventual frame expiry would deduct state that was never
-    /// added (and intermediate windows would under-count).
+    /// added (and intermediate windows would under-count). Frame `floor`
+    /// joins them once it was folded ahead.
     fn frame_already_running(&self, frame_end: Ts) -> bool {
-        self.floor != NO_WATERMARK && frame_end <= self.floor - self.wdef.slide
+        self.floor != NO_WATERMARK
+            && (frame_end <= self.floor - self.wdef.slide
+                || (self.folded_ahead && frame_end == self.floor))
     }
 
     /// True when `frame_end` belongs to the actively-emitting window and
@@ -561,10 +577,22 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         }
                         continue;
                     }
-                    if !self.window_due() {
-                        break;
+                    if self.window_due() {
+                        self.begin_window(op);
+                    } else {
+                        // Caught up: forward the held watermark (results
+                        // precede it), then fold the next window's newest
+                        // frame ahead of the watermark that will close it.
+                        if self.held_wm != NO_WATERMARK
+                            && outbox.broadcast(Item::Watermark(self.held_wm))
+                        {
+                            self.held_wm = NO_WATERMARK;
+                            worked = true;
+                        }
+                        if !self.begin_fold_ahead(op) {
+                            return worked;
+                        }
                     }
-                    self.begin_window(op);
                     worked = true;
                 }
                 Pending::Fold { end, fi, cur } => {
@@ -596,12 +624,6 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                 return true;
             }
         }
-        // Caught up: forward the held watermark (results precede it).
-        if self.held_wm != NO_WATERMARK && outbox.broadcast(Item::Watermark(self.held_wm)) {
-            self.held_wm = NO_WATERMARK;
-            worked = true;
-        }
-        worked
     }
 
     /// Open the next due window's emission. Cold: once per slide; does O(1)
@@ -609,6 +631,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     #[cold]
     fn begin_window<R>(&mut self, op: &AggregateOp<A, R>) {
         let end = self.next_emit;
+        let folded_ahead = std::mem::take(&mut self.folded_ahead);
         if self.frames.is_empty() && self.running.is_empty() && self.retire.is_empty() {
             // No state at all: every remaining window is empty. Re-anchor on
             // the next frame that actually arrives (this is also what keeps
@@ -640,7 +663,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
             return;
         }
         if op.deduct.is_some() {
-            match find_frame(&self.frames, 0, end) {
+            match find_frame(&self.frames, 0, end).filter(|_| !folded_ahead) {
                 Some(fi) => {
                     self.pending = Pending::Fold {
                         end,
@@ -673,6 +696,30 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
         }
     }
 
+    /// Deduct mode, between windows: start folding frame `floor` (the newest
+    /// frame of the next window) into `running` before its watermark, so
+    /// that window's first result does not wait for the fold. Returns false
+    /// when there is nothing to fold ahead.
+    fn begin_fold_ahead<R>(&mut self, op: &AggregateOp<A, R>) -> bool {
+        if op.deduct.is_none()
+            || self.wdef.frames_per_window() == 1
+            || self.folded_ahead
+            || self.floor == NO_WATERMARK
+            || self.next_emit != self.floor
+        {
+            return false;
+        }
+        let Some(fi) = find_frame(&self.frames, self.hint, self.floor) else {
+            return false;
+        };
+        self.pending = Pending::Fold {
+            end: self.floor,
+            fi,
+            cur: Cursor::default(),
+        };
+        true
+    }
+
     /// Fold a chunk of the newest frame into the running accumulators.
     fn step_fold<R>(
         &mut self,
@@ -693,6 +740,13 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                     cur = next;
                     *budget -= 1;
                     worked = true;
+                }
+                None if end == self.floor => {
+                    // Folded ahead: frame `floor` now takes writes through.
+                    self.folded_ahead = true;
+                    self.pending = Pending::Idle;
+                    self.drain_spill(op);
+                    return true;
                 }
                 None => {
                     self.pending = Pending::EmitRunning {
@@ -759,7 +813,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     {
         let start = end - self.wdef.size;
         while *budget > 0 {
-            if !outbox.has_room_all() {
+            if !outbox.has_room(0) {
                 self.pending = Pending::EmitRunning { end, cur };
                 return false;
             }
@@ -772,8 +826,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         end,
                         value: (op.finish)(&v.0),
                     };
-                    let delivered = outbox.broadcast(Item::event(end, boxed(r)));
-                    debug_assert!(delivered);
+                    outbox.emit_value(0, end, r);
                     cur = next;
                     *budget -= 1;
                 }
@@ -801,7 +854,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     {
         let start = end - self.wdef.size;
         while *budget > 0 {
-            if !outbox.has_room_all() {
+            if !outbox.has_room(0) {
                 self.pending = Pending::EmitScratch { end, cur };
                 return false;
             }
@@ -814,8 +867,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         end,
                         value: (op.finish)(&a),
                     };
-                    let delivered = outbox.broadcast(Item::event(end, boxed(r)));
-                    debug_assert!(delivered);
+                    outbox.emit_value(0, end, r);
                     cur = next;
                     *budget -= 1;
                 }
@@ -843,7 +895,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     {
         let start = end - self.wdef.size;
         while *budget > 0 {
-            if !outbox.has_room_all() {
+            if !outbox.has_room(0) {
                 self.pending = Pending::EmitFrame { end, cur };
                 return false;
             }
@@ -860,8 +912,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         end,
                         value: (op.finish)(&a),
                     };
-                    let delivered = outbox.broadcast(Item::event(end, boxed(r)));
-                    debug_assert!(delivered);
+                    outbox.emit_value(0, end, r);
                     cur = next;
                     *budget -= 1;
                 }
@@ -1059,6 +1110,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     fn finish_restore<R>(&mut self, op: &AggregateOp<A, R>) {
         // Re-anchor on the restored frames (respecting the floor).
         self.next_emit = NO_WATERMARK;
+        self.folded_ahead = false;
         let mut i = 0;
         while i < self.frames.len() {
             let end = self.frames[i].end;
@@ -1321,7 +1373,7 @@ fn ln_at_least_1(y: f64) -> f64 {
 /// Stage 1's measurement of its newest frame and the path it chose for it.
 /// Only the newest frame is measured: events for older frames are not
 /// counted. Not snapshotted: a fresh or restored instance holds until it
-/// has measured a frame.
+/// has measured a frame it saw whole.
 struct FrameMeter {
     /// End of the newest frame seen, the one being measured.
     newest: Ts,
@@ -1335,6 +1387,9 @@ struct FrameMeter {
     bypassed_frames: u64,
     /// Events per distinct key of the last measured frame, in thousandths.
     events_per_key_milli: u64,
+    /// Restored from a snapshot: the first measured frame holds only the
+    /// restore point's tail, so it chooses nothing and the next one holds.
+    restored: bool,
 }
 
 impl FrameMeter {
@@ -1346,6 +1401,7 @@ impl FrameMeter {
             bypass: false,
             bypassed_frames: 0,
             events_per_key_milli: 0,
+            restored: false,
         }
     }
 
@@ -1371,7 +1427,7 @@ impl FrameMeter {
     /// Cold: once per frame.
     #[cold]
     fn roll(&mut self, frame_end: Ts) {
-        if self.newest != NO_WATERMARK {
+        if self.newest != NO_WATERMARK && !std::mem::take(&mut self.restored) {
             let keys = self.keys.distinct();
             let events = self.events as f64;
             self.bypass = events < HOLD_MIN_EVENTS_PER_KEY * keys;
@@ -1466,7 +1522,7 @@ where
                     if budget == 0 {
                         return true;
                     }
-                    if !outbox.has_room_all() {
+                    if !outbox.has_room(0) {
                         return worked;
                     }
                     let (next, item) = table.drain_next(*cur);
@@ -1478,8 +1534,7 @@ where
                                 frame_end: end,
                                 acc,
                             };
-                            let delivered = outbox.broadcast(Item::event(end, boxed(c)));
-                            debug_assert!(delivered);
+                            outbox.emit(0, end, boxed(c));
                             budget -= 1;
                             worked = true;
                         }
@@ -1592,7 +1647,7 @@ where
             // stage 2 applies the event or counts it late.
             let shipped = *emitted_through != NO_WATERMARK && frame_end <= *emitted_through;
             let forward = meter.bypass || shipped;
-            if forward && !outbox.has_room_all() {
+            if forward && !outbox.has_room(0) {
                 break; // resume once the outbox drains
             }
             let Some((_, obj)) = inbox.take() else {
@@ -1609,8 +1664,7 @@ where
                     frame_end,
                     acc,
                 };
-                let delivered = outbox.broadcast(Item::event(frame_end, boxed(c)));
-                debug_assert!(delivered);
+                outbox.emit(0, frame_end, boxed(c));
                 continue;
             }
             let fi = match find_frame(frames, *hint, frame_end) {
@@ -1742,6 +1796,10 @@ where
             .table
             .upsert(fp_of(&k), k, || (self.op.create)());
         (self.op.combine)(slot, &a);
+    }
+
+    fn finish_snapshot_restore(&mut self, _ctx: &ProcessorContext) {
+        self.meter.restored = true;
     }
 }
 
@@ -1877,6 +1935,293 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::take;
+    use crate::processor::Guarantee;
+    use crate::processors::agg::counting;
+    use std::collections::HashMap;
+    use std::ops::Range;
+    use std::sync::atomic::AtomicBool;
+
+    /// Slide of every window under test, in event-time nanoseconds.
+    const S: Ts = 1_000;
+    /// Keys per frame: each fold and emission spans three `EMIT_CHUNK`
+    /// quanta, so events can arrive in the middle of either.
+    const KEYS: u64 = 2_500;
+
+    /// Drives one `WindowState` by hand and checks every window result it
+    /// emits against a brute-force fold of the events it accepted.
+    struct Rig {
+        wdef: WindowDef,
+        op: AggregateOp<u64, u64>,
+        state: WindowState<u64, u64>,
+        outbox: Outbox,
+        /// Accepted events: `(key, frame end, floor when accepted)`.
+        accepted: Vec<(u64, Ts, Ts)>,
+        got: HashMap<(u64, Ts), u64>,
+        /// A background fold ran at some point.
+        saw_fold_ahead: bool,
+    }
+
+    impl Rig {
+        fn new(wdef: WindowDef, op: AggregateOp<u64, u64>) -> Self {
+            Rig {
+                wdef,
+                op,
+                state: WindowState::new(wdef),
+                outbox: Outbox::new(1, usize::MAX),
+                accepted: Vec::new(),
+                got: HashMap::new(),
+                saw_fold_ahead: false,
+            }
+        }
+
+        fn sliding() -> Self {
+            Self::new(WindowDef::sliding(4 * S, S), counting::<u64>())
+        }
+
+        /// One event, as `SlidingWindowP::process` takes it.
+        fn event(&mut self, key: u64, frame_end: Ts) {
+            assert!(!self.state.blocked(frame_end), "spill full");
+            if self.state.is_late(frame_end) {
+                return;
+            }
+            let floor = self.state.floor;
+            self.state
+                .add(fp_of(&key), key, frame_end, &self.op, |a| *a += 1);
+            self.accepted.push((key, frame_end, floor));
+        }
+
+        fn frame(&mut self, keys: Range<u64>, frame_end: Ts) {
+            for key in keys {
+                self.event(key, frame_end);
+            }
+        }
+
+        fn watermark(&mut self, wm: Ts) {
+            assert!(self.state.try_accept_wm(wm));
+        }
+
+        /// Is frame `floor` being folded ahead of its watermark?
+        fn folding_ahead(&self) -> bool {
+            matches!(self.state.pending, Pending::Fold { end, .. } if end == self.state.floor)
+        }
+
+        fn emitting(&self) -> Option<Ts> {
+            match self.state.pending {
+                Pending::EmitRunning { end, .. } => Some(end),
+                _ => None,
+            }
+        }
+
+        /// One quantum of `pump`; collects what it emitted.
+        fn pump(&mut self) {
+            self.state.pump(&mut self.outbox, &self.op);
+            self.saw_fold_ahead |= self.folding_ahead() || self.state.folded_ahead;
+            for item in self.outbox.buf_mut(0).drain(..) {
+                if let Item::Event { obj, .. } = item {
+                    let r = take::<WindowResult<u64, u64>>(obj);
+                    assert_eq!(r.start, r.end - self.wdef.size);
+                    let dup = self.got.insert((r.key, r.end), r.value);
+                    assert!(dup.is_none(), "window {r:?} emitted twice");
+                }
+            }
+        }
+
+        fn pump_until(&mut self, what: &str, done: impl Fn(&Self) -> bool) {
+            for _ in 0..100 {
+                if done(self) {
+                    return;
+                }
+                self.pump();
+            }
+            panic!("never reached: {what}");
+        }
+
+        /// Snapshot the state and replace it by a restored copy.
+        fn snapshot_and_restore(&mut self) {
+            assert!(self.state.quiesced());
+            while !self.state.stream_save(1, &mut self.outbox, 0) {}
+            let parts = jet_imdg::DEFAULT_PARTITION_COUNT;
+            let ctx = ProcessorContext {
+                vertex: "window".into(),
+                global_index: 0,
+                total_parallelism: 1,
+                member: 0,
+                clock: jet_util::clock::system_clock(),
+                guarantee: Guarantee::ExactlyOnce,
+                cancelled: Arc::new(AtomicBool::new(false)),
+                partition_count: parts,
+                owned_partitions: Arc::new(vec![true; parts as usize]),
+            };
+            let mut restored = WindowState::new(self.wdef);
+            let (records, bytes) = self.outbox.snapshot_chunk();
+            let mut r = jet_util::codec::ByteReader::new(bytes);
+            for _ in 0..records {
+                let key = r.get_bytes().unwrap();
+                let value = r.get_bytes().unwrap();
+                restored.restore(key, value, &ctx, &self.op);
+            }
+            restored.finish_restore(&self.op);
+            self.outbox.clear_snapshot_chunk();
+            self.state = restored;
+        }
+
+        /// Flush every window, as `complete` does, and compare all results
+        /// with the fold.
+        fn finish(mut self) -> Self {
+            let target = Ts::MAX - self.wdef.slide;
+            self.state.wm_target = target;
+            self.state.held_wm = target;
+            self.pump_until("end of stream", |r| r.state.finished());
+            let mut want: HashMap<(u64, Ts), u64> = HashMap::new();
+            for &(key, frame_end, floor) in &self.accepted {
+                for end in (frame_end..frame_end + self.wdef.size).step_by(S as usize) {
+                    if floor == NO_WATERMARK || end >= floor {
+                        *want.entry((key, end)).or_default() += 1;
+                    }
+                }
+            }
+            assert_eq!(self.got.len(), want.len(), "windows emitted");
+            assert_eq!(self.got, want);
+            self
+        }
+    }
+
+    #[test]
+    fn next_frame_events_during_emission_background_fold_and_after_match_a_fold() {
+        let mut rig = Rig::sliding();
+        for f in 1..=4 {
+            rig.frame(f as u64 * 100..f as u64 * 100 + KEYS, f * S);
+        }
+        rig.watermark(S);
+        rig.pump_until("window S emitting", |r| r.emitting() == Some(S));
+        let next = rig.state.floor;
+        assert_eq!(next, 2 * S);
+        rig.frame(0..3, next);
+        rig.pump_until("background fold", Rig::folding_ahead);
+        assert!(!rig.state.folded_ahead);
+        rig.frame(3..6, next);
+        rig.event(7, S); // a late event for a frame already in `running`
+        assert_eq!(rig.state.spill_len, 4, "the frame being folded spills");
+        rig.pump_until("fold ahead done", |r| r.state.folded_ahead);
+        assert_eq!(rig.state.spill_len, 0);
+        assert!(rig.state.frame_already_running(next));
+        rig.frame(6..9, next);
+        rig.frame(KEYS + 1_000..KEYS + 1_003, next); // keys new to `running`
+        rig.watermark(next);
+        rig.pump();
+        assert_eq!(rig.emitting(), Some(next), "the fold is skipped");
+        assert!(!rig.state.folded_ahead);
+        rig.finish();
+    }
+
+    #[test]
+    fn late_events_for_frames_already_in_running_count_in_every_later_window() {
+        let mut rig = Rig::sliding();
+        for f in 1..=6 {
+            rig.frame(0..KEYS, f * S);
+        }
+        rig.watermark(3 * S);
+        rig.pump_until("frame 4S folded ahead", |r| r.state.folded_ahead);
+        assert_eq!(rig.state.floor, 4 * S);
+        // Frames S to 3S were folded by emissions, 4S ahead of its
+        // watermark; frame 0 is late for every window still owed.
+        for frame_end in [0, S, 2 * S, 3 * S, 4 * S] {
+            rig.event(1, frame_end);
+            rig.event(KEYS + frame_end as u64, frame_end);
+        }
+        assert_eq!(rig.state.late_events, 2);
+        rig.finish();
+    }
+
+    #[test]
+    fn a_snapshot_taken_after_a_fold_ahead_restores_without_it() {
+        let mut rig = Rig::sliding();
+        for f in 1..=5 {
+            rig.frame(0..KEYS, f * S);
+        }
+        rig.watermark(2 * S);
+        rig.pump_until("frame 3S folded ahead", |r| {
+            r.state.folded_ahead && r.state.held_wm == NO_WATERMARK
+        });
+        rig.frame(0..10, 3 * S);
+        rig.snapshot_and_restore();
+        assert!(!rig.state.folded_ahead);
+        assert_eq!(rig.state.next_emit, 3 * S);
+        rig.frame(10..20, 3 * S);
+        rig.watermark(4 * S);
+        rig.finish();
+    }
+
+    #[test]
+    fn a_gap_that_drains_the_state_re_anchors_and_folds_the_next_frame() {
+        let mut rig = Rig::sliding();
+        for f in 1..=3 {
+            rig.frame(0..KEYS, f * S);
+        }
+        rig.watermark(S);
+        rig.pump_until("frame 2S folded ahead", |r| r.state.folded_ahead);
+        // The gap: every window over the frames so far closes, the state
+        // drains empty and the anchor resets.
+        rig.watermark(20 * S);
+        rig.pump_until("state drained", |r| {
+            r.state.next_emit == NO_WATERMARK && r.state.retire.is_empty()
+        });
+        assert!(rig.state.running.is_empty() && rig.state.frames.is_empty());
+        assert!(!rig.state.folded_ahead);
+        for f in 21..=23 {
+            rig.frame(0..KEYS, f * S);
+        }
+        rig.watermark(21 * S);
+        rig.pump_until("frame 22S folded ahead", |r| r.state.folded_ahead);
+        rig.finish();
+    }
+
+    #[test]
+    fn tumbling_and_deduct_free_windows_never_fold_ahead() {
+        let mut op = counting::<u64>();
+        op.deduct = None;
+        for rig in [
+            Rig::new(WindowDef::tumbling(S), counting::<u64>()),
+            Rig::new(WindowDef::sliding(4 * S, S), op),
+        ] {
+            let mut rig = rig;
+            for f in 1..=6 {
+                rig.frame(0..KEYS, f * S);
+                rig.watermark((f - 1) * S);
+                for _ in 0..8 {
+                    rig.pump();
+                }
+            }
+            let rig = rig.finish();
+            assert!(!rig.saw_fold_ahead);
+        }
+    }
+
+    #[test]
+    fn a_restored_stage_1_holds_past_its_first_measured_frame() {
+        let sparse = |meter: &mut FrameMeter, frame_end: Ts| {
+            meter.see(frame_end);
+            for key in 0..100u64 {
+                meter.count(frame_end, fp_of(&key));
+            }
+        };
+        let mut fresh = FrameMeter::new();
+        let mut restored = FrameMeter::new();
+        restored.restored = true;
+        for meter in [&mut fresh, &mut restored] {
+            sparse(meter, S);
+            meter.see(2 * S);
+        }
+        assert!(fresh.bypass, "one event per key forwards the next frame");
+        assert!(
+            !restored.bypass,
+            "the first frame after a restore chooses nothing"
+        );
+        sparse(&mut restored, 2 * S);
+        restored.see(3 * S);
+        assert!(restored.bypass);
+    }
 
     #[test]
     fn ln_matches_the_math_library_over_the_sketch_range() {
