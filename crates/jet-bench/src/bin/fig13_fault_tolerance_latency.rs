@@ -14,7 +14,7 @@
 use jet_bench::{
     percentile_curve, run, write_spike_report, write_timeline, BenchReport, Query, RunSpec, MS, SEC,
 };
-use jet_core::flight::{TimelineConfig, WatchdogConfig};
+use jet_core::flight::WatchdogConfig;
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 
@@ -39,7 +39,7 @@ fn main() {
     // checkpointed run also samples a metrics timeline (the once-per-second
     // alignment stalls show up as breathing in the queue-depth sparklines).
     spec.attribution = true;
-    spec.timeline = Some(TimelineConfig::default());
+    spec.timeline = true;
     let r = run(&spec);
     write_timeline("fig13", "exactly-once-1s", &r).expect("timeline");
     for (p, ms) in percentile_curve(&r.hist) {

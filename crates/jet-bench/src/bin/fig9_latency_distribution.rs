@@ -20,7 +20,6 @@
 use jet_bench::{
     percentile_curve, run, write_timeline, write_trace, BenchReport, Query, RunSpec, MS, SEC,
 };
-use jet_core::flight::TimelineConfig;
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 
@@ -40,7 +39,7 @@ fn main() {
         spec.warmup = SEC + 500 * MS;
         spec.measure = 1500 * MS;
         spec.attribution = true;
-        spec.timeline = Some(TimelineConfig::default());
+        spec.timeline = true;
         let r = run(&spec);
         print!("{:4}", query.name());
         for (p, ms) in percentile_curve(&r.hist) {

@@ -14,10 +14,7 @@
 //! absolute numbers.
 
 use jet_cluster::{ClusterEvent, CoordinatorConfig, SimCluster, SimClusterConfig};
-use jet_core::flight::{
-    AttributionConfig, AttributionReport, ProvenanceConfig, Recorder, RecorderConfig, SpikeReport,
-    TimelineConfig, WatchdogConfig,
-};
+use jet_core::flight::{AttributionReport, Recorder, RecorderConfig, SpikeReport, WatchdogConfig};
 use jet_core::metrics::{HistogramSummary, SharedCounter, SharedHistogram};
 use jet_core::processor::Guarantee;
 use jet_core::processors::WatermarkPolicy;
@@ -103,7 +100,7 @@ pub struct RunSpec {
     /// Sample the job-wide metrics snapshot into delta-encoded rings at a
     /// fixed cadence (exported from [`RunResult::recorder`] by
     /// [`write_timeline`]). Invisible on the virtual timeline.
-    pub timeline: Option<TimelineConfig>,
+    pub timeline: bool,
     /// Per-job weighted round-robin scheduling quotas (multi-tenant
     /// fairness, §7.7). Vertices opt in by `job<N>-` name prefix.
     pub quotas: Option<JobQuotas>,
@@ -130,7 +127,7 @@ impl RunSpec {
             coordinator: None,
             spike: None,
             attribution: false,
-            timeline: None,
+            timeline: false,
             quotas: None,
         }
     }
@@ -231,10 +228,9 @@ pub fn run(spec: &RunSpec) -> RunResult {
     // the clock), so arming any part of it cannot move a single percentile
     // — the histogram is bit-identical with it on or off.
     let recorder = Recorder::new(RecorderConfig {
-        watchdog: spec.spike.clone(),
-        provenance: spec.attribution.then(ProvenanceConfig::default),
-        timeline: spec.timeline.clone(),
-        ..RecorderConfig::default()
+        watchdog: spec.spike,
+        provenance: spec.attribution,
+        timeline: spec.timeline,
     });
     let pipeline = build_query(spec, &hist, &count, &recorder);
     let dag = pipeline
@@ -256,6 +252,7 @@ pub fn run(spec: &RunSpec) -> RunResult {
         quotas: spec.quotas.clone(),
         ..Default::default()
     };
+    let network_latency = cfg.network_latency;
     let mut cluster = SimCluster::start(dag, cfg).expect("cluster starts");
     cluster.run_for(spec.warmup);
     hist.clear();
@@ -277,15 +274,13 @@ pub fn run(spec: &RunSpec) -> RunResult {
     let final_hist = hist.snapshot();
     let attribution = spec.attribution.then(|| {
         // Decompose the measured distribution at the paper's three
-        // headline bands. The network hint matches the cluster's one-way
-        // latency (the SimClusterConfig default — `run` does not override
-        // it).
+        // headline bands, with the cluster's one-way network latency.
         let bands = [
             ("p50", 50.0, final_hist.percentile(50.0)),
             ("p99", 99.0, final_hist.percentile(99.0)),
             ("p99.99", 99.99, final_hist.percentile(99.99)),
         ];
-        recorder.waterfalls(&AttributionConfig::default(), &bands)
+        recorder.waterfalls(network_latency, &bands)
     });
     cluster.cancel();
     RunResult {

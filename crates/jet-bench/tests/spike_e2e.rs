@@ -12,7 +12,7 @@
 //!    decomposition must sum to the measured spike exactly.
 
 use jet_bench::{run, Query, RunSpec, MS, SEC};
-use jet_core::flight::{Cause, TimelineConfig, WatchdogConfig};
+use jet_core::flight::{Cause, WatchdogConfig};
 use jet_core::Ts;
 use jet_pipeline::WindowDef;
 use jet_util::json;
@@ -34,18 +34,11 @@ fn the_fully_armed_recorder_is_invisible_and_waterfalls_sum_exactly() {
     // Everything at once, so the watchdog and the sampler share the
     // recorder's lock on every emission: an absurdly low SLO fires the
     // watchdog on ~every sample, provenance sampling on every sink event,
-    // a metrics timeline at a deliberately aggressive 10 ms cadence
-    // (maximum chunking perturbation); the watchdog and the sampler also
-    // arm the span ring.
-    armed_spec.spike = Some(WatchdogConfig {
-        slo_nanos: Some(1),
-        ..WatchdogConfig::default()
-    });
+    // a metrics timeline at its 100 ms cadence (which chunks the run);
+    // the watchdog and the sampler also arm the span ring.
+    armed_spec.spike = Some(WatchdogConfig { slo_nanos: Some(1) });
     armed_spec.attribution = true;
-    armed_spec.timeline = Some(TimelineConfig {
-        cadence_nanos: 10 * MS,
-        ..TimelineConfig::default()
-    });
+    armed_spec.timeline = true;
     let armed = run(&armed_spec);
     assert!(plain.hist.count() > 0, "no samples measured");
     assert_eq!(

@@ -8,7 +8,7 @@
 //! Run untraced with `--disabled`: no recorder, no spans, and the dump's
 //! trace lines read `n/a`.
 use jet_cluster::{SimCluster, SimClusterConfig};
-use jet_core::flight::{ProvenanceConfig, Recorder, RecorderConfig};
+use jet_core::flight::{Recorder, RecorderConfig};
 use jet_core::processors::agg::counting;
 use jet_pipeline::{Pipeline, WindowDef};
 use jet_util::json;
@@ -21,7 +21,7 @@ fn main() {
     // its provenance sampler arms it.
     let recorder = if enabled {
         Recorder::new(RecorderConfig {
-            provenance: Some(ProvenanceConfig::default()),
+            provenance: true,
             ..RecorderConfig::default()
         })
     } else {

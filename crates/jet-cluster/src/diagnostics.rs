@@ -538,18 +538,18 @@ mod tests {
         assert!(dump.contains("n/a (no coordinator wired)"));
     }
 
-    use jet_core::flight::{
-        AttributionConfig, Cause, RecorderConfig, TimelineConfig, WatchdogConfig,
-    };
+    use jet_core::flight::{Cause, RecorderConfig, WatchdogConfig};
+    use jet_core::trace::RING_CAPACITY;
 
     const MS: u64 = 1_000_000;
+    /// The one-way network latency forensics attribute with.
+    const NET: u64 = 500_000;
 
     /// Watchdog armed purely by a hard SLO: deterministic from sample one.
     fn slo_watchdog(slo: u64) -> Recorder {
         Recorder::new(RecorderConfig {
             watchdog: Some(WatchdogConfig {
                 slo_nanos: Some(slo),
-                ..WatchdogConfig::default()
             }),
             ..RecorderConfig::default()
         })
@@ -588,10 +588,10 @@ mod tests {
         let flight = slo_watchdog(MS);
         flight.observe(50 * MS, 40 * MS, 10 * MS);
         // Overfill one writer's ring with spans far past the incident's
-        // window: the ring keeps 8192 and drops the rest.
+        // window: the ring keeps RING_CAPACITY and drops the rest.
         let mut w = flight.tracer().writer(0, "w");
         let name = w.intern("agg");
-        for i in 0..8192 + 4096 {
+        for i in 0..(RING_CAPACITY + 4096) as u64 {
             w.record(TraceKind::Stall, 900 * MS + i, 0, name, 0);
         }
         flight.drain_spans();
@@ -599,7 +599,7 @@ mod tests {
         assert!(dump.contains("dropped=4096"), "{dump}");
         // And forensics over an incident with zero surviving spans still
         // attributes: everything is queue wait (the honest residual).
-        let reports = flight.forensics(&AttributionConfig::default());
+        let reports = flight.forensics(NET);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window_events, 0);
         assert_eq!(reports[0].attribution.top_cause, Cause::QueueWait);
@@ -613,7 +613,7 @@ mod tests {
         let flight = slo_watchdog(MS);
         flight.observe(50 * MS, 40 * MS, 10 * MS);
         record_spans(&flight, &[(TraceKind::Call, 45 * MS, 2 * MS, "agg", 0)]);
-        let reports = flight.forensics(&AttributionConfig::default());
+        let reports = flight.forensics(NET);
         assert_eq!(reports.len(), 1);
         let a = &reports[0].attribution;
         assert_eq!(reports[0].window_events, 1);
@@ -659,7 +659,7 @@ mod tests {
                 (TraceKind::Recovery, 120 * MS, 20 * MS, "recovery", -1),
             ],
         );
-        let reports = flight.forensics(&AttributionConfig::default());
+        let reports = flight.forensics(NET);
         let blame = render_blame(&reports);
         let golden = include_str!("golden/spike_blame.txt");
         assert_eq!(blame, golden, "actual:\n{blame}");
@@ -677,7 +677,7 @@ mod tests {
 
     fn timeline() -> Recorder {
         Recorder::new(RecorderConfig {
-            timeline: Some(TimelineConfig::default()),
+            timeline: true,
             ..RecorderConfig::default()
         })
     }

@@ -15,7 +15,7 @@
 use crate::coordinator::{ClusterEvent, Coordinator, CoordinatorConfig};
 use crate::wiring::{build_cluster_execution, ClusterConfig, ClusterExecution};
 use jet_core::fairness::JobQuotas;
-use jet_core::flight::{AttributionConfig, IncidentReport, Recorder};
+use jet_core::flight::{IncidentReport, Recorder};
 use jet_core::metrics::{tags, MetricsRegistry, MetricsSnapshot};
 use jet_core::network::{ChannelChaos, InMemoryTransport, NetworkFaults};
 use jet_core::processor::Guarantee;
@@ -496,11 +496,7 @@ impl SimCluster {
     /// path. The network latency hint comes from this cluster's configured
     /// one-way latency so NetSend/NetRecv intervals match the simulation.
     pub fn spike_forensics(&self) -> Vec<IncidentReport> {
-        let cfg = AttributionConfig {
-            net_latency_hint: self.cfg.network_latency.max(1),
-            ..AttributionConfig::default()
-        };
-        self.cfg.recorder.forensics(&cfg)
+        self.cfg.recorder.forensics(self.cfg.network_latency.max(1))
     }
 
     /// Advance the job by `duration` virtual nanos, auto-triggering

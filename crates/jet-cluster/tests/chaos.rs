@@ -528,7 +528,6 @@ fn fault_spikes_attribute_to_recovery_not_an_innocent_vertex() {
     let recorder = Recorder::new(RecorderConfig {
         watchdog: Some(WatchdogConfig {
             slo_nanos: Some(6 * MS),
-            ..WatchdogConfig::default()
         }),
         ..RecorderConfig::default()
     });

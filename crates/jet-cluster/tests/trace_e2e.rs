@@ -7,7 +7,7 @@
 //! the same results.
 
 use jet_cluster::{SimCluster, SimClusterConfig};
-use jet_core::flight::{ProvenanceConfig, Recorder, RecorderConfig};
+use jet_core::flight::{Recorder, RecorderConfig};
 use jet_core::processors::agg::counting;
 use jet_core::trace::{TraceData, TraceKind};
 use jet_core::Ts;
@@ -28,7 +28,7 @@ const VERTICES: [&str; 4] = ["gen", "window-accumulate", "window-combine", "coll
 fn run_job(traced: bool) -> (SimCluster, Recorder, Collected<WindowResult<u64, u64>>) {
     let recorder = if traced {
         Recorder::new(RecorderConfig {
-            provenance: Some(ProvenanceConfig::default()),
+            provenance: true,
             ..RecorderConfig::default()
         })
     } else {

@@ -412,6 +412,8 @@ pub fn spawn_thread_per_operator(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{Recorder, RecorderConfig};
+    use crate::trace::CALL_SAMPLE_SHIFT;
 
     struct CountDown {
         n: usize,
@@ -755,19 +757,26 @@ mod tests {
     #[test]
     fn traced_worker_records_call_spans_with_tasklet_names() {
         let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Tracer::enabled();
-        let obs = ExecObservability::new(registry).with_tracer(tracer.clone());
-        let ts: Vec<Box<dyn Tasklet>> = vec![countdown(5), countdown(3)];
+        let recorder = Recorder::new(RecorderConfig {
+            provenance: true,
+            ..RecorderConfig::default()
+        });
+        let obs = ExecObservability::new(registry).with_tracer(recorder.tracer());
+        let ts: Vec<Box<dyn Tasklet>> = vec![countdown(79), countdown(47)];
         spawn_threaded_with(ts, 1, Arc::new(AtomicBool::new(false)), Some(&obs), None).join();
-        let data = tracer.drain();
+        recorder.drain_spans();
+        let data = recorder.trace().expect("span ring armed");
         let calls: Vec<_> = data.of_kind(TraceKind::Call).collect();
-        // Every progressing call (5+1 done) + (3+1 done) landed as a span.
-        assert_eq!(calls.len(), 10);
+        // (79+1 done) + (47+1 done) progressing calls, one in 16 sampled.
+        assert_eq!(calls.len(), 128 >> CALL_SAMPLE_SHIFT);
         let names: std::collections::HashSet<&str> =
             calls.iter().map(|e| data.name(e.rec.name)).collect();
-        assert!(names.contains("cd5") && names.contains("cd3"), "{names:?}");
+        assert!(
+            names.contains("cd79") && names.contains("cd47"),
+            "{names:?}"
+        );
         assert_eq!(data.tracks.len(), 1);
         assert!(data.tracks[0].label.starts_with("worker-"));
-        assert_eq!(tracer.dropped(), 0);
+        assert_eq!(recorder.stats().ring_dropped, 0);
     }
 }

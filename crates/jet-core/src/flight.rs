@@ -10,7 +10,7 @@
 //! * the **watchdog** — an online spike detector fed by the latency sink.
 //!   It keeps a rolling latency histogram per epoch of *virtual* time and
 //!   flags emissions whose latency exceeds an adaptive threshold
-//!   (`multiplier × previous-epoch p99`, floored) or a configured SLO.
+//!   (3 × previous-epoch p99, floored at 20 ms) or the operator's SLO.
 //!   Consecutive detections merge into bounded *incidents*, and each
 //!   incident opens a frozen window;
 //! * the **span ring** — a bounded ring of the spans drained from the
@@ -62,126 +62,68 @@ use std::sync::Arc;
 
 const MS: u64 = 1_000_000;
 
-/// Records per writer ring of the recorder's tracer (drained every ~10 ms
-/// of virtual time, so even 20 members × dozens of writers stay bounded).
-const SPAN_RING_CAPACITY: usize = 8192;
-/// The recorder's tracer keeps one Call span in `2^4`: calls outnumber
-/// every other span kind ~10:1, and the slowest ones still surface.
-const CALL_SAMPLE_SHIFT: u32 = 4;
+// The recorder's fixed settings. Each bounds memory or sets a detection
+// scale; none is a policy an operator tunes per job (the SLO is, so it
+// stays in [`WatchdogConfig`]).
+
+/// Watchdog epoch on the virtual timeline: the detection threshold adapts
+/// once per epoch from the completed epoch's p99.
+const EPOCH_NANOS: u64 = 500 * MS;
+/// Spike when `latency >= SPIKE_MULTIPLIER × previous-epoch p99`.
+const SPIKE_MULTIPLIER: f64 = 3.0;
+/// Floor under which nothing counts as a spike, however quiet the baseline
+/// epoch was.
+const MIN_SPIKE_NANOS: u64 = 20 * MS;
+/// Detections closer together than this merge into one incident.
+const QUIET_GAP_NANOS: u64 = 100 * MS;
+/// Remembered incidents; further ones are counted, not kept.
+const MAX_INCIDENTS: usize = 64;
+/// Span ring retention horizon behind the newest ingested record.
+const SPAN_HORIZON_NANOS: u64 = 4_000 * MS;
+/// Span ring records (32 B each).
+const SPAN_CAPACITY: usize = 262_144;
+/// Frozen window padding before the peak event's occurrence and after the
+/// last detection.
+const PRE_ROLL_NANOS: u64 = 20 * MS;
+const POST_ROLL_NANOS: u64 = 20 * MS;
+/// Frozen spans across all incident windows. A span evicted inside a
+/// window once the store is full counts as that window's truncation.
+const FROZEN_SPAN_CAPACITY: usize = 262_144;
+/// Stride-sampled journeys; hitting the cap doubles the stride and
+/// decimates in place (deterministic, no RNG).
+const STAMP_CAPACITY: usize = 4096;
+/// Largest-latency journeys always retained, so extreme-percentile
+/// exemplars never depend on stride luck.
+const TOP_K_STAMPS: usize = 64;
+/// Metrics timeline sampling cadence, virtual nanos.
+const TIMELINE_CADENCE_NANOS: u64 = 100 * MS;
+/// Ticks retained per series; older ticks fold into the series base.
+const TIMELINE_TICKS: usize = 1024;
+/// Backpressure-stall instants closer than this merge into one stall.
+const STALL_MERGE_GAP_NANOS: u64 = MS;
+/// Watermark-coalesce silence longer than this is a straggler gap.
+const STRAGGLER_GAP_NANOS: u64 = 20 * MS;
 
 // ------------------------------------------------------------------ config
 
-/// Tuning for the online spike detector.
-#[derive(Clone, Debug)]
+/// The watchdog's one policy setting.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WatchdogConfig {
-    /// Rolling-histogram epoch on the virtual timeline. The detection
-    /// threshold adapts once per epoch from the completed epoch's p99.
-    pub epoch_nanos: u64,
-    /// Spike when `latency >= multiplier × previous-epoch p99`.
-    pub multiplier: f64,
-    /// Absolute floor under which nothing counts as a spike, however quiet
-    /// the baseline epoch was.
-    pub min_spike_nanos: u64,
     /// Hard SLO: any emission at or above this latency is a spike, even
     /// before the first epoch establishes an adaptive baseline.
     pub slo_nanos: Option<u64>,
-    /// Detections closer together than this merge into one incident.
-    pub quiet_gap_nanos: u64,
-    /// Bound on remembered incidents; further ones are counted, not kept.
-    pub max_incidents: usize,
 }
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            epoch_nanos: 500 * MS,
-            multiplier: 3.0,
-            min_spike_nanos: 20 * MS,
-            slo_nanos: None,
-            quiet_gap_nanos: 100 * MS,
-            max_incidents: 64,
-        }
-    }
-}
-
-/// Tuning for the span ring and the windows frozen around incidents.
-#[derive(Clone, Debug)]
-pub struct FlightConfig {
-    /// Rolling span retention horizon (virtual nanos behind the newest
-    /// ingested record).
-    pub span_horizon_nanos: u64,
-    /// Hard cap on rolling-ring records (32 B each).
-    pub span_capacity: usize,
-    /// Frozen window padding before the peak event's occurrence.
-    pub pre_roll_nanos: u64,
-    /// Frozen window padding after the last detection.
-    pub post_roll_nanos: u64,
-    /// Cap on frozen spans across all incident windows. A span evicted
-    /// inside a window once the store is full is counted as that window's
-    /// truncation instead.
-    pub frozen_span_capacity: usize,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            span_horizon_nanos: 4_000 * MS,
-            span_capacity: 262_144,
-            pre_roll_nanos: 20 * MS,
-            post_roll_nanos: 20 * MS,
-            frozen_span_capacity: 262_144,
-        }
-    }
-}
-
-/// Tuning for the provenance sampler.
-#[derive(Clone, Debug)]
-pub struct ProvenanceConfig {
-    /// Stride-sampled buffer cap; hitting it doubles the stride and
-    /// decimates in place (deterministic, no RNG).
-    pub capacity: usize,
-    /// Largest-latency stamps always retained, so extreme-percentile
-    /// exemplars never depend on stride luck.
-    pub top_k: usize,
-}
-
-impl Default for ProvenanceConfig {
-    fn default() -> Self {
-        ProvenanceConfig {
-            capacity: 4096,
-            top_k: 64,
-        }
-    }
-}
-
-/// Tuning for the metrics timeline.
-#[derive(Clone, Debug)]
-pub struct TimelineConfig {
-    /// Sampling cadence in virtual nanos.
-    pub cadence_nanos: u64,
-    /// Ticks retained per series; older ticks fold into the series base.
-    pub capacity: usize,
-}
-
-impl Default for TimelineConfig {
-    fn default() -> Self {
-        TimelineConfig {
-            cadence_nanos: 100 * MS,
-            capacity: 1024,
-        }
-    }
-}
-
-/// What a [`Recorder`] arms; a `None` part costs nothing. The span ring
+/// What a [`Recorder`] arms; an unarmed part costs nothing. The span ring
 /// and its tracer run whenever the watchdog or the sampler is armed, since
 /// they are what reads it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RecorderConfig {
     pub watchdog: Option<WatchdogConfig>,
-    pub provenance: Option<ProvenanceConfig>,
-    pub timeline: Option<TimelineConfig>,
-    /// The span ring and the frozen windows.
-    pub flight: FlightConfig,
+    /// The provenance sampler.
+    pub provenance: bool,
+    /// The metrics timeline.
+    pub timeline: bool,
 }
 
 // ------------------------------------------------------------------- state
@@ -217,7 +159,7 @@ pub struct Stamp {
 }
 
 struct Watchdog {
-    cfg: WatchdogConfig,
+    slo_nanos: Option<u64>,
     epoch_start: Option<u64>,
     current: Histogram,
     /// p99 of the last completed epoch; None until one completes.
@@ -233,18 +175,17 @@ impl Watchdog {
     fn threshold(&self) -> u64 {
         let adaptive = match self.baseline_p99 {
             Some(p99) => {
-                let scaled = (p99 as f64 * self.cfg.multiplier) as u64;
-                scaled.max(self.cfg.min_spike_nanos)
+                let scaled = (p99 as f64 * SPIKE_MULTIPLIER) as u64;
+                scaled.max(MIN_SPIKE_NANOS)
             }
             None => u64::MAX,
         };
-        adaptive.min(self.cfg.slo_nanos.unwrap_or(u64::MAX))
+        adaptive.min(self.slo_nanos.unwrap_or(u64::MAX))
     }
 }
 
 #[derive(Default)]
 struct Sampler {
-    cfg: ProvenanceConfig,
     shift: u32,
     observed: u64,
     sampled: Vec<Stamp>,
@@ -342,7 +283,6 @@ impl Series {
 
 #[derive(Default)]
 struct Timeline {
-    cfg: TimelineConfig,
     /// Virtual timestamps of retained ticks, strictly increasing.
     ticks: VecDeque<u64>,
     /// Ticks folded out of the ring so far.
@@ -375,7 +315,7 @@ fn metric_scalar(value: &MetricValue) -> (SeriesKind, i64) {
 
 impl Timeline {
     fn record(&mut self, now: u64, snap: &MetricsSnapshot) {
-        self.next_sample_at = now + self.cfg.cadence_nanos;
+        self.next_sample_at = now + TIMELINE_CADENCE_NANOS;
         // Re-sampling the same instant (e.g. a run boundary flush) would
         // break tick monotonicity; fold into the existing tick instead by
         // skipping — the snapshot at an instant is single-valued anyway.
@@ -416,7 +356,7 @@ impl Timeline {
                 }
             }
         }
-        while self.ticks.len() > self.cfg.capacity {
+        while self.ticks.len() > TIMELINE_TICKS {
             self.ticks.pop_front();
             self.evicted_ticks += 1;
             for s in &mut self.series {
@@ -448,7 +388,7 @@ impl Timeline {
                 w.field("schema", "jet-timeline-v1")
                     .field("bench", bench)
                     .field("run", run)
-                    .field("cadence_nanos", self.cfg.cadence_nanos)
+                    .field("cadence_nanos", TIMELINE_CADENCE_NANOS)
                     .field("evicted_ticks", self.evicted_ticks)
                     .key("ticks_nanos")
                     .items(&self.ticks)
@@ -473,7 +413,6 @@ impl ToJson for Series {
 }
 
 struct RecorderInner {
-    flight: FlightConfig,
     watchdog: Option<Watchdog>,
     sampler: Option<Sampler>,
     timeline: Option<Timeline>,
@@ -496,19 +435,17 @@ impl RecorderInner {
     }
 
     fn widen_windows(&mut self) {
-        let (pre, post) = (self.flight.pre_roll_nanos, self.flight.post_roll_nanos);
         for w in &mut self.windows {
-            w.lo = w.lo.min(w.incident.peak_event_ts.saturating_sub(pre));
-            w.hi = w.hi.max(w.incident.last_detected.saturating_add(post));
+            w.lo =
+                w.lo.min(w.incident.peak_event_ts.saturating_sub(PRE_ROLL_NANOS));
+            w.hi =
+                w.hi.max(w.incident.last_detected.saturating_add(POST_ROLL_NANOS));
         }
     }
 
     fn prune(&mut self) {
-        let floor = self
-            .newest_ts
-            .saturating_sub(self.flight.span_horizon_nanos);
-        while self.ring.len() > self.flight.span_capacity
-            || self.ring.front().is_some_and(|e| e.rec.ts < floor)
+        let floor = self.newest_ts.saturating_sub(SPAN_HORIZON_NANOS);
+        while self.ring.len() > SPAN_CAPACITY || self.ring.front().is_some_and(|e| e.rec.ts < floor)
         {
             let ev = self.ring.pop_front().expect("non-empty: condition held");
             self.freeze_or_evict(ev);
@@ -520,7 +457,7 @@ impl RecorderInner {
     /// discarded otherwise.
     fn freeze_or_evict(&mut self, ev: TraceEvent) {
         let ts = ev.rec.ts;
-        let room = self.frozen.len() < self.flight.frozen_span_capacity;
+        let room = self.frozen.len() < FROZEN_SPAN_CAPACITY;
         let mut covered = false;
         for w in self.windows.iter_mut().filter(|w| w.covers(ts)) {
             covered = true;
@@ -553,9 +490,9 @@ impl RecorderInner {
     /// Attribute an arbitrary event journey `[t0, t1]` from whatever spans
     /// are still retained — the full-distribution generalization of
     /// incident forensics.
-    fn attribute_window(&self, t0: u64, t1: u64, cfg: &AttributionConfig) -> Attribution {
+    fn attribute_window(&self, t0: u64, t1: u64, net_latency_hint: u64) -> Attribution {
         let events = self.spans(|e| e.rec.ts <= t1 && e.rec.ts.saturating_add(e.rec.dur) >= t0);
-        attribute(&events, &self.tracer.names(), t0, t1, cfg)
+        attribute(&events, &self.tracer.names(), t0, t1, net_latency_hint)
     }
 }
 
@@ -608,21 +545,19 @@ impl Recorder {
             watchdog,
             provenance,
             timeline,
-            flight,
         } = cfg;
-        if watchdog.is_none() && provenance.is_none() && timeline.is_none() {
+        if watchdog.is_none() && !provenance && !timeline {
             return Recorder::disabled();
         }
-        let tracer = if watchdog.is_some() || provenance.is_some() {
-            Tracer::with_config(SPAN_RING_CAPACITY, CALL_SAMPLE_SHIFT)
+        let tracer = if watchdog.is_some() || provenance {
+            Tracer::new()
         } else {
             Tracer::disabled()
         };
         Recorder {
             inner: Some(Arc::new(Mutex::new(RecorderInner {
-                flight,
                 watchdog: watchdog.map(|cfg| Watchdog {
-                    cfg,
+                    slo_nanos: cfg.slo_nanos,
                     epoch_start: None,
                     current: Histogram::latency(),
                     baseline_p99: None,
@@ -630,14 +565,8 @@ impl Recorder {
                     suppressed: 0,
                     next_id: 0,
                 }),
-                sampler: provenance.map(|cfg| Sampler {
-                    cfg,
-                    ..Sampler::default()
-                }),
-                timeline: timeline.map(|cfg| Timeline {
-                    cfg,
-                    ..Timeline::default()
-                }),
+                sampler: provenance.then(Sampler::default),
+                timeline: timeline.then(Timeline::default),
                 tracer,
                 ring: VecDeque::new(),
                 newest_ts: 0,
@@ -746,10 +675,7 @@ impl Recorder {
                 w.suppressed = 0;
             }
             if let Some(p) = &mut r.sampler {
-                *p = Sampler {
-                    cfg: p.cfg.clone(),
-                    ..Sampler::default()
-                };
+                *p = Sampler::default();
             }
         })
     }
@@ -781,9 +707,9 @@ impl Recorder {
     }
 
     /// Attribute every incident over its frozen window: the closed loop's
-    /// output, worst incident first. `cfg` carries cluster facts the span
-    /// stream alone cannot know (the one-way network latency).
-    pub fn forensics(&self, cfg: &AttributionConfig) -> Vec<IncidentReport> {
+    /// output, worst incident first. `net_latency_hint` is the cluster's
+    /// one-way network latency, which the span stream alone cannot know.
+    pub fn forensics(&self, net_latency_hint: u64) -> Vec<IncidentReport> {
         self.with(Vec::new(), |r| {
             r.widen_windows();
             let names = r.tracer.names();
@@ -793,8 +719,8 @@ impl Recorder {
                 .map(|w| {
                     let events = r.spans(|e| w.covers(e.rec.ts));
                     let inc = &w.incident;
-                    let attribution =
-                        attribute(&events, &names, inc.peak_event_ts, inc.peak_emitted_at, cfg);
+                    let (t0, t1) = (inc.peak_event_ts, inc.peak_emitted_at);
+                    let attribution = attribute(&events, &names, t0, t1, net_latency_hint);
                     debug_assert_eq!(
                         attribution.total_nanos, inc.peak_latency,
                         "incident #{}: the attributed journey is not the peak latency",
@@ -818,10 +744,11 @@ impl Recorder {
     /// Build the per-percentile-band waterfall: for each `(band,
     /// percentile, target_nanos)` pick the sampler's exemplar journey and
     /// decompose it over the retained spans. Bands with no exemplar (no
-    /// sampler, or nothing sampled) are omitted.
+    /// sampler, or nothing sampled) are omitted. `net_latency_hint` is as
+    /// for [`Self::forensics`].
     pub fn waterfalls(
         &self,
-        cfg: &AttributionConfig,
+        net_latency_hint: u64,
         bands: &[(&str, f64, u64)],
     ) -> AttributionReport {
         self.with(AttributionReport::default(), |r| {
@@ -837,7 +764,8 @@ impl Recorder {
                         stamp.emitted_at.saturating_sub(stamp.event_ts),
                         "band {band}: the stamp's latency is not emitted_at - event_ts"
                     );
-                    let attribution = r.attribute_window(stamp.event_ts, stamp.emitted_at, cfg);
+                    let attribution =
+                        r.attribute_window(stamp.event_ts, stamp.emitted_at, net_latency_hint);
                     debug_assert_eq!(
                         attribution.total_nanos, stamp.latency,
                         "band {band}: the attributed journey is not the exemplar's latency"
@@ -916,7 +844,7 @@ fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency:
             latency,
         };
         let pos = p.top.partition_point(|s| s.latency < latency);
-        if p.top.len() < p.cfg.top_k {
+        if p.top.len() < TOP_K_STAMPS {
             p.top.insert(pos, stamp);
         } else if pos > 0 {
             p.top.insert(pos, stamp);
@@ -925,7 +853,7 @@ fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency:
         let mask = (1u64 << p.shift.min(63)) - 1;
         if p.observed & mask == 0 {
             p.sampled.push(stamp);
-            if p.sampled.len() >= p.cfg.capacity {
+            if p.sampled.len() >= STAMP_CAPACITY {
                 // Halve by keeping even indices; the stride doubles for
                 // the rest of the run.
                 let mut i = 0usize;
@@ -943,14 +871,14 @@ fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency:
     // Roll epochs: the completed epoch's p99 becomes the baseline.
     match w.epoch_start {
         None => w.epoch_start = Some(now),
-        Some(start) if now >= start + w.cfg.epoch_nanos => {
+        Some(start) if now >= start + EPOCH_NANOS => {
             if w.current.count() > 0 {
                 w.baseline_p99 = Some(w.current.percentile(99.0));
             }
             w.current.clear();
             // Snap forward (don't loop per missed epoch on gaps).
-            let missed = (now - start) / w.cfg.epoch_nanos;
-            w.epoch_start = Some(start + missed * w.cfg.epoch_nanos);
+            let missed = (now - start) / EPOCH_NANOS;
+            w.epoch_start = Some(start + missed * EPOCH_NANOS);
         }
         Some(_) => {}
     }
@@ -964,7 +892,7 @@ fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency:
     }
     // Spiked: merge into the open incident or open a new one.
     if let Some(last) = r.windows.last_mut().map(|fw| &mut fw.incident) {
-        if now <= last.last_detected.saturating_add(w.cfg.quiet_gap_nanos) {
+        if now <= last.last_detected.saturating_add(QUIET_GAP_NANOS) {
             last.last_detected = last.last_detected.max(now);
             last.samples += 1;
             if latency > last.peak_latency {
@@ -975,7 +903,7 @@ fn observe_armed(inner: &Mutex<RecorderInner>, now: u64, event_ts: u64, latency:
             return;
         }
     }
-    if r.windows.len() >= w.cfg.max_incidents {
+    if r.windows.len() >= MAX_INCIDENTS {
         w.suppressed += 1;
         return;
     }
@@ -1075,30 +1003,6 @@ impl Cause {
     }
 }
 
-/// Cluster facts the attribution sweep needs beyond the span stream.
-#[derive(Clone, Debug)]
-pub struct AttributionConfig {
-    /// One-way network latency; a batch's transit splits evenly into the
-    /// send half and the receive half.
-    pub net_latency_hint: u64,
-    /// Backpressure-stall instants closer than this merge into one stall
-    /// interval.
-    pub stall_merge_gap_nanos: u64,
-    /// Watermark-coalesce silence longer than this counts as a straggler
-    /// gap.
-    pub straggler_gap_nanos: u64,
-}
-
-impl Default for AttributionConfig {
-    fn default() -> Self {
-        AttributionConfig {
-            net_latency_hint: 500_000,
-            stall_merge_gap_nanos: MS,
-            straggler_gap_nanos: 20 * MS,
-        }
-    }
-}
-
 /// One cause's share of a spike.
 #[derive(Clone, Debug)]
 pub struct CauseSlice {
@@ -1134,13 +1038,15 @@ struct Interval {
 /// Decompose `[t0, t1]` (the spiked event's occurrence → emission) into
 /// named causes using the span records overlapping the window. Overlaps
 /// resolve by [`Cause`] priority; uncovered time is queue wait. The slice
-/// nanos sum to `t1 - t0` exactly, by construction.
+/// nanos sum to `t1 - t0` exactly, by construction. A network batch's
+/// transit (`net_latency_hint`, the one-way latency) splits evenly into the
+/// send half and the receive half.
 pub fn attribute(
     events: &[TraceEvent],
     names: &[String],
     t0: u64,
     t1: u64,
-    cfg: &AttributionConfig,
+    net_latency_hint: u64,
 ) -> Attribution {
     let total = t1.saturating_sub(t0);
     let mut ivs: Vec<Interval> = Vec::new();
@@ -1237,7 +1143,7 @@ pub fn attribute(
                 );
             }
             TraceKind::NetSend => {
-                let half = cfg.net_latency_hint / 2;
+                let half = net_latency_hint / 2;
                 push(e.rec.ts, e.rec.ts + half, Cause::NetSend, e.rec.name);
                 push(
                     e.rec.ts + half,
@@ -1265,7 +1171,7 @@ pub fn attribute(
             Some((t, n, _first, last))
                 if *t == track
                     && *n == name
-                    && ts.saturating_sub(*last) <= cfg.stall_merge_gap_nanos =>
+                    && ts.saturating_sub(*last) <= STALL_MERGE_GAP_NANOS =>
             {
                 *last = ts;
             }
@@ -1290,7 +1196,7 @@ pub fn attribute(
     coalesces.sort_unstable();
     for w in coalesces.windows(2) {
         let ((ta, a), (tb, b)) = (w[0], w[1]);
-        if ta == tb && b.saturating_sub(a) > cfg.straggler_gap_nanos {
+        if ta == tb && b.saturating_sub(a) > STRAGGLER_GAP_NANOS {
             push(a, b, Cause::WatermarkGap, 0);
         }
     }
@@ -1570,7 +1476,10 @@ impl ToJson for BandWaterfall {
 mod tests {
     use super::*;
     use crate::metrics::{tags, MetricsRegistry};
-    use crate::trace::SpanRecord;
+    use crate::trace::{SpanRecord, CALL_SAMPLE_SHIFT, RING_CAPACITY};
+
+    /// The one-way network latency the tests attribute with.
+    const NET: u64 = 500_000;
 
     fn ev(kind: TraceKind, ts: u64, dur: u64, name: u32) -> TraceEvent {
         TraceEvent {
@@ -1585,47 +1494,36 @@ mod tests {
         }
     }
 
-    fn watched(cfg: WatchdogConfig, flight: FlightConfig) -> Recorder {
+    fn watched(slo_nanos: Option<u64>) -> Recorder {
         Recorder::new(RecorderConfig {
-            watchdog: Some(cfg),
-            flight,
+            watchdog: Some(WatchdogConfig { slo_nanos }),
             ..RecorderConfig::default()
         })
     }
 
-    fn slo(slo_nanos: u64) -> WatchdogConfig {
-        WatchdogConfig {
-            slo_nanos: Some(slo_nanos),
-            ..WatchdogConfig::default()
-        }
-    }
-
-    fn sampled(cfg: ProvenanceConfig) -> Recorder {
+    fn sampled() -> Recorder {
         Recorder::new(RecorderConfig {
-            provenance: Some(cfg),
+            provenance: true,
             ..RecorderConfig::default()
         })
     }
 
-    fn timeline(cadence_nanos: u64, capacity: usize) -> Recorder {
+    fn timeline() -> Recorder {
         Recorder::new(RecorderConfig {
-            timeline: Some(TimelineConfig {
-                cadence_nanos,
-                capacity,
-            }),
+            timeline: true,
             ..RecorderConfig::default()
         })
     }
 
     /// Incidents in detection order.
     fn incidents(rec: &Recorder) -> Vec<SpikeIncident> {
-        let mut reps = rec.forensics(&AttributionConfig::default());
+        let mut reps = rec.forensics(NET);
         reps.sort_by_key(|r| r.incident.id);
         reps.into_iter().map(|r| r.incident).collect()
     }
 
     fn exemplar(rec: &Recorder, target_nanos: u64) -> Option<Stamp> {
-        let report = rec.waterfalls(&AttributionConfig::default(), &[("t", 0.0, target_nanos)]);
+        let report = rec.waterfalls(NET, &[("t", 0.0, target_nanos)]);
         report.bands.first().map(|b| b.stamp)
     }
 
@@ -1649,110 +1547,111 @@ mod tests {
         let s = off.stats();
         assert_eq!((s.observed, s.samples, s.spans_retained), (0, 0, 0));
         assert_eq!(s.threshold, u64::MAX);
-        assert!(off.forensics(&AttributionConfig::default()).is_empty());
+        assert!(off.forensics(NET).is_empty());
         assert!(exemplar(&off, 1).is_none());
         assert!(off.timeline_json("b", "r").is_none());
     }
 
     #[test]
     fn watchdog_adapts_threshold_and_merges_incidents() {
-        let rec = watched(
-            WatchdogConfig {
-                epoch_nanos: 100,
-                multiplier: 4.0,
-                min_spike_nanos: 10,
-                slo_nanos: None,
-                quiet_gap_nanos: 50,
-                max_incidents: 8,
-            },
-            FlightConfig::default(),
-        );
-        // First epoch: baseline latencies ~5, no spikes possible (unarmed).
+        let rec = watched(None);
+        // First epoch (500 ms from the first emission): 5 ms latencies.
+        // Nothing can spike before a baseline exists.
         for i in 0..100u64 {
-            rec.observe(i + 5, i, 5);
+            rec.observe(5 * MS + i * MS, i * MS, 5 * MS);
         }
         assert!(incidents(&rec).is_empty());
-        // Second epoch armed at max(10, 4*5) = 20.
-        rec.observe(150, 145, 5);
-        assert_eq!(rec.stats().threshold, 20);
-        rec.observe(160, 100, 60); // spike
-        rec.observe(170, 80, 90); // merges, new peak
-        rec.observe(300, 230, 70); // past quiet gap: second incident
+        assert_eq!(rec.stats().threshold, u64::MAX);
+        // Second epoch: 3 × 5 ms is under the 20 ms floor.
+        for i in 0..100u64 {
+            let now = 600 * MS + i * MS;
+            rec.observe(now, now - 8 * MS, 8 * MS);
+        }
+        assert_eq!(rec.stats().threshold, MIN_SPIKE_NANOS);
+        // Third epoch: 3 × the second's 8 ms p99 clears the floor.
+        rec.observe(1_100 * MS, 1_092 * MS, 8 * MS);
+        let mut h = Histogram::latency();
+        h.record(8 * MS);
+        let adaptive = (h.percentile(99.0) as f64 * SPIKE_MULTIPLIER) as u64;
+        assert!(adaptive > MIN_SPIKE_NANOS);
+        assert_eq!(rec.stats().threshold, adaptive);
+        rec.observe(1_200 * MS, 1_150 * MS, 50 * MS); // spike
+        rec.observe(1_250 * MS, 1_160 * MS, 90 * MS); // merges, new peak
+        rec.observe(1_400 * MS, 1_330 * MS, 70 * MS); // past quiet gap: second incident
         let incs = incidents(&rec);
         assert_eq!(incs.len(), 2);
         assert_eq!(incs[0].samples, 2);
-        assert_eq!(incs[0].peak_latency, 90);
-        assert_eq!(incs[0].peak_event_ts, 80);
+        assert_eq!(incs[0].peak_latency, 90 * MS);
+        assert_eq!(incs[0].peak_event_ts, 1_160 * MS);
+        assert_eq!(incs[0].threshold, adaptive);
         assert_eq!(incs[1].samples, 1);
     }
 
     #[test]
     fn watchdog_slo_arms_immediately() {
-        let rec = watched(slo(100), FlightConfig::default());
+        let rec = watched(Some(100));
         rec.observe(150, 0, 150);
         let incs = incidents(&rec);
         assert_eq!(incs.len(), 1);
         assert_eq!(incs[0].threshold, 100);
     }
 
-    /// A recorder whose ring holds 8 spans, with no padding around windows.
-    fn tiny_ring() -> FlightConfig {
-        FlightConfig {
-            span_capacity: 8, // tiny: forces eviction
-            span_horizon_nanos: u64::MAX,
-            pre_roll_nanos: 0,
-            post_roll_nanos: 0,
-            ..FlightConfig::default()
+    #[test]
+    fn watchdog_incidents_are_capped() {
+        let rec = watched(Some(100));
+        rec.observe(150, 0, 150);
+        // Spikes 200 ms apart each open an incident until the cap; the
+        // rest are counted.
+        for i in 1..=MAX_INCIDENTS as u64 + 5 {
+            let now = i * 200 * MS;
+            rec.observe(now, now - 150, 150);
         }
+        assert_eq!(incidents(&rec).len(), MAX_INCIDENTS);
+        assert_eq!(rec.stats().suppressed, 6);
     }
 
-    /// Four `agg` calls at 1000..1030, then a flood of 32 later ones that
-    /// evicts them from an 8-span ring.
+    /// Four `agg` calls at 1000..1030 ns and four at 300 ms, then a flood
+    /// of 32 spans at 5 s that pushes all eight past the 4 s horizon.
     fn drain_then_flood(rec: &Recorder, spike: impl FnOnce()) {
         let mut w = rec.tracer().writer(0, "w");
         let name = w.intern("agg");
         for i in 0..4u64 {
             w.record(TraceKind::Call, 1_000 + i * 10, 5, name, 0);
+            w.record(TraceKind::Call, 300 * MS + i, 5, name, 0);
         }
         rec.drain_spans();
         spike();
         for i in 0..32u64 {
-            w.record(TraceKind::Call, 10_000 + i, 1, name, 0);
+            w.record(TraceKind::Call, 5_000 * MS + i, 1, name, 0);
         }
         rec.drain_spans();
     }
 
     #[test]
     fn recorder_freezes_spike_window_across_eviction() {
-        let rec = watched(slo(100), tiny_ring());
-        // Spike whose window covers the four early spans: they are evicted
-        // into the frozen window, not the void.
+        let rec = watched(Some(100));
+        // The window [0, 1100 ns + 20 ms] covers the four early spans: they
+        // are evicted into the frozen store, not the void.
         drain_then_flood(&rec, || rec.observe(1_100, 990, 110));
-        let reps = rec.forensics(&AttributionConfig::default());
+        let reps = rec.forensics(NET);
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0].window_events, 4, "frozen spans survived eviction");
-        assert!(
-            rec.stats().spans_evicted > 0,
-            "out-of-window spans were evicted"
-        );
+        let s = rec.stats();
+        assert_eq!(s.spans_evicted, 4, "the spans at 300 ms were evicted");
+        assert_eq!(s.spans_retained, 4 + 32);
     }
 
     #[test]
     fn a_span_in_two_overlapping_windows_counts_in_both() {
-        let rec = watched(
-            WatchdogConfig {
-                quiet_gap_nanos: 50,
-                ..slo(100)
-            },
-            tiny_ring(),
-        );
-        // Two incidents peaking on the same event instant: windows
-        // [1000, 1100] and [1000, 1300] both cover the four early spans.
+        let rec = watched(Some(100));
+        // Two incidents past the quiet gap, peaking on the same event
+        // instant: windows [0, 20 ms + 1100 ns] and [0, 220 ms + 1000 ns]
+        // both cover the four early spans, and neither the ones at 300 ms.
         drain_then_flood(&rec, || {
             rec.observe(1_100, 1_000, 100);
-            rec.observe(1_300, 1_000, 300);
+            rec.observe(200 * MS + 1_000, 1_000, 200 * MS);
         });
-        let reps = rec.forensics(&AttributionConfig::default());
+        let reps = rec.forensics(NET);
         assert_eq!(reps.len(), 2);
         for r in &reps {
             assert_eq!(r.window_events, 4, "incident #{}", r.incident.id);
@@ -1766,39 +1665,29 @@ mod tests {
         }
         assert_eq!(
             rec.stats().spans_retained,
-            8 + 4,
+            32 + 4,
             "each frozen span kept once"
         );
     }
 
     #[test]
     fn watchdog_and_sampler_armed_together_match_each_armed_alone() {
-        let wd = WatchdogConfig {
-            epoch_nanos: 10_000,
-            min_spike_nanos: 1,
-            quiet_gap_nanos: 2_000,
-            max_incidents: 4,
-            ..WatchdogConfig::default()
-        };
-        let prov = ProvenanceConfig {
-            capacity: 32,
-            top_k: 4,
-        };
         let both = Recorder::new(RecorderConfig {
-            watchdog: Some(wd.clone()),
-            provenance: Some(prov.clone()),
+            watchdog: Some(WatchdogConfig::default()),
+            provenance: true,
             ..RecorderConfig::default()
         });
-        let (wd_only, prov_only) = (watched(wd, FlightConfig::default()), sampled(prov));
+        let (wd_only, prov_only) = (watched(None), sampled());
         for rec in [&both, &wd_only, &prov_only] {
+            // 5 s at one emission per 100 µs: a steady ~1 ms with a burst
+            // of 50 ms every 7919 emissions (~0.8 s apart).
             for i in 1..=50_000u64 {
-                // A steady ~100 ns with a burst every 7919 emissions.
                 let latency = if i % 7_919 < 5 {
-                    5_000 + i % 13
+                    50 * MS + i % 13
                 } else {
-                    100 + i % 7
+                    MS + i % 7
                 };
-                let now = 10_000 + i * 10;
+                let now = 1_000 * MS + i * 100_000;
                 rec.observe(now, now - latency, latency);
             }
         }
@@ -1814,18 +1703,19 @@ mod tests {
             (b.observed, b.suppressed, b.threshold)
         );
         let targets = [
-            ("p50", 50.0, 103),
-            ("p99", 99.0, 106),
-            ("max", 100.0, 5_012),
+            ("p50", 50.0, MS + 3),
+            ("p99", 99.0, MS + 6),
+            ("max", 100.0, 50 * MS + 12),
         ];
         let (a, b) = (
-            both.waterfalls(&AttributionConfig::default(), &targets),
-            prov_only.waterfalls(&AttributionConfig::default(), &targets),
+            both.waterfalls(NET, &targets),
+            prov_only.waterfalls(NET, &targets),
         );
         assert_eq!(
             (a.observed, a.sampled, a.sample_shift),
             (b.observed, b.sampled, b.sample_shift)
         );
+        assert!(a.sample_shift > 0, "decimation kicked in");
         let stamps = |r: &AttributionReport| r.bands.iter().map(|b| b.stamp).collect::<Vec<_>>();
         assert_eq!(stamps(&a), stamps(&b));
         assert_eq!(a.bands.len(), 3);
@@ -1846,7 +1736,7 @@ mod tests {
             ev(TraceKind::Recovery, 5_000, 2_000, 4), // rebuild 5000..7000
             ev(TraceKind::Call, 6_000, 500, 1),       // overlaps recovery: loses
         ];
-        let a = attribute(&events, &names, t0, t1, &AttributionConfig::default());
+        let a = attribute(&events, &names, t0, t1, NET);
         let sum: u64 = a.slices.iter().map(|s| s.nanos).sum();
         assert_eq!(sum, t1 - t0, "partition is exact");
         let get = |c: Cause| a.slices.iter().find(|s| s.cause == c).unwrap().nanos;
@@ -1873,7 +1763,7 @@ mod tests {
             ev(TraceKind::Call, 0, 6_000, 1),
             ev(TraceKind::Call, 6_000, 1_000, 2),
         ];
-        let a = attribute(&events, &names, 0, 10_000, &AttributionConfig::default());
+        let a = attribute(&events, &names, 0, 10_000, NET);
         assert_eq!(a.top_cause, Cause::TaskletExec);
         assert_eq!(a.top_group, "compute");
         assert_eq!(a.blamed_vertex.as_deref(), Some("hot-agg"));
@@ -1883,7 +1773,7 @@ mod tests {
 
     #[test]
     fn attribution_of_empty_window_is_all_queue_wait() {
-        let a = attribute(&[], &[], 100, 1_100, &AttributionConfig::default());
+        let a = attribute(&[], &[], 100, 1_100, NET);
         assert_eq!(a.total_nanos, 1_000);
         assert_eq!(a.top_cause, Cause::QueueWait);
         assert_eq!(a.slices[0].nanos, 1_000);
@@ -1896,7 +1786,7 @@ mod tests {
             .map(|i| ev(TraceKind::Stall, 1_000 + i * 100, 0, 1))
             .collect();
         events.push(ev(TraceKind::Stall, 900_000_000, 0, 1)); // far away: own (empty) run
-        let a = attribute(&events, &names, 0, 10_000, &AttributionConfig::default());
+        let a = attribute(&events, &names, 0, 10_000, NET);
         let stall = a
             .slices
             .iter()
@@ -1906,14 +1796,27 @@ mod tests {
     }
 
     #[test]
+    fn coalesce_silence_past_the_straggler_gap_is_a_watermark_gap() {
+        // Coalesces 10 ms apart, then 30 ms apart: only the second silence
+        // is longer than the 20 ms straggler gap.
+        let events: Vec<TraceEvent> = [0, 10, 40]
+            .iter()
+            .map(|&t| ev(TraceKind::WmCoalesce, t * MS, 0, 0))
+            .collect();
+        let a = attribute(&events, &[], 0, 50 * MS, NET);
+        let gap = a.slices.iter().find(|s| s.cause == Cause::WatermarkGap);
+        assert_eq!(gap.unwrap().nanos, 30 * MS);
+    }
+
+    #[test]
     fn spike_report_json_parses_into_typed_fields() {
-        let rec = watched(slo(50), FlightConfig::default());
+        let rec = watched(Some(50));
         rec.observe(2_000, 1_000, 1_000);
         let report = SpikeReport {
             bench: "unit".into(),
             run_label: "crash".into(),
             fidelity: rec.stats(),
-            incidents: rec.forensics(&AttributionConfig::default()),
+            incidents: rec.forensics(NET),
         };
         let doc = json::parse(&json::render(&report)).expect("valid JSON");
         assert_eq!(doc["schema"].as_str(), Some("jet-spike-v1"));
@@ -1933,18 +1836,15 @@ mod tests {
 
     #[test]
     fn sampler_top_k_preserves_extreme_latencies() {
-        let rec = sampled(ProvenanceConfig {
-            capacity: 128,
-            top_k: 8,
-        });
+        let rec = sampled();
         // 100k journeys, latency == i: heavy decimation, but the largest
         // latencies must survive in the top-k store.
         for i in 1..=100_000u64 {
             rec.observe(2 * i, i, i);
         }
-        let report = rec.waterfalls(&AttributionConfig::default(), &[("max", 100.0, 100_000)]);
+        let report = rec.waterfalls(NET, &[("max", 100.0, 100_000)]);
         assert_eq!(report.observed, 100_000);
-        assert!(report.sampled <= 128 + 8);
+        assert!(report.sampled <= STAMP_CAPACITY + TOP_K_STAMPS);
         assert!(report.sample_shift > 0, "decimation kicked in");
         assert_eq!(
             report.bands[0].stamp.latency, 100_000,
@@ -1955,10 +1855,7 @@ mod tests {
     #[test]
     fn sampler_is_deterministic_across_identical_feeds() {
         let mk = || {
-            let rec = sampled(ProvenanceConfig {
-                capacity: 64,
-                top_k: 4,
-            });
+            let rec = sampled();
             for i in 1..=10_000u64 {
                 rec.observe(i + (i % 997) * 1_000, i, (i % 997) * 1_000);
             }
@@ -1972,7 +1869,7 @@ mod tests {
 
     #[test]
     fn sampler_exemplar_prefers_newest_within_tolerance() {
-        let rec = sampled(ProvenanceConfig::default());
+        let rec = sampled();
         rec.observe(2_000, 1_000, 1_000); // old journey, exact match
         rec.observe(10_010, 9_000, 1_010); // newer, within 2% of 1000
         let e = exemplar(&rec, 1_000).expect("exemplar");
@@ -1986,14 +1883,16 @@ mod tests {
     #[test]
     fn clear_forgets_incidents_and_stamps_but_keeps_the_baseline() {
         let rec = Recorder::new(RecorderConfig {
-            watchdog: Some(slo(100)),
-            provenance: Some(ProvenanceConfig::default()),
+            watchdog: Some(WatchdogConfig {
+                slo_nanos: Some(100),
+            }),
+            provenance: true,
             ..RecorderConfig::default()
         });
         rec.observe(200, 0, 200);
         rec.clear();
         assert!(incidents(&rec).is_empty());
-        let report = rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 1)]);
+        let report = rec.waterfalls(NET, &[("p50", 50.0, 1)]);
         assert_eq!(
             (report.observed, report.sampled, report.sample_shift),
             (0, 0, 0)
@@ -2006,13 +1905,13 @@ mod tests {
 
     #[test]
     fn waterfall_attributes_ring_spans() {
-        let rec = sampled(ProvenanceConfig::default());
+        let rec = sampled();
         let mut w = rec.tracer().writer(0, "w");
         let name = w.intern("hot-agg");
         w.record(TraceKind::Call, 2_000, 6_000, name, 0);
         rec.drain_spans();
         rec.observe(11_000, 1_000, 10_000);
-        let report = rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 10_000)]);
+        let report = rec.waterfalls(NET, &[("p50", 50.0, 10_000)]);
         let a = &report.bands[0].attribution;
         let sum: u64 = a.slices.iter().map(|s| s.nanos).sum();
         assert_eq!(sum, 10_000, "partition is exact");
@@ -2022,7 +1921,7 @@ mod tests {
 
     #[test]
     fn band_waterfalls_sum_exactly_and_render_json() {
-        let rec = sampled(ProvenanceConfig::default());
+        let rec = sampled();
         let mut w = rec.tracer().writer(0, "w");
         let name = w.intern("agg");
         w.record(TraceKind::Call, 500, 200, name, 0);
@@ -2030,13 +1929,10 @@ mod tests {
         rec.drain_spans();
         let bands = [("p50", 50.0, 1_000), ("p99.99", 99.99, 10_000)];
         // An empty sampler yields an empty-bands report, not a panic.
-        assert!(rec
-            .waterfalls(&AttributionConfig::default(), &bands)
-            .bands
-            .is_empty());
+        assert!(rec.waterfalls(NET, &bands).bands.is_empty());
         rec.observe(1_100, 100, 1_000); // p50-ish journey
         rec.observe(10_400, 400, 10_000); // tail journey
-        let report = rec.waterfalls(&AttributionConfig::default(), &bands);
+        let report = rec.waterfalls(NET, &bands);
         assert_eq!(report.bands.len(), 2);
         for b in &report.bands {
             let sum: u64 = b.attribution.slices.iter().map(|s| s.nanos).sum();
@@ -2066,8 +1962,10 @@ mod tests {
     #[test]
     fn spike_and_band_json_render_attribution_identically() {
         let rec = Recorder::new(RecorderConfig {
-            watchdog: Some(slo(50)),
-            provenance: Some(ProvenanceConfig::default()),
+            watchdog: Some(WatchdogConfig {
+                slo_nanos: Some(50),
+            }),
+            provenance: true,
             ..RecorderConfig::default()
         });
         rec.observe(2_000, 1_000, 1_000);
@@ -2075,10 +1973,9 @@ mod tests {
             bench: "unit".into(),
             run_label: "r".into(),
             fidelity: rec.stats(),
-            incidents: rec.forensics(&AttributionConfig::default()),
+            incidents: rec.forensics(NET),
         });
-        let band =
-            json::render(rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 1_000)]));
+        let band = json::render(rec.waterfalls(NET, &[("p50", 50.0, 1_000)]));
         let (spike, band) = (json::parse(&spike).unwrap(), json::parse(&band).unwrap());
         let attribution = spike["incidents"][0]["attribution"].as_obj().unwrap();
         let band = band["bands"][0].as_obj().unwrap();
@@ -2097,7 +1994,7 @@ mod tests {
 
     #[test]
     fn timeline_only_recorder_keeps_no_spans() {
-        let rec = timeline(MS, 8);
+        let rec = timeline();
         assert!(rec.samples_metrics() && !rec.records_spans());
         assert!(!rec.tracer().is_enabled(), "no span ring, no tracer");
         rec.drain_spans();
@@ -2107,27 +2004,26 @@ mod tests {
 
     #[test]
     fn clear_forgets_retained_spans_and_counts_only_grow() {
-        let rec = watched(slo(100), tiny_ring());
+        let rec = watched(Some(100));
         let tracer = rec.tracer();
         assert_eq!(tracer.sample_shift(), CALL_SAMPLE_SHIFT);
         let mut w = tracer.writer(0, "w");
         let name = w.intern("agg");
         let mut last = rec.stats();
-        let mut ts = 0u64;
-        for round in 0..3 {
-            // Overfill the writer's ring (drops) and the 8-span store
-            // (evictions), then drain.
-            for _ in 0..SPAN_RING_CAPACITY + 5 {
-                ts += 1;
-                w.record(TraceKind::Call, ts, 1, name, 0);
+        for round in 0..3u64 {
+            // Overfill the writer's ring by 5 (drops) with spans 1 ms
+            // apart, so the kept ones span 8.19 s and the 4 s horizon
+            // evicts all but the newest 4,001 of them, then drain.
+            for i in 0..RING_CAPACITY as u64 + 5 {
+                w.record(TraceKind::Call, round * 10_000 * MS + i * MS, 1, name, 0);
             }
             rec.drain_spans();
             let s = rec.stats();
             assert_eq!(s.ring_dropped, 5 * (round + 1), "round {round}");
             assert!(s.spans_evicted > last.spans_evicted, "round {round}");
-            assert_eq!(s.spans_retained, 8);
+            assert_eq!(s.spans_retained, 4_001);
             let trace = rec.trace().expect("span ring armed");
-            assert_eq!(trace.events.len(), 8);
+            assert_eq!(trace.events.len(), 4_001);
             assert_eq!(trace.tracks.len(), 1);
             assert_eq!(trace.name(name), "agg");
             if round == 1 {
@@ -2147,7 +2043,7 @@ mod tests {
 
     #[test]
     fn empty_job_exports_valid_empty_timeline() {
-        let rec = timeline(100 * MS, 1024);
+        let rec = timeline();
         let doc = timeline_doc_named(&rec, "bench", "run");
         assert_eq!(doc["schema"].as_str(), Some("jet-timeline-v1"));
         assert_eq!(doc["bench"].as_str(), Some("bench"));
@@ -2162,7 +2058,7 @@ mod tests {
 
     #[test]
     fn single_sample_records_absolute_values_as_first_delta() {
-        let rec = timeline(100 * MS, 1024);
+        let rec = timeline();
         assert_eq!(rec.next_sample_in(0), Some(0));
         rec.sample(0, &snap_with_counter(42));
         assert_eq!(rec.next_sample_in(1), Some(100 * MS - 1));
@@ -2185,7 +2081,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c = reg.counter("jet_test_items_total", tags(&[]));
         let g = reg.gauge("jet_test_queue_depth", tags(&[]));
-        let rec = timeline(100 * MS, 1024);
+        let rec = timeline();
         c.add(10);
         g.set(5);
         rec.sample(0, &reg.snapshot());
@@ -2207,19 +2103,26 @@ mod tests {
 
     #[test]
     fn ring_wrap_folds_oldest_ticks_into_base() {
-        let rec = timeline(MS, 3);
+        let rec = timeline();
         let reg = MetricsRegistry::new();
         let c = reg.counter("jet_test_items_total", tags(&[]));
-        for i in 0..6u64 {
+        let n = TIMELINE_TICKS as u64 + 3;
+        for i in 0..n {
             c.add(10);
-            rec.sample(i * MS, &reg.snapshot());
+            rec.sample(i * TIMELINE_CADENCE_NANOS, &reg.snapshot());
         }
         let s = rec.stats();
-        assert_eq!((s.samples, s.ticks, s.ticks_evicted), (6, 3, 3));
-        assert_eq!(rec.ticks(), vec![3 * MS, 4 * MS, 5 * MS]);
+        assert_eq!(
+            (s.samples, s.ticks, s.ticks_evicted),
+            (n, TIMELINE_TICKS, 3)
+        );
+        let ticks = rec.ticks();
+        assert_eq!(ticks[0], 3 * TIMELINE_CADENCE_NANOS);
+        assert_eq!(ticks.last(), Some(&((n - 1) * TIMELINE_CADENCE_NANOS)));
         // Absolute values survive the fold: base picks up evicted deltas.
-        let series = rec.job_series();
-        assert_eq!(series[0].2, vec![40, 50, 60]);
+        let values = &rec.job_series()[0].2;
+        assert_eq!(values[..3], [40, 50, 60]);
+        assert_eq!(values.last(), Some(&(10 * n as i64)));
         let doc = timeline_doc(&rec);
         assert_eq!(doc["series"][0]["base"].as_u64(), Some(30));
         assert_eq!(doc["evicted_ticks"].as_u64(), Some(3));
@@ -2227,7 +2130,7 @@ mod tests {
 
     #[test]
     fn late_appearing_series_zero_pads_history() {
-        let rec = timeline(100 * MS, 1024);
+        let rec = timeline();
         let reg = MetricsRegistry::new();
         let c1 = reg.counter("jet_test_a_total", tags(&[]));
         c1.add(1);
@@ -2250,7 +2153,7 @@ mod tests {
 
     #[test]
     fn duplicate_instant_sample_is_folded() {
-        let rec = timeline(100 * MS, 1024);
+        let rec = timeline();
         rec.sample(0, &snap_with_counter(1));
         rec.sample(0, &snap_with_counter(2));
         let s = rec.stats();
@@ -2264,7 +2167,7 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        let rec = timeline(100 * MS, 1024);
+        let rec = timeline();
         rec.sample(0, &reg.snapshot());
         let series = rec.job_series();
         assert_eq!(series[0].1, SeriesKind::HistogramP99);
@@ -2275,7 +2178,7 @@ mod tests {
 
     #[test]
     fn timeline_json_ticks_are_strictly_monotone() {
-        let rec = timeline(MS, 8);
+        let rec = timeline();
         for i in 0..5u64 {
             rec.sample(i * MS, &snap_with_counter(1));
         }
@@ -2305,13 +2208,7 @@ mod tests {
 
     /// A timeline of ticks at 1 and 2 ms, one counter series.
     fn two_ticks() -> Timeline {
-        let mut t = Timeline {
-            cfg: TimelineConfig {
-                cadence_nanos: MS,
-                capacity: 8,
-            },
-            ..Timeline::default()
-        };
+        let mut t = Timeline::default();
         t.record(MS, &snap_with_counter(1));
         t.record(2 * MS, &snap_with_counter(2));
         t
@@ -2339,7 +2236,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "cause nanos do not sum to total_nanos")]
     fn attribution_asserts_an_exact_partition() {
-        let mut a = attribute(&[], &[], 100, 1_100, &AttributionConfig::default());
+        let mut a = attribute(&[], &[], 100, 1_100, NET);
         a.slices[0].nanos += 1;
         a.assert_exact();
     }
@@ -2348,17 +2245,17 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not emitted_at - event_ts")]
     fn waterfall_asserts_a_consistent_stamp() {
-        let rec = sampled(ProvenanceConfig::default());
+        let rec = sampled();
         rec.observe(11_000, 1_000, 9_000);
-        rec.waterfalls(&AttributionConfig::default(), &[("p50", 50.0, 9_000)]);
+        rec.waterfalls(NET, &[("p50", 50.0, 9_000)]);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not the peak latency")]
     fn forensics_asserts_the_incident_journey_is_its_peak() {
-        let rec = watched(slo(50), FlightConfig::default());
+        let rec = watched(Some(50));
         rec.observe(2_000, 1_000, 900);
-        rec.forensics(&AttributionConfig::default());
+        rec.forensics(NET);
     }
 }

@@ -41,7 +41,6 @@ pub mod processor;
 pub mod processors;
 pub mod snapshot;
 pub mod state;
-pub mod sync;
 pub mod tasklet;
 pub mod trace;
 pub mod watermark;

@@ -8,7 +8,7 @@
 //! every instrument a job execution creates (the analogue of Jet's per-job
 //! metrics system). Hot paths keep touching plain atomics / the shared
 //! histogram mutex; the registry is only walked when someone asks for a
-//! [`MetricsSnapshot`], which renders to Prometheus text format or JSON.
+//! [`MetricsSnapshot`], which renders to Prometheus text format.
 //!
 //! Naming scheme: metric names are lowercase snake_case with a `jet_`
 //! prefix; monotone counters end in `_total` (Prometheus convention).
@@ -357,40 +357,40 @@ impl MetricsRegistry {
     }
 
     fn register(&self, name: &str, tags: Tags, instrument: Instrument) {
-        debug_assert!(
-            name.chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-            "metric names are lowercase snake_case: {name}"
-        );
+        let tags = self.full_tags(tags);
+        insert(&mut self.entries.lock(), name, tags, instrument);
+    }
+
+    /// The handle registered under `(name, tags)` if it is of the kind
+    /// `view` picks; otherwise a fresh one that replaces whatever was there.
+    fn handle<H: Clone + Default>(
+        &self,
+        name: &str,
+        tags: Tags,
+        view: fn(&Instrument) -> Option<H>,
+        wrap: fn(H) -> Instrument,
+    ) -> H {
         let tags = self.full_tags(tags);
         let mut entries = self.entries.lock();
-        // Re-registering the same (name, tags) replaces the old instrument,
-        // keeping snapshots collision-free by construction.
-        entries.retain(|e| !(e.name == name && e.tags == tags));
-        entries.push(Entry {
-            name: name.to_string(),
-            tags,
-            instrument,
-        });
+        let found = entries
+            .iter()
+            .find(|e| e.name == name && e.tags == tags)
+            .and_then(|e| view(&e.instrument));
+        if let Some(h) = found {
+            return h;
+        }
+        let h = H::default();
+        insert(&mut entries, name, tags, wrap(h.clone()));
+        h
     }
 
     /// Register (or look up) a counter and return its handle.
     pub fn counter(&self, name: &str, tags: Tags) -> SharedCounter {
-        let full = self.full_tags(tags);
-        let mut entries = self.entries.lock();
-        if let Some(e) = entries.iter().find(|e| e.name == name && e.tags == full) {
-            if let Instrument::Counter(c) = &e.instrument {
-                return c.clone();
-            }
-        }
-        let c = SharedCounter::new();
-        entries.retain(|e| !(e.name == name && e.tags == full));
-        entries.push(Entry {
-            name: name.to_string(),
-            tags: full,
-            instrument: Instrument::Counter(c.clone()),
-        });
-        c
+        let view = |i: &Instrument| match i {
+            Instrument::Counter(c) => Some(c.clone()),
+            _ => None,
+        };
+        self.handle(name, tags, view, Instrument::Counter)
     }
 
     /// Register a counter whose value is computed on read.
@@ -400,21 +400,11 @@ impl MetricsRegistry {
 
     /// Register (or look up) a gauge and return its handle.
     pub fn gauge(&self, name: &str, tags: Tags) -> SharedGauge {
-        let full = self.full_tags(tags);
-        let mut entries = self.entries.lock();
-        if let Some(e) = entries.iter().find(|e| e.name == name && e.tags == full) {
-            if let Instrument::Gauge(g) = &e.instrument {
-                return g.clone();
-            }
-        }
-        let g = SharedGauge::new();
-        entries.retain(|e| !(e.name == name && e.tags == full));
-        entries.push(Entry {
-            name: name.to_string(),
-            tags: full,
-            instrument: Instrument::Gauge(g.clone()),
-        });
-        g
+        let view = |i: &Instrument| match i {
+            Instrument::Gauge(g) => Some(g.clone()),
+            _ => None,
+        };
+        self.handle(name, tags, view, Instrument::Gauge)
     }
 
     /// Register a gauge whose value is computed on read (e.g. a queue-depth
@@ -425,21 +415,11 @@ impl MetricsRegistry {
 
     /// Register (or look up) a histogram and return its handle.
     pub fn histogram(&self, name: &str, tags: Tags) -> SharedHistogram {
-        let full = self.full_tags(tags);
-        let mut entries = self.entries.lock();
-        if let Some(e) = entries.iter().find(|e| e.name == name && e.tags == full) {
-            if let Instrument::Histogram(h) = &e.instrument {
-                return h.clone();
-            }
-        }
-        let h = SharedHistogram::new();
-        entries.retain(|e| !(e.name == name && e.tags == full));
-        entries.push(Entry {
-            name: name.to_string(),
-            tags: full,
-            instrument: Instrument::Histogram(h.clone()),
-        });
-        h
+        let view = |i: &Instrument| match i {
+            Instrument::Histogram(h) => Some(h.clone()),
+            _ => None,
+        };
+        self.handle(name, tags, view, Instrument::Histogram)
     }
 
     /// Register an existing histogram handle under a name (sinks create the
@@ -477,6 +457,23 @@ impl MetricsRegistry {
         metrics.sort_by(|a, b| (&a.name, &a.tags).cmp(&(&b.name, &b.tags)));
         MetricsSnapshot { metrics }
     }
+}
+
+/// Add one instrument under `(name, full tags)`. Re-registering the same
+/// key replaces the old instrument, keeping snapshots collision-free by
+/// construction.
+fn insert(entries: &mut Vec<Entry>, name: &str, tags: Tags, instrument: Instrument) {
+    debug_assert!(
+        name.chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+        "metric names are lowercase snake_case: {name}"
+    );
+    entries.retain(|e| !(e.name == name && e.tags == tags));
+    entries.push(Entry {
+        name: name.to_string(),
+        tags,
+        instrument,
+    });
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -530,11 +527,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merge another snapshot in. Identical (name, tags) keys combine:
-    /// counters add, gauges add (they are occupancy-style values whose
-    /// job-level meaning is the sum), histograms keep the larger digest.
-    /// Distinct members carry a `member` tag, so cross-member merging is
-    /// normally collision-free and this is pure concatenation.
     /// Stamp `key=value` onto every metric that does not already carry
     /// `key` — used to add job-level tags when aggregating member
     /// snapshots into one job view.
@@ -550,6 +542,11 @@ impl MetricsSnapshot {
         self
     }
 
+    /// Merge another snapshot in. Identical (name, tags) keys combine:
+    /// counters add, gauges add (they are occupancy-style values whose
+    /// job-level meaning is the sum), histograms keep the larger digest.
+    /// Distinct members carry a `member` tag, so cross-member merging is
+    /// normally collision-free and this is pure concatenation.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for m in &other.metrics {
             match self

@@ -1213,10 +1213,15 @@ mod tests {
 
     #[test]
     fn traced_channel_records_send_and_receive() {
-        use crate::trace::{TraceKind, Tracer};
+        use crate::flight::{Recorder, RecorderConfig};
+        use crate::trace::TraceKind;
         let (manual, clock) = manual_clock();
         let transport = Arc::new(InMemoryTransport::new(clock.clone(), 0));
-        let tracer = Tracer::enabled();
+        let recorder = Recorder::new(RecorderConfig {
+            provenance: true,
+            ..RecorderConfig::default()
+        });
+        let tracer = recorder.tracer();
         let (conv, mut producers) = Conveyor::<Item>::new(1, 64);
         let mut sender = SenderTasklet::new(channel(), transport.clone(), conv, Guarantee::None)
             .with_trace(tracer.writer(0, "m0/sender"), clock.clone());
@@ -1232,7 +1237,8 @@ mod tests {
         manual.advance(5);
         receiver.call();
 
-        let data = tracer.drain();
+        recorder.drain_spans();
+        let data = recorder.trace().expect("span ring armed");
         let sends: Vec<_> = data.of_kind(TraceKind::NetSend).collect();
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].rec.ts, 5);

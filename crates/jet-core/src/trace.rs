@@ -2,13 +2,15 @@
 //!
 //! PR 1's metrics say *how much* time the job spent; this module says
 //! *where*. Every instrumented writer (a cooperative worker / virtual core,
-//! a processor tasklet, a network sender/receiver) owns a private fixed-size
-//! lock-free ring of [`SpanRecord`]s and appends to it without ever blocking
-//! the hot loop: when the ring is full the record is dropped and counted,
-//! never waited for. On the simulated cluster the flight recorder
-//! (`flight.rs`) owns the tracer and the runtime drains the rings into the
-//! recorder's span ring. A [`TraceData`] is the render view of drained
-//! spans: Chrome trace-event JSON — open `results/TRACE_*.json` in
+//! a processor tasklet, a network sender/receiver) is the one producer of a
+//! `jet_queue` SPSC ring of [`SpanRecord`]s — the same wait-free ring the
+//! tasklets exchange items through — and appends to it without ever
+//! blocking the hot loop: when the ring is full the record is dropped and
+//! counted, never waited for. The flight recorder (`flight.rs`) is the only
+//! way to get an enabled [`Tracer`]: it creates one whenever its span ring
+//! is armed, and the runtime drains the rings into the recorder's span
+//! ring. A [`TraceData`] is the render view of drained spans: Chrome
+//! trace-event JSON — open `results/TRACE_*.json` in
 //! <https://ui.perfetto.dev> — and the plain-text diagnostics dump.
 //!
 //! Cost discipline:
@@ -18,15 +20,27 @@
 //! * Enabled tracing touches only the writer's own cache lines plus one
 //!   release store per record; string names are interned to `u32` ids at
 //!   wiring time (cold), never on the hot path.
-//! * Call spans can be sampled (`1/2^k`) to bound volume on multi-minute
-//!   runs; drops from sampling are *not* counted (they are policy), drops
-//!   from a full ring are.
+//! * Call spans are sampled 1-in-`2^CALL_SAMPLE_SHIFT` to bound volume on
+//!   multi-minute runs; drops from sampling are *not* counted (they are
+//!   policy), drops from a full ring are.
 
-use crate::sync::{AtomicU64, AtomicUsize, CachePadded, Ordering, UnsafeCell};
+use jet_queue::{spsc_channel, Consumer, Producer};
 use jet_util::json::{ToJson, Writer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Records per writer ring (rounded up to a power of two by the ring):
+/// 8192 × 32 B = 256 KiB per instrumented writer. The runtime drains the
+/// rings every ~10 ms of virtual time, so even 20 members × dozens of
+/// writers stay bounded.
+pub const RING_CAPACITY: usize = 8192;
+
+/// One Call span in `2^4` is recorded: calls outnumber every other span
+/// kind ~10:1, and the slowest ones still surface. Other kinds always
+/// record.
+pub const CALL_SAMPLE_SHIFT: u32 = 4;
 
 /// What a span record describes. The numeric `arg` field of [`SpanRecord`]
 /// is kind-specific (documented per variant).
@@ -115,108 +129,6 @@ pub struct SpanRecord {
     pub arg: i64,
 }
 
-impl SpanRecord {
-    fn zeroed() -> SpanRecord {
-        SpanRecord {
-            ts: 0,
-            dur: 0,
-            name: 0,
-            kind: TraceKind::Call,
-            arg: 0,
-        }
-    }
-}
-
-/// The per-writer ring: single producer (the owning worker/tasklet), single
-/// consumer (the collector), wait-free on both sides, drop-counted on
-/// overflow. Same Lamport-ring discipline as `jet_queue::spsc`, specialised
-/// to a `Copy` record type so slots need no `MaybeUninit` bookkeeping.
-struct Ring {
-    buf: Box<[UnsafeCell<SpanRecord>]>,
-    mask: usize,
-    /// Next slot the collector reads. Written by the collector only.
-    head: CachePadded<AtomicUsize>,
-    /// Next slot the writer fills. Written by the writer only.
-    tail: CachePadded<AtomicUsize>,
-    /// Records discarded because the ring was full when they were offered
-    /// (run-cumulative: draining never resets it).
-    dropped: AtomicU64,
-}
-
-// The writer only stores into slots in `head..head+capacity` that it owns
-// (it checks fullness against an acquire-loaded head before writing and
-// publishes with a release store of tail); the collector only reads slots in
-// `head..tail` (acquire-loaded). SpanRecord is Copy, so torn *ownership* is
-// the only hazard. The protocol is model-checked by `loom_tests` below.
-//
-// SAFETY: the head/tail protocol above excludes concurrent access to any
-// slot, so the ring may move across threads.
-unsafe impl Send for Ring {}
-// SAFETY: as above — writer and collector get exclusive access to disjoint
-// slots even through shared references.
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        let cap = capacity.max(2).next_power_of_two();
-        Ring {
-            buf: (0..cap)
-                .map(|_| UnsafeCell::new(SpanRecord::zeroed()))
-                .collect(),
-            mask: cap - 1,
-            head: CachePadded::new(AtomicUsize::new(0)),
-            tail: CachePadded::new(AtomicUsize::new(0)),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Writer side. Never blocks: a full ring counts a drop and returns.
-    #[inline]
-    fn push(&self, rec: SpanRecord) {
-        // ordering: Relaxed — `tail` is only ever written by this writer, so
-        // its own last value is always what a relaxed load returns.
-        let tail = self.tail.load(Ordering::Relaxed);
-        // ordering: Acquire pairs with the collector's Release store of
-        // `head` in `drain_into`: slots the collector freed are fully read
-        // before we may overwrite them.
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
-            // ordering: Relaxed — the drop counter is a statistic, not a
-            // synchronization point.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: `tail` is within `head..head+capacity`, so the collector
-        // cannot be reading this slot; the record becomes visible to it only
-        // through the release store of `tail` below.
-        self.buf[tail & self.mask].with_mut(|p| unsafe { *p = rec });
-        // ordering: Release pairs with the collector's Acquire load of
-        // `tail`: the slot write above is visible before the new position.
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Collector side: move every published record into `out`.
-    fn drain_into(&self, out: &mut Vec<SpanRecord>) -> usize {
-        // ordering: Acquire pairs with the writer's Release store of `tail`.
-        let tail = self.tail.load(Ordering::Acquire);
-        // ordering: Relaxed — `head` is only ever written by this collector.
-        let mut head = self.head.load(Ordering::Relaxed);
-        let n = tail.wrapping_sub(head);
-        for _ in 0..n {
-            // SAFETY: slots in `head..tail` hold records the writer
-            // published (acquire-loaded `tail` above) and will not touch
-            // again until `head` is released past them.
-            out.push(self.buf[head & self.mask].with(|p| unsafe { *p }));
-            head = head.wrapping_add(1);
-        }
-        // ordering: Release pairs with the writer's Acquire load of `head`
-        // in `push`: our slot reads complete before the writer may reuse
-        // the slots.
-        self.head.store(head, Ordering::Release);
-        n
-    }
-}
-
 /// Identity of one trace track (≈ one ring): which member it belongs to
 /// (Perfetto `pid`), its per-job track index (`tid`), and a human label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,9 +138,13 @@ pub struct TrackInfo {
     pub label: String,
 }
 
+/// The collector's end of one writer's ring.
 struct Track {
     info: TrackInfo,
-    ring: Arc<Ring>,
+    ring: Consumer<SpanRecord>,
+    /// Records the writer discarded because the ring was full
+    /// (run-cumulative: draining never resets it).
+    dropped: Arc<AtomicU64>,
 }
 
 struct NameTable {
@@ -238,7 +154,7 @@ struct NameTable {
 
 impl NameTable {
     fn new() -> NameTable {
-        // Id 0 is reserved for "?" so a zeroed record still renders.
+        // Id 0 is reserved for "?" so an unnamed record still renders.
         NameTable {
             names: vec!["?".to_string()],
             index: HashMap::new(),
@@ -259,19 +175,13 @@ impl NameTable {
 
 struct TracerInner {
     names: Mutex<NameTable>,
+    /// One per writer, in creation order: a track's `tid` is its index.
     tracks: Mutex<Vec<Track>>,
-    ring_capacity: usize,
-    /// Record one in `2^sample_shift` Call spans (other kinds always
-    /// record).
-    sample_shift: u32,
-    next_tid: AtomicUsize,
 }
 
-/// Default records per ring: 4096 × 32 B = 128 KiB per instrumented writer.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
 /// Handle to the tracing subsystem. Cheap to clone; `disabled()` is the
-/// always-available no-op used everywhere tracing is not requested.
+/// always-available no-op used everywhere tracing is not requested, and the
+/// flight recorder owns the only enabled one.
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
@@ -283,28 +193,24 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An active tracer with default ring capacity and no sampling.
-    pub fn enabled() -> Tracer {
-        Tracer::with_config(DEFAULT_RING_CAPACITY, 0)
-    }
-
-    /// `ring_capacity` records per writer (rounded up to a power of two);
-    /// `sample_shift` records one in `2^shift` Call spans.
-    pub fn with_config(ring_capacity: usize, sample_shift: u32) -> Tracer {
+    /// An active tracer: [`RING_CAPACITY`] records per writer, one Call
+    /// span in `2^CALL_SAMPLE_SHIFT`. Only the flight recorder makes one.
+    pub(crate) fn new() -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 names: Mutex::new(NameTable::new()),
                 tracks: Mutex::new(Vec::new()),
-                ring_capacity,
-                sample_shift,
-                next_tid: AtomicUsize::new(0),
             })),
         }
     }
 
     /// Call spans are recorded 1-in-`2^shift` (0 when disabled).
     pub fn sample_shift(&self) -> u32 {
-        self.inner.as_ref().map_or(0, |i| i.sample_shift)
+        if self.is_enabled() {
+            CALL_SAMPLE_SHIFT
+        } else {
+            0
+        }
     }
 
     #[inline]
@@ -329,23 +235,24 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return TraceWriter { inner: None };
         };
-        let ring = Arc::new(Ring::new(inner.ring_capacity));
-        // ordering: Relaxed — the id only needs uniqueness, and the track
-        // list it keys is published under the `tracks` mutex.
-        let tid = inner.next_tid.fetch_add(1, Ordering::Relaxed) as u32;
-        inner.tracks.lock().push(Track {
+        let (producer, consumer) = spsc_channel(RING_CAPACITY);
+        let dropped = Arc::new(AtomicU64::new(0));
+        let mut tracks = inner.tracks.lock();
+        let tid = tracks.len() as u32;
+        tracks.push(Track {
             info: TrackInfo {
                 pid,
                 tid,
                 label: label.to_string(),
             },
-            ring: ring.clone(),
+            ring: consumer,
+            dropped: dropped.clone(),
         });
         TraceWriter {
             inner: Some(WriterInner {
-                ring,
+                ring: producer,
+                dropped,
                 tracer: inner.clone(),
-                sample_mask: (1u64 << inner.sample_shift) - 1,
                 calls_seen: 0,
             }),
         }
@@ -360,7 +267,7 @@ impl Tracer {
                 .lock()
                 .iter()
                 // ordering: Relaxed — the drop counter is a statistic.
-                .map(|t| t.ring.dropped.load(Ordering::Relaxed))
+                .map(|t| t.dropped.load(Ordering::Relaxed))
                 .sum(),
             None => 0,
         }
@@ -377,11 +284,10 @@ impl Tracer {
     /// The render view of drained `events`: this tracer's names, and its
     /// tracks indexed by `tid`.
     pub(crate) fn view(&self, events: Vec<TraceEvent>) -> TraceData {
-        let mut tracks: Vec<TrackInfo> = match &self.inner {
+        let tracks = match &self.inner {
             Some(inner) => inner.tracks.lock().iter().map(|t| t.info.clone()).collect(),
             None => Vec::new(),
         };
-        tracks.sort_by_key(|t| t.tid);
         TraceData {
             names: self.names(),
             tracks,
@@ -393,32 +299,31 @@ impl Tracer {
     /// creation order, each ring oldest first.
     pub(crate) fn drain_each(&self, mut f: impl FnMut(TraceEvent)) {
         let Some(inner) = &self.inner else { return };
-        let mut scratch = Vec::new();
-        for t in inner.tracks.lock().iter() {
-            scratch.clear();
-            t.ring.drain_into(&mut scratch);
-            for &rec in &scratch {
-                f(TraceEvent {
-                    track: t.info.tid,
-                    rec,
-                });
-            }
+        for t in inner.tracks.lock().iter_mut() {
+            let track = t.info.tid;
+            t.ring
+                .drain_batch(usize::MAX, |rec| f(TraceEvent { track, rec }));
         }
-    }
-
-    /// Drain everything into a fresh [`TraceData`].
-    pub fn drain(&self) -> TraceData {
-        let mut events = Vec::new();
-        self.drain_each(|e| events.push(e));
-        self.view(events)
     }
 }
 
 struct WriterInner {
-    ring: Arc<Ring>,
+    ring: Producer<SpanRecord>,
+    dropped: Arc<AtomicU64>,
     tracer: Arc<TracerInner>,
-    sample_mask: u64,
     calls_seen: u64,
+}
+
+impl WriterInner {
+    /// Never blocks: a full ring counts a drop and returns.
+    #[inline]
+    fn push(&mut self, rec: SpanRecord) {
+        if self.ring.offer(rec).is_err() {
+            // ordering: Relaxed — the drop counter is a statistic, not a
+            // synchronization point.
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The hot-path handle one instrumented entity records through. Single
@@ -459,8 +364,8 @@ impl TraceWriter {
     /// Record one span/instant. No-op when disabled.
     #[inline]
     pub fn record(&mut self, kind: TraceKind, ts: u64, dur: u64, name: u32, arg: i64) {
-        if let Some(w) = &self.inner {
-            w.ring.push(SpanRecord {
+        if let Some(w) = &mut self.inner {
+            w.push(SpanRecord {
                 ts,
                 dur,
                 name,
@@ -475,10 +380,10 @@ impl TraceWriter {
     pub fn record_call(&mut self, ts: u64, dur: u64, name: u32) {
         if let Some(w) = &mut self.inner {
             w.calls_seen = w.calls_seen.wrapping_add(1);
-            if w.calls_seen & w.sample_mask != 0 {
+            if w.calls_seen & ((1 << CALL_SAMPLE_SHIFT) - 1) != 0 {
                 return;
             }
-            w.ring.push(SpanRecord {
+            w.push(SpanRecord {
                 ts,
                 dur,
                 name,
@@ -517,12 +422,12 @@ impl TraceData {
         self.events.iter().filter(move |e| e.rec.kind == kind)
     }
 
-    /// The `k` slowest `Call` spans whose name contains `name_filter`
-    /// (empty matches all), slowest first.
-    pub fn top_k_slowest_calls(&self, name_filter: &str, k: usize) -> Vec<&TraceEvent> {
+    /// The `k` slowest `Call` spans named exactly `name` (empty matches
+    /// all), slowest first.
+    pub fn top_k_slowest_calls(&self, name: &str, k: usize) -> Vec<&TraceEvent> {
         let mut calls: Vec<&TraceEvent> = self
             .of_kind(TraceKind::Call)
-            .filter(|e| name_filter.is_empty() || self.name(e.rec.name).contains(name_filter))
+            .filter(|e| name.is_empty() || self.name(e.rec.name) == name)
             .collect();
         calls.sort_by(|a, b| b.rec.dur.cmp(&a.rec.dur).then(a.rec.ts.cmp(&b.rec.ts)));
         calls.truncate(k);
@@ -592,98 +497,23 @@ fn metadata(w: &mut Writer<'_>, kind: &str, pid: u32, tid: u32, name: &str) {
     });
 }
 
-/// Loom models of the trace ring's writer/collector protocol. Run with
-/// `RUSTFLAGS="--cfg loom" cargo test -p jet-core --lib trace::loom_tests`.
-#[cfg(all(loom, test))]
-mod loom_tests {
-    use super::*;
-    use loom::thread;
-
-    fn rec(ts: u64) -> SpanRecord {
-        SpanRecord {
-            ts,
-            dur: 1,
-            name: 0,
-            kind: TraceKind::Call,
-            arg: 0,
-        }
-    }
-
-    /// A writer racing a draining collector on a 2-slot ring: every record
-    /// is either drained in order or counted as dropped — never lost, never
-    /// duplicated, never torn.
-    #[test]
-    fn ring_accepts_or_counts_every_record() {
-        loom::model(|| {
-            let ring = crate::sync::Arc::new(Ring::new(2));
-            let writer = thread::spawn({
-                let ring = ring.clone();
-                move || {
-                    for i in 0..3u64 {
-                        ring.push(rec(i));
-                    }
-                    // ordering: Relaxed — the writer reads its own counter.
-                    ring.dropped.load(Ordering::Relaxed)
-                }
-            });
-            let mut out = Vec::new();
-            ring.drain_into(&mut out);
-            let dropped = writer.join().unwrap();
-            // Writer is done: one final drain empties the ring.
-            ring.drain_into(&mut out);
-            assert_eq!(
-                out.len() as u64 + dropped,
-                3,
-                "records lost or duplicated: drained {out:?}, dropped {dropped}"
-            );
-            // Drained records keep the writer's order and are never torn.
-            for pair in out.windows(2) {
-                assert!(pair[0].ts < pair[1].ts, "reordered: {pair:?}");
-            }
-            for r in &out {
-                assert_eq!(r.dur, 1, "torn record: {r:?}");
-            }
-        });
-    }
-
-    /// The sampling counter together with the ring under a concurrent
-    /// drain: exactly one of every 2 calls is kept, none of the kept
-    /// records can be lost (ring never fills at this rate).
-    #[test]
-    fn sampled_writer_with_concurrent_collector() {
-        loom::model(|| {
-            let tracer = Tracer::with_config(4, 1); // keep 1 in 2 calls
-            let writer = thread::spawn({
-                let mut w = tracer.writer(0, "w");
-                move || {
-                    for i in 0..4u64 {
-                        w.record_call(i, 1, 0);
-                    }
-                }
-            });
-            let mut ts = Vec::new();
-            tracer.drain_each(|e| ts.push(e.rec.ts));
-            writer.join().unwrap();
-            tracer.drain_each(|e| ts.push(e.rec.ts));
-            assert_eq!(ts, vec![1, 3], "sampling must keep calls 2 and 4");
-            assert_eq!(tracer.dropped(), 0, "sampling is not a drop");
-        });
-    }
-}
-
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{Recorder, RecorderConfig};
     use jet_util::json;
 
-    fn rec(ts: u64, dur: u64) -> SpanRecord {
-        SpanRecord {
-            ts,
-            dur,
-            name: 1,
-            kind: TraceKind::Call,
-            arg: 0,
-        }
+    /// A recorder whose span ring (and so its tracer) is armed.
+    fn recorder() -> Recorder {
+        Recorder::new(RecorderConfig {
+            provenance: true,
+            ..RecorderConfig::default()
+        })
+    }
+
+    fn timestamps(rec: &Recorder) -> Vec<u64> {
+        let data = rec.trace().expect("span ring armed");
+        data.events.iter().map(|e| e.rec.ts).collect()
     }
 
     #[test]
@@ -691,105 +521,84 @@ mod tests {
         assert!(std::mem::size_of::<SpanRecord>() <= 32);
     }
 
+    /// 300k records pass through one 8192-slot ring in runs of 5000, so
+    /// the ring wraps dozens of times. Nothing is dropped, and the
+    /// recorder's capacity eviction leaves exactly the newest 262,144
+    /// records, contiguous and in order.
     #[test]
     fn ring_wraps_around_many_times() {
-        let ring = Ring::new(8);
-        let mut out = Vec::new();
-        for round in 0u64..100 {
-            for i in 0..5 {
-                ring.push(rec(round * 10 + i, 1));
+        let rec = recorder();
+        let mut w = rec.tracer().writer(0, "w");
+        let (rounds, per_round) = (60u64, 5_000u64);
+        for round in 0..rounds {
+            for i in 0..per_round {
+                w.record(TraceKind::Stall, round * per_round + i, 0, 1, 0);
             }
-            out.clear();
-            assert_eq!(ring.drain_into(&mut out), 5);
-            assert_eq!(out.len(), 5);
-            assert_eq!(out[0].ts, round * 10);
-            assert_eq!(out[4].ts, round * 10 + 4);
+            rec.drain_spans();
         }
-        assert_eq!(ring.dropped.load(Ordering::Relaxed), 0, "no drops expected");
+        let total = rounds * per_round;
+        let s = rec.stats();
+        assert_eq!(s.ring_dropped, 0, "no drops expected");
+        assert_eq!(s.spans_retained as u64 + s.spans_evicted, total);
+        let ts = timestamps(&rec);
+        let first = total - ts.len() as u64;
+        assert!(ts.iter().copied().eq(first..total), "lost or reordered");
     }
 
     #[test]
     fn ring_counts_drops_under_overflow_and_never_blocks() {
-        let ring = Ring::new(4); // power of two, 4 slots
-        for i in 0..10 {
-            ring.push(rec(i, 1));
+        let rec = recorder();
+        let mut w = rec.tracer().writer(0, "w");
+        for i in 0..RING_CAPACITY as u64 + 6 {
+            w.record(TraceKind::Stall, i, 0, 1, 0);
         }
-        assert_eq!(ring.dropped.load(Ordering::Relaxed), 6);
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
-        // The first 4 records survived, in order.
-        assert_eq!(
-            out.iter().map(|r| r.ts).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(rec.stats().ring_dropped, 6);
+        rec.drain_spans();
+        // The first RING_CAPACITY records survived, in order.
+        assert!(timestamps(&rec).into_iter().eq(0..RING_CAPACITY as u64));
         // After draining there is room again.
-        ring.push(rec(99, 1));
-        out.clear();
-        ring.drain_into(&mut out);
-        assert_eq!(out[0].ts, 99);
+        w.record(TraceKind::Stall, 99_999, 0, 1, 0);
+        rec.drain_spans();
+        assert_eq!(timestamps(&rec).last(), Some(&99_999));
+        assert_eq!(rec.stats().ring_dropped, 6, "drops only grow on overflow");
     }
 
+    /// A writer thread races the collector. Every offered record is
+    /// counted exactly once: retained, evicted by the recorder's capacity,
+    /// or dropped by a full ring. None is duplicated or reordered.
     #[test]
     fn concurrent_writer_and_reader_lose_nothing_that_was_accepted() {
-        let tracer = Tracer::with_config(1 << 12, 0);
-        let mut writer = tracer.writer(0, "w");
-        const N: u64 = if cfg!(miri) { 500 } else { 200_000 };
-        let collector = std::thread::spawn({
-            let tracer = tracer.clone();
-            move || {
-                let mut events = Vec::new();
-                // Drain until the writer signals completion via a sentinel.
-                loop {
-                    tracer.drain_each(|e| events.push(e));
-                    if events.last().is_some_and(|e| e.rec.ts == u64::MAX) {
-                        return events;
-                    }
-                    std::thread::yield_now();
-                }
+        const N: u64 = 300_000;
+        let rec = recorder();
+        let mut w = rec.tracer().writer(0, "w");
+        let writer = std::thread::spawn(move || {
+            for i in 0..N {
+                w.record(TraceKind::WmEmit, i, 0, 1, 0);
             }
         });
-        for i in 0..N {
-            writer.record(TraceKind::Call, i, 1, 1, 0);
-        }
-        // The sentinel can itself be dropped when the ring is momentarily
-        // full — retry until the ring accepts it, and keep the retries out
-        // of the loss accounting. Draining never resets the drop count, so
-        // an unchanged count means the ring took the sentinel.
-        let mut sentinel_drops = 0;
-        loop {
-            let before = tracer.dropped();
-            writer.record(TraceKind::Call, u64::MAX, 1, 1, 0);
-            if tracer.dropped() == before {
-                break;
-            }
-            sentinel_drops += 1;
+        while !writer.is_finished() {
+            rec.drain_spans();
             std::thread::yield_now();
         }
-        let events = collector.join().unwrap();
-        // accepted = drained + sentinel; accepted + dropped = offered.
-        let drained = events.len() as u64 - 1;
+        writer.join().unwrap();
+        rec.drain_spans();
+        let s = rec.stats();
         assert_eq!(
-            drained + (tracer.dropped() - sentinel_drops),
+            s.spans_retained as u64 + s.spans_evicted + s.ring_dropped,
             N,
-            "records leaked or duplicated"
+            "records leaked or duplicated: {s:?}"
         );
-        // Drained timestamps are strictly increasing (order preserved).
-        for pair in events.windows(2) {
-            assert!(pair[1].rec.ts > pair[0].rec.ts, "out of order: {pair:?}");
-        }
+        let ts = timestamps(&rec);
+        assert!(ts.windows(2).all(|p| p[0] < p[1]), "duplicated record");
     }
 
     #[test]
     fn disabled_tracer_records_nothing_and_allocates_nothing() {
-        let tracer = Tracer::disabled();
+        let tracer = Recorder::disabled().tracer();
         assert!(!tracer.is_enabled());
         let mut w = tracer.writer(0, "hot");
         assert!(!w.enabled());
         // A no-op writer holds no ring: the whole handle is a None.
-        assert_eq!(
-            std::mem::size_of_val(&w.inner),
-            std::mem::size_of::<Option<WriterInner>>()
-        );
         assert!(
             w.inner.is_none(),
             "disabled writer must not allocate a ring"
@@ -799,53 +608,58 @@ mod tests {
             w.record_call(i, 5, 0);
         }
         assert_eq!(tracer.intern("x"), 0);
-        assert_eq!(tracer.dropped(), 0);
-        let data = tracer.drain();
-        assert!(data.events.is_empty());
-        assert!(data.tracks.is_empty());
+        assert_eq!((tracer.dropped(), tracer.sample_shift()), (0, 0));
+        let mut drained = 0;
+        tracer.drain_each(|_| drained += 1);
+        assert_eq!(drained, 0);
+        assert!(tracer.view(Vec::new()).tracks.is_empty());
     }
 
     #[test]
     fn call_sampling_keeps_one_in_2k() {
-        let tracer = Tracer::with_config(1 << 12, 2); // 1 in 4
-        let mut w = tracer.writer(0, "sampled");
+        let rec = recorder();
+        let mut w = rec.tracer().writer(0, "sampled");
         for i in 0..100 {
             w.record_call(i, 1, 0);
         }
-        let data = tracer.drain();
-        assert_eq!(data.events.len(), 25);
-        assert_eq!(tracer.dropped(), 0, "sampling is not a drop");
+        rec.drain_spans();
+        // Calls 16, 32, … 96 (1-based) are kept.
+        assert_eq!(timestamps(&rec), vec![15, 31, 47, 63, 79, 95]);
+        let s = rec.stats();
+        assert_eq!((s.ring_dropped, s.sample_shift), (0, CALL_SAMPLE_SHIFT));
         // Non-call kinds are never sampled away.
-        let mut w2 = tracer.writer(0, "unsampled");
+        let mut w2 = rec.tracer().writer(0, "unsampled");
         for i in 0..10 {
-            w2.record(TraceKind::WmEmit, i, 0, 0, i as i64);
+            w2.record(TraceKind::WmEmit, 1_000 + i, 0, 0, i as i64);
         }
-        let data = tracer.drain();
-        assert_eq!(data.events.len(), 10);
+        rec.drain_spans();
+        assert_eq!(rec.stats().spans_retained, 6 + 10);
     }
 
     #[test]
     fn interning_is_stable_and_shared() {
-        let tracer = Tracer::enabled();
+        let rec = recorder();
+        let tracer = rec.tracer();
         let a = tracer.intern("vertex-a");
         let b = tracer.intern("vertex-b");
         assert_ne!(a, b);
         assert_eq!(tracer.intern("vertex-a"), a);
         let w = tracer.writer(0, "w");
         assert_eq!(w.intern("vertex-b"), b);
-        let data = tracer.drain();
+        let data = rec.trace().expect("span ring armed");
         assert_eq!(data.name(a), "vertex-a");
         assert_eq!(data.name(0), "?");
     }
 
     #[test]
     fn chrome_json_is_well_formed_and_complete() {
-        let tracer = Tracer::enabled();
-        let name = tracer.intern("map \"v\"");
-        let mut w = tracer.writer(3, "m3/core-0");
+        let rec = recorder();
+        let mut w = rec.tracer().writer(3, "m3/core-0");
+        let name = w.intern("map \"v\"");
         w.record(TraceKind::Call, 1_500, 2_000, name, 0);
         w.record(TraceKind::WmEmit, 4_000, 0, name, 42);
-        let data = tracer.drain();
+        rec.drain_spans();
+        let data = rec.trace().expect("span ring armed");
         let doc = json::parse(&json::render(&data)).expect("valid JSON");
         assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
         let events = doc["traceEvents"].as_arr().expect("traceEvents");
@@ -876,15 +690,16 @@ mod tests {
 
     #[test]
     fn top_k_slowest_calls_sorts_and_filters() {
-        let tracer = Tracer::enabled();
-        let a = tracer.intern("vertex-a");
-        let b = tracer.intern("vertex-b");
-        let mut w = tracer.writer(0, "w");
+        let rec = recorder();
+        let mut w = rec.tracer().writer(0, "w");
+        let a = w.intern("vertex-a");
+        let b = w.intern("vertex-b");
         w.record(TraceKind::Call, 0, 10, a, 0);
         w.record(TraceKind::Call, 1, 50, b, 0);
         w.record(TraceKind::Call, 2, 30, a, 0);
         w.record(TraceKind::Stall, 3, 0, a, 0);
-        let data = tracer.drain();
+        rec.drain_spans();
+        let data = rec.trace().expect("span ring armed");
         let top = data.top_k_slowest_calls("", 2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].rec.dur, 50);
@@ -892,5 +707,27 @@ mod tests {
         let only_a = data.top_k_slowest_calls("vertex-a", 10);
         assert_eq!(only_a.len(), 2);
         assert!(only_a.iter().all(|e| data.name(e.rec.name) == "vertex-a"));
+    }
+
+    /// A vertex whose name prefixes another's (`nexmark` and
+    /// `nexmark-fanout`) lists only its own calls.
+    #[test]
+    fn top_k_slowest_calls_matches_the_name_exactly() {
+        let rec = recorder();
+        let mut w = rec.tracer().writer(0, "w");
+        let src = w.intern("nexmark");
+        let fanout = w.intern("nexmark-fanout");
+        w.record(TraceKind::Call, 0, 10, src, 0);
+        w.record(TraceKind::Call, 1, 90, fanout, 0);
+        rec.drain_spans();
+        let data = rec.trace().expect("span ring armed");
+        let durs = |name| -> Vec<u64> {
+            let top = data.top_k_slowest_calls(name, 5);
+            top.iter().map(|e| e.rec.dur).collect()
+        };
+        assert_eq!(durs("nexmark"), vec![10]);
+        assert_eq!(durs("nexmark-fanout"), vec![90]);
+        assert!(durs("nex").is_empty(), "a prefix names no vertex");
+        assert_eq!(durs(""), vec![90, 10]);
     }
 }

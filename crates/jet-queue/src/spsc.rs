@@ -178,6 +178,9 @@ impl<T> Producer<T> {
         // only after this write via the `tail` release store below.
         self.shared.buffer[tail & self.shared.mask].with_mut(|p| unsafe { (*p).write(item) });
         self.tail = tail.wrapping_add(1);
+        // ordering: `TAIL_PUBLISH` (Release) pairs with the consumer's
+        // Acquire load of `tail`: the slot write is visible before the new
+        // position.
         self.shared.tail.store(self.tail, TAIL_PUBLISH);
         Ok(())
     }

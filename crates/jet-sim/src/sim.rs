@@ -400,9 +400,13 @@ mod tests {
 
     #[test]
     fn traced_simulation_records_spans_on_the_virtual_timeline() {
-        use jet_core::trace::TraceKind;
+        use jet_core::flight::{Recorder, RecorderConfig};
+        use jet_core::trace::{TraceKind, CALL_SAMPLE_SHIFT};
         let clock = Arc::new(ManualClock::new());
-        let tracer = Tracer::enabled();
+        let recorder = Recorder::new(RecorderConfig {
+            provenance: true,
+            ..RecorderConfig::default()
+        });
         let mut s = Simulator::new(
             clock,
             CostModel {
@@ -415,18 +419,22 @@ mod tests {
             },
             1_000,
         )
-        .with_tracer(tracer.clone());
+        .with_tracer(recorder.tracer());
         let c = s.add_core_labeled(3, "m3/core-0");
-        s.assign(c, Box::new(Emitter { remaining: 25 }), None);
+        s.assign(c, Box::new(Emitter { remaining: 63 }), None);
         assert!(s.run_until_done(1_000_000));
-        let data = tracer.drain();
+        recorder.drain_spans();
+        let data = recorder.trace().expect("span ring armed");
         let calls: Vec<_> = data.of_kind(TraceKind::Call).collect();
-        // 25 progressing timeslices + the final Done timeslice.
-        assert_eq!(calls.len(), 26);
+        // 63 progressing timeslices + the final Done timeslice, one in 16
+        // sampled.
+        assert_eq!(calls.len(), 64 >> CALL_SAMPLE_SHIFT);
         // Spans sit on the virtual timeline: back to back at the call cost,
-        // crossing quantum boundaries seamlessly (10 calls per 1µs quantum).
+        // crossing quantum boundaries seamlessly (10 calls per 1µs quantum),
+        // so the `16k`-th call starts at `(16k - 1) × 100`.
         for (i, e) in calls.iter().enumerate() {
-            assert_eq!(e.rec.ts, i as u64 * 100, "call {i} misplaced");
+            let nth = (i as u64 + 1) << CALL_SAMPLE_SHIFT;
+            assert_eq!(e.rec.ts, (nth - 1) * 100, "call {nth} misplaced");
             assert_eq!(e.rec.dur, 100);
         }
         assert_eq!(data.name(calls[0].rec.name), "emitter");

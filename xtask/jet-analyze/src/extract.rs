@@ -142,6 +142,9 @@ pub(crate) struct Workspace {
     /// in the workspace agrees on the type (used to type bare locals that
     /// alias fields, and `x.field.m()` chains through foreign structs).
     pub field_unique_type: BTreeMap<String, String>,
+    /// `const NAME: Ordering = …` → every `Ordering` its initializer names,
+    /// so an atomic op that passes the const counts for those sides.
+    pub ordering_consts: BTreeMap<String, Vec<String>>,
     /// Annotations that suppressed something in this run, keyed by
     /// `(file, line, class)`; a `cold` marker has class `None`.
     pub used: RefCell<BTreeSet<(String, usize, Option<Effect>)>>,
@@ -868,6 +871,30 @@ fn walk_items(items: &[Item], file: &str, comments: &[String], ws: &mut Workspac
 /// Extract one source file into the workspace. Parse failures are recorded
 /// as annotation errors, not panics — one odd file must not take down a
 /// workspace scan.
+/// Record every `const NAME: Ordering = …;` with the orderings its
+/// initializer names (both arms of a `cfg!` switch, say).
+fn collect_ordering_consts(t: &[Token], ws: &mut Workspace) {
+    for i in 0..t.len() {
+        let typed = t[i].is_ident("const")
+            && t.get(i + 2).is_some_and(|x| x.is_punct(':'))
+            && t.get(i + 3).is_some_and(|x| x.is_ident("Ordering"));
+        let Some(name) = t.get(i + 1).and_then(Token::ident).filter(|_| typed) else {
+            continue;
+        };
+        let orderings = t[i + 4..]
+            .iter()
+            .take_while(|x| !x.is_punct(';'))
+            .filter_map(Token::ident)
+            .filter(|o| ORDERINGS.contains(o))
+            .map(str::to_string)
+            .collect();
+        ws.ordering_consts.insert(name.to_string(), orderings);
+    }
+}
+
+/// The memory orderings an atomic op can name.
+pub(crate) const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+
 pub(crate) fn extract_file(label: &str, src: &str, ws: &mut Workspace, errors: &mut Vec<String>) {
     let parsed = match parse_file(src) {
         Ok(p) => p,
@@ -878,5 +905,6 @@ pub(crate) fn extract_file(label: &str, src: &str, ws: &mut Workspace, errors: &
     };
     check_annotations(label, &parsed.comments, errors);
     walk_items(&parsed.items, label, &parsed.comments, ws);
+    collect_ordering_consts(&parsed.tokens, ws);
     ws.comments.insert(label.to_string(), parsed.comments);
 }

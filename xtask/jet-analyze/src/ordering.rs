@@ -17,7 +17,7 @@
 //! `Ordering` are considered, so ordinary `store`/`swap` methods on
 //! non-atomic types never match.
 
-use crate::extract::{allowed, FnDef, Recv, Workspace};
+use crate::extract::{allowed, FnDef, Recv, Workspace, ORDERINGS};
 use crate::{sort_violations, Analysis, Effect, Violation};
 use std::collections::BTreeMap;
 use syn::{Token, TokenKind};
@@ -74,8 +74,9 @@ impl AtomicSite<'_> {
     }
 }
 
-/// Collect the `Ordering` idents inside the call parens starting at `open`.
-fn orderings_in_args(b: &[Token], open: usize) -> Vec<String> {
+/// Collect the `Ordering` idents inside the call parens starting at `open`,
+/// with those an `Ordering` const named there stands for.
+fn orderings_in_args(ws: &Workspace, b: &[Token], open: usize) -> Vec<String> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut j = open;
@@ -88,13 +89,11 @@ fn orderings_in_args(b: &[Token], open: usize) -> Vec<String> {
                     break;
                 }
             }
-            TokenKind::Ident(i)
-                if matches!(
-                    i.as_str(),
-                    "Relaxed" | "Acquire" | "Release" | "AcqRel" | "SeqCst"
-                ) =>
-            {
-                out.push(i.clone());
+            TokenKind::Ident(i) if ORDERINGS.contains(&i.as_str()) => out.push(i.clone()),
+            TokenKind::Ident(i) => {
+                if let Some(os) = ws.ordering_consts.get(i) {
+                    out.extend(os.iter().cloned());
+                }
             }
             _ => {}
         }
@@ -149,7 +148,7 @@ pub(crate) fn atomic_sites(ws: &Workspace) -> Vec<AtomicSite<'_>> {
             let Some(open) = paren_after(b, i + 1) else {
                 continue;
             };
-            let orderings = orderings_in_args(b, open);
+            let orderings = orderings_in_args(ws, b, open);
             if orderings.is_empty() {
                 continue; // not an atomic op (or ordering passed indirectly)
             }
@@ -187,7 +186,7 @@ pub(crate) fn check_pairing(ws: &Workspace, analysis: &mut Analysis) {
                 && (i == 0 || !b[i - 1].is_punct('.'))
                 && b.get(i + 1).is_some_and(|t| t.is_punct('('))
             {
-                let os = orderings_in_args(b, i + 1);
+                let os = orderings_in_args(ws, b, i + 1);
                 fence_release |= os
                     .iter()
                     .any(|o| o == "Release" || o == "AcqRel" || o == "SeqCst");

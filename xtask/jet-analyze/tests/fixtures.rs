@@ -109,6 +109,35 @@ fn ordering_negative_clean() {
     assert!(a.is_clean(), "{}", a.render_report());
 }
 
+/// A publish through an `Ordering` const counts for the orderings the const
+/// names, so it pairs with the acquire side like a literal `Release`.
+#[test]
+fn ordering_const_counts_as_its_orderings() {
+    let src = |publish: &str| {
+        format!(
+            "const PUBLISH: Ordering = {publish};\n\
+             pub struct Q {{\n    tail: AtomicUsize,\n}}\nimpl Q {{\n    \
+             fn publish(&self) {{\n        self.tail.store(1, PUBLISH);\n    }}\n    \
+             fn peek(&self) -> usize {{\n        self.tail.load(Ordering::Acquire)\n    }}\n}}\n"
+        )
+    };
+    for (publish, failing) in [
+        (
+            "if cfg!(weak) { Ordering::Relaxed } else { Ordering::Release }",
+            0,
+        ),
+        ("Ordering::Relaxed", 1),
+    ] {
+        let a = analyze_sources(&[("q.rs".to_string(), src(publish))], &[]);
+        assert_eq!(
+            a.violations.len(),
+            failing,
+            "{publish}:\n{}",
+            a.render_report()
+        );
+    }
+}
+
 /// The blocking calls of a tasklet body are flagged one by one: a sleep, a
 /// channel receive and a mutex lock.
 #[test]
