@@ -156,16 +156,20 @@ pub fn build_cluster_execution(
 
     // Per (member, consumer vertex, instance): input conveyors.
     let mut inputs: HashMap<(usize, usize, usize), Vec<InputConveyor>> = HashMap::new();
-    // Per (member, producer vertex, instance, out ordinal): targets.
+    // Per (member, producer vertex, instance, position in the producer's
+    // `out_edges`): targets.
     struct OutWiring {
         targets: Vec<Producer<Item>>,
         partition_to_target: Vec<u16>,
     }
     let mut out_wiring: HashMap<(usize, usize, usize, usize), OutWiring> = HashMap::new();
+    let mut out_position = vec![0usize; nv];
     // Sender/receiver tasklets created per distributed edge.
     let mut exchange_tasklets: Vec<(usize, Box<dyn Tasklet>)> = Vec::new();
 
     for (edge_idx, e) in dag.edges().iter().enumerate() {
+        let position = out_position[e.from];
+        out_position[e.from] += 1;
         let producers = lp[e.from];
         let consumers = lp[e.to];
         let crosses_members =
@@ -335,7 +339,7 @@ pub fn build_cluster_execution(
                     _ => Vec::new(),
                 };
                 out_wiring.insert(
-                    (mi, e.from, i, e.from_ordinal),
+                    (mi, e.from, i, position),
                     OutWiring {
                         targets,
                         partition_to_target: ptt,
@@ -429,9 +433,9 @@ pub fn build_cluster_execution(
                     });
                 }
                 let mut collectors = Vec::new();
-                for e in &out_edges {
+                for (position, e) in out_edges.iter().enumerate() {
                     let wiring = out_wiring
-                        .remove(&(mi, v, i, e.from_ordinal))
+                        .remove(&(mi, v, i, position))
                         .ok_or_else(|| format!("missing wiring {}:{}:{}", mi, vertex.name, i))?;
                     let consumers = lp[e.to];
                     collectors.push(OutboundCollector::new(
@@ -494,11 +498,11 @@ pub fn build_cluster_execution(
                 });
                 // Backpressure: queue-full stalls per output edge.
                 let stalls = tasklet.stall_counters();
-                for (ei, e) in out_edges.iter().enumerate() {
+                for ei in 0..out_edges.len() {
                     let st = tags(&[
                         ("vertex", &vertex.name),
                         ("instance", &global_index.to_string()),
-                        ("ordinal", &e.from_ordinal.to_string()),
+                        ("ordinal", &ei.to_string()),
                     ]);
                     let stalls = stalls.clone();
                     registries[mi].counter_fn("jet_backpressure_stalls_total", st, move || {

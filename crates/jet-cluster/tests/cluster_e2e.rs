@@ -105,12 +105,39 @@ fn single_vs_multi_member_results_agree() {
     assert_eq!(run(1), run(4), "cluster size changed the results");
 }
 
+/// The generator, with a fused map, feeds two windowed counts: its output
+/// goes to two edges, and each count must see every event once across the
+/// recovery. The windows close after the stream ends, so a result emitted
+/// before the kill cannot be emitted again.
 #[test]
 fn exactly_once_survives_member_kill() {
     const LIMIT: u64 = 40_000;
     const KEYS: u64 = 32;
-    let (p, out) = counting_job(1_000_000, LIMIT, KEYS, 10 * SEC as Ts);
+    let p = Pipeline::create();
+    let (out, by_fives): (Collected<_>, Collected<_>) = Default::default();
+    let keys = p
+        .read_from_generator_cfg(
+            "gen",
+            1_000_000,
+            Some(LIMIT),
+            jet_core::processors::WatermarkPolicy::default(),
+            |seq, _ts| seq,
+        )
+        .map(|seq: &u64| seq % KEYS);
+    keys.grouping_key(|k: &u64| *k)
+        .window(WindowDef::tumbling(10 * SEC as Ts))
+        .aggregate(counting::<u64>())
+        .write_to_collect(out.clone());
+    keys.grouping_key(|k: &u64| *k % 5)
+        .window(WindowDef::tumbling(10 * SEC as Ts))
+        .aggregate(counting::<u64>())
+        .write_to_collect(by_fives.clone());
     let dag = p.compile(2).unwrap();
+    let gen = dag.vertex_named("gen").unwrap();
+    assert_eq!(
+        (dag.vertices()[gen].fused.len(), dag.out_edges(gen).len()),
+        (1, 2)
+    );
     let cfg = SimClusterConfig {
         members: 3,
         cores_per_member: 2,
@@ -140,6 +167,8 @@ fn exactly_once_survives_member_kill() {
     }
     let total: u64 = per_key.values().sum();
     assert_eq!(total, LIMIT, "exactly-once violated across recovery");
+    let total: u64 = by_fives.lock().iter().map(|(_, r)| r.value).sum();
+    assert_eq!(total, LIMIT, "exactly-once violated on the second branch");
 }
 
 #[test]

@@ -49,8 +49,6 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 #[derive(Clone, Debug)]
 pub struct Edge {
     pub from: VertexId,
-    /// Output ordinal at the producer.
-    pub from_ordinal: usize,
     pub to: VertexId,
     /// Input ordinal at the consumer.
     pub to_ordinal: usize,
@@ -70,7 +68,6 @@ impl Edge {
     pub fn between(from: VertexId, to: VertexId) -> Edge {
         Edge {
             from,
-            from_ordinal: 0,
             to,
             to_ordinal: 0,
             routing: Routing::Unicast,
@@ -78,11 +75,6 @@ impl Edge {
             priority: 0,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
         }
-    }
-
-    pub fn from_ordinal(mut self, o: usize) -> Edge {
-        self.from_ordinal = o;
-        self
     }
 
     pub fn to_ordinal(mut self, o: usize) -> Edge {
@@ -233,11 +225,11 @@ impl Dag {
         es
     }
 
-    /// Output edges of `v`, sorted by output ordinal.
+    /// Output edges of `v`, in the order they were added. A processor's
+    /// output goes to all of them; the tasklet's outbox has one buffer per
+    /// edge, in this order.
     pub fn out_edges(&self, v: VertexId) -> Vec<&Edge> {
-        let mut es: Vec<&Edge> = self.edges.iter().filter(|e| e.from == v).collect();
-        es.sort_by_key(|e| e.from_ordinal);
-        es
+        self.edges.iter().filter(|e| e.from == v).collect()
     }
 
     /// Source vertices (no inputs).
@@ -273,23 +265,15 @@ impl Dag {
         out
     }
 
-    /// Validate the graph: acyclic, dense ordinals, isolated-edge
+    /// Validate the graph: acyclic, dense input ordinals, isolated-edge
     /// parallelism compatibility. Returns a topological order.
     pub fn validate(&self) -> Result<Vec<VertexId>, String> {
-        // Ordinal density per vertex.
+        // Input ordinal density per vertex.
         for v in 0..self.vertices.len() {
             for (i, e) in self.in_edges(v).iter().enumerate() {
                 if e.to_ordinal != i {
                     return Err(format!(
                         "vertex '{}': input ordinals not dense (missing ordinal {i})",
-                        self.vertices[v].name
-                    ));
-                }
-            }
-            for (i, e) in self.out_edges(v).iter().enumerate() {
-                if e.from_ordinal != i {
-                    return Err(format!(
-                        "vertex '{}': output ordinals not dense (missing ordinal {i})",
                         self.vertices[v].name
                     ));
                 }
@@ -350,9 +334,8 @@ impl std::fmt::Debug for Dag {
         for e in &self.edges {
             writeln!(
                 f,
-                "  {}:{} -> {}:{} {:?}{}{}",
+                "  {} -> {}:{} {:?}{}{}",
                 self.vertices[e.from].name,
-                e.from_ordinal,
                 self.vertices[e.to].name,
                 e.to_ordinal,
                 e.routing,

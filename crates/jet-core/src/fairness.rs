@@ -76,15 +76,18 @@ impl JobQuotas {
 /// tenant job `N`. Anything else — including infrastructure tasklets like
 /// senders and receivers — belongs to job 0, the shared pool.
 pub fn job_of_vertex(name: &str) -> u32 {
-    let Some(rest) = name.strip_prefix("job") else {
-        return 0;
-    };
-    let digits: &str =
-        &rest[..rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len()];
-    if digits.is_empty() || !rest[digits.len()..].starts_with('-') {
-        return 0;
+    job_tag(name).map_or(0, |(job, _)| job)
+}
+
+/// The `job<N>-` tag at the start of `name`: the job `N` and the tag's
+/// length in bytes, dash included.
+pub fn job_tag(name: &str) -> Option<(u32, usize)> {
+    let rest = name.strip_prefix("job")?;
+    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    if digits == 0 || !rest[digits..].starts_with('-') {
+        return None;
     }
-    digits.parse().unwrap_or(0)
+    Some((rest[..digits].parse().ok()?, 3 + digits + 1))
 }
 
 struct Group<T> {

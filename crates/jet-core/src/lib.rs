@@ -46,7 +46,7 @@ pub mod trace;
 pub mod watermark;
 
 pub use dag::{Dag, Edge, Routing, Vertex, VertexId};
-pub use fairness::{job_of_vertex, JobQuotas, Round, Schedule};
+pub use fairness::{job_of_vertex, job_tag, JobQuotas, Round, Schedule};
 pub use flight::Recorder;
 pub use item::{Barrier, Item, SnapshotId, Ts};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

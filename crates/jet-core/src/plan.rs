@@ -110,11 +110,14 @@ pub fn build_local(
 
     // Per (consumer vertex, instance): input conveyors in ordinal order.
     let mut inputs: HashMap<(usize, usize), Vec<InputConveyor>> = HashMap::new();
-    // Per (producer vertex, instance, out ordinal): one producer handle per
-    // consumer instance.
+    // Per (producer vertex, instance, position in the producer's
+    // `out_edges`): one producer handle per consumer instance.
     let mut out_handles: HashMap<(usize, usize, usize), Vec<Producer<Item>>> = HashMap::new();
+    let mut out_position = vec![0usize; nv];
 
     for e in dag.edges() {
+        let position = out_position[e.from];
+        out_position[e.from] += 1;
         let producers = lp[e.from];
         let consumers = lp[e.to];
         for j in 0..consumers {
@@ -126,7 +129,7 @@ pub fn build_local(
             });
             for (i, h) in handles.into_iter().enumerate() {
                 out_handles
-                    .entry((e.from, i, e.from_ordinal))
+                    .entry((e.from, i, position))
                     .or_default()
                     .push(h);
             }
@@ -166,11 +169,11 @@ pub fn build_local(
                 }
                 processor.finish_snapshot_restore(&ctx);
             }
-            // Build collectors in out-ordinal order.
+            // Build collectors in `out_edges` order.
             let mut collectors = Vec::new();
-            for e in &out_edges {
+            for (position, e) in out_edges.iter().enumerate() {
                 let targets = out_handles
-                    .remove(&(v, i, e.from_ordinal))
+                    .remove(&(v, i, position))
                     .ok_or_else(|| format!("missing out wiring for {}:{}", vertex.name, i))?;
                 let consumers = lp[e.to];
                 let ptt: Vec<u16> = match &e.routing {

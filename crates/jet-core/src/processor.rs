@@ -7,22 +7,24 @@
 //!
 //! The contract is cooperative and non-blocking throughout:
 //!
+//! * a processor does not pick an output: everything it emits goes to every
+//!   one of its out-edges, and the edges route it (Jet's `Outbox.offer`).
 //! * the outbox is the only place an emitted but undelivered item lives.
 //!   `process` asks [`Outbox::has_room`] before it takes the inbox head, and
 //!   then appends *every* output of that item with [`Outbox::emit`]; when
 //!   there is no room the item stays in the inbox and is offered again on
 //!   the next timeslice. The batch limit is that
 //!   admission threshold, not a cap on one item's outputs, so a buffer
-//!   overshoots it by at most one item's fan-out. A processor keeps no
+//!   overshoots it by at most one item's outputs. A processor keeps no
 //!   output queue of its own: the tasklet takes the control item at a lane
 //!   head once the inbox is empty, and [`Outbox::broadcast`] queues it behind
 //!   everything emitted so far — an event parked anywhere else would be
 //!   overtaken by that watermark (and dropped as late downstream) or by that
 //!   barrier (and missing from the snapshot it belongs to).
 //! * stateless stages fused onto a vertex (paper §3.1, Fig. 2) run *inside*
-//!   its outbox: [`Outbox::emit`] — and [`Outbox::broadcast`] for an event —
-//!   passes each event through the vertex's [`Chain`] and buffers what comes
-//!   out, so the chain's outputs are outputs of the admitted item like any
+//!   its outbox: [`Outbox::emit`] passes each event through the vertex's
+//!   [`Chain`] once and buffers what comes out on every edge, so the
+//!   chain's outputs are outputs of the admitted item like any
 //!   other and land in the outbox ahead of the next control item. A chain
 //!   has two entries built from the same stages: the erased one takes an
 //!   event's `Object` and unboxes it once, and the typed one takes the
@@ -190,7 +192,7 @@ pub struct Outbox {
     /// allocation from chunk to chunk.
     snapshot: ByteWriter,
     snapshot_records: u32,
-    /// Monotone count of events accepted into the buffers (broadcast counts
+    /// Monotone count of events accepted into the buffers (an event counts
     /// once per edge). The tasklet diffs this after each `call()` to feed
     /// `TaskletCounters::events_out` — emission happens here, not at the
     /// queues, so this is the one place that sees every event exactly once.
@@ -219,90 +221,84 @@ impl Outbox {
         self
     }
 
-    pub fn edge_count(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Append an output event to edge `ordinal` — through the fused chain,
+    /// Append an output event to every out-edge — through the fused chain,
     /// if there is one. Infallible: the caller asked [`Self::has_room`]
     /// before taking the input item this event derives from, and all
     /// outputs of an admitted item are accepted.
     #[inline]
-    // jet-analyze: allow(alloc) — outbox bucket reaches steady-state capacity after warm-up
-    pub fn emit(&mut self, ordinal: usize, ts: Ts, obj: BoxedObject) {
+    pub fn emit(&mut self, ts: Ts, obj: BoxedObject) {
         self.events_emitted += 1;
-        let buf = &mut self.bufs[ordinal];
-        match &mut self.chain {
-            None => {
-                self.events_queued += 1;
-                buf.push_back(Item::Event { ts, obj });
-            }
-            Some(chain) => {
-                let before = buf.len();
-                (chain.erased)(ts, obj, buf);
-                self.events_queued += (buf.len() - before) as u64;
-            }
-        }
+        self.events_queued += self.write(|chain, buf| {
+            let Some(chain) = chain else {
+                return Some(Item::Event { ts, obj });
+            };
+            (chain.erased)(ts, obj, buf);
+            None
+        }) as u64;
     }
 
     /// As [`Self::emit`] for a value of its concrete type: handed as it is
     /// to the chain's typed entry when the chain's head takes a `T`, and
     /// boxed otherwise.
     #[inline]
-    pub fn emit_value<T: Any + Send + Clone + Debug>(&mut self, ordinal: usize, ts: Ts, value: T) {
-        let head = self
-            .chain
-            .as_mut()
-            .and_then(|c| c.typed.downcast_mut::<Cont<T>>());
-        let Some(head) = head else {
-            return self.emit(ordinal, ts, crate::object::boxed(value));
-        };
+    pub fn emit_value<T: Any + Send + Clone + Debug>(&mut self, ts: Ts, value: T) {
         self.events_emitted += 1;
-        let buf = &mut self.bufs[ordinal];
-        let before = buf.len();
-        head(ts, value, buf);
-        self.events_queued += (buf.len() - before) as u64;
+        self.events_queued += self.write(|chain, buf| {
+            let Some(chain) = chain else {
+                return Some(Item::Event {
+                    ts,
+                    obj: crate::object::boxed(value),
+                });
+            };
+            match chain.typed.downcast_mut::<Cont<T>>() {
+                Some(head) => head(ts, value, buf),
+                None => (chain.erased)(ts, crate::object::boxed(value), buf),
+            }
+            None
+        }) as u64;
     }
 
-    /// Offer an item to *all* output edges (watermarks, barriers, done
-    /// flags, broadcast events — an event goes through [`Self::emit`] once
-    /// per edge). All-or-nothing, refused while any buffer is at or over
-    /// the batch limit; vacuously succeeds for a sink with no output edges.
-    // jet-analyze: allow(alloc) — outbox buckets reach steady-state capacity after warm-up
+    /// Offer a control item (watermark, barrier, done flag) to every
+    /// out-edge; events go through [`Self::emit`]. All-or-nothing, refused
+    /// while any buffer is at or over the batch limit; vacuously succeeds
+    /// for a sink with no output edges.
     pub fn broadcast(&mut self, item: Item) -> bool {
-        if !self.has_room_all() {
+        debug_assert!(item.is_control(), "events go through `emit`");
+        if !self.has_room() {
             return false;
         }
-        let Some(last) = self.bufs.len().checked_sub(1) else {
-            return true;
-        };
-        // Clone into every buffer but the last, which takes the item itself.
-        match item {
-            Item::Event { ts, obj } => {
-                for i in 0..last {
-                    self.emit(i, ts, obj.clone_object());
-                }
-                self.emit(last, ts, obj);
-            }
-            control => {
-                for buf in &mut self.bufs[..last] {
-                    buf.push_back(control.clone());
-                }
-                self.bufs[last].push_back(control);
-            }
-        }
+        self.write(|_, _| Some(item));
         true
     }
 
-    /// May the processor take another input item whose outputs go to edge
-    /// `ordinal`?
+    /// The one place the edge buffers grow. `append` writes to the first
+    /// edge's buffer, through the chain, or returns the one item to
+    /// append; every other edge then gets a copy of what the first gained,
+    /// so the chain runs once however many edges there are. Returns the
+    /// items appended over all edges.
+    // jet-analyze: allow(alloc) — outbox buckets reach steady-state capacity after warm-up
     #[inline]
-    pub fn has_room(&self, ordinal: usize) -> bool {
-        self.bufs[ordinal].len() < self.batch_limit
+    fn write(
+        &mut self,
+        append: impl FnOnce(Option<&mut Chain>, &mut VecDeque<Item>) -> Option<Item>,
+    ) -> usize {
+        let Some((first, rest)) = self.bufs.split_first_mut() else {
+            return 0;
+        };
+        let before = first.len();
+        if let Some(item) = append(self.chain.as_mut(), first) {
+            first.push_back(item);
+        }
+        for buf in rest.iter_mut() {
+            buf.extend(first.range(before..).cloned());
+        }
+        (first.len() - before) * (1 + rest.len())
     }
 
-    /// Room available on every edge?
-    pub fn has_room_all(&self) -> bool {
+    /// May the processor take another input item? Its outputs go to every
+    /// edge, so this holds while every buffer is below the batch limit.
+    #[inline]
+    pub fn has_room(&self) -> bool {
         self.bufs.iter().all(|b| b.len() < self.batch_limit)
     }
 
@@ -329,8 +325,8 @@ impl Outbox {
 
     // --- tasklet-side API ---
 
-    pub(crate) fn buf_mut(&mut self, ordinal: usize) -> &mut VecDeque<Item> {
-        &mut self.bufs[ordinal]
+    pub(crate) fn buf_mut(&mut self, edge: usize) -> &mut VecDeque<Item> {
+        &mut self.bufs[edge]
     }
 
     /// The staged snapshot chunk: record count and the records' bytes.
@@ -353,7 +349,7 @@ impl Outbox {
         self.bufs.iter().map(|b| b.len()).sum()
     }
 
-    /// Monotone count of events ever accepted by `emit`/`broadcast`.
+    /// Monotone count of events ever accepted into the buffers, once per edge.
     pub fn events_queued_total(&self) -> u64 {
         self.events_queued
     }
@@ -372,7 +368,7 @@ pub trait Processor: Send {
     fn init(&mut self, ctx: &ProcessorContext) {}
 
     /// Consume items from `inbox` (which arrived on input edge `ordinal`)
-    /// and emit to `outbox`: while `outbox.has_room`, take the head item and
+    /// and emit to `outbox`: while `outbox.has_room()`, take the head item and
     /// emit all of its outputs. Items not admitted stay in the inbox; an
     /// output kept anywhere but the outbox would be overtaken by the next
     /// watermark or barrier (see the module docs).
@@ -514,19 +510,54 @@ mod tests {
     #[test]
     fn outbox_respects_batch_limit() {
         let mut ob = Outbox::new(1, 2);
-        ob.emit(0, 1, boxed(1i64));
-        assert!(ob.has_room(0), "below the limit the next item is admitted");
+        ob.emit(1, boxed(1i64));
+        assert!(ob.has_room(), "below the limit the next item is admitted");
         // All three outputs of that item are accepted, past the limit.
         for i in 2..5i64 {
-            ob.emit(0, i, boxed(i));
+            ob.emit(i, boxed(i));
         }
         assert_eq!((ob.buffered(), ob.events_queued_total()), (4, 4));
-        assert!(!ob.has_room(0), "admission refused at the limit");
+        assert!(!ob.has_room(), "admission refused at the limit");
         assert!(!ob.broadcast(Item::Watermark(9)), "control items wait");
         ob.buf_mut(0).drain(..3);
-        assert!(ob.has_room(0));
+        assert!(ob.has_room());
         assert!(ob.broadcast(Item::Watermark(9)));
         assert!(matches!(ob.buf_mut(0).back(), Some(Item::Watermark(9))));
+    }
+
+    #[test]
+    fn one_emit_runs_the_chain_once_and_reaches_every_edge() {
+        use crate::processors::transform::{splice, Fused, Link};
+        use std::sync::atomic::AtomicUsize;
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = runs.clone();
+        let times_ten: Arc<dyn Link> = Arc::new(Fused::<i64>::default().map(move |v| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            v * 10
+        }));
+        let mut ob = Outbox::new(2, 2).with_chain(splice(&[times_ten]));
+        ob.emit(1, boxed(1i64));
+        ob.emit_value(2, 2i64);
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            2,
+            "once per event, not per edge"
+        );
+        assert_eq!(ob.events_queued_total(), 4);
+        let take_edge = |ob: &mut Outbox, edge: usize| -> Vec<(Ts, i64)> {
+            ob.buf_mut(edge)
+                .drain(..)
+                .map(|item| match item {
+                    Item::Event { ts, obj } => (ts, crate::object::take::<i64>(obj)),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        assert!(!ob.has_room(), "both edges at the limit");
+        assert_eq!(take_edge(&mut ob, 0), [(1, 10), (2, 20)]);
+        assert!(!ob.has_room(), "edge 1 is still at the limit");
+        assert_eq!(take_edge(&mut ob, 1), [(1, 10), (2, 20)]);
+        assert!(ob.has_room());
     }
 
     #[test]

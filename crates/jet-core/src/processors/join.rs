@@ -100,7 +100,7 @@ where
                     self.build_done,
                     "probe input drained before build side completed; wire the build edge with higher priority"
                 );
-                while outbox.has_room(0) {
+                while outbox.has_room() {
                     let Some((ts, obj)) = inbox.take() else {
                         return;
                     };
@@ -108,7 +108,7 @@ where
                     let key = (self.probe_key)(p);
                     let matches = self.table.get(&key).map(|v| v.as_slice()).unwrap_or(&[]);
                     for r in (self.join_fn)(p, matches) {
-                        outbox.emit_value(0, ts, r);
+                        outbox.emit_value(ts, r);
                     }
                 }
             }

@@ -188,7 +188,7 @@ impl<T: Any + Send + Clone + Debug> Processor for GeneratorSource<T> {
             if sched > now {
                 break;
             }
-            if emitted >= self.burst || !outbox.has_room(0) {
+            if emitted >= self.burst || !outbox.has_room() {
                 // Timeslice budget spent, or backpressure (§3.3): stop and
                 // resume from the same frontier on the next slice.
                 break;
@@ -197,7 +197,7 @@ impl<T: Any + Send + Clone + Debug> Processor for GeneratorSource<T> {
             // are emitting late (backpressure, scheduling), downstream
             // latency measurements see the delay (§7.1).
             let ts = sched as Ts;
-            outbox.emit_value(0, ts, (self.factory)(global_seq, ts));
+            outbox.emit_value(ts, (self.factory)(global_seq, ts));
             emitted += 1;
             // The shard's next sequence takes its place; the heap sifts it
             // down when `next` goes out of scope.
@@ -283,11 +283,11 @@ impl<T: Send + Sync + Clone + std::fmt::Debug + 'static> Processor for VecSource
     fn complete(&mut self, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         debug_assert!(self.step > 0, "init not called");
         while self.cursor < self.items.len() {
-            if !outbox.has_room(0) {
+            if !outbox.has_room() {
                 return false;
             }
             let (ts, item) = &self.items[self.cursor];
-            outbox.emit_value(0, *ts, item.clone());
+            outbox.emit_value(*ts, item.clone());
             self.cursor += self.step;
         }
         if !self.final_wm_sent {
@@ -365,10 +365,10 @@ where
             for ev in events {
                 // CDC events are timestamped at read time (the grid does not
                 // record event times).
-                if !outbox.has_room(0) {
+                if !outbox.has_room() {
                     break;
                 }
-                outbox.emit_value(0, now, (ev.kind, ev.key.clone(), ev.value.clone()));
+                outbox.emit_value(now, (ev.kind, ev.key.clone(), ev.value.clone()));
                 accepted = ev.seq + 1;
             }
             *next = accepted.max(*next);

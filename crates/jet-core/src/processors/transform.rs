@@ -125,9 +125,9 @@ pub fn splice(runs: &[Arc<dyn Link>]) -> Option<Chain> {
     Some(head.head(rest))
 }
 
-/// Pass-through: every input event goes to every output edge, through the
-/// vertex's chain if it has one. The planner's host for a chain with no
-/// producer to ride on, its fan-out vertex, and `merge`.
+/// Pass-through: every input event is emitted as it is, so it runs through
+/// the vertex's chain if it has one and reaches every out-edge. The
+/// planner's host for a chain with no producer to ride on, and `merge`.
 pub struct TransformP;
 
 impl Processor for TransformP {
@@ -138,12 +138,11 @@ impl Processor for TransformP {
         outbox: &mut Outbox,
         _ctx: &ProcessorContext,
     ) {
-        while outbox.has_room_all() {
+        while outbox.has_room() {
             let Some((ts, obj)) = inbox.take() else {
                 return;
             };
-            let delivered = outbox.broadcast(Item::Event { ts, obj });
-            debug_assert!(delivered);
+            outbox.emit(ts, obj);
         }
     }
 }
@@ -198,7 +197,7 @@ where
         outbox: &mut Outbox,
         _ctx: &ProcessorContext,
     ) {
-        while outbox.has_room(0) {
+        while outbox.has_room() {
             let Some((ts, obj)) = inbox.take() else {
                 return;
             };
@@ -206,7 +205,7 @@ where
             let key = (self.key_fn)(input);
             let state = self.state.entry(key).or_insert_with(|| (self.create)());
             if let Some(out) = (self.step)(state, input) {
-                outbox.emit_value(0, ts, out);
+                outbox.emit_value(ts, out);
             }
         }
     }

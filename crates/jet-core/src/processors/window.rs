@@ -813,7 +813,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     {
         let start = end - self.wdef.size;
         while *budget > 0 {
-            if !outbox.has_room(0) {
+            if !outbox.has_room() {
                 self.pending = Pending::EmitRunning { end, cur };
                 return false;
             }
@@ -826,7 +826,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         end,
                         value: (op.finish)(&v.0),
                     };
-                    outbox.emit_value(0, end, r);
+                    outbox.emit_value(end, r);
                     cur = next;
                     *budget -= 1;
                 }
@@ -854,7 +854,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     {
         let start = end - self.wdef.size;
         while *budget > 0 {
-            if !outbox.has_room(0) {
+            if !outbox.has_room() {
                 self.pending = Pending::EmitScratch { end, cur };
                 return false;
             }
@@ -867,7 +867,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         end,
                         value: (op.finish)(&a),
                     };
-                    outbox.emit_value(0, end, r);
+                    outbox.emit_value(end, r);
                     cur = next;
                     *budget -= 1;
                 }
@@ -895,7 +895,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
     {
         let start = end - self.wdef.size;
         while *budget > 0 {
-            if !outbox.has_room(0) {
+            if !outbox.has_room() {
                 self.pending = Pending::EmitFrame { end, cur };
                 return false;
             }
@@ -912,7 +912,7 @@ impl<K: WindowKey, A: Snap + Clone + Send + Default + 'static> WindowState<K, A>
                         end,
                         value: (op.finish)(&a),
                     };
-                    outbox.emit_value(0, end, r);
+                    outbox.emit_value(end, r);
                     cur = next;
                     *budget -= 1;
                 }
@@ -1522,7 +1522,7 @@ where
                     if budget == 0 {
                         return true;
                     }
-                    if !outbox.has_room(0) {
+                    if !outbox.has_room() {
                         return worked;
                     }
                     let (next, item) = table.drain_next(*cur);
@@ -1534,7 +1534,7 @@ where
                                 frame_end: end,
                                 acc,
                             };
-                            outbox.emit(0, end, boxed(c));
+                            outbox.emit(end, boxed(c));
                             budget -= 1;
                             worked = true;
                         }
@@ -1647,7 +1647,7 @@ where
             // stage 2 applies the event or counts it late.
             let shipped = *emitted_through != NO_WATERMARK && frame_end <= *emitted_through;
             let forward = meter.bypass || shipped;
-            if forward && !outbox.has_room(0) {
+            if forward && !outbox.has_room() {
                 break; // resume once the outbox drains
             }
             let Some((_, obj)) = inbox.take() else {
@@ -1664,7 +1664,7 @@ where
                     frame_end,
                     acc,
                 };
-                outbox.emit(0, frame_end, boxed(c));
+                outbox.emit(frame_end, boxed(c));
                 continue;
             }
             let fi = match find_frame(frames, *hint, frame_end) {

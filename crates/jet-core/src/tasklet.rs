@@ -54,7 +54,9 @@ pub trait Tasklet: Send {
 
     /// Tenant job this tasklet belongs to for per-job scheduling quotas
     /// (§7.7). Job 0 is the shared pool: infrastructure tasklets and every
-    /// vertex without a `job<N>-` name prefix live there.
+    /// vertex without a `job<N>-` name prefix live there. The pipeline
+    /// compiler tags a vertex whose inputs all carry one tag with that tag,
+    /// so a tenant's pipeline is one job from its source to its sinks.
     fn job(&self) -> u32 {
         0
     }
@@ -770,6 +772,8 @@ impl Tasklet for ProcessorTasklet {
         self.phase_name()
     }
 
+    /// The job of this instance's vertex, parsed once from its name by
+    /// [`crate::fairness::job_of_vertex`].
     fn job(&self) -> u32 {
         self.job
     }

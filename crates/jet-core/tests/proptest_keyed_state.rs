@@ -165,11 +165,11 @@ impl Processor for ScriptSource {
 
     fn complete(&mut self, outbox: &mut Outbox, _ctx: &ProcessorContext) -> bool {
         while self.cursor < self.items.len() {
-            if !outbox.has_room(0) {
+            if !outbox.has_room() {
                 return false;
             }
             match &self.items[self.cursor] {
-                Script::Ev(ts, k) => outbox.emit(0, *ts, jet_core::boxed(*k)),
+                Script::Ev(ts, k) => outbox.emit(*ts, jet_core::boxed(*k)),
                 Script::Wm(w) => assert!(outbox.broadcast(Item::Watermark(*w))),
             }
             self.cursor += 1;

@@ -426,7 +426,7 @@ impl Processor for ScriptSource {
     fn complete(&mut self, outbox: &mut Outbox, _: &ProcessorContext) -> bool {
         while let Some(item) = self.script.pop_front() {
             match item {
-                Item::Event { ts, obj } if outbox.has_room(0) => outbox.emit(0, ts, obj),
+                Item::Event { ts, obj } if outbox.has_room() => outbox.emit(ts, obj),
                 Item::Barrier(_) => {
                     self.registry.trigger().unwrap();
                     return false;

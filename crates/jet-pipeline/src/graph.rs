@@ -11,6 +11,9 @@
 //!   no queue of its own. A run that cannot fuse (its producer has several
 //!   consumers, or the parallelism differs) gets a pass-through
 //!   [`TransformP`] host to ride on;
+//! * **fan-out** costs no vertex: a processor's output goes to every one of
+//!   its out-edges, so a stage with several consumers gets one edge to
+//!   each;
 //! * **edge selection**: keyed stages get partitioned edges, join build
 //!   sides get broadcast high-priority edges, everything else forwards
 //!   locally (unicast).
@@ -65,18 +68,6 @@ pub struct PipelineGraph {
     pub(crate) nodes: Vec<PNode>,
 }
 
-/// The `job<N>-` tenant tag at the start of `name`, if any (the naming
-/// convention `jet_core::fairness::job_of_vertex` parses).
-fn job_prefix(name: &str) -> Option<&str> {
-    let rest = name.strip_prefix("job")?;
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits > 0 && rest[digits..].starts_with('-') {
-        Some(&name[..3 + digits + 1])
-    } else {
-        None
-    }
-}
-
 impl PipelineGraph {
     pub(crate) fn add_node(
         &mut self,
@@ -90,10 +81,13 @@ impl PipelineGraph {
         // carry hardcoded names ("window-accumulate", ...), so inherit the
         // tag here — when every input belongs to the same tenant, the new
         // node does too. Multi-tenant joins stay in the shared pool.
-        let name = if job_prefix(&name).is_none() {
+        let name = if jet_core::job_tag(&name).is_none() {
             let tags: Vec<Option<&str>> = inputs
                 .iter()
-                .map(|i| job_prefix(&self.nodes[i.from].name))
+                .map(|i| {
+                    let from = &self.nodes[i.from].name;
+                    jet_core::job_tag(from).map(|(_, len)| &from[..len])
+                })
                 .collect();
             match tags.split_first() {
                 Some((Some(tag), rest)) if rest.iter().all(|t| *t == Some(tag)) => {
@@ -173,46 +167,20 @@ impl PipelineGraph {
             vertex_of.push(v);
         }
         // 3. The edges between heads: a fused node's own input is the queue
-        //    fusion removed.
-        let mut planned = Vec::new();
+        //    fusion removed. A vertex's output goes to every one of its
+        //    edges, so a stage with several consumers needs nothing more.
         for (i, node) in self.nodes.iter().enumerate() {
             if head[i] == i {
                 for (ordinal, input) in node.inputs.iter().enumerate() {
-                    planned.push((vertex_of[input.from], vertex_of[i], ordinal, &input.spec));
+                    let e = Edge::between(vertex_of[input.from], vertex_of[i]).to_ordinal(ordinal);
+                    dag.edge(match &input.spec {
+                        EdgeSpec::Forward => e,
+                        EdgeSpec::Isolated => e.isolated(),
+                        EdgeSpec::Partitioned(f) => e.partitioned_raw(f.clone()),
+                        EdgeSpec::Broadcast { priority } => e.broadcast().priority(*priority),
+                    });
                 }
             }
-        }
-        // 4. Fan-out: processors emit to out-ordinal 0 only, so a vertex
-        //    with several consumers feeds them through a pass-through vertex
-        //    that copies every event to each of its out edges.
-        let mut out_edges = vec![0usize; dag.vertices().len()];
-        for &(from, ..) in &planned {
-            out_edges[from] += 1;
-        }
-        let mut leaves_from: Vec<VertexId> = (0..out_edges.len()).collect();
-        for (v, &count) in out_edges.iter().enumerate() {
-            if count > 1 {
-                let lp = dag.vertices()[v].local_parallelism.unwrap_or(default_lp);
-                let name = format!("{}-fanout", dag.vertices()[v].name);
-                let f = dag.vertex_with_parallelism(name, lp, supplier(|_| Box::new(TransformP)));
-                dag.edge(Edge::between(v, f).isolated());
-                leaves_from[v] = f;
-            }
-        }
-        // 5. Materialize the edges, numbering each producer's out-ordinals.
-        let mut next_ordinal = vec![0usize; dag.vertices().len()];
-        for (from, to, ordinal, spec) in planned {
-            let from = leaves_from[from];
-            let e = Edge::between(from, to)
-                .from_ordinal(next_ordinal[from])
-                .to_ordinal(ordinal);
-            next_ordinal[from] += 1;
-            dag.edge(match spec {
-                EdgeSpec::Forward => e,
-                EdgeSpec::Isolated => e.isolated(),
-                EdgeSpec::Partitioned(f) => e.partitioned_raw(f.clone()),
-                EdgeSpec::Broadcast { priority } => e.broadcast().priority(*priority),
-            });
         }
         dag.validate()?;
         Ok(dag)

@@ -66,6 +66,35 @@ fn fan_out_sends_every_event_to_both_sinks() {
     assert_eq!(c2.get(), 50);
 }
 
+/// A run fused onto a stage with two consumers runs once per event, and
+/// both consumers get every output: the vertex's output goes to both edges.
+#[test]
+fn a_chain_feeding_two_consumers_runs_once_per_event() {
+    let p = Pipeline::create();
+    let (runs, c1, c2) = (
+        SharedCounter::new(),
+        SharedCounter::new(),
+        SharedCounter::new(),
+    );
+    let counted = runs.clone();
+    let mapped = p
+        .read_from_vec("src", (0..50u64).map(|i| (i as Ts, i)).collect::<Vec<_>>())
+        .as_stream()
+        .map(move |v| {
+            counted.add(1);
+            v + 1
+        });
+    mapped.write_to_count(c1.clone());
+    mapped.write_to_count(c2.clone());
+    let dag = p.compile(2).unwrap();
+    assert_eq!(
+        shape(&dag),
+        [("src", 1), ("count-sink", 0), ("count-sink", 0)]
+    );
+    run(&p, 2);
+    assert_eq!((runs.get(), c1.get(), c2.get()), (50, 50, 50));
+}
+
 #[test]
 fn windowed_aggregate_two_stage_counts() {
     let p = Pipeline::create();
@@ -362,13 +391,7 @@ fn a_run_that_cannot_fuse_gets_a_host_vertex() {
     let dag = p.compile(2).unwrap();
     assert_eq!(
         shape(&dag),
-        [
-            ("src", 0),
-            ("count-sink", 0),
-            ("map", 2),
-            ("count-sink", 0),
-            ("src-fanout", 0),
-        ]
+        [("src", 0), ("count-sink", 0), ("map", 2), ("count-sink", 0),]
     );
     run(&p, 2);
     assert_eq!((c1.get(), c2.get()), (50, 25));

@@ -114,22 +114,6 @@ impl<T> Conveyor<T> {
         None
     }
 
-    /// Drain up to `max` items from unmuted lanes into `sink`, tagging each
-    /// with its lane. Round-robin across lanes in batches.
-    pub fn drain(&mut self, sink: &mut Vec<(usize, T)>, max: usize) -> usize {
-        let mut moved = 0;
-        while moved < max {
-            match self.poll_any() {
-                Some(pair) => {
-                    sink.push(pair);
-                    moved += 1;
-                }
-                None => break,
-            }
-        }
-        moved
-    }
-
     /// Bulk-drain lane `lane` (regardless of mute state, like `poll_lane`):
     /// up to `max` items, stopping without consuming at the first item
     /// `accept` rejects. One head publish per call — see
@@ -291,9 +275,12 @@ mod tests {
                 p.offer((lane as u32) * 10 + i).unwrap();
             }
         }
+        // A budget of one item per call: the start lane rotates each call.
         let mut sink = Vec::new();
-        conv.drain(&mut sink, 9);
-        // First three polls must come from three distinct lanes.
+        for _ in 0..9 {
+            conv.drain_lanes_batch(1, |lane, v| sink.push((lane, v)));
+        }
+        // First three drains must come from three distinct lanes.
         let first_lanes: Vec<usize> = sink.iter().take(3).map(|(l, _)| *l).collect();
         let mut sorted = first_lanes.clone();
         sorted.sort_unstable();
@@ -345,7 +332,7 @@ mod tests {
             producers[1].offer(100 + i).unwrap();
         }
         let mut sink = Vec::new();
-        conv.drain(&mut sink, usize::MAX - 1);
+        conv.drain_lanes_batch(usize::MAX - 1, |lane, v| sink.push((lane, v)));
         let lane0: Vec<u32> = sink
             .iter()
             .filter(|(l, _)| *l == 0)
@@ -532,7 +519,7 @@ mod tests {
         let mut received = 0u64;
         loop {
             sink.clear();
-            if conv.drain(&mut sink, 128) == 0 {
+            if conv.drain_lanes_batch(128, |lane, v| sink.push((lane, v))) == 0 {
                 if conv.all_finished() {
                     break;
                 }

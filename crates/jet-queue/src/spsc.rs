@@ -461,11 +461,6 @@ impl<T> Consumer<T> {
         taken
     }
 
-    /// Drain up to `max` items into `sink`, returning how many were moved.
-    pub fn drain_into(&mut self, sink: &mut Vec<T>, max: usize) -> usize {
-        self.drain_batch(max, |item| sink.push(item))
-    }
-
     /// Number of items currently queued (approximate under concurrency).
     pub fn len(&self) -> usize {
         // ordering: Acquire keeps the count consistent with what `poll`
@@ -872,19 +867,6 @@ mod tests {
             p.offer(i).unwrap();
             assert_eq!(c.poll(), Some(i));
         }
-    }
-
-    #[test]
-    fn drain_into_respects_max() {
-        let (mut p, mut c) = spsc_channel::<u32>(16);
-        for i in 0..10 {
-            p.offer(i).unwrap();
-        }
-        let mut sink = Vec::new();
-        assert_eq!(c.drain_into(&mut sink, 4), 4);
-        assert_eq!(sink, vec![0, 1, 2, 3]);
-        assert_eq!(c.drain_into(&mut sink, 100), 6);
-        assert_eq!(sink.len(), 10);
     }
 
     #[test]

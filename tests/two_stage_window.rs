@@ -67,10 +67,10 @@ impl Processor for ScriptSource {
             let Some(&(ts, key)) = self.script.get(self.next) else {
                 return outbox.broadcast(Item::Watermark(self.top + 1));
             };
-            if !outbox.has_room(0) {
+            if !outbox.has_room() {
                 return false;
             }
-            outbox.emit_value(0, ts, key);
+            outbox.emit_value(ts, key);
             self.next += 1;
             self.top = self.top.max(ts);
             let wm = self.top - LAG;

@@ -540,7 +540,6 @@ const ROOTS: &[RootSpec] = &[
             "poll",
             "drain_batch",
             "drain_batch_while",
-            "drain_into",
         ],
     ),
     RootSpec::FileMethods(
@@ -548,7 +547,6 @@ const ROOTS: &[RootSpec] = &[
         &[
             "poll_lane",
             "poll_any",
-            "drain",
             "drain_lane_batch_while",
             "drain_lanes_batch",
             "peek_lane",
