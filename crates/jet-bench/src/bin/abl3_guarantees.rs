@@ -2,7 +2,7 @@
 //! active-active §4.6 mode: zero book-keeping) vs at-least-once (barriers
 //! forwarded without channel blocking) vs exactly-once (aligned barriers).
 //! The paper's Fig. 13 shows checkpointing costs ~2 orders of magnitude at
-//! the tail; §4.4 notes at-least-once "decreas[es] latency" vs exactly-once.
+//! the tail; §4.4 notes at-least-once "decreas\[es\] latency" vs exactly-once.
 
 use jet_bench::{percentile_row, run, BenchReport, Query, RunSpec, MS, SEC};
 use jet_core::processor::Guarantee;

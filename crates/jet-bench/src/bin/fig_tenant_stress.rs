@@ -37,15 +37,12 @@ const MEASURE: u64 = 2 * SEC;
 /// emits the full keyspace, so the tenant's solo tail is set by its own
 /// emission-burst drain (milliseconds), the scale the paper reports.
 fn critical(p: &Pipeline, hist: &SharedHistogram, count: &SharedCounter) {
-    p.read_from_generator(
-        &format!("job{CRITICAL_JOB}-src"),
-        CRITICAL_RATE,
-        |seq, _| (seq % 1_000, seq),
-    )
-    .grouping_key(|(k, _): &(u64, u64)| *k)
-    .window(WindowDef::sliding(SEC as Ts, (100 * MS) as Ts))
-    .aggregate(counting::<(u64, u64)>())
-    .write_to_latency(hist.clone(), count.clone());
+    p.read_from_generator("src", CRITICAL_RATE, |seq, _| (seq % 1_000, seq))
+        .in_job(CRITICAL_JOB)
+        .grouping_key(|(k, _): &(u64, u64)| *k)
+        .window(WindowDef::sliding(SEC as Ts, (100 * MS) as Ts))
+        .aggregate(counting::<(u64, u64)>())
+        .write_to_latency(hist.clone(), count.clone());
 }
 
 /// One small neighbour: full-rate until its staggered limit drains, then
@@ -55,12 +52,13 @@ fn neighbour(p: &Pipeline, id: u64, count: &SharedCounter) {
     // measurement window.
     let limit = 2 * SMALL_RATE + SMALL_RATE * id * 20 / 1000;
     p.read_from_generator_cfg(
-        &format!("job{id}-src"),
+        "src",
         SMALL_RATE,
         Some(limit),
         jet_core::processors::WatermarkPolicy::default(),
         |seq, _| (seq % 8, seq),
     )
+    .in_job(id as u32)
     .grouping_key(|(k, _): &(u64, u64)| *k)
     .window(WindowDef::sliding(SEC as Ts, (100 * MS) as Ts))
     .aggregate(counting::<(u64, u64)>())

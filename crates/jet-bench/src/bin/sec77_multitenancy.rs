@@ -26,13 +26,12 @@ fn tenant(
     hist: &SharedHistogram,
     count: &SharedCounter,
 ) {
-    p.read_from_generator(&format!("job{id}-src"), rate, move |seq, _ts| {
-        (seq % keys, seq)
-    })
-    .grouping_key(|(k, _): &(u64, u64)| *k)
-    .window(WindowDef::sliding(SEC as Ts, (100 * MS) as Ts))
-    .aggregate(counting::<(u64, u64)>())
-    .write_to_latency(hist.clone(), count.clone());
+    p.read_from_generator("src", rate, move |seq, _ts| (seq % keys, seq))
+        .in_job(id as u32)
+        .grouping_key(|(k, _): &(u64, u64)| *k)
+        .window(WindowDef::sliding(SEC as Ts, (100 * MS) as Ts))
+        .aggregate(counting::<(u64, u64)>())
+        .write_to_latency(hist.clone(), count.clone());
 }
 
 fn run_jobs(jobs: u64, aggregate_rate: u64) -> jet_util::Histogram {

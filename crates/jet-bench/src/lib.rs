@@ -102,7 +102,8 @@ pub struct RunSpec {
     /// [`write_timeline`]). Invisible on the virtual timeline.
     pub timeline: bool,
     /// Per-job weighted round-robin scheduling quotas (multi-tenant
-    /// fairness, §7.7). Vertices opt in by `job<N>-` name prefix.
+    /// fairness, §7.7). A pipeline opts in by putting its source in a job
+    /// (`StreamStage::in_job`).
     pub quotas: Option<JobQuotas>,
 }
 
@@ -243,7 +244,7 @@ pub fn run(spec: &RunSpec) -> RunResult {
         backup_count: 1,
         guarantee: spec.guarantee,
         snapshot_interval: spec.snapshot_interval,
-        cost_model: spec.cost_model.clone(),
+        cost_model: spec.cost_model,
         gc: spec.gc.clone(),
         fixed_receive_window: spec.fixed_receive_window,
         fault_plan: spec.fault_plan.clone(),
@@ -532,6 +533,56 @@ mod tests {
                 bands: Vec::new(),
             }),
             recorder: Recorder::disabled(),
+        }
+    }
+
+    #[test]
+    fn every_query_compiles_to_vertices_of_their_kind() {
+        use jet_core::Kind::{Other, Sink, Source, WindowAccumulate, WindowCombine};
+        let cases = [
+            (Query::Q1, vec![Source, Sink]),
+            (Query::Q2, vec![Source, Sink]),
+            (Query::Q3, vec![Source, Other, Sink]),
+            (
+                Query::Q4,
+                vec![
+                    Source,
+                    Other,
+                    Other,
+                    Other,
+                    WindowAccumulate,
+                    WindowCombine,
+                    Sink,
+                ],
+            ),
+            (
+                Query::Q5,
+                vec![Source, WindowAccumulate, WindowCombine, Sink],
+            ),
+            (Query::Q6, vec![Source, Other, Other, Other, Other, Sink]),
+            (
+                Query::Q7,
+                vec![Source, WindowAccumulate, WindowCombine, Sink],
+            ),
+            (Query::Q8, vec![Source, Other, Other, Other, Sink]),
+            // The side input is a source of its own.
+            (Query::Q13, vec![Source, Source, Other, Sink]),
+        ];
+        for (query, kinds) in cases {
+            let p = build_query(
+                &RunSpec::new(query, 1_000),
+                &SharedHistogram::new(),
+                &SharedCounter::new(),
+                &Recorder::disabled(),
+            );
+            let dag = p.compile(1).unwrap();
+            let got: Vec<_> = dag.vertices().iter().map(|v| (&v.name, v.kind)).collect();
+            assert_eq!(
+                got.iter().map(|(_, k)| *k).collect::<Vec<_>>(),
+                kinds,
+                "{}: {got:?}",
+                query.name()
+            );
         }
     }
 

@@ -62,9 +62,9 @@ pub struct SimClusterConfig {
     /// detector state, zero cost on fault-free runs.
     pub coordinator: Option<CoordinatorConfig>,
     /// Multi-tenant fairness (§7.7): per-job scheduling quotas applied to
-    /// every virtual core (jobs are tagged by `job<N>-` vertex-name
-    /// prefixes). `None` (the default) keeps the original tasklet-level
-    /// round-robin bit-identically.
+    /// every virtual core (a tasklet's job is its vertex's `job`). `None`
+    /// (the default) keeps the original tasklet-level round-robin
+    /// bit-identically.
     pub quotas: Option<JobQuotas>,
     /// Flight recorder, the job's one telemetry handle. With its span ring
     /// armed every tasklet records spans through the recorder's tracer,
@@ -391,11 +391,7 @@ impl SimCluster {
         self.member_metrics = exec.members.iter().map(|m| m.metrics.clone()).collect();
         // Fresh simulator on the SAME clock: virtual time continues across
         // recoveries, so latency measurements span the outage.
-        let mut sim = Simulator::new(
-            self.clock.clone(),
-            self.cfg.cost_model.clone(),
-            self.cfg.quantum,
-        );
+        let mut sim = Simulator::new(self.clock.clone(), self.cfg.cost_model, self.cfg.quantum);
         if let Some(gc) = self.cfg.gc.clone() {
             sim = sim.with_gc(gc);
         }

@@ -450,6 +450,8 @@ pub fn build_cluster_execution(
                 let tasklet = ProcessorTasklet::new(
                     processor,
                     vertex.chain(),
+                    vertex.kind,
+                    vertex.job,
                     ctx,
                     ins,
                     collectors,

@@ -133,7 +133,9 @@ fn exactly_once_survives_member_kill() {
         .aggregate(counting::<u64>())
         .write_to_collect(by_fives.clone());
     let dag = p.compile(2).unwrap();
-    let gen = dag.vertex_named("gen").unwrap();
+    let gen = (dag.vertices().iter())
+        .position(|v| v.kind == jet_core::Kind::Source)
+        .unwrap();
     assert_eq!(
         (dag.vertices()[gen].fused.len(), dag.out_edges(gen).len()),
         (1, 2)
@@ -619,4 +621,50 @@ fn nexmark_q5_runs_on_a_simulated_cluster_with_sane_latency() {
         "p99.99 latency implausible: {:.1} ms",
         p9999 as f64 / 1e6
     );
+}
+
+/// Window-state records in the last complete snapshot of `tenants` copies
+/// of one windowed count, each in its own job with its own keys, sharing
+/// one core.
+fn window_state_records(tenants: u32) -> usize {
+    let p = Pipeline::create();
+    for t in 0..tenants {
+        let base = u64::from(t) * 1_000;
+        p.read_from_generator("src", 100_000, move |seq, _ts| base + seq % 50)
+            .in_job(t + 1)
+            .grouping_key(|k: &u64| *k)
+            .window(WindowDef::tumbling(10 * SEC as Ts))
+            .aggregate_single_stage(counting::<u64>())
+            .write_to_count(SharedCounter::new());
+    }
+    let dag = p.compile(1).unwrap();
+    let windows: std::collections::BTreeSet<String> = (dag.vertices().iter())
+        .filter(|v| v.kind == jet_core::Kind::WindowSingle)
+        .map(|v| v.name.clone())
+        .collect();
+    let cfg = SimClusterConfig {
+        members: 1,
+        cores_per_member: 1,
+        guarantee: Guarantee::ExactlyOnce,
+        snapshot_interval: 5 * MS,
+        ..Default::default()
+    };
+    let mut cluster = SimCluster::start(dag, cfg).unwrap();
+    cluster.run_for(30 * MS);
+    let store = jet_imdg::SnapshotStore::new(cluster.grid(), 1);
+    let id = store.latest_complete().expect("a snapshot completed");
+    windows
+        .iter()
+        .map(|w| store.read_vertex(id, w).unwrap().len())
+        .sum()
+}
+
+#[test]
+fn tenants_with_the_same_stage_names_keep_their_own_snapshot_state() {
+    // Snapshot chunks are stored under the vertex name. Two tenants build
+    // the same stages, so the DAG must still give each vertex a name of its
+    // own, or one tenant's chunks overwrite the other's.
+    let one = window_state_records(1);
+    assert!(one >= 50, "one tenant snapshotted {one} window records");
+    assert_eq!(window_state_records(2), 2 * one);
 }

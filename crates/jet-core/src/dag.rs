@@ -128,11 +128,40 @@ impl Edge {
     }
 }
 
-/// A vertex: name + parallelism + processor factory, and the stateless
-/// stages fused onto its outbox.
+/// What a vertex does, as far as anything but its processor needs to know.
+/// The simulator's cost model charges by it; the name is only a label.
+/// `Sender` and `Receiver` are the network tasklets of a distributed edge
+/// (§3.3), which have no vertex of their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Kind {
+    Source,
+    WindowAccumulate,
+    WindowCombine,
+    WindowSingle,
+    Sink,
+    Sender,
+    Receiver,
+    #[default]
+    Other,
+}
+
+impl Kind {
+    /// Number of kinds, for tables indexed by `kind as usize`.
+    pub const COUNT: usize = Kind::Other as usize + 1;
+}
+
+/// A vertex: name + kind + tenant job + parallelism + processor factory,
+/// and the stateless stages fused onto its outbox.
 #[derive(Clone)]
 pub struct Vertex {
+    /// A label for metrics, traces and dumps, and the key its snapshot
+    /// state is stored under; unique within a DAG ([`Dag::push`]). Nothing
+    /// decides behaviour or cost by it.
     pub name: String,
+    pub kind: Kind,
+    /// Tenant job for per-job scheduling quotas (§7.7); 0 is the shared
+    /// pool.
+    pub job: u32,
     /// Parallel instances per member; `None` = one per cooperative thread
     /// (Jet's default — "deploys the complete dataflow graph on every
     /// available CPU core", §3.1).
@@ -166,18 +195,20 @@ impl Dag {
         }
     }
 
-    /// Add a vertex; returns its id.
+    /// Add a vertex of kind `Other` in job 0; returns its id.
     pub fn vertex(&mut self, name: impl Into<String>, supplier: ProcessorSupplier) -> VertexId {
-        self.vertices.push(Vertex {
+        self.push(Vertex {
             name: name.into(),
+            kind: Kind::Other,
+            job: 0,
             local_parallelism: None,
             supplier,
             fused: Vec::new(),
-        });
-        self.vertices.len() - 1
+        })
     }
 
-    /// Add a vertex with explicit local parallelism.
+    /// Add a vertex of kind `Other` in job 0 with explicit local
+    /// parallelism.
     pub fn vertex_with_parallelism(
         &mut self,
         name: impl Into<String>,
@@ -185,12 +216,21 @@ impl Dag {
         supplier: ProcessorSupplier,
     ) -> VertexId {
         assert!(local_parallelism > 0);
-        self.vertices.push(Vertex {
-            name: name.into(),
-            local_parallelism: Some(local_parallelism),
-            supplier,
-            fused: Vec::new(),
-        });
+        let v = self.vertex(name, supplier);
+        self.vertices[v].local_parallelism = Some(local_parallelism);
+        v
+    }
+
+    /// Add a fully described vertex; returns its id. Names label metrics
+    /// and traces and key snapshot state, so a name already taken gets the
+    /// first free `-2`, `-3`, … suffix, as Jet's planner does.
+    pub fn push(&mut self, mut vertex: Vertex) -> VertexId {
+        let taken = |name: &str| self.vertices.iter().any(|v| v.name == name);
+        if taken(&vertex.name) {
+            let mut free = (2..).map(|n| format!("{}-{n}", vertex.name));
+            vertex.name = free.find(|name| !taken(name)).expect("unbounded");
+        }
+        self.vertices.push(vertex);
         self.vertices.len() - 1
     }
 
@@ -214,10 +254,6 @@ impl Dag {
         &self.edges
     }
 
-    pub fn vertex_named(&self, name: &str) -> Option<VertexId> {
-        self.vertices.iter().position(|v| v.name == name)
-    }
-
     /// Input edges of `v`, sorted by input ordinal.
     pub fn in_edges(&self, v: VertexId) -> Vec<&Edge> {
         let mut es: Vec<&Edge> = self.edges.iter().filter(|e| e.to == v).collect();
@@ -230,39 +266,6 @@ impl Dag {
     /// edge, in this order.
     pub fn out_edges(&self, v: VertexId) -> Vec<&Edge> {
         self.edges.iter().filter(|e| e.from == v).collect()
-    }
-
-    /// Source vertices (no inputs).
-    pub fn sources(&self) -> Vec<VertexId> {
-        (0..self.vertices.len())
-            .filter(|&v| self.edges.iter().all(|e| e.to != v))
-            .collect()
-    }
-
-    /// Render the DAG in Graphviz dot format (the Management Center's job
-    /// graph view, §2: "a web UI ... from where users can manage and
-    /// monitor Jet jobs" — this is the embeddable equivalent).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph jet {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (i, v) in self.vertices.iter().enumerate() {
-            let lp = v
-                .local_parallelism
-                .map(|n| format!(" x{n}"))
-                .unwrap_or_default();
-            let _ = writeln!(out, "  v{i} [label=\"{}{}\"];", v.name, lp);
-        }
-        for e in &self.edges {
-            let style = match e.routing {
-                Routing::Unicast => "",
-                Routing::Isolated => " [style=dotted,label=\"isolated\"]",
-                Routing::Partitioned(_) => " [color=blue,label=\"partitioned\"]",
-                Routing::Broadcast => " [color=red,label=\"broadcast\"]",
-            };
-            let _ = writeln!(out, "  v{} -> v{}{};", e.from, e.to, style);
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// Validate the graph: acyclic, dense input ordinals, isolated-edge
@@ -375,9 +378,16 @@ mod tests {
         dag.edge(Edge::between(b, c));
         let order = dag.validate().unwrap();
         assert_eq!(order.len(), 3);
-        assert_eq!(dag.sources(), vec![a]);
-        assert_eq!(dag.vertex_named("map"), Some(b));
-        assert!(dag.vertex_named("nope").is_none());
+    }
+
+    #[test]
+    fn a_taken_name_gets_the_first_free_suffix() {
+        let mut dag = Dag::new();
+        for name in ["w", "w", "w-2", "w"] {
+            dag.vertex(name, nop());
+        }
+        let names: Vec<&str> = dag.vertices().iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["w", "w-2", "w-2-2", "w-3"]);
     }
 
     #[test]
@@ -430,20 +440,6 @@ mod tests {
         assert_eq!(ins[1].from, b);
         assert_eq!(ins[1].priority, -1);
         dag.validate().unwrap();
-    }
-
-    #[test]
-    fn to_dot_renders_vertices_and_edge_styles() {
-        let mut dag = Dag::new();
-        let a = dag.vertex_with_parallelism("src", 2, nop());
-        let b = dag.vertex("agg", nop());
-        dag.edge(Edge::between(a, b).partitioned_by::<u64, _, _>(|v| *v));
-        let dot = dag.to_dot();
-        assert!(dot.contains("digraph jet"));
-        assert!(dot.contains("src x2"));
-        assert!(dot.contains("agg"));
-        assert!(dot.contains("partitioned"));
-        assert!(dot.contains("v0 -> v1"));
     }
 
     #[test]

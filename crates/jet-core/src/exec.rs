@@ -12,7 +12,7 @@
 //! polls its tasklets through [`Schedule`], so the contract is stated once:
 //!
 //! * **Order.** Weighted round-robin over job groups
-//!   ([`Tasklet::job`](crate::tasklet::Tasklet::job), [`JobQuotas`]): each
+//!   ([`Tasklet::job`], [`JobQuotas`]): each
 //!   cycle gives every job `weight` turns, interleaved, and a turn polls the
 //!   job's next tasklet in placement order. **No quotas** means all tasklets
 //!   are one group of weight 1 and job ids are ignored: plain tasklet
@@ -26,7 +26,7 @@
 //!   strategy, so idle jobs cost (almost) nothing — the property
 //!   multi-tenancy (§7.7) relies on; a virtual core gives up the rest of its
 //!   quantum. Only the clock differs between the two. Every thread that runs
-//!   [`worker_loop`] first sets its own timer slack to the minimum
+//!   `worker_loop` first sets its own timer slack to the minimum
 //!   ([`jet_util::idle::precise_parks`]), so a park ends when it asked to
 //!   and not up to 50 µs later; the ladder's 15 µs first park is sized for
 //!   that.

@@ -13,7 +13,7 @@
 //! latency-critical turns are never far away.
 //!
 //! Jobs are identified by [`Tasklet::job`](crate::tasklet::Tasklet::job);
-//! DAG vertices opt in by name prefix (`job<N>-…`, see [`job_of_vertex`]).
+//! a processor tasklet takes its vertex's [`job`](crate::dag::Vertex::job).
 //! [`Schedule`] is the one scheduler both executors run: it owns a worker's
 //! tasklets, the polling order, the removal of finished tasklets and the
 //! detection of a round in which nothing progressed. With no quotas
@@ -69,25 +69,6 @@ impl JobQuotas {
             .unwrap_or(self.default_weight)
             .max(1)
     }
-}
-
-/// Job id of a vertex by naming convention: a `job<N>-` prefix tags the
-/// vertex (and every tasklet instance derived from it) as belonging to
-/// tenant job `N`. Anything else — including infrastructure tasklets like
-/// senders and receivers — belongs to job 0, the shared pool.
-pub fn job_of_vertex(name: &str) -> u32 {
-    job_tag(name).map_or(0, |(job, _)| job)
-}
-
-/// The `job<N>-` tag at the start of `name`: the job `N` and the tag's
-/// length in bytes, dash included.
-pub fn job_tag(name: &str) -> Option<(u32, usize)> {
-    let rest = name.strip_prefix("job")?;
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits == 0 || !rest[digits..].starts_with('-') {
-        return None;
-    }
-    Some((rest[..digits].parse().ok()?, 3 + digits + 1))
 }
 
 struct Group<T> {
@@ -290,17 +271,6 @@ impl<T> Schedule<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vertex_job_prefix_parses() {
-        assert_eq!(job_of_vertex("job3-source"), 3);
-        assert_eq!(job_of_vertex("job12-window-accumulate"), 12);
-        assert_eq!(job_of_vertex("source"), 0);
-        assert_eq!(job_of_vertex("job-source"), 0, "no digits");
-        assert_eq!(job_of_vertex("job7source"), 0, "no dash");
-        assert_eq!(job_of_vertex("jobber-3"), 0);
-        assert_eq!(job_of_vertex("job0-sink"), 0);
-    }
 
     #[test]
     fn weights_default_and_clamp() {

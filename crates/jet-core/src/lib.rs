@@ -45,8 +45,8 @@ pub mod tasklet;
 pub mod trace;
 pub mod watermark;
 
-pub use dag::{Dag, Edge, Routing, Vertex, VertexId};
-pub use fairness::{job_of_vertex, job_tag, JobQuotas, Round, Schedule};
+pub use dag::{Dag, Edge, Kind, Routing, Vertex, VertexId};
+pub use fairness::{JobQuotas, Round, Schedule};
 pub use flight::Recorder;
 pub use item::{Barrier, Item, SnapshotId, Ts};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

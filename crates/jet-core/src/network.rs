@@ -12,10 +12,11 @@
 //! For every distributed edge and every (sender member, receiver member)
 //! pair, the planner deploys a [`SenderTasklet`] on the sender and a
 //! [`ReceiverTasklet`] on the receiver (the exchange-operator pattern of
-//! Volcano [14]). The transport is in-process and clock-driven, so the same
+//! Volcano \[14\]). The transport is in-process and clock-driven, so the same
 //! code runs under the wall clock and under the simulator's virtual clock
 //! with modeled link latency.
 
+use crate::dag::Kind;
 use crate::item::{Barrier, Item};
 use crate::metrics::{tags, MetricsRegistry, SharedCounter, SharedGauge};
 use crate::outbound::OutboundCollector;
@@ -665,6 +666,10 @@ impl Tasklet for SenderTasklet {
     fn name(&self) -> &str {
         &self.name
     }
+
+    fn kind(&self) -> Kind {
+        Kind::Sender
+    }
 }
 
 /// Receiver side: unpacks arriving batches, routes them into the local
@@ -872,6 +877,10 @@ impl Tasklet for ReceiverTasklet {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> Kind {
+        Kind::Receiver
     }
 }
 

@@ -194,6 +194,8 @@ pub fn build_local(
             let tasklet = ProcessorTasklet::new(
                 processor,
                 vertex.chain(),
+                vertex.kind,
+                vertex.job,
                 ctx,
                 ins,
                 collectors,

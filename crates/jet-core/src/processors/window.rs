@@ -41,10 +41,10 @@
 //!   through; the watermark that closes the window then starts emitting at
 //!   once instead of behind an O(keys) fold.
 //!
-//! Results leave as typed values through [`Outbox::emit_value`] on
-//! out-ordinal 0: a fused chain takes each [`WindowResult`] unboxed.
+//! Results leave as typed values through [`Outbox::emit_value`] to every
+//! out-edge: a fused chain takes each [`WindowResult`] unboxed.
 //!
-//! Three processors are built on the shared [`WindowState`]:
+//! Three processors are built on the shared `WindowState`:
 //!
 //! * [`SlidingWindowP`] — single-stage keyed windowing (events in, window
 //!   results out);
@@ -1456,7 +1456,7 @@ impl FrameMeter {
 ///   frame while it is open and the watermark finds nothing left to ship.
 ///
 /// The next frame is bypassed when the newest one had fewer than
-/// [`HOLD_MIN_EVENTS_PER_KEY`] events per key. A frame still open when the
+/// `HOLD_MIN_EVENTS_PER_KEY` events per key. A frame still open when the
 /// path flips ships at its close as usual, and an event whose frame was
 /// already shipped is forwarded on either path, so stage 2 applies it or
 /// counts it late exactly as single-stage windowing does. Partials from

@@ -19,6 +19,7 @@
 //! draining continues and the snapshot is taken when the last lane's
 //! barrier arrives.
 
+use crate::dag::Kind;
 use crate::item::{Barrier, Item, SnapshotId, Ts};
 use crate::metrics::{SharedHistogram, TaskletCounters};
 use crate::outbound::OutboundCollector;
@@ -54,11 +55,16 @@ pub trait Tasklet: Send {
 
     /// Tenant job this tasklet belongs to for per-job scheduling quotas
     /// (§7.7). Job 0 is the shared pool: infrastructure tasklets and every
-    /// vertex without a `job<N>-` name prefix live there. The pipeline
-    /// compiler tags a vertex whose inputs all carry one tag with that tag,
-    /// so a tenant's pipeline is one job from its source to its sinks.
+    /// vertex not put in a job live there. The pipeline compiler puts a
+    /// vertex whose inputs all share one job in that job, so a tenant's
+    /// pipeline is one job from its source to its sinks.
     fn job(&self) -> u32 {
         0
+    }
+
+    /// What this tasklet does; the simulator's cost model charges by it.
+    fn kind(&self) -> Kind {
+        Kind::Other
     }
 }
 
@@ -120,8 +126,8 @@ pub const DEFAULT_BATCH: usize = 256;
 /// Tasklet driving one processor instance.
 pub struct ProcessorTasklet {
     vertex: String,
-    /// Tenant job id parsed from the vertex name (`job<N>-` prefix; 0 =
-    /// shared pool).
+    kind: Kind,
+    /// Tenant job of the vertex (0 = shared pool).
     job: u32,
     processor: Box<dyn Processor>,
     ctx: ProcessorContext,
@@ -170,11 +176,14 @@ pub struct ProcessorTasklet {
 
 impl ProcessorTasklet {
     /// `chain` is the vertex's fused stages, run inside this tasklet's
-    /// outbox (see [`crate::dag::Vertex::chain`]).
+    /// outbox (see [`crate::dag::Vertex::chain`]); `kind` and `job` are the
+    /// vertex's.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         processor: Box<dyn Processor>,
         chain: Option<Chain>,
+        kind: Kind,
+        job: u32,
         ctx: ProcessorContext,
         inputs: Vec<InputConveyor>,
         outputs: Vec<OutboundCollector>,
@@ -202,10 +211,9 @@ impl ProcessorTasklet {
         let cooperative = processor.is_cooperative();
         let out_edges = outputs.len();
         let guarantee = ctx.guarantee;
-        let vertex = ctx.vertex.clone();
-        let job = crate::fairness::job_of_vertex(&vertex);
         ProcessorTasklet {
-            vertex,
+            vertex: ctx.vertex.clone(),
+            kind,
             job,
             processor,
             ctx,
@@ -772,9 +780,11 @@ impl Tasklet for ProcessorTasklet {
         self.phase_name()
     }
 
-    /// The job of this instance's vertex, parsed once from its name by
-    /// [`crate::fairness::job_of_vertex`].
     fn job(&self) -> u32 {
         self.job
+    }
+
+    fn kind(&self) -> Kind {
+        self.kind
     }
 }

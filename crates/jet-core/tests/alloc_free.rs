@@ -159,6 +159,8 @@ fn a_chain_fused_onto_a_source_is_allocation_free_in_steady_state() {
     let mut tasklet = ProcessorTasklet::new(
         Box::new(source),
         Some(chain),
+        jet_core::Kind::Other,
+        0,
         ctx,
         Vec::new(),
         vec![OutboundCollector::new(

@@ -185,6 +185,8 @@ fn step_flat_map_tasklet(
     let mut tasklet = ProcessorTasklet::new(
         Box::new(TransformP),
         Some(repeat.head(&[])),
+        jet_core::Kind::Other,
+        0,
         ctx,
         vec![InputConveyor {
             ordinal: 0,

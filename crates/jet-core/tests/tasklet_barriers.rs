@@ -106,6 +106,8 @@ fn rig(
     let tasklet = ProcessorTasklet::new(
         make(&registry),
         chain,
+        jet_core::Kind::Other,
+        0,
         ctx,
         inputs,
         vec![collector],

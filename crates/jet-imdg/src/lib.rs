@@ -11,7 +11,7 @@
 //! This crate is a faithful in-process reconstruction:
 //!
 //! * [`ring`] — consistent-hash ring used to assign partitions to members
-//!   with minimal migration on membership change (§4.3 cites Chord [30]).
+//!   with minimal migration on membership change (§4.3 cites Chord \[30\]).
 //! * [`partition_table`] — the replica assignment (primary + backups per
 //!   partition), its invariants, promotion on failure, rebalancing on join,
 //!   and a migration planner that computes which partitions move.

@@ -1,4 +1,4 @@
-//! # jet-nexmark — the NEXMark benchmark [35] on jet-rs
+//! # jet-nexmark — the NEXMark benchmark \[35\] on jet-rs
 //!
 //! The paper's evaluation workload (§7.1): an auction house generating
 //! persons, auctions, and bids, and a set of standard queries over them.

@@ -1,4 +1,4 @@
-//! NEXMark entities [35]: people who run auctions, and the bids on them.
+//! NEXMark entities \[35\]: people who run auctions, and the bids on them.
 //!
 //! Field sets follow the Apache Beam NEXMark suite the paper uses (§7.1),
 //! trimmed to what the queries touch. All types are snapshot-serializable

@@ -16,9 +16,12 @@
 //!   each;
 //! * **edge selection**: keyed stages get partitioned edges, join build
 //!   sides get broadcast high-priority edges, everything else forwards
-//!   locally (unicast).
+//!   locally (unicast);
+//! * **tenancy**: a vertex whose inputs all share one job is in that job,
+//!   so a source put in a job (`StreamStage::in_job`) carries its whole
+//!   pipeline there. A vertex fed by several jobs stays in job 0.
 
-use jet_core::dag::{Dag, Edge, KeyHashFn, VertexId};
+use jet_core::dag::{Dag, Edge, KeyHashFn, Kind, Vertex, VertexId};
 use jet_core::processor::ProcessorSupplier;
 use jet_core::processors::transform::{Link, TransformP};
 use jet_core::supplier;
@@ -46,7 +49,7 @@ pub(crate) struct PInput {
     pub spec: EdgeSpec,
 }
 
-pub(crate) enum PNodeKind {
+pub(crate) enum Op {
     /// A fusable run of stateless stages.
     Transform(Arc<dyn Link>),
     /// Anything else: source, window, join, sink, stateful map.
@@ -55,11 +58,12 @@ pub(crate) enum PNodeKind {
 
 pub(crate) struct PNode {
     pub name: String,
-    pub kind: PNodeKind,
+    pub op: Op,
+    pub kind: Kind,
+    /// The job a source is put in; other nodes take their inputs' job.
+    pub job: u32,
     pub inputs: Vec<PInput>,
     pub local_parallelism: Option<usize>,
-    /// Set for streaming sources (diagnostics only).
-    pub is_source: bool,
 }
 
 /// The mutable pipeline under construction. Typed stage handles share it.
@@ -72,49 +76,19 @@ impl PipelineGraph {
     pub(crate) fn add_node(
         &mut self,
         name: String,
-        kind: PNodeKind,
+        op: Op,
         inputs: Vec<PInput>,
-        is_source: bool,
+        kind: Kind,
     ) -> usize {
-        // Tenant tagging is by vertex-name prefix (`job<N>-`, see
-        // jet-core::fairness). Users tag the source; downstream stages
-        // carry hardcoded names ("window-accumulate", ...), so inherit the
-        // tag here — when every input belongs to the same tenant, the new
-        // node does too. Multi-tenant joins stay in the shared pool.
-        let name = if jet_core::job_tag(&name).is_none() {
-            let tags: Vec<Option<&str>> = inputs
-                .iter()
-                .map(|i| {
-                    let from = &self.nodes[i.from].name;
-                    jet_core::job_tag(from).map(|(_, len)| &from[..len])
-                })
-                .collect();
-            match tags.split_first() {
-                Some((Some(tag), rest)) if rest.iter().all(|t| *t == Some(tag)) => {
-                    format!("{tag}{name}")
-                }
-                _ => name,
-            }
-        } else {
-            name
-        };
         self.nodes.push(PNode {
             name,
+            op,
             kind,
+            job: 0,
             inputs,
             local_parallelism: None,
-            is_source,
         });
         self.nodes.len() - 1
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of source stages (diagnostics).
-    pub fn source_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_source).count()
     }
 
     fn consumers_of(&self, node: usize) -> Vec<usize> {
@@ -134,7 +108,7 @@ impl PipelineGraph {
         let mut head: Vec<usize> = (0..n).collect();
         for i in 0..n {
             let node = &self.nodes[i];
-            if let (PNodeKind::Transform(_), [input]) = (&node.kind, &node.inputs[..]) {
+            if let (Op::Transform(_), [input]) = (&node.op, &node.inputs[..]) {
                 let up = input.from;
                 if matches!(input.spec, EdgeSpec::Forward)
                     && self.consumers_of(up).len() == 1
@@ -144,24 +118,37 @@ impl PipelineGraph {
                 }
             }
         }
-        // 2. One vertex per head, keeping the head's name; the transforms
-        //    fused into it ride on its outbox in pipeline order (an input
-        //    always has a smaller index than its consumer). A transform
-        //    that heads its own vertex gets a pass-through host.
+        // 2. One vertex per head, keeping the head's name, kind and job; the
+        //    transforms fused into it ride on its outbox in pipeline order
+        //    (an input always has a smaller index than its consumer). A
+        //    transform that heads its own vertex gets a pass-through host.
         let mut dag = Dag::new();
         let mut vertex_of: Vec<VertexId> = Vec::with_capacity(n);
+        let mut job: Vec<u32> = Vec::with_capacity(n);
         for (i, node) in self.nodes.iter().enumerate() {
+            let mut input_jobs = node.inputs.iter().map(|input| job[input.from]);
+            job.push(match input_jobs.next() {
+                None => node.job,
+                Some(j) if input_jobs.all(|k| k == j) => j,
+                Some(_) => 0,
+            });
             let v = if head[i] == i {
                 let lp = node.local_parallelism.unwrap_or(default_lp);
-                let sup: ProcessorSupplier = match &node.kind {
-                    PNodeKind::Opaque(factory) => factory(lp),
-                    PNodeKind::Transform(_) => supplier(|_| Box::new(TransformP)),
-                };
-                dag.vertex_with_parallelism(node.name.clone(), lp, sup)
+                dag.push(Vertex {
+                    name: node.name.clone(),
+                    kind: node.kind,
+                    job: job[i],
+                    local_parallelism: Some(lp),
+                    supplier: match &node.op {
+                        Op::Opaque(factory) => factory(lp),
+                        Op::Transform(_) => supplier(|_| Box::new(TransformP)),
+                    },
+                    fused: Vec::new(),
+                })
             } else {
                 vertex_of[head[i]]
             };
-            if let PNodeKind::Transform(run) = &node.kind {
+            if let Op::Transform(run) = &node.op {
                 dag.fuse(v, run.clone());
             }
             vertex_of.push(v);

@@ -7,7 +7,7 @@
 //! windowed aggregation; `hash_join` joins a stream against a batch build
 //! side; `write_to_*` attach sinks. `compile` hands back a Core-API DAG.
 
-use crate::graph::{EdgeSpec, NodeFactory, PInput, PNodeKind, PipelineGraph};
+use crate::graph::{EdgeSpec, NodeFactory, Op, PInput, PipelineGraph};
 use jet_core::metrics::{SharedCounter, SharedHistogram};
 use jet_core::processors::agg::{AggregateOp, CoGrouped};
 use jet_core::processors::join::HashJoinP;
@@ -23,7 +23,7 @@ use jet_core::processors::window::{
 use jet_core::snapshot::SnapshotRegistry;
 use jet_core::state::Snap;
 use jet_core::supplier;
-use jet_core::{Dag, Recorder, Ts};
+use jet_core::{Dag, Kind, Recorder, Ts};
 use parking_lot::Mutex;
 use std::fmt::Debug;
 use std::marker::PhantomData;
@@ -68,14 +68,8 @@ impl Pipeline {
         Pipeline::default()
     }
 
-    fn add<T>(
-        &self,
-        name: String,
-        kind: PNodeKind,
-        inputs: Vec<PInput>,
-        source: bool,
-    ) -> StreamStage<T> {
-        let node = self.graph.lock().add_node(name, kind, inputs, source);
+    fn add<T>(&self, name: String, op: Op, inputs: Vec<PInput>, kind: Kind) -> StreamStage<T> {
+        let node = self.graph.lock().add_node(name, op, inputs, kind);
         StreamStage {
             pipeline: self.clone(),
             node,
@@ -120,7 +114,7 @@ impl Pipeline {
                 Box::new(src)
             })
         });
-        self.add(name.to_string(), PNodeKind::Opaque(make), vec![], true)
+        self.add(name.to_string(), Op::Opaque(make), vec![], Kind::Source)
     }
 
     /// A finite in-memory source of `(ts, item)` pairs.
@@ -134,7 +128,7 @@ impl Pipeline {
             supplier(move |_i| Box::new(VecSource::new(items.clone())))
         });
         let stage: StreamStage<T> =
-            self.add(name.to_string(), PNodeKind::Opaque(make), vec![], true);
+            self.add(name.to_string(), Op::Opaque(make), vec![], Kind::Source);
         BatchStage {
             pipeline: stage.pipeline,
             node: stage.node,
@@ -144,7 +138,7 @@ impl Pipeline {
 
     /// Attach a raw custom vertex (escape hatch to the Core API).
     pub fn read_from_custom<T>(&self, name: &str, make: NodeFactory) -> StreamStage<T> {
-        self.add(name.to_string(), PNodeKind::Opaque(make), vec![], true)
+        self.add(name.to_string(), Op::Opaque(make), vec![], Kind::Source)
     }
 
     /// Compile into a Core DAG (§2.1: "pipelines are actually translated to
@@ -162,18 +156,29 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
     ) -> StreamStage<U> {
         self.pipeline.add(
             name.to_string(),
-            PNodeKind::Transform(Arc::new(stage)),
+            Op::Transform(Arc::new(stage)),
             vec![PInput {
                 from: self.node,
                 spec: EdgeSpec::Forward,
             }],
-            false,
+            Kind::Other,
         )
     }
 
     /// Pin the parallelism of the stage added last.
     pub fn local_parallelism(self, lp: usize) -> Self {
         self.pipeline.graph.lock().nodes[self.node].local_parallelism = Some(lp.max(1));
+        self
+    }
+
+    /// Put this source stage in tenant job `job` (per-job scheduling
+    /// quotas, §7.7). Every stage fed only by this job joins it at compile.
+    pub fn in_job(self, job: u32) -> Self {
+        let mut graph = self.pipeline.graph.lock();
+        let node = &mut graph.nodes[self.node];
+        assert!(node.inputs.is_empty(), "in_job is for sources");
+        node.job = job;
+        drop(graph);
         self
     }
 
@@ -208,7 +213,7 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
         let make: NodeFactory = Arc::new(|_lp| supplier(|_| Box::new(TransformP)));
         self.pipeline.add(
             "merge".to_string(),
-            PNodeKind::Opaque(make),
+            Op::Opaque(make),
             vec![
                 PInput {
                     from: self.node,
@@ -219,7 +224,7 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
                     spec: EdgeSpec::Forward,
                 },
             ],
-            false,
+            Kind::Other,
         )
     }
 
@@ -274,12 +279,12 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
         });
         self.pipeline.add(
             "map-stateful".to_string(),
-            PNodeKind::Opaque(make),
+            Op::Opaque(make),
             vec![PInput {
                 from: self.node,
                 spec: EdgeSpec::Partitioned(key_hash),
             }],
-            false,
+            Kind::Other,
         )
     }
 
@@ -316,7 +321,7 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
         });
         self.pipeline.add(
             "hash-join".to_string(),
-            PNodeKind::Opaque(make),
+            Op::Opaque(make),
             vec![
                 PInput {
                     from: self.node,
@@ -327,19 +332,19 @@ impl<T: Send + Clone + Debug + 'static> StreamStage<T> {
                     spec: EdgeSpec::Broadcast { priority: -1 },
                 },
             ],
-            false,
+            Kind::Other,
         )
     }
 
     fn add_sink(&self, name: &str, make: NodeFactory) -> StreamStage<()> {
         self.pipeline.add(
             name.to_string(),
-            PNodeKind::Opaque(make),
+            Op::Opaque(make),
             vec![PInput {
                 from: self.node,
                 spec: EdgeSpec::Forward,
             }],
-            false,
+            Kind::Sink,
         )
     }
 
@@ -532,12 +537,12 @@ impl<K: WindowKey, T: Send + Clone + Debug + 'static> WindowedStage<K, T> {
         });
         let accumulate = self.keyed.pipeline.add::<FrameChunk<K, A>>(
             "window-accumulate".to_string(),
-            PNodeKind::Opaque(stage1),
+            Op::Opaque(stage1),
             vec![PInput {
                 from: self.keyed.node,
                 spec: EdgeSpec::Forward,
             }],
-            false,
+            Kind::WindowAccumulate,
         );
         let op2 = op.clone();
         let stage2: NodeFactory = Arc::new(move |_lp| {
@@ -549,12 +554,12 @@ impl<K: WindowKey, T: Send + Clone + Debug + 'static> WindowedStage<K, T> {
         });
         self.keyed.pipeline.add(
             "window-combine".to_string(),
-            PNodeKind::Opaque(stage2),
+            Op::Opaque(stage2),
             vec![PInput {
                 from: accumulate.node,
                 spec: EdgeSpec::Partitioned(chunk_key),
             }],
-            false,
+            Kind::WindowCombine,
         )
     }
 
@@ -589,12 +594,12 @@ impl<K: WindowKey, T: Send + Clone + Debug + 'static> WindowedStage<K, T> {
         });
         self.keyed.pipeline.add(
             "window-single".to_string(),
-            PNodeKind::Opaque(make),
+            Op::Opaque(make),
             vec![PInput {
                 from: self.keyed.node,
                 spec: EdgeSpec::Partitioned(key_hash),
             }],
-            false,
+            Kind::WindowSingle,
         )
     }
 
@@ -635,7 +640,7 @@ impl<K: WindowKey, T: Send + Clone + Debug + 'static> WindowedStage<K, T> {
         });
         self.keyed.pipeline.add(
             "window-cogroup".to_string(),
-            PNodeKind::Opaque(make),
+            Op::Opaque(make),
             vec![
                 PInput {
                     from: self.keyed.node,
@@ -646,7 +651,7 @@ impl<K: WindowKey, T: Send + Clone + Debug + 'static> WindowedStage<K, T> {
                     spec: EdgeSpec::Partitioned(right_hash),
                 },
             ],
-            false,
+            Kind::Other,
         )
     }
 }

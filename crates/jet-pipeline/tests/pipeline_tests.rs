@@ -89,7 +89,7 @@ fn a_chain_feeding_two_consumers_runs_once_per_event() {
     let dag = p.compile(2).unwrap();
     assert_eq!(
         shape(&dag),
-        [("src", 1), ("count-sink", 0), ("count-sink", 0)]
+        [("src", 1), ("count-sink", 0), ("count-sink-2", 0)]
     );
     run(&p, 2);
     assert_eq!((runs.get(), c1.get(), c2.get()), (50, 50, 50));
@@ -285,14 +285,15 @@ fn compile_rejects_nothing_but_is_deterministic() {
 
 #[test]
 fn tenant_job_prefix_propagates_to_downstream_vertices() {
-    // A `job<N>-` source tag must reach every derived vertex so per-job
-    // scheduling quotas (jet-core::fairness) cover the whole tenant
-    // pipeline, not just its source.
+    // A source's job must reach every derived vertex so per-job scheduling
+    // quotas (jet-core::fairness) cover the whole tenant pipeline, not just
+    // its source. Names stay what the stages call them.
     let p = Pipeline::create();
     let out: Collected<WindowResult<u64, u64>> = Arc::new(Mutex::new(Vec::new()));
     let events: Vec<(Ts, u64)> = (0..100u64).map(|i| (i as Ts, i)).collect();
-    p.read_from_vec("job7-src", events)
+    p.read_from_vec("src", events)
         .as_stream()
+        .in_job(7)
         .map(|v| v + 1)
         .grouping_key(|v| v % 4)
         .window(WindowDef::tumbling(50))
@@ -300,33 +301,55 @@ fn tenant_job_prefix_propagates_to_downstream_vertices() {
         .write_to_collect(out.clone());
     let dag = p.compile(2).unwrap();
     for v in dag.vertices() {
-        assert_eq!(
-            jet_core::fairness::job_of_vertex(&v.name),
-            7,
-            "vertex {} lost the tenant tag",
-            v.name
-        );
+        assert_eq!(v.job, 7, "vertex {} lost the tenant's job", v.name);
     }
+    assert_eq!(
+        shape(&dag),
+        [
+            ("src", 1),
+            ("window-accumulate", 0),
+            ("window-combine", 0),
+            ("collect-sink", 0)
+        ]
+    );
     run(&p, 2);
     assert!(!out.lock().is_empty());
 }
 
 #[test]
-fn untagged_pipelines_keep_their_plain_vertex_names() {
+fn a_stage_fed_by_two_jobs_stays_in_job_zero() {
     let p = Pipeline::create();
     let c = SharedCounter::new();
-    p.read_from_vec("src", vec![(0, 1u64)])
+    let a = p.read_from_vec("a", vec![(0, 1u64)]).as_stream().in_job(1);
+    let b = p.read_from_vec("b", vec![(0, 2u64)]).as_stream().in_job(2);
+    a.merge(&b).write_to_count(c.clone());
+    let dag = p.compile(1).unwrap();
+    let jobs: Vec<(&str, u32)> = dag
+        .vertices()
+        .iter()
+        .map(|v| (v.name.as_str(), v.job))
+        .collect();
+    assert_eq!(jobs, [("a", 1), ("b", 2), ("merge", 0), ("count-sink", 0)]);
+}
+
+#[test]
+fn untagged_pipelines_keep_their_plain_vertex_names() {
+    // A name is only a label: a source named like a tenant but never put
+    // in a job stays in job 0, and so does everything it feeds.
+    let p = Pipeline::create();
+    let c = SharedCounter::new();
+    p.read_from_vec("job7-src", vec![(0, 1u64)])
         .as_stream()
         .map(|v| v * 2)
         .write_to_count(c.clone());
     let dag = p.compile(2).unwrap();
+    assert_eq!(shape(&dag), [("job7-src", 1), ("count-sink", 0)]);
     for v in dag.vertices() {
-        assert!(
-            !v.name.starts_with("job"),
-            "spurious tenant tag on {}",
+        assert_eq!(
+            v.job, 0,
+            "vertex {} is in a job it was never put in",
             v.name
         );
-        assert_eq!(jet_core::fairness::job_of_vertex(&v.name), 0);
     }
 }
 
@@ -391,7 +414,12 @@ fn a_run_that_cannot_fuse_gets_a_host_vertex() {
     let dag = p.compile(2).unwrap();
     assert_eq!(
         shape(&dag),
-        [("src", 0), ("count-sink", 0), ("map", 2), ("count-sink", 0),]
+        [
+            ("src", 0),
+            ("count-sink", 0),
+            ("map", 2),
+            ("count-sink-2", 0),
+        ]
     );
     run(&p, 2);
     assert_eq!((c1.get(), c2.get()), (50, 25));

@@ -3,24 +3,25 @@
 //!
 //! A timeslice's cost is `call_cost + per_item * items_moved`, where
 //! `items_moved` comes from the tasklet's counters (events consumed from
-//! inboxes + events emitted by sources). Per-vertex overrides let the bench
-//! calibrate heavier operators (windowed aggregation) against lighter ones
-//! (map/filter); EXPERIMENTS.md records the calibration used for each
-//! figure, anchored to the paper's observed ~2M events/s/core saturation
-//! point for Q5 (§7.3).
+//! inboxes + events emitted by sources). `per_item` is looked up by the
+//! tasklet's [`Kind`], so the bench can calibrate heavier operators
+//! (windowed aggregation) against lighter ones (map/filter);
+//! EXPERIMENTS.md records the calibration used for each figure, anchored to
+//! the paper's observed ~2M events/s/core saturation point for Q5 (§7.3).
 
+use jet_core::dag::Kind;
 use jet_core::metrics::TaskletCounters;
 use jet_core::tasklet::Tasklet;
 use jet_util::progress::Progress;
 use std::sync::Arc;
 
 /// Nanoseconds of virtual time per scheduling action.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Fixed cost of invoking a tasklet (scheduling + cache effects).
     pub call_cost: u64,
-    /// Default cost per item moved.
-    pub per_item: u64,
+    /// Cost per item moved, indexed by the tasklet's `Kind as usize`.
+    pub per_item: [u64; Kind::COUNT],
     /// Cost per state record serialized into a snapshot (serialization +
     /// replicated IMap put). This is the dominant term behind the Fig. 13
     /// checkpoint latency spikes: windowed state is large. With chunked
@@ -40,8 +41,6 @@ pub struct CostModel {
     /// `per_item + queue_hop_cost` never charges more than the flat model
     /// and charges less the larger the batches get.
     pub queue_hop_cost: u64,
-    /// Overrides matched by substring against the tasklet name.
-    pub per_vertex: Vec<(String, u64)>,
 }
 
 impl Default for CostModel {
@@ -51,11 +50,10 @@ impl Default for CostModel {
         // stages an event touches is ~500 ns.
         CostModel {
             call_cost: 150,
-            per_item: 120,
+            per_item: [120; Kind::COUNT],
             snapshot_record_cost: 250,
             snapshot_chunk_cost: 0,
             queue_hop_cost: 0,
-            per_vertex: Vec::new(),
         }
     }
 }
@@ -72,32 +70,31 @@ impl CostModel {
     /// amortize it, which is where the batched hot path's simulated
     /// throughput gain comes from.
     pub fn paper_calibrated() -> Self {
-        let mut m = CostModel::default();
-        m.per_item -= 24;
-        m.queue_hop_cost = 24;
-        m.snapshot_chunk_cost = 400;
-        m.with_vertex_cost("nexmark", 135 - 24) // source: build + emit
-            .with_vertex_cost("window-accumulate", 250 - 24)
-            .with_vertex_cost("window-combine", 200 - 24)
-            .with_vertex_cost("window-single", 350 - 24)
-            .with_vertex_cost("latency-sink", 100 - 24)
-            .with_vertex_cost("sender", 60 - 24)
-            .with_vertex_cost("receiver", 60 - 24)
-    }
-
-    pub fn with_vertex_cost(mut self, pattern: &str, per_item: u64) -> Self {
-        self.per_vertex.push((pattern.to_string(), per_item));
-        self
-    }
-
-    /// Per-item cost for a tasklet name.
-    pub fn per_item_for(&self, name: &str) -> u64 {
-        for (pat, cost) in &self.per_vertex {
-            if name.contains(pat.as_str()) {
-                return *cost;
-            }
+        // Per-item charges before the move of 24 ns to the hop cost; a kind
+        // not listed is charged like `Other`.
+        let mut per_item = [120 - 24; Kind::COUNT];
+        for (kind, flat) in [
+            (Kind::Source, 135), // build + emit
+            (Kind::WindowAccumulate, 250),
+            (Kind::WindowCombine, 200),
+            (Kind::WindowSingle, 350),
+            (Kind::Sink, 100),
+            (Kind::Sender, 60),
+            (Kind::Receiver, 60),
+        ] {
+            per_item[kind as usize] = flat - 24;
         }
-        self.per_item
+        CostModel {
+            per_item,
+            queue_hop_cost: 24,
+            snapshot_chunk_cost: 400,
+            ..CostModel::default()
+        }
+    }
+
+    /// Per-item cost for a tasklet of `kind`.
+    pub fn per_item_for(&self, kind: Kind) -> u64 {
+        self.per_item[kind as usize]
     }
 }
 
@@ -110,11 +107,9 @@ pub struct CostedTasklet {
     last_snap: u64,
     last_chunks: u64,
     last_batches: u64,
-    call_cost: u64,
+    model: CostModel,
+    /// `model`'s per-item cost for the wrapped tasklet's kind.
     per_item: u64,
-    snapshot_record_cost: u64,
-    snapshot_chunk_cost: u64,
-    queue_hop_cost: u64,
     /// Interned trace name id (0 when the simulator runs untraced).
     pub trace_name: u32,
 }
@@ -125,7 +120,7 @@ impl CostedTasklet {
         counters: Option<Arc<TaskletCounters>>,
         model: &CostModel,
     ) -> Self {
-        let per_item = model.per_item_for(inner.name());
+        let per_item = model.per_item_for(inner.kind());
         CostedTasklet {
             inner,
             counters,
@@ -134,11 +129,8 @@ impl CostedTasklet {
             last_snap: 0,
             last_chunks: 0,
             last_batches: 0,
-            call_cost: model.call_cost,
+            model: *model,
             per_item,
-            snapshot_record_cost: model.snapshot_record_cost,
-            snapshot_chunk_cost: model.snapshot_chunk_cost,
-            queue_hop_cost: model.queue_hop_cost,
             trace_name: 0,
         }
     }
@@ -196,13 +188,14 @@ impl CostedTasklet {
             self.last_batches = qb;
         }
         let cost = match p {
-            Progress::NoProgress => self.call_cost / 4, // cheap poll
+            Progress::NoProgress => self.model.call_cost / 4, // cheap poll
             _ => {
-                self.call_cost
+                let m = &self.model;
+                m.call_cost
                     + items * self.per_item
-                    + batches * self.queue_hop_cost
-                    + snap_records * self.snapshot_record_cost
-                    + snap_chunks * self.snapshot_chunk_cost
+                    + batches * m.queue_hop_cost
+                    + snap_records * m.snapshot_record_cost
+                    + snap_chunks * m.snapshot_chunk_cost
             }
         };
         (p, cost)
@@ -228,21 +221,40 @@ mod tests {
     }
 
     #[test]
-    fn per_vertex_override_matches_substring() {
-        let m = CostModel::default().with_vertex_cost("window", 900);
-        assert_eq!(m.per_item_for("window-accumulate"), 900);
-        assert_eq!(m.per_item_for("map"), m.per_item);
+    fn charges_by_kind_not_by_name() {
+        struct Emitting(Arc<TaskletCounters>, Kind);
+        impl Tasklet for Emitting {
+            fn call(&mut self) -> Progress {
+                self.0.add_out(10);
+                Progress::MadeProgress
+            }
+            fn name(&self) -> &str {
+                "window-combine"
+            }
+            fn kind(&self) -> Kind {
+                self.1
+            }
+        }
+        let m = CostModel::paper_calibrated();
+        let cost_of = |kind| {
+            let c = TaskletCounters::shared();
+            CostedTasklet::new(Box::new(Emitting(c.clone(), kind)), Some(c), &m)
+                .run()
+                .1
+        };
+        assert_eq!(cost_of(Kind::Source), m.call_cost + 10 * (135 - 24));
+        assert_eq!(cost_of(Kind::Other), m.call_cost + 10 * (120 - 24));
+        assert_eq!(cost_of(Kind::WindowCombine), m.call_cost + 10 * (200 - 24));
     }
 
     #[test]
     fn costed_tasklet_charges_call_cost_and_terminates() {
         let m = CostModel {
             call_cost: 100,
-            per_item: 10,
+            per_item: [10; Kind::COUNT],
             snapshot_record_cost: 0,
             snapshot_chunk_cost: 0,
             queue_hop_cost: 0,
-            per_vertex: vec![],
         };
         let mut t = CostedTasklet::new(Box::new(Fixed(2)), None, &m);
         let (p, c) = t.run();
@@ -258,11 +270,10 @@ mod tests {
     fn item_costs_use_counters() {
         let m = CostModel {
             call_cost: 50,
-            per_item: 7,
+            per_item: [7; Kind::COUNT],
             snapshot_record_cost: 0,
             snapshot_chunk_cost: 0,
             queue_hop_cost: 0,
-            per_vertex: vec![],
         };
         let counters = TaskletCounters::shared();
         struct Counting(Arc<TaskletCounters>);
@@ -288,11 +299,10 @@ mod tests {
     fn queue_hop_cost_is_charged_per_batch_not_per_item() {
         let m = CostModel {
             call_cost: 50,
-            per_item: 7,
+            per_item: [7; Kind::COUNT],
             snapshot_record_cost: 0,
             snapshot_chunk_cost: 0,
             queue_hop_cost: 12,
-            per_vertex: vec![],
         };
         let counters = TaskletCounters::shared();
         struct Batched(Arc<TaskletCounters>);
@@ -318,11 +328,14 @@ mod tests {
     fn paper_calibration_totals_match_flat_model_at_batch_size_one() {
         let m = CostModel::paper_calibrated();
         // per_item + queue_hop_cost must reproduce the former flat charges.
-        assert_eq!(m.per_item + m.queue_hop_cost, 120);
-        assert_eq!(
-            m.per_item_for("window-accumulate#0") + m.queue_hop_cost,
-            250
-        );
-        assert_eq!(m.per_item_for("nexmark#1") + m.queue_hop_cost, 135);
+        let flat = |kind| m.per_item_for(kind) + m.queue_hop_cost;
+        assert_eq!(flat(Kind::Other), 120);
+        assert_eq!(flat(Kind::Source), 135);
+        assert_eq!(flat(Kind::WindowAccumulate), 250);
+        assert_eq!(flat(Kind::WindowCombine), 200);
+        assert_eq!(flat(Kind::WindowSingle), 350);
+        assert_eq!(flat(Kind::Sink), 100);
+        assert_eq!(flat(Kind::Sender), 60);
+        assert_eq!(flat(Kind::Receiver), 60);
     }
 }

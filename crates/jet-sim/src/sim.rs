@@ -325,11 +325,10 @@ mod tests {
             clock,
             CostModel {
                 call_cost: 100,
-                per_item: 0,
+                per_item: [0; jet_core::Kind::COUNT],
                 snapshot_record_cost: 0,
                 snapshot_chunk_cost: 0,
                 queue_hop_cost: 0,
-                per_vertex: vec![],
             },
             quantum,
         )
@@ -411,11 +410,10 @@ mod tests {
             clock,
             CostModel {
                 call_cost: 100,
-                per_item: 0,
+                per_item: [0; jet_core::Kind::COUNT],
                 snapshot_record_cost: 0,
                 snapshot_chunk_cost: 0,
                 queue_hop_cost: 0,
-                per_vertex: vec![],
             },
             1_000,
         )
