@@ -6,7 +6,8 @@
 //! §4.1), and member boundaries are crossed through the flow-controlled
 //! sender/receiver exchange pair (§3.3).
 //!
-//! * [`wiring`] — the multi-member execution planner.
+//! * [`wiring`] — the multi-member entry to the planner, which lives in
+//!   `jet_core::plan` and wires local jobs too.
 //! * [`runtime`] — job lifecycle on the virtual-time simulator: periodic
 //!   snapshots, failure + recovery (§4.4), elastic rescaling (§4.3).
 //! * [`coordinator`] — heartbeat failure detection and recovery

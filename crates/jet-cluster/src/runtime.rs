@@ -328,7 +328,6 @@ impl SimCluster {
             batch: self.cfg.batch,
             guarantee: self.cfg.guarantee,
             clock: self.shared_clock.clone(),
-            partition_count: self.cfg.partition_count,
             fixed_receive_window: self.cfg.fixed_receive_window,
             tracer: self.cfg.recorder.tracer(),
         }

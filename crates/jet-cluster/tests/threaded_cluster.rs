@@ -44,8 +44,7 @@ fn threaded_multi_member_windowed_count_is_exact() {
     // 50µs simulated LAN latency against the wall clock.
     let transport = Arc::new(InMemoryTransport::new(clock.clone(), 50_000));
     let registry = Arc::new(SnapshotRegistry::disabled());
-    let mut cfg = ClusterConfig::new(2, clock).with_guarantee(Guarantee::None);
-    cfg.partition_count = 31;
+    let cfg = ClusterConfig::new(2, clock).with_guarantee(Guarantee::None);
     let exec =
         build_cluster_execution(&dag, &members, &table, transport, &cfg, &registry, None).unwrap();
     let tasklets: Vec<_> = exec
@@ -90,8 +89,7 @@ fn threaded_cluster_with_snapshots_completes_checkpoints() {
     let transport = Arc::new(InMemoryTransport::new(clock.clone(), 10_000));
     let store = jet_imdg::SnapshotStore::new(&grid, 3);
     let registry = Arc::new(SnapshotRegistry::new(store.clone(), 0));
-    let mut cfg = ClusterConfig::new(2, clock.clone()).with_guarantee(Guarantee::ExactlyOnce);
-    cfg.partition_count = 31;
+    let cfg = ClusterConfig::new(2, clock.clone()).with_guarantee(Guarantee::ExactlyOnce);
     let exec =
         build_cluster_execution(&dag, &members, &table, transport, &cfg, &registry, None).unwrap();
     let tasklets: Vec<_> = exec

@@ -1,5 +1,5 @@
 //! The Core API's DAG: vertices (operators) connected by edges with
-//! explicit routing, locality, priority and queue sizing (paper §2.2).
+//! explicit routing, priority and queue sizing (paper §2.2).
 
 use crate::object::Object;
 use crate::processor::{Chain, ProcessorSupplier};
@@ -53,9 +53,6 @@ pub struct Edge {
     /// Input ordinal at the consumer.
     pub to_ordinal: usize,
     pub routing: Routing,
-    /// Distributed edges cross member boundaries through the flow-controlled
-    /// sender/receiver pair (§3.3); local edges never leave the node.
-    pub distributed: bool,
     /// Lower value = consumed earlier. A vertex finishes all higher-priority
     /// inputs before draining lower-priority ones — how the hash join
     /// consumes its build side before probing (Listing 2).
@@ -64,14 +61,13 @@ pub struct Edge {
 }
 
 impl Edge {
-    /// Local unicast edge `from:0 -> to:0`.
+    /// Unicast edge `from:0 -> to:0`.
     pub fn between(from: VertexId, to: VertexId) -> Edge {
         Edge {
             from,
             to,
             to_ordinal: 0,
             routing: Routing::Unicast,
-            distributed: false,
             priority: 0,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
         }
@@ -109,11 +105,6 @@ impl Edge {
     /// Partition by an already-computed hash function over the payload.
     pub fn partitioned_raw(mut self, f: KeyHashFn) -> Edge {
         self.routing = Routing::Partitioned(f);
-        self
-    }
-
-    pub fn distributed(mut self) -> Edge {
-        self.distributed = true;
         self
     }
 
@@ -297,9 +288,6 @@ impl Dag {
                         ));
                     }
                 }
-                if e.distributed {
-                    return Err("isolated edges cannot be distributed".into());
-                }
             }
         }
         // Kahn's algorithm for cycle detection.
@@ -337,12 +325,11 @@ impl std::fmt::Debug for Dag {
         for e in &self.edges {
             writeln!(
                 f,
-                "  {} -> {}:{} {:?}{}{}",
+                "  {} -> {}:{} {:?}{}",
                 self.vertices[e.from].name,
                 self.vertices[e.to].name,
                 e.to_ordinal,
                 e.routing,
-                if e.distributed { " dist" } else { "" },
                 if e.priority != 0 {
                     format!(" prio={}", e.priority)
                 } else {
@@ -416,15 +403,6 @@ mod tests {
         let b = dag.vertex_with_parallelism("b", 3, nop());
         dag.edge(Edge::between(a, b).isolated());
         assert!(dag.validate().unwrap_err().contains("isolated"));
-    }
-
-    #[test]
-    fn distributed_isolated_rejected() {
-        let mut dag = Dag::new();
-        let a = dag.vertex("a", nop());
-        let b = dag.vertex("b", nop());
-        dag.edge(Edge::between(a, b).isolated().distributed());
-        assert!(dag.validate().is_err());
     }
 
     #[test]

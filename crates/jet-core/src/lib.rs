@@ -23,8 +23,9 @@
 //! * **Flow-controlled distributed edges** ([`network`]): the adaptive
 //!   receive-window protocol of §3.3.
 //!
-//! Single-member wiring lives in [`plan`]; multi-member wiring, recovery and
-//! scaling live in the `jet-cluster` crate.
+//! All wiring lives in [`plan`], a local job being the one-member case of a
+//! cluster plan; job lifecycle, recovery and scaling live in the
+//! `jet-cluster` crate.
 
 pub mod dag;
 pub mod exec;

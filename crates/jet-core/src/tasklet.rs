@@ -27,7 +27,7 @@ use crate::processor::{Chain, Guarantee, Inbox, Outbox, Processor, ProcessorCont
 use crate::snapshot::SnapshotRegistry;
 use crate::trace::{TraceKind, TraceWriter};
 use crate::watermark::{WatermarkCoalescer, WatermarkProbe, IDLE_CHANNEL};
-use jet_queue::Conveyor;
+use jet_queue::{Conveyor, DepthProbe};
 use jet_util::clock::SharedClock;
 use jet_util::progress::Progress;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -271,6 +271,11 @@ impl ProcessorTasklet {
     pub fn with_batch_histogram(mut self, h: SharedHistogram) -> Self {
         self.batch_sizes = Some(h);
         self
+    }
+
+    /// Each input ordinal with its lanes' depth probes, for queue gauges.
+    pub fn input_probes(&self) -> impl Iterator<Item = (usize, Vec<DepthProbe>)> + '_ {
+        self.inputs.iter().map(|s| (s.ordinal, s.conveyor.probes()))
     }
 
     /// Shared watermark position (seen vs. coalesced) for gauges and dumps.

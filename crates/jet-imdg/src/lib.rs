@@ -34,13 +34,11 @@ pub mod grid;
 pub mod imap;
 pub mod partition_table;
 pub mod ring;
-pub mod ringbuffer;
 pub mod snapshot_store;
 pub mod types;
 
 pub use grid::Grid;
 pub use imap::IMap;
 pub use partition_table::PartitionTable;
-pub use ringbuffer::Ringbuffer;
 pub use snapshot_store::{SnapshotStore, StoreFaults};
 pub use types::{MemberId, PartitionId, DEFAULT_PARTITION_COUNT};
